@@ -9,7 +9,6 @@ experiments that certify the approximation.
 
 from .basis import (
     BasisParams,
-    ComplexExponent,
     apply_A,
     cut,
     eval_e_n,
@@ -66,11 +65,9 @@ from .projection import (
     commutator_apply,
     compute_C1,
     compute_C2,
-    lambda_k,
     norm_alpha_span,
     power_iteration_pi_norm,
     project_pi,
-    project_pi_k,
     reconstruct,
     reconstruct_deriv,
 )

@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "BasisParams",
-    "ComplexExponent",
     "lambda_n",
     "cut",
     "eval_g_star",
@@ -68,14 +67,6 @@ class BasisParams:
         """Mode indices -k..k as an integer array."""
         kk = self.k if k is None else k
         return np.arange(-kk, kk + 1)
-
-
-@dataclass(frozen=True)
-class ComplexExponent:
-    """A single basis exponent lambda_n together with its index."""
-
-    value: complex
-    index_n: int
 
 
 def lambda_n(params: BasisParams, n) -> np.ndarray | complex:

@@ -300,12 +300,13 @@ def cmd_simulate(cfg: dict, base_dir: Path, out: Path) -> int:
             raise ConfigError("each delivery window must be a [T1, T2] pair")
 
     out.mkdir(parents=True, exist_ok=True)
+    G = eval_g_n(params, params.n_range(k), x)
     scen_rows, fwd_rows, slices = [], [], []
     for pid in range(n_paths):
         path, _ = simulate_fk_state(model, driver, times, k, path_id=pid)
         for j, t in enumerate(times):
             s = path.states[j]
-            vals = s.c_star + s.c @ eval_g_n(params, params.n_range(k), x)
+            vals = s.c_star + s.c @ G
             for xi, v in zip(x, vals):
                 scen_rows.append([pid, repr(float(t)), repr(float(xi)),
                                   repr(float(np.real(v)))])

@@ -12,6 +12,7 @@ so the only discretization error is the left-endpoint evaluation.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -19,8 +20,9 @@ import numpy as np
 
 from .basis import BasisParams, eval_g_n, lambda_n
 from .errors import BadWindow, UnstableStep
-from .projection import CoeffState, compute_C1, compute_C2, lambda_k, project_pi
-from .semigroup import shift_coeffs, shift_curve
+from .projection import (CoeffState, coefficients_fft, compute_C1, compute_C2,
+                         project_pi)
+from .semigroup import _shift, _shift_factors, shift_curve
 from .space import Curve, norm_alpha
 
 __all__ = [
@@ -131,12 +133,10 @@ class SimPath:
 
 @dataclass
 class StateVariables:
-    """Spot path, factor paths and accumulated driver integrals."""
+    """Spot path S_k (times,) and factor paths U (times, 2k+1)."""
 
     S_k: np.ndarray
     U: np.ndarray
-    X: np.ndarray
-    X_star: np.ndarray
 
 
 def _uniform_step(times: np.ndarray) -> float:
@@ -186,16 +186,49 @@ def oracle_mild_solution(spec: ModelSpec, driver: LevyDriver, times,
     return SimPath(times=times, states=states, noise_record=dL)
 
 
-def _increment_states(spec: ModelSpec, driver: LevyDriver, k: int,
-                      n_points: int | None = None):
-    """Projected coefficient states of the drift and each loading."""
+def _projected_inputs(spec: ModelSpec, driver: LevyDriver, times, k: int):
+    """Project every input of the linear dynamics on one time grid, once.
+
+    Returns the projected f0; the loadings and the drift at each left
+    endpoint times[:-1] (None without drift) as (c_star, c) pairs of shapes
+    ((d,), (d, 2k+1)) and ((L,), (L, 2k+1)); and the (L, d) psi weights at
+    the left endpoints.
+    """
     p = spec.params
-    kw = {} if n_points is None else {"n_points": n_points}
-    loads = [lambda_k(c, k, p, **kw) for c in driver.loadings]
-    beta_state = None
-    if spec.beta is not None:
-        beta_state = lambda t: lambda_k(spec.beta(t), k, p, **kw)
-    return beta_state, loads
+
+    def stacked(curves):
+        states = [coefficients_fft(c, k, p) for c in curves]
+        return np.array([s.c_star for s in states]), np.stack([s.c for s in states])
+
+    drift = None if spec.beta is None else stacked(spec.beta(t) for t in times[:-1])
+    psi = np.stack([spec.weights(t, driver.rank) for t in times[:-1]])
+    return coefficients_fft(spec.f0, k, p), stacked(driver.loadings), drift, psi
+
+
+def _exact_transport(init: CoeffState, loads, drift, weighted: np.ndarray,
+                     dt: float, k: int):
+    """Yield (c_star, c) after each step of the truncated linear dynamics.
+
+    A step adds the left-endpoint increment (``weighted`` row times the
+    loadings, plus dt times the drift) and then shifts exactly by dt.
+    ``loads`` and ``drift`` are as returned by `_projected_inputs`;
+    ``weighted`` is (..., L, d), psi weights times driver increments, and its
+    leading axes are independent paths.  Modes -k..k of the projection are
+    kept, so ``k`` may lie below its level.
+    """
+    k_max = init.k
+    sl = slice(k_max - k, k_max + k + 1)
+    load_star, load_c = loads[0], loads[1][:, sl]
+    g_dt, growth = _shift_factors(init.params, k, dt)
+    c_star, c = init.c_star, init.c[sl]
+    for j in range(weighted.shape[-2]):
+        w = weighted[..., j, :]
+        inc_star, inc_c = w @ load_star, w @ load_c
+        if drift is not None:
+            inc_star = inc_star + dt * drift[0][j]
+            inc_c = inc_c + dt * drift[1][j, sl]
+        c_star, c = _shift(c_star + inc_star, c + inc_c, g_dt, growth)
+        yield c_star, c
 
 
 def simulate_fk_state(spec: ModelSpec, driver: LevyDriver, times, k: int,
@@ -208,42 +241,16 @@ def simulate_fk_state(spec: ModelSpec, driver: LevyDriver, times, k: int,
     which the shift updates through sum_n U_n g_n(dt).  The invariant
     "spot == curve value at 0" holds identically because g_n(0) = 0.
     """
-    p = spec.params
     times = np.asarray(times, dtype=float)
     dt = _uniform_step(times)
-    n_steps = times.size - 1
-    dL = _noise_for(driver, dt, n_steps, noise, path_id)
-    beta_state, loads = _increment_states(spec, driver, k)
-    load_c = np.stack([s.c for s in loads])        # (d, 2k+1)
-    load_star = np.array([s.c_star for s in loads])
-
-    state = lambda_k(spec.f0, k, p)
-    pk = state.params
-    states = [state]
-    S = np.empty(times.size, dtype=complex)
-    U = np.empty((times.size, 2 * k + 1), dtype=complex)
-    X = np.zeros((times.size, 2 * k + 1), dtype=complex)
-    X_star = np.zeros(times.size, dtype=complex)
-    S[0], U[0] = state.c_star, state.c
-
-    for j in range(n_steps):
-        t = times[j]
-        w = spec.weights(t, driver.rank)
-        inc_c = (w * dL[j]) @ load_c
-        inc_star = complex((w * dL[j]) @ load_star)
-        if beta_state is not None:
-            b = beta_state(t)
-            inc_c = inc_c + dt * b.c
-            inc_star += dt * b.c_star
-        X[j + 1] = X[j] + inc_c
-        X_star[j + 1] = X_star[j] + inc_star
-        state = shift_coeffs(CoeffState(state.c_star + inc_star,
-                                        state.c + inc_c, pk), dt)
-        states.append(state)
-        S[j + 1], U[j + 1] = state.c_star, state.c
-
+    dL = _noise_for(driver, dt, times.size - 1, noise, path_id)
+    init, loads, drift, psi = _projected_inputs(spec, driver, times, k)
+    states = [init]
+    for c_star, c in _exact_transport(init, loads, drift, psi * dL, dt, k):
+        states.append(CoeffState(complex(c_star), c, init.params))
     path = SimPath(times=times, states=states, noise_record=dL)
-    return path, StateVariables(S_k=S, U=U, X=X, X_star=X_star)
+    return path, StateVariables(S_k=np.array([s.c_star for s in states]),
+                                U=np.stack([s.c for s in states]))
 
 
 def euler_stability_limit(params: BasisParams, k: int) -> float:
@@ -266,37 +273,33 @@ def system_matrix(params: BasisParams, k: int) -> np.ndarray:
     return A
 
 
+def _stable_euler_matrix(params: BasisParams, k: int, dt: float) -> np.ndarray:
+    """`system_matrix`, once dt is checked against the explicit-Euler limit."""
+    limit = euler_stability_limit(params, k)
+    if dt >= limit:
+        raise UnstableStep(f"step {dt} >= stability limit {limit:.3e} for k={k}")
+    return system_matrix(params, k)
+
+
 def euler_coefficient_system(spec: ModelSpec, driver: LevyDriver, times, k: int,
                              noise: np.ndarray | None = None,
                              path_id: int = 0) -> SimPath:
     """Plain explicit Euler on the 2k+2 complex coefficient system."""
-    p = spec.params
     times = np.asarray(times, dtype=float)
     dt = _uniform_step(times)
-    limit = euler_stability_limit(p, k)
-    if dt >= limit:
-        raise UnstableStep(f"step {dt} >= stability limit {limit:.3e} for k={k}")
-    n_steps = times.size - 1
-    dL = _noise_for(driver, dt, n_steps, noise, path_id)
-    beta_state, loads = _increment_states(spec, driver, k)
-    A = system_matrix(p, k)
-
-    def vec(s: CoeffState) -> np.ndarray:
-        return np.concatenate(([s.c_star], s.c))
-
-    load_v = np.stack([vec(s) for s in loads])     # (d, 2k+2)
-    state = lambda_k(spec.f0, k, p)
-    pk = state.params
-    x = vec(state)
-    states = [state]
-    for j in range(n_steps):
-        t = times[j]
-        drift = A @ x
-        if beta_state is not None:
-            drift = drift + vec(beta_state(t))
-        w = spec.weights(t, driver.rank)
-        x = x + dt * drift + (w * dL[j]) @ load_v
-        states.append(CoeffState(complex(x[0]), x[1:].copy(), pk))
+    A = _stable_euler_matrix(spec.params, k, dt)
+    dL = _noise_for(driver, dt, times.size - 1, noise, path_id)
+    init, loads, drift, psi = _projected_inputs(spec, driver, times, k)
+    load_v = np.column_stack(loads)                  # (d, 2k+2)
+    drift_v = None if drift is None else np.column_stack(drift)
+    x = np.concatenate(([init.c_star], init.c))
+    states = [init]
+    for j, w in enumerate(psi * dL):
+        rate = A @ x
+        if drift_v is not None:
+            rate = rate + drift_v[j]
+        x = x + dt * rate + w @ load_v
+        states.append(CoeffState(complex(x[0]), x[1:].copy(), init.params))
     return SimPath(times=times, states=states, noise_record=dL)
 
 
@@ -350,7 +353,8 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
     dt = t_eval / n_steps
     times = np.linspace(0.0, t_eval, n_steps + 1)
     dL = _batched_noise(driver, dt, n_steps, n_paths)
-    w_t = np.stack([spec.weights(t, driver.rank) for t in times[:-1]])  # (L, d)
+    init, loads, drift, psi = _projected_inputs(spec, driver, times,
+                                                int(max(k_list)))
 
     x = np.linspace(0.0, T - t_eval, n_x)
 
@@ -363,37 +367,16 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
         base = base + dt * beta_vals.sum(axis=0)
     M = np.stack([[c.value(lag[j] + x) for j in range(n_steps)]
                   for c in driver.loadings])         # (d, L, n_x)
-    weighted = dL * w_t[None, :, :]                  # (P, L, d)
+    weighted = dL * psi                              # (P, L, d)
     oracle = base[None, :] + np.tensordot(weighted, M, axes=([1, 2], [1, 0]))
 
-    k_max = int(max(k_list))
-    beta_state, loads = _increment_states(spec, driver, k_max)
-    load_c = np.stack([s.c for s in loads])          # (d, 2k_max+1)
-    load_star = np.array([s.c_star for s in loads])
-    init = lambda_k(spec.f0, k_max, p)
-    b_states = ([beta_state(t) for t in times[:-1]]
-                if beta_state is not None else None)
-
     rows = []
-    A_common, C1_mean = _sampled_bound(spec, driver, t_eval, times, dL, w_t,
+    A_common, C1_mean = _sampled_bound(spec, driver, t_eval, times, dL, psi,
                                        min(bound_paths, n_paths), x)
     for k in k_list:
-        sl = slice(k_max - k, k_max + k + 1)
-        lams = lambda_n(p, p.n_range(k))
-        g_dt = eval_g_n(p, p.n_range(k), np.array([dt]))[:, 0]
-        prop = np.exp(lams * dt)
-        c = np.broadcast_to(init.c[sl], (n_paths, 2 * k + 1)).copy()
-        c_star = np.full(n_paths, init.c_star, dtype=complex)
-        for j in range(n_steps):
-            inc_c = weighted[:, j, :] @ load_c[:, sl]
-            inc_star = weighted[:, j, :] @ load_star
-            if b_states is not None:
-                inc_c = inc_c + dt * b_states[j].c[sl]
-                inc_star = inc_star + dt * b_states[j].c_star
-            c = c + inc_c
-            c_star = c_star + inc_star
-            c_star = c_star + c @ g_dt
-            c = c * prop
+        # only the final state is needed; deque keeps just the last one
+        c_star, c = deque(_exact_transport(init, loads, drift, weighted, dt, k),
+                          maxlen=1)[0]
         G = eval_g_n(p, p.n_range(k), x)             # (2k+1, n_x)
         vals = c_star[:, None] + c @ G
         err = np.max(np.abs(vals - oracle) ** 2, axis=1)

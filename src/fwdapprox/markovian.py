@@ -14,13 +14,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import (BasisParams, eval_g_n, eval_g_n_deriv,
-                    frame_lower_constant, frame_upper_constant,
-                    projector_norm_bound)
+from .basis import (BasisParams, eval_g_n_deriv, frame_lower_constant,
+                    frame_upper_constant, projector_norm_bound)
 from .dynamics import (LevyDriver, ModelSpec, SimPath, _noise_for,
-                       _uniform_step, euler_stability_limit, system_matrix)
-from .errors import UnstableStep
-from .projection import CoeffState, lambda_k, reconstruct_deriv
+                       _stable_euler_matrix, _uniform_step)
+from .projection import (CoeffState, _fold_fft, coefficients_fft, reconstruct,
+                         reconstruct_deriv)
 from .semigroup import shift_curve
 from .space import Curve, _simpson_weights, norm_alpha
 from .testcurves import flat_curve
@@ -141,11 +140,11 @@ def projected_coefficients(cf: CoefficientField, k: int, params: BasisParams,
 
     def bk(t, f):
         out = cf.b(t, f)
-        return _span_curve(lambda_k(out, k, params), out.x_max, n_points)
+        return _span_curve(coefficients_fft(out, k, params), out.x_max, n_points)
 
     def psik(t, f):
         outs = cf.psi(t, f)
-        return tuple(_span_curve(lambda_k(c, k, params), c.x_max, n_points)
+        return tuple(_span_curve(coefficients_fft(c, k, params), c.x_max, n_points)
                      for c in outs)
 
     return CoefficientField(b=bk, psi=psik,
@@ -261,26 +260,6 @@ def picard_operator_V(h_states: Sequence[Curve], cf: CoefficientField,
     return out
 
 
-def _fast_coeffs(curve: Curve, k: int, params: BasisParams,
-                 weights: np.ndarray) -> np.ndarray:
-    """Coefficient vector (c_star, c) from on-grid derivative samples.
-
-    Requires the curve grid to contain [0, T] with an even interval count;
-    `weights` carries the precomputed Simpson-times-exponential factor.
-    """
-    n = weights.size
-    d = curve.deriv_samples[:n]
-    a = weights * d
-    folded = a[:-1].copy()
-    folded[0] += a[-1]
-    spectrum = np.fft.fft(folded)
-    idx = np.arange(-k, k + 1) % (n - 1)
-    out = np.empty(2 * k + 2, dtype=complex)
-    out[0] = curve.value_at_zero
-    out[1:] = spectrum[idx] / np.sqrt(params.horizon)
-    return out
-
-
 def simulate_markovian_fk(cf: CoefficientField, spec: ModelSpec,
                           driver: LevyDriver, times, k: int,
                           noise: np.ndarray | None = None,
@@ -296,12 +275,9 @@ def simulate_markovian_fk(cf: CoefficientField, spec: ModelSpec,
     p = spec.params
     times = np.asarray(times, dtype=float)
     dt = _uniform_step(times)
-    limit = euler_stability_limit(p, k)
-    if dt >= limit:
-        raise UnstableStep(f"step {dt} >= stability limit {limit:.3e} for k={k}")
+    A = _stable_euler_matrix(p, k, dt)
     n_steps = times.size - 1
     dL = _noise_for(driver, dt, n_steps, noise, path_id)
-    A = system_matrix(p, k)
 
     f0 = spec.f0
     xg = f0.grid
@@ -314,7 +290,7 @@ def simulate_markovian_fk(cf: CoefficientField, spec: ModelSpec,
         * np.exp(p.decay * xg[:n_T + 1])
     Gd = eval_g_n_deriv(p, p.n_range(k), xg)
 
-    state = lambda_k(f0, k, p)
+    state = coefficients_fft(f0, k, p)
     pk = state.params
     x = np.concatenate(([state.c_star], state.c))
     states = [state]
@@ -327,11 +303,13 @@ def simulate_markovian_fk(cf: CoefficientField, spec: ModelSpec,
         for s, out_curve in zip(scale, outs):
             if s != 0.0:
                 if abs(out_curve.grid_step - step) < 1e-12:
-                    inc += s * _fast_coeffs(out_curve, k, p, w)
+                    c_star = out_curve.value_at_zero
+                    c = _fold_fft(w * out_curve.deriv_samples[:n_T + 1], k, p.horizon)
                 else:
-                    proj = lambda_k(out_curve, k, p)
-                    inc[0] += s * proj.c_star
-                    inc[1:] += s * proj.c
+                    proj = coefficients_fft(out_curve, k, p)
+                    c_star, c = proj.c_star, proj.c
+                inc[0] += s * complex(c_star)
+                inc[1:] += s * c
         x = x + inc
         states.append(CoeffState(complex(x[0]), x[1:].copy(), pk))
     return SimPath(times=times, states=states, noise_record=dL)
@@ -372,8 +350,7 @@ def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
                                          noise=noise)
             worst = 0.0
             for j in slice_idx:
-                s = path.states[j]
-                vals = s.c_star + s.c @ _g_matrix(p, int(k), xs[j])
+                vals = reconstruct(path.states[j], xs[j])
                 worst = max(worst, float(np.max(np.abs(vals - o_vals[j]) ** 2)))
             errs[int(k)][pid] = worst
     return [{
@@ -384,6 +361,3 @@ def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
         "seed": int(driver.seed),
     } for k in k_list]
 
-
-def _g_matrix(params: BasisParams, k: int, x: np.ndarray) -> np.ndarray:
-    return eval_g_n(params, params.n_range(k), x)

@@ -34,8 +34,6 @@ __all__ = [
     "project_pi",
     "coefficient",
     "coefficients_fft",
-    "project_pi_k",
-    "lambda_k",
     "reconstruct",
     "reconstruct_deriv",
     "commutator_apply",
@@ -172,47 +170,41 @@ def coefficient(h: Curve, n: int, params: BasisParams,
     return prev
 
 
+def _fold_fft(a: np.ndarray, k: int, horizon: float) -> np.ndarray:
+    """Modes -k..k of h from a_j = w_j h'(x_j) e^{(lam + alpha/2) x_j}.
+
+    The samples lie on a uniform grid over [0, T] and w_j are the quadrature
+    weights.  The x = T sample aliases x = 0 for every mode frequency, so it is folded
+    onto index 0 and one DFT of the remaining N points supplies every mode.
+    Modes beyond the DFT's N bins would alias onto kept ones, so 2k + 1 > N
+    raises.
+    """
+    n = a.shape[-1] - 1
+    if 2 * k + 1 > n:
+        raise ValueError(f"{2 * k + 1} modes alias on a {n}-interval grid; "
+                         "use more coefficient points")
+    folded = a[:-1].copy()
+    folded[0] += a[-1]
+    spectrum = np.fft.fft(folded)  # index n holds sum a_j e^{-2 pi i n j / N}
+    return spectrum[np.arange(-k, k + 1) % n] / np.sqrt(horizon)
+
+
 def coefficients_fft(h: Curve, k: int, params: BasisParams,
                      n_points: int = COEFF_POINTS) -> CoeffState:
-    """All coefficients n = -k..k with one weighted FFT.
+    """Localise-and-truncate map h -> h(0) g_* + sum_{|n|<=k} <h, g_n^*> g_n.
 
-    Matches the scalar quadrature exactly (same Simpson weights): the
-    n-independent factor h'(x) e^{(lam + alpha/2) x} is formed once, the
-    endpoint sample is folded onto index 0, and the DFT supplies every mode.
+    Localisation leaves h untouched on [0, T] and preserves h(0), and the
+    coefficient integral reads nothing else, so no intermediate projected
+    curve is built.  All modes come from one weighted FFT that matches the
+    scalar quadrature exactly (same Simpson weights): the n-independent factor
+    h'(x) e^{(lam + alpha/2) x} is formed once and the DFT supplies every mode.
     """
     T = params.horizon
     x, d = _coeff_grid(h, params, n_points)
     w = _simpson_weights(n_points, T / (n_points - 1))
-    a = w * d * np.exp(params.decay * x)
-    folded = a[:-1].copy()
-    folded[0] += a[-1]  # x = T aliases x = 0 for every mode frequency
-    spectrum = np.fft.fft(folded)  # index n holds sum a_j e^{-2 pi i n j / N}
-    idx = np.arange(-k, k + 1) % (n_points - 1)
-    c = spectrum[idx] / np.sqrt(T)
+    c = _fold_fft(w * d * np.exp(params.decay * x), k, T)
     p = BasisParams(params.alpha, params.lam, params.horizon, k)
     return CoeffState(complex(h.value(0.0)), c, p)
-
-
-def project_pi_k(h: Curve, k: int, params: BasisParams,
-                 n_points: int = COEFF_POINTS) -> CoeffState:
-    """Truncation projector h -> h(0) g_* + sum_{|n|<=k} <h, g_n^*> g_n.
-
-    Assumes h is already localised (numerically in the horizon-T subspace).
-    """
-    return coefficients_fft(h, k, params, n_points)
-
-
-def lambda_k(h: Curve, k: int, params: BasisParams,
-             n_points: int = COEFF_POINTS) -> CoeffState:
-    """Combined localise-then-truncate map.
-
-    Localisation leaves h untouched on [0, T] and preserves h(0), and the
-    coefficient integral reads nothing else, so no intermediate projected
-    curve needs to be built.
-    """
-    if h.x_max < params.horizon - 1e-12:
-        raise DomainTooShort("curve must cover [0, T]")
-    return coefficients_fft(h, k, params, n_points)
 
 
 def reconstruct(s: CoeffState, x) -> np.ndarray | complex:

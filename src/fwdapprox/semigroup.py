@@ -42,16 +42,27 @@ def shift_curve(f: Curve, t: float, x_max_out: float | None = None) -> Curve:
     return Curve(complex(f.value(t)), f.deriv(t + x), x_max_out / (n - 1), x_max_out)
 
 
+def _shift_factors(params: BasisParams, k: int, t: float):
+    """g_n(t) and e^{lambda_n t} for n = -k..k, the two factors of the shift."""
+    ns = params.n_range(k)
+    return (eval_g_n(params, ns, np.array([float(t)]))[:, 0],
+            np.exp(lambda_n(params, ns) * t))
+
+
+def _shift(c_star, c, g_t: np.ndarray, growth: np.ndarray):
+    """Exact shift U_t g_n = e^{lambda_n t} g_n + g_n(t) g_* of (c_star, c).
+
+    ``c`` may carry leading path axes, with ``c_star`` matching them.
+    """
+    return c_star + c @ g_t, c * growth
+
+
 def shift_coeffs(s: CoeffState, t: float) -> CoeffState:
     """Exact shift action on a coefficient state."""
     if t < 0.0:
         raise ValueError("shift time must be nonnegative")
-    p = s.params
-    ns = p.n_range(s.k)
-    g_t = eval_g_n(p, ns, np.array([float(t)]))[:, 0]
-    c_star = s.c_star + np.sum(s.c * g_t)
-    c = s.c * np.exp(lambda_n(p, ns) * t)
-    return CoeffState(complex(c_star), c, p)
+    c_star, c = _shift(s.c_star, s.c, *_shift_factors(s.params, s.k, t))
+    return CoeffState(complex(c_star), c, s.params)
 
 
 def adjoint_on_dual(params: BasisParams, n: int, t: float) -> complex:

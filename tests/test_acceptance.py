@@ -42,7 +42,6 @@ from fwdapprox.projection import (
     commutator_apply,
     compute_C1,
     compute_C2,
-    lambda_k,
     norm_alpha_span,
     power_iteration_pi_norm,
     reconstruct,
@@ -236,8 +235,8 @@ def test_10_driftless_fixed_maturity_martingale():
     maturity = 0.75
     driver = standard_driver(seed=13)
     spec = ModelSpec(f0=smooth_bump(), params=P)
-    init = lambda_k(spec.f0, k, P)
-    loads = [lambda_k(c, k, P) for c in driver.loadings]
+    init = coefficients_fft(spec.f0, k, P)
+    loads = [coefficients_fft(c, k, P) for c in driver.loadings]
     load_c = np.stack([s.c for s in loads])
     load_star = np.array([s.c_star for s in loads])
     ns = P.n_range(k)
@@ -310,7 +309,7 @@ def test_12_euler_strong_order_one():
     spec = ModelSpec(f0=smooth_bump(), params=P)
     driver = standard_driver()
     k, t_end = 2, 0.25
-    init = lambda_k(spec.f0, k, P)
+    init = coefficients_fft(spec.f0, k, P)
     x0 = np.concatenate(([init.c_star], init.c))
     exact = linalg.expm(system_matrix(P, k) * t_end) @ x0
     steps = [64, 128, 256, 512, 1024]

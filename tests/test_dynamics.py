@@ -16,7 +16,7 @@ from fwdapprox.dynamics import (
     system_matrix,
 )
 from fwdapprox.errors import BadWindow, UnstableStep
-from fwdapprox.projection import CoeffState, lambda_k, reconstruct, reconstruct_deriv
+from fwdapprox.projection import CoeffState, coefficients_fft, reconstruct, reconstruct_deriv
 from fwdapprox.space import Curve, _simpson_weights
 from fwdapprox.testcurves import exp_loading, flat_curve, smooth_bump
 
@@ -100,7 +100,7 @@ def test_state_sim_zero_noise_closed_form():
     times = np.linspace(0, t_end, 33)
     path, sv = simulate_fk_state(spec, drv, times, k=6,
                                  noise=np.zeros((32, 3)))
-    init = lambda_k(spec.f0, 6, P)
+    init = coefficients_fft(spec.f0, 6, P)
     lams = lambda_n(P, P.n_range(6))
     assert np.allclose(sv.U[-1], init.c * np.exp(lams * t_end), atol=1e-12)
     g_t = eval_g_n(P, P.n_range(6), np.array([t_end]))[:, 0]
@@ -172,7 +172,7 @@ def test_euler_converges_to_exact_exponential():
     spec = make_spec()
     drv = make_driver()
     k, t_end = 2, 0.25
-    init = lambda_k(spec.f0, k, P)
+    init = coefficients_fft(spec.f0, k, P)
     x0 = np.concatenate(([init.c_star], init.c))
     A = system_matrix(P, k)
     exact = linalg.expm(A * t_end) @ x0

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,23 +13,24 @@ from fwdapprox.basis import (
 from fwdapprox.errors import DomainTooShort, NotSmoothEnough
 from fwdapprox.projection import (
     CoeffState,
+    _fold_fft,
     c_kt_norm_sq,
     coefficient,
     coefficients_fft,
     commutator_apply,
     compute_C1,
     compute_C2,
-    lambda_k,
     norm_alpha_span,
     power_iteration_pi_norm,
     project_pi,
     reconstruct,
     reconstruct_deriv,
 )
-from fwdapprox.space import Curve, norm_alpha
-from fwdapprox.testcurves import smooth_bump
+from fwdapprox.space import Curve, _simpson_weights, norm_alpha, read_curve_csv
+from fwdapprox.testcurves import exp_loading, smooth_bump
 
 P = BasisParams(alpha=1.0, lam=0.5, horizon=1.0)
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def basis_curve(n, x_max=1.0, n_points=2**12 + 1):
@@ -100,7 +103,7 @@ def test_reconstruct_roundtrip_on_span():
     s = CoeffState(0.7 + 0j, c, p4)
     x = np.linspace(0, 1, 2**12 + 1)
     f = Curve(s.c_star, reconstruct_deriv(s, x), 1.0 / (x.size - 1), 1.0)
-    t = lambda_k(f, 4, P)
+    t = coefficients_fft(f, 4, P)
     assert np.max(np.abs(t.c - s.c)) < 1e-9
     assert complex(t.c_star) == pytest.approx(complex(s.c_star))
     # values agree too
@@ -180,3 +183,30 @@ def test_norm_alpha_span_matches_direct_quadrature():
     val = np.trapezoid(np.abs(d) ** 2 * np.exp(x), x)
     direct = np.sqrt(abs(s.c_star) ** 2 + val)
     assert norm_alpha_span(s) == pytest.approx(direct, rel=1e-5)
+
+
+def test_coefficients_fft_refuses_aliased_modes():
+    # 2k + 1 modes need at least as many DFT bins as grid intervals
+    f = smooth_bump()
+    with pytest.raises(ValueError):
+        coefficients_fft(f, 2048, P)
+    s = coefficients_fft(f, 2047, P)
+    assert s.c.shape == (4095,)
+
+
+@pytest.mark.parametrize("k", [2, 8])
+@pytest.mark.parametrize("make", [
+    lambda: read_curve_csv(str(DATA / "bump_curve.csv")),
+    smooth_bump,
+    lambda: exp_loading(0.05, 2.0),
+], ids=["bump_csv", "smooth_bump", "exp_loading"])
+def test_fold_of_on_grid_samples_matches_coefficients_fft(make, k):
+    # the Markovian scheme folds pre-weighted on-grid samples directly
+    curve = make()
+    n_T = 2048
+    assert curve.grid_step == pytest.approx(P.horizon / n_T)
+    x = np.linspace(0.0, P.horizon, n_T + 1)
+    w = _simpson_weights(n_T + 1, P.horizon / n_T) * np.exp(P.decay * x)
+    got = _fold_fft(w * curve.deriv_samples[:n_T + 1], k, P.horizon)
+    want = coefficients_fft(curve, k, P, n_points=n_T + 1).c
+    assert np.max(np.abs(got - want)) <= 1e-14

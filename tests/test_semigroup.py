@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import linalg
 
 from fwdapprox.basis import BasisParams, eval_g_n, lambda_n
+from fwdapprox.dynamics import system_matrix
 from fwdapprox.errors import DomainTooShort
 from fwdapprox.projection import CoeffState, reconstruct
-from fwdapprox.semigroup import adjoint_on_dual, shift_coeffs, shift_curve
+from fwdapprox.semigroup import (_shift, _shift_factors, adjoint_on_dual,
+                                 shift_coeffs, shift_curve)
 from fwdapprox.testcurves import smooth_bump
 
 P = BasisParams(alpha=1.0, lam=0.5, horizon=1.0)
@@ -76,3 +80,21 @@ def test_adjoint_eigenvalue():
     for n in (-4, 0, 7):
         assert adjoint_on_dual(P, n, t) == pytest.approx(
             np.exp(np.conj(lambda_n(P, n)) * t))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(0.2, 3.0), lam=st.floats(0.1, 2.0),
+       T=st.floats(0.5, 2.0), k=st.integers(0, 8),
+       frac=st.floats(0.0, 1.0, exclude_min=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_exact_step_is_generator_exponential(alpha, lam, T, k, frac, seed):
+    # the transport step shared by every exact scheme is exp(A dt) on the
+    # (c_star, c_{-k}..c_k) system, A the generator from system_matrix
+    p = BasisParams(alpha, lam, T)
+    dt = frac * T
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=2 * k + 2) + 1j * rng.normal(size=2 * k + 2)
+    c_star, c = _shift(x[0], x[1:], *_shift_factors(p, k, dt))
+    want = linalg.expm(system_matrix(p, k) * dt) @ x
+    err = np.max(np.abs(np.concatenate(([c_star], c)) - want))
+    assert err <= 1e-12 * np.max(np.abs(x))
