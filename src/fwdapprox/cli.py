@@ -32,8 +32,9 @@ from .errors import (ConfigError, DomainTooShort, FwdApproxError, GridMismatch,
                      NotSmoothEnough, UnstableStep)
 from .markovian import (contract_audit, make_field,
                         markovian_convergence_experiment)
-from .projection import (CoeffState, coefficients_fft, commutator_apply,
-                         compute_C1, norm_alpha_span, power_iteration_pi_norm)
+from .projection import (COEFF_POINTS, CoeffState, coefficients_fft,
+                         commutator_apply, compute_C1, norm_alpha_span,
+                         power_iteration_pi_norm)
 from .space import Curve, dual_gram_matrix, read_curve_csv
 from . import testcurves
 
@@ -127,11 +128,43 @@ def load_times(cfg: dict) -> tuple[float, float, int]:
     return dt, t_eval, int(round(n))
 
 
+def _int(cfg: dict, key: str, default: int) -> int:
+    try:
+        return int(cfg.get(key, default))
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"config key {key!r} must be an integer: {e}") from e
+
+
 def load_n_paths(cfg: dict) -> int:
-    n = int(cfg.get("n_paths", 1))
+    n = _int(cfg, "n_paths", 1)
     if n < 1:
         raise ConfigError("n_paths must be at least 1")
     return n
+
+
+def load_k(cfg: dict) -> int:
+    """Truncation level; its 2k + 1 modes must not alias on the FFT grid."""
+    k = _int(cfg, "k", 8)
+    k_max = (COEFF_POINTS - 2) // 2
+    if not 0 <= k <= k_max:
+        raise ConfigError(f"k must lie in [0, {k_max}], got {k}")
+    return k
+
+
+def load_windows(cfg: dict, params: BasisParams) -> list[tuple[float, float]]:
+    windows = []
+    for w in cfg.get("windows", []):
+        if not (isinstance(w, list) and len(w) == 2):
+            raise ConfigError("each delivery window must be a [T1, T2] pair")
+        try:
+            T1, T2 = float(w[0]), float(w[1])
+        except (ValueError, TypeError) as e:
+            raise ConfigError(f"bad delivery window {w}: {e}") from e
+        if not 0.0 <= T1 < T2 <= params.horizon:
+            raise ConfigError(f"delivery window {w} must satisfy "
+                              f"0 <= T1 < T2 <= {params.horizon}")
+        windows.append((T1, T2))
+    return windows
 
 
 # -- output helpers ----------------------------------------------------------
@@ -203,8 +236,8 @@ def loglog_slope(ks, errs) -> float:
 
 def cmd_basis_check(cfg: dict, base_dir: Path, out: Path) -> int:
     params = load_params(cfg)
-    seed = int(cfg.get("seed", 0))
-    k = max(int(cfg.get("k", 8)), 0)
+    seed = _int(cfg, "seed", 0)
+    k = max(_int(cfg, "k", 8), 0)
     checks = []
 
     gram = dual_gram_matrix(params, min(k, 8) if k > 0 else 0)
@@ -286,18 +319,15 @@ def cmd_truncation_rate(cfg: dict, base_dir: Path, out: Path) -> int:
 
 def cmd_simulate(cfg: dict, base_dir: Path, out: Path) -> int:
     params = load_params(cfg)
-    seed = int(cfg.get("seed", 0))
+    seed = _int(cfg, "seed", 0)
     model = load_model(cfg, base_dir, params)
     driver = load_driver(cfg, base_dir, seed)
     dt, t_eval, n_steps = load_times(cfg)
     n_paths = load_n_paths(cfg)
-    k = int(cfg.get("k", 8))
+    k = load_k(cfg)
     times = np.linspace(0.0, t_eval, n_steps + 1)
-    x = np.linspace(0.0, params.horizon, int(cfg.get("x_points", 33)))
-    windows = cfg.get("windows", [])
-    for w in windows:
-        if not (isinstance(w, list) and len(w) == 2):
-            raise ConfigError("each delivery window must be a [T1, T2] pair")
+    x = np.linspace(0.0, params.horizon, _int(cfg, "x_points", 33))
+    windows = load_windows(cfg, params)
 
     out.mkdir(parents=True, exist_ok=True)
     G = eval_g_n(params, params.n_range(k), x)
@@ -312,9 +342,9 @@ def cmd_simulate(cfg: dict, base_dir: Path, out: Path) -> int:
                                   repr(float(np.real(v)))])
             for wi, (T1, T2) in enumerate(windows):
                 if t <= T1:
-                    F = delivery_forward(s, float(t), float(T1), float(T2))
-                    fwd_rows.append([pid, repr(float(t)), wi, repr(float(T1)),
-                                     repr(float(T2)), repr(float(np.real(F)))])
+                    F = delivery_forward(s, float(t), T1, T2)
+                    fwd_rows.append([pid, repr(float(t)), wi, repr(T1),
+                                     repr(T2), repr(float(np.real(F)))])
             if pid == 0:
                 slices.append(json.loads(s.to_json()))
     write_csv(out / "scenarios.csv", ["path_id", "t", "x", "f"], scen_rows)
@@ -330,7 +360,7 @@ def cmd_simulate(cfg: dict, base_dir: Path, out: Path) -> int:
 
 def cmd_converge(cfg: dict, base_dir: Path, out: Path, markovian: bool) -> int:
     params = load_params(cfg)
-    seed = int(cfg.get("seed", 0))
+    seed = _int(cfg, "seed", 0)
     model = load_model(cfg, base_dir, params)
     driver = load_driver(cfg, base_dir, seed)
     n_paths = load_n_paths(cfg)
@@ -357,13 +387,13 @@ def cmd_converge(cfg: dict, base_dir: Path, out: Path, markovian: bool) -> int:
             return 1
         rows = markovian_convergence_experiment(
             field, model, driver, ks, n_paths,
-            n_steps=int(cfg.get("n_steps", 32)))
+            n_steps=_int(cfg, "n_steps", 32))
         table = [[r["k"], repr(r["mc_error"]), repr(r["stderr"]), "",
                   r["n_paths"], r["seed"]] for r in rows]
     else:
         _, t_eval, _ = load_times(cfg)
         rows = convergence_experiment(model, driver, t_eval, ks, n_paths,
-                                      n_steps=int(cfg.get("n_steps", 64)))
+                                      n_steps=_int(cfg, "n_steps", 64))
         table = [[r["k"], repr(r["mc_error"]), repr(r["stderr"]),
                   repr(r["bound_A_over_k"]), r["n_paths"], r["seed"]] for r in rows]
     write_csv(out / "converge.csv",

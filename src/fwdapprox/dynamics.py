@@ -20,10 +20,10 @@ import numpy as np
 
 from .basis import BasisParams, eval_g_n, lambda_n
 from .errors import BadWindow, UnstableStep
-from .projection import (CoeffState, coefficients_fft, compute_C1, compute_C2,
-                         project_pi)
+from .projection import (CoeffState, _period_norm, coefficients_fft,
+                         compute_C1, compute_C2)
 from .semigroup import _shift, _shift_factors, shift_curve
-from .space import Curve, norm_alpha
+from .space import Curve
 
 __all__ = [
     "LevyDriver",
@@ -156,6 +156,24 @@ def _noise_for(driver: LevyDriver, dt: float, n_steps: int,
     return driver.increments(driver.path_rng(path_id), dt, n_steps)
 
 
+def _increment(b: Curve, cols, dL_row: np.ndarray, dt: float) -> Curve:
+    """Left-endpoint increment b dt + sum_i cols[i] dL_i; zero noise is skipped."""
+    inc = b * dt
+    for col, dl in zip(cols, dL_row):
+        if dl != 0.0:
+            inc = inc + col * dl
+    return inc
+
+
+def _curve_recursion(f0: Curve, dt: float, n_steps: int,
+                     increment: Callable[[int, Curve], Curve]) -> list:
+    """Mild-solution states f_{j+1} = shift_dt(f_j + increment(j, f_j))."""
+    states = [f0]
+    for j in range(n_steps):
+        states.append(shift_curve(states[-1] + increment(j, states[-1]), dt))
+    return states
+
+
 def oracle_mild_solution(spec: ModelSpec, driver: LevyDriver, times,
                          noise: np.ndarray | None = None,
                          path_id: int = 0) -> SimPath:
@@ -170,20 +188,13 @@ def oracle_mild_solution(spec: ModelSpec, driver: LevyDriver, times,
     n_steps = times.size - 1
     dL = _noise_for(driver, dt, n_steps, noise, path_id)
 
-    states = [spec.f0]
-    f = spec.f0
-    for j in range(n_steps):
+    def increment(j, f):
         t = times[j]
-        inc = f * 0.0
-        if spec.beta is not None:
-            inc = inc + spec.beta(t) * dt
-        w = spec.weights(t, driver.rank)
-        for i in range(driver.rank):
-            if w[i] != 0.0 and dL[j, i] != 0.0:
-                inc = inc + driver.loadings[i] * (w[i] * dL[j, i])
-        f = shift_curve(f + inc, dt)
-        states.append(f)
-    return SimPath(times=times, states=states, noise_record=dL)
+        b = f * 0.0 if spec.beta is None else spec.beta(t)
+        return _increment(b, driver.loadings, spec.weights(t, driver.rank) * dL[j], dt)
+
+    return SimPath(times=times, states=_curve_recursion(spec.f0, dt, n_steps, increment),
+                   noise_record=dL)
 
 
 def _projected_inputs(spec: ModelSpec, driver: LevyDriver, times, k: int):
@@ -303,35 +314,53 @@ def euler_coefficient_system(spec: ModelSpec, driver: LevyDriver, times, k: int,
     return SimPath(times=times, states=states, noise_record=dL)
 
 
+def _phi1(z: np.ndarray) -> np.ndarray:
+    """phi1(z) = (e^z - 1) / z, by its Taylor series where |z| is tiny."""
+    small = np.abs(z) < 1e-5
+    safe = np.where(small, 1.0, z)
+    return np.where(small, 1.0 + z / 2.0 + z * z / 6.0, np.expm1(safe) / safe)
+
+
 def delivery_forward(state: CoeffState, t: float, T1: float, T2: float) -> complex:
     """Average of the modeled forward curve over the delivery window [T1, T2].
 
     Closed form: F = c_star + sum_n G_n c_n with
 
-        G_n = (e^{lambda_n (T2-t)} - e^{lambda_n (T1-t)} - lambda_n (T2-T1))
-              / (lambda_n^2 sqrt(T) (T2 - T1)),
+        G_n = (e^{lambda_n (T1-t)} phi1(lambda_n (T2-T1)) - 1) / (lambda_n sqrt(T)),
 
-    the exact window average of g_n shifted to calendar time t.
+    the exact window average of g_n shifted to calendar time t, where
+    phi1(z) = (e^z - 1) / z.  This form has no cancellation as the window
+    narrows.
     """
     p = state.params
     if not (t <= T1 < T2 <= p.horizon + 1e-12):
         raise BadWindow(f"need t <= T1 < T2 <= {p.horizon}, got ({t}, {T1}, {T2})")
     lams = lambda_n(p, p.n_range(state.k))
-    width = T2 - T1
-    G = (np.exp(lams * (T2 - t)) - np.exp(lams * (T1 - t)) - lams * width) \
-        / (lams**2 * np.sqrt(p.horizon) * width)
+    G = (np.exp(lams * (T1 - t)) * _phi1(lams * (T2 - T1)) - 1.0) \
+        / (lams * np.sqrt(p.horizon))
     return complex(state.c_star + np.sum(G * state.c))
 
 
 # -- Monte-Carlo convergence experiment --------------------------------------
 
-def _batched_noise(driver: LevyDriver, dt: float, n_steps: int,
-                   n_paths: int) -> np.ndarray:
-    """Noise tensor (n_paths, n_steps, d) with per-path derived streams."""
-    out = np.empty((n_paths, n_steps, driver.rank))
-    for pid in range(n_paths):
-        out[pid] = driver.increments(driver.path_rng(pid), dt, n_steps)
-    return out
+def _mild_sum(spec: ModelSpec, driver: LevyDriver, times: np.ndarray,
+              weighted: np.ndarray, x: np.ndarray, curve_eval) -> np.ndarray:
+    """Closed-form mild solution at t = times[-1] on x, shape (..., n_x):
+
+    f(t, x) = f0(t + x) + dt sum_l beta(t_l)(t - t_l + x)
+              + sum_{l, i} weighted[..., l, i] loading_i(t - t_l + x),
+
+    ``weighted`` being psi weights times increments.  ``curve_eval`` is
+    `Curve.value`, or `Curve.deriv` for f'.
+    """
+    dt = float(times[1] - times[0])
+    y = (times[-1] - times[:-1])[:, None] + x          # (L, n_x) lagged points
+    base = curve_eval(spec.f0, times[-1] + x)
+    if spec.beta is not None:
+        base = base + dt * np.stack([curve_eval(spec.beta(t), y[j])
+                                     for j, t in enumerate(times[:-1])]).sum(axis=0)
+    M = np.stack([curve_eval(c, y) for c in driver.loadings])   # (d, L, n_x)
+    return base + np.tensordot(weighted, M, axes=([-2, -1], [1, 0]))
 
 
 def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
@@ -352,27 +381,17 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
     T = p.horizon
     dt = t_eval / n_steps
     times = np.linspace(0.0, t_eval, n_steps + 1)
-    dL = _batched_noise(driver, dt, n_steps, n_paths)
+    dL = np.stack([_noise_for(driver, dt, n_steps, None, pid)
+                   for pid in range(n_paths)])      # (P, L, d)
     init, loads, drift, psi = _projected_inputs(spec, driver, times,
                                                 int(max(k_list)))
-
+    weighted = dL * psi
     x = np.linspace(0.0, T - t_eval, n_x)
-
-    # oracle values: f0(t+x) + dt * sum_l beta(t_l)(t-t_l+x) + noise part
-    base = spec.f0.value(t_eval + x)
-    lag = t_eval - times[:-1]                        # (L,)
-    if spec.beta is not None:
-        beta_vals = np.stack([spec.beta(t).value(lag[j] + x)
-                              for j, t in enumerate(times[:-1])])
-        base = base + dt * beta_vals.sum(axis=0)
-    M = np.stack([[c.value(lag[j] + x) for j in range(n_steps)]
-                  for c in driver.loadings])         # (d, L, n_x)
-    weighted = dL * psi                              # (P, L, d)
-    oracle = base[None, :] + np.tensordot(weighted, M, axes=([1, 2], [1, 0]))
+    oracle = _mild_sum(spec, driver, times, weighted, x, Curve.value)
 
     rows = []
-    A_common, C1_mean = _sampled_bound(spec, driver, t_eval, times, dL, psi,
-                                       min(bound_paths, n_paths), x)
+    A_common, C1_mean = _sampled_bound(spec, driver, times, psi,
+                                       weighted[:min(bound_paths, n_paths)])
     for k in k_list:
         # only the final state is needed; deque keeps just the last one
         c_star, c = deque(_exact_transport(init, loads, drift, weighted, dt, k),
@@ -391,45 +410,34 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
     return rows
 
 
-def _sampled_bound(spec: ModelSpec, driver: LevyDriver, t_eval: float,
-                   times: np.ndarray, dL: np.ndarray, w_t: np.ndarray,
-                   n_sample: int, x_grid: np.ndarray) -> tuple[float, float]:
+def _sampled_bound(spec: ModelSpec, driver: LevyDriver, times: np.ndarray,
+                   w_t: np.ndarray, weighted: np.ndarray) -> tuple[float, float]:
     """Sampled rate constant: deterministic part plus mean pathwise curvature.
 
     Deterministic part: 3 c_alpha^2 C2 (||Pi f0||^2 + integrated noise trace
     + squared integrated drift norm); pathwise part: mean of the curvature
-    constant of the oracle curve at t_eval over a subsample of paths.
+    constant of the oracle curve at times[-1] over the paths of ``weighted``
+    (psi weights times increments, (n_sample, L, d)).
     """
     p = spec.params
     dt = float(times[1] - times[0])
     c_alpha_sq = 3.0 * (1.0 + 1.0 / p.alpha)
     C2 = compute_C2(p)
-    pi_f0 = project_pi(spec.f0, p)
-    load_norms = np.array([norm_alpha(project_pi(c, p), p.alpha)
-                           for c in driver.loadings])
+
+    def pi_norm(h: Curve) -> float:
+        return _period_norm(h.value_at_zero, h.deriv, p)
+
+    load_norms = np.array([pi_norm(c) for c in driver.loadings])
     trace_term = float(np.sum(dt * (w_t**2) @ (load_norms**2)))
     drift_term = 0.0
     if spec.beta is not None:
-        drift_term = sum(dt * norm_alpha(project_pi(spec.beta(t), p), p.alpha)
-                         for t in times[:-1]) ** 2
-    A_common = c_alpha_sq * C2 * (norm_alpha(pi_f0, p.alpha) ** 2
-                                  + trace_term + drift_term)
+        drift_term = sum(dt * pi_norm(spec.beta(t)) for t in times[:-1]) ** 2
+    A_common = c_alpha_sq * C2 * (pi_norm(spec.f0) ** 2 + trace_term + drift_term)
 
-    # pathwise curvature constants of the oracle solution at t_eval
-    n_steps = times.size - 1
+    # pathwise curvature constants of the oracle solution at times[-1]
     n_pts = spec.f0.deriv_samples.shape[0]
     xg = np.linspace(0.0, p.horizon, min(n_pts, 2**12 + 1))
-    lag = t_eval - times[:-1]
-    d_base = spec.f0.deriv(t_eval + xg)
-    if spec.beta is not None:
-        d_base = d_base + dt * np.stack(
-            [spec.beta(t).deriv(lag[j] + xg)
-             for j, t in enumerate(times[:-1])]).sum(axis=0)
-    Md = np.stack([[c.deriv(lag[j] + xg) for j in range(n_steps)]
-                   for c in driver.loadings])
-    weighted = dL[:n_sample] * w_t[None, :, :]
-    derivs = d_base[None, :] + np.tensordot(weighted, Md, axes=([1, 2], [1, 0]))
+    derivs = _mild_sum(spec, driver, times, weighted, xg, Curve.deriv)
     step = p.horizon / (xg.size - 1)
-    c1s = [compute_C1(Curve(0.0, derivs[i], step, p.horizon), p)
-           for i in range(n_sample)]
+    c1s = [compute_C1(Curve(0.0, d, step, p.horizon), p) for d in derivs]
     return A_common, float(np.mean(c1s))

@@ -16,11 +16,11 @@ import numpy as np
 
 from .basis import (BasisParams, eval_g_n_deriv, frame_lower_constant,
                     frame_upper_constant, projector_norm_bound)
-from .dynamics import (LevyDriver, ModelSpec, SimPath, _noise_for,
-                       _stable_euler_matrix, _uniform_step)
+from .dynamics import (LevyDriver, ModelSpec, SimPath, _curve_recursion,
+                       _increment, _noise_for, _stable_euler_matrix,
+                       _uniform_step)
 from .projection import (CoeffState, _fold_fft, coefficients_fft, reconstruct,
                          reconstruct_deriv)
-from .semigroup import shift_curve
 from .space import Curve, _simpson_weights, norm_alpha
 from .testcurves import flat_curve
 
@@ -205,11 +205,7 @@ def contract_audit(cf: CoefficientField, params: BasisParams, rank: int,
 def _field_increment(cf: CoefficientField, spec: ModelSpec, t: float,
                      f: Curve, dL_row: np.ndarray, dt: float) -> Curve:
     fm = _masked(f, t, spec.params)
-    inc = cf.b(t, fm) * dt
-    for i, col in enumerate(cf.psi(t, fm)):
-        if dL_row[i] != 0.0:
-            inc = inc + col * dL_row[i]
-    return inc
+    return _increment(cf.b(t, fm), cf.psi(t, fm), dL_row, dt)
 
 
 def oracle_markovian(cf: CoefficientField, spec: ModelSpec, driver: LevyDriver,
@@ -224,12 +220,9 @@ def oracle_markovian(cf: CoefficientField, spec: ModelSpec, driver: LevyDriver,
     dt = _uniform_step(times)
     n_steps = times.size - 1
     dL = _noise_for(driver, dt, n_steps, noise, path_id)
-    f = spec.f0
-    states = [f]
-    for j in range(n_steps):
-        inc = _field_increment(cf, spec, times[j], f, dL[j], dt)
-        f = shift_curve(f + inc, dt)
-        states.append(f)
+    states = _curve_recursion(
+        spec.f0, dt, n_steps,
+        lambda j, f: _field_increment(cf, spec, times[j], f, dL[j], dt))
     return SimPath(times=times, states=states, noise_record=dL)
 
 
@@ -241,23 +234,13 @@ def picard_operator_V(h_states: Sequence[Curve], cf: CoefficientField,
     V(h)(t_j) = shift_{t_j} f0
                 + sum_{l<j} shift_{t_j - t_l} (b(t_l, h_l) dt + psi(t_l, h_l) dL_l)
 
-    on the same grid and noise record as h.
+    on the same grid and noise record as h, by the oracle's own recursion.
     """
     times = np.asarray(times, dtype=float)
     dt = _uniform_step(times)
-    out = [spec.f0]
-    incs: list[Curve] = []
-    for j in range(1, times.size):
-        l = j - 1
-        incs.append(_field_increment(cf, spec, times[l], h_states[l],
-                                     noise[l], dt))
-        x_max_out = spec.f0.x_max - times[j]
-        v = shift_curve(spec.f0, times[j], x_max_out)
-        for m, inc in enumerate(incs):
-            v = v + shift_curve(inc, times[j] - times[m],
-                                min(x_max_out, inc.x_max - (times[j] - times[m])))
-        out.append(v)
-    return out
+    return _curve_recursion(
+        spec.f0, dt, times.size - 1,
+        lambda j, f: _field_increment(cf, spec, times[j], h_states[j], noise[j], dt))
 
 
 def simulate_markovian_fk(cf: CoefficientField, spec: ModelSpec,
@@ -269,8 +252,8 @@ def simulate_markovian_fk(cf: CoefficientField, spec: ModelSpec,
     The coefficients b_k, psi_k are evaluated by reconstructing the current
     span curve on the initial curve's grid, feeding it through the masked
     field and re-extracting coefficients; the state therefore stays in the
-    span by construction.  Field outputs that land on the same grid are
-    transformed without interpolation.
+    span by construction.  Every field output is folded on the initial
+    curve's nodes over [0, T], read through its spline if on another grid.
     """
     p = spec.params
     times = np.asarray(times, dtype=float)
@@ -286,8 +269,8 @@ def simulate_markovian_fk(cf: CoefficientField, spec: ModelSpec,
     if abs(n_T * step - p.horizon) > 1e-9 or n_T % 2 != 0:
         raise ValueError("initial-curve grid must split [0, T] into an even "
                          "number of intervals")
-    w = _simpson_weights(n_T + 1, p.horizon / n_T) \
-        * np.exp(p.decay * xg[:n_T + 1])
+    xT = xg[:n_T + 1]
+    w = _simpson_weights(n_T + 1, p.horizon / n_T) * np.exp(p.decay * xT)
     Gd = eval_g_n_deriv(p, p.n_range(k), xg)
 
     state = coefficients_fft(f0, k, p)
@@ -303,13 +286,11 @@ def simulate_markovian_fk(cf: CoefficientField, spec: ModelSpec,
         for s, out_curve in zip(scale, outs):
             if s != 0.0:
                 if abs(out_curve.grid_step - step) < 1e-12:
-                    c_star = out_curve.value_at_zero
-                    c = _fold_fft(w * out_curve.deriv_samples[:n_T + 1], k, p.horizon)
+                    d = out_curve.deriv_samples[:n_T + 1]
                 else:
-                    proj = coefficients_fft(out_curve, k, p)
-                    c_star, c = proj.c_star, proj.c
-                inc[0] += s * complex(c_star)
-                inc[1:] += s * c
+                    d = out_curve.deriv(xT)
+                inc[0] += s * complex(out_curve.value_at_zero)
+                inc[1:] += s * _fold_fft(w * d, k, p.horizon)
         x = x + inc
         states.append(CoeffState(complex(x[0]), x[1:].copy(), pk))
     return SimPath(times=times, states=states, noise_record=dL)
@@ -337,7 +318,7 @@ def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
         slice_idx.append(times.size - 1)
     errs = {int(k): np.empty(n_paths) for k in k_list}
     for pid in range(n_paths):
-        noise = driver.increments(driver.path_rng(pid), times[1], n_steps)
+        noise = _noise_for(driver, times[1], n_steps, None, pid)
         oracle = oracle_markovian(cf, spec, driver, times, noise=noise)
         o_vals = {}
         xs = {}

@@ -297,19 +297,25 @@ def c_kt_norm_sq(params: BasisParams, k: int, t: float,
                              norm_sq_bound=float(C * (series + tail)))
 
 
-def norm_alpha_span(s: CoeffState, n_points: int = 2**13 + 1) -> float:
-    """Norm of a span element by quadrature over one period.
+def _period_norm(value_at_zero: complex, deriv, params: BasisParams,
+                 n_points: int = 2**13 + 1) -> float:
+    """Norm of a span element or a localised curve Pi h from one period.
 
-    For curves in the horizon-T subspace the weighted derivative energy over
-    [mT, (m+1)T] is e^{-2 lam m T} times the energy over [0, T], so the full
-    integral is the one-period quadrature divided by (1 - e^{-2 lam T}).
+    Their weighted derivative energy over [mT, (m+1)T] is e^{-2 lam m T} times
+    that over [0, T], so the full integral is the one-period quadrature
+    divided by (1 - e^{-2 lam T}).  ``deriv`` maps points of [0, T] to h'.
     """
-    p = s.params
-    x = np.linspace(0.0, p.horizon, n_points)
-    d = reconstruct_deriv(s, x)
-    w = _simpson_weights(n_points, p.horizon / (n_points - 1))
-    energy = float(np.sum(w * np.abs(d) ** 2 * np.exp(p.alpha * x)))
-    return float(np.sqrt(abs(s.c_star) ** 2 + energy / p.damping_factor))
+    x = np.linspace(0.0, params.horizon, n_points)
+    d = deriv(x)
+    w = _simpson_weights(n_points, params.horizon / (n_points - 1))
+    energy = float(np.sum(w * np.abs(d) ** 2 * np.exp(params.alpha * x)))
+    return float(np.sqrt(abs(value_at_zero) ** 2 + energy / params.damping_factor))
+
+
+def norm_alpha_span(s: CoeffState, n_points: int = 2**13 + 1) -> float:
+    """Norm of a span element by quadrature over one period."""
+    return _period_norm(s.c_star, lambda x: reconstruct_deriv(s, x), s.params,
+                        n_points)
 
 
 def power_iteration_pi_norm(params: BasisParams, n_iter: int = 50,

@@ -264,6 +264,8 @@ def read_curve_csv(path_or_buf) -> Curve:
     x = np.array([float(r[0]) for r in rows[1:]])
     vals = np.array([_parse(r[1]) for r in rows[1:]])
     deriv = np.array([_parse(r[2]) for r in rows[1:]])
+    if not all(np.all(np.isfinite(a)) for a in (x, vals, deriv)):
+        raise ValueError("curve CSV holds a non-finite number")
     steps = np.diff(x)
     if steps.size == 0 or np.max(np.abs(steps - steps[0])) > 1e-9 * max(1.0, x[-1]):
         raise ValueError("curve CSV must use a uniform grid")

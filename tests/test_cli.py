@@ -190,3 +190,33 @@ def test_curve_file_loading_roundtrip(tmp_path):
                      {"params": PARAMS, "f0": "missing.csv"})
     assert main(["truncation-rate", "--config", cfg2,
                  "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("change", [{"k": -1}, {"n_paths": "many"}, {"k": 2048},
+                                    {"windows": [[0.9, 0.6]]}],
+                         ids=["negative-k", "non-integer-n_paths",
+                              "aliasing-k", "reversed-window"])
+def test_bad_simulate_config_exits_2_without_traceback(tmp_path, capsys, change):
+    cfg = base_model_cfg(n_paths=1)
+    cfg.update(change)
+    p = write_cfg(tmp_path, "c.json", cfg)
+    assert main(["simulate", "--config", p, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_non_finite_curve_file_is_config_error(tmp_path):
+    from fwdapprox.space import write_curve_csv
+    from fwdapprox.testcurves import smooth_bump
+
+    path = tmp_path / "f0.csv"
+    write_curve_csv(smooth_bump(), str(path))
+    lines = path.read_text().splitlines()
+    x, f, _ = lines[100].split(",")
+    lines[100] = f"{x},{f},nan"
+    path.write_text("\n".join(lines) + "\n")
+    cfg = base_model_cfg(n_paths=1)
+    cfg.update({"f0": "f0.csv", "k_list": [4, 8]})
+    p = write_cfg(tmp_path, "c.json", cfg)
+    for command in ("truncation-rate", "converge"):
+        assert main([command, "--config", p, "--out", str(tmp_path / "o")]) == 2

@@ -1,12 +1,14 @@
 """Smoke tests for the narrated demos in demos/."""
 import ast
 import importlib
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 @pytest.mark.parametrize("name", ["basis_tour.py", "simulate_and_price.py"])
@@ -27,3 +29,10 @@ def test_convergence_demo_imports_exist():
         mod = importlib.import_module(node.module)
         missing = [a.name for a in node.names if not hasattr(mod, a.name)]
         assert not missing, f"{node.module} lacks {missing}"
+
+
+def test_readme_library_example_runs(capsys):
+    section = (ROOT / "README.md").read_text().split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {"__name__": "__main__"})
+    float(capsys.readouterr().out)

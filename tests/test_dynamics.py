@@ -268,3 +268,28 @@ def test_convergence_experiment_structure():
         assert r["mc_error"] <= r["bound_A_over_k"]
         assert r["stderr"] > 0.0
         assert r["n_paths"] == 200
+
+
+@pytest.mark.parametrize("width", [1e-8, 1e-10])
+def test_delivery_forward_narrow_window_has_no_cancellation(width):
+    pk = BasisParams(1.0, 0.5, 1.0, 8)
+    rng = np.random.default_rng(9)
+    c = rng.normal(size=17) + 1j * rng.normal(size=17)
+    c = 0.5 * (c + np.conj(c[::-1]))
+    s = CoeffState(1.2 + 0j, c, pk)
+    t, T1 = 0.1, 0.6
+    F = delivery_forward(s, t, T1, T1 + width)
+    assert abs(F - complex(reconstruct(s, T1 - t + 0.5 * width))) < 1e-12
+
+
+def test_bound_does_not_depend_on_stored_range_of_f0():
+    # the bound uses the full norm of the localised f0, which reads f0 on
+    # [0, T] only, so storing f0 further out must not move it
+    drv = LevyDriver(rank=2, loadings=[exp_loading(0.1, 0.5),
+                                       exp_loading(0.05, 2.0)], seed=3)
+    bounds = []
+    for x_max, n_points in ((2.0, 4097), (4.0, 8193)):
+        spec = ModelSpec(f0=smooth_bump(x_max=x_max, n_points=n_points), params=P)
+        rows = convergence_experiment(spec, drv, 0.5, [4], 16, n_steps=16)
+        bounds.append(rows[0]["bound_A_over_k"])
+    assert bounds[1] == pytest.approx(bounds[0], rel=1e-12)

@@ -184,3 +184,35 @@ def test_convergence_experiment_decreasing_and_slice_stable():
                                             n_steps=2048, n_x=101,
                                             sup_slices=128)
     assert fine[0]["mc_error"] <= errs[1] * 1.05 + 3 * rows[1]["stderr"]
+
+
+def test_oracle_is_exact_fixed_point_of_picard_map():
+    drv = make_driver()
+    spec = make_spec()
+    field = make_field("mean_revert", drv, P, kappa=0.5, theta=flat_curve(1.2))
+    L = 32
+    times = np.linspace(0, 1.0, L + 1)
+    noise = drv.increments(drv.path_rng(0), times[1], L)
+    oracle = oracle_markovian(field, spec, drv, times, noise=noise)
+    v = picard_operator_V(oracle.states, field, spec, drv, times, noise)
+    assert len(v) == len(oracle.states)
+    for a, b in zip(v, oracle.states):
+        assert a.value_at_zero == b.value_at_zero
+        assert (a.grid_step, a.x_max) == (b.grid_step, b.x_max)
+        np.testing.assert_array_equal(a.deriv_samples, b.deriv_samples)
+
+
+def test_off_grid_field_output_is_projected_like_on_grid_one():
+    # theta on a twice finer grid makes the drift output land off the
+    # initial curve's grid; its projection must use the same quadrature
+    drv = make_driver()
+    spec = make_spec()
+    times = np.linspace(0, 0.25, 129)
+    noise = drv.increments(drv.path_rng(0), times[1], 128)
+    on, off = (simulate_markovian_fk(
+        make_field("mean_revert", drv, P, kappa=0.5,
+                   theta=smooth_bump(1.2, n_points=n)),
+        spec, drv, times, 4, noise=noise) for n in (4097, 8193))
+    for a, b in zip(on.states, off.states):
+        assert abs(a.c_star - b.c_star) <= 1e-13
+        assert np.max(np.abs(a.c - b.c)) <= 1e-13
