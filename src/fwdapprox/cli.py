@@ -11,7 +11,13 @@ are deterministic for a fixed config (no timestamps); CSV is the normative
 format, SVG plots are advisory.
 
 Exit codes: 0 success, 1 invariant failure, 2 config error, 3 numerical
-failure (instability, domain exhaustion, failed smoothness check).
+failure (instability, domain exhaustion, failed smoothness check).  A config
+value of the wrong type, a non-integral integer, a non-finite number or one
+out of range is a config error.  The ranges: alpha, lambda, horizon,
+time_step, t_eval, law_param > 0; params.k, seed >= 0; n_paths, n_steps,
+x_points, rank >= 1; k in [0, 2047]; k_list entries in [1, 2047] for
+converge and [1, 511] for truncation-rate; in a curve spec n_points >= 2,
+x_max and period > 0.
 """
 from __future__ import annotations
 
@@ -43,30 +49,55 @@ __all__ = ["main"]
 
 # -- config loading ----------------------------------------------------------
 
-def _require(cfg: dict, key: str, typ=None):
+_REQUIRED = object()
+_K_MAX = (COEFF_POINTS - 2) // 2     # 2k + 1 modes must not alias on the FFT grid
+# numeric arguments of a curve spec with a bound; every other one is a finite float
+_CURVE_BOUNDS = {"n_points": (int, 2), "x_max": (float, 0.0), "period": (float, 0.0)}
+
+
+def _read(cfg: dict, key: str, kind=float, lo=-np.inf, hi=np.inf, default=_REQUIRED):
+    """Read ``cfg[key]`` as ``kind``: the one place a config value is converted.
+
+    A missing key gives ``default`` and is an error without one; a key whose
+    default is None may also be null.  An ``int`` must be integral and lie in
+    ``[lo, hi]``; a ``float`` must be finite and exceed ``lo``; any other kind
+    is only type-checked.  Every failure is a ConfigError naming the key.
+    """
     if key not in cfg:
-        raise ConfigError(f"missing config key {key!r}")
+        if default is _REQUIRED:
+            raise ConfigError(f"missing config key {key!r}")
+        return default
     v = cfg[key]
-    if typ is not None and not isinstance(v, typ):
-        raise ConfigError(f"config key {key!r} has wrong type {type(v).__name__}")
-    return v
+    if v is None and default is None:
+        return v
+    try:
+        x = kind(v) if kind in (int, float) else v
+    except (ValueError, TypeError, OverflowError):
+        x = None
+    if kind is int:
+        ok = x is not None and lo <= x <= hi and not (isinstance(v, float) and x != v)
+        want = f"an integer in [{lo}, {hi}]"
+    elif kind is float:
+        ok = x is not None and np.isfinite(x) and x > lo
+        want = "a finite number" + (f" > {lo}" if lo > -np.inf else "")
+    else:
+        ok, want = isinstance(v, kind), f"of type {kind.__name__}"
+    if not ok:
+        raise ConfigError(f"config key {key!r} must be {want}, got {v!r}")
+    return x
 
 
 def load_params(cfg: dict) -> BasisParams:
-    p = _require(cfg, "params", dict)
-    try:
-        return BasisParams(alpha=float(_require(p, "alpha")),
-                           lam=float(_require(p, "lambda")),
-                           horizon=float(_require(p, "horizon")),
-                           k=int(p.get("k", 0)))
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"bad basis parameters: {e}") from e
+    p = _read(cfg, "params", dict)
+    return BasisParams(alpha=_read(p, "alpha", lo=0.0), lam=_read(p, "lambda", lo=0.0),
+                       horizon=_read(p, "horizon", lo=0.0),
+                       k=_read(p, "k", int, 0, default=0))
 
 
 def load_curve(spec, base_dir: Path) -> Curve:
     if isinstance(spec, str):
         path = base_dir / spec
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError(f"curve file {path} does not exist")
         try:
             return read_curve_csv(str(path))
@@ -74,8 +105,9 @@ def load_curve(spec, base_dir: Path) -> Curve:
             raise ConfigError(f"bad curve file {path}: {e}") from e
     if not isinstance(spec, dict):
         raise ConfigError("curve spec must be a file path or an object")
-    kind = _require(spec, "kind")
-    kw = {k: v for k, v in spec.items() if k != "kind"}
+    kind = _read(spec, "kind", str)
+    kw = {key: _read(spec, key, *_CURVE_BOUNDS.get(key, (float,)))
+          for key in spec if key != "kind"}
     factory = {"bump": testcurves.smooth_bump, "exp": testcurves.exp_loading,
                "seasonal": testcurves.seasonal_curve, "flat": testcurves.flat_curve}
     if kind not in factory:
@@ -87,18 +119,19 @@ def load_curve(spec, base_dir: Path) -> Curve:
 
 
 def load_driver(cfg: dict, base_dir: Path, seed: int) -> LevyDriver:
-    d = _require(cfg, "driver", dict)
-    loadings = [load_curve(s, base_dir) for s in _require(d, "loadings", list)]
+    d = _read(cfg, "driver", dict)
+    loadings = [load_curve(s, base_dir) for s in _read(d, "loadings", list)]
     try:
-        return LevyDriver(rank=int(_require(d, "rank")), loadings=loadings,
-                          increment_law=d.get("law", "gaussian"),
-                          law_param=d.get("law_param"), seed=seed)
+        return LevyDriver(rank=_read(d, "rank", int, 1), loadings=loadings,
+                          increment_law=_read(d, "law", str, default="gaussian"),
+                          law_param=_read(d, "law_param", lo=0.0, default=None),
+                          seed=seed)
     except ValueError as e:
         raise ConfigError(f"bad driver spec: {e}") from e
 
 
 def load_model(cfg: dict, base_dir: Path, params: BasisParams) -> ModelSpec:
-    f0 = load_curve(_require(cfg, "f0"), base_dir)
+    f0 = load_curve(_read(cfg, "f0", object), base_dir)
     beta_spec = cfg.get("beta")
     beta = None
     if beta_spec is not None:
@@ -107,59 +140,28 @@ def load_model(cfg: dict, base_dir: Path, params: BasisParams) -> ModelSpec:
     return ModelSpec(f0=f0, params=params, beta=beta)
 
 
-def load_k_list(cfg: dict, default) -> list[int]:
-    ks = cfg.get("k_list", default)
-    if not isinstance(ks, list) or not ks or any(int(k) < 0 for k in ks):
-        raise ConfigError("k_list must be a non-empty list of nonnegative integers")
-    ks = [int(k) for k in ks]
-    if ks != sorted(ks):
-        raise ConfigError("k_list must be ascending")
+def load_k_list(cfg: dict, default, hi: int) -> list[int]:
+    ks = [_read({"k_list": k}, "k_list", int, 1, hi)
+          for k in _read(cfg, "k_list", list, default=default)]
+    if not ks or ks != sorted(ks):
+        raise ConfigError("k_list must be a non-empty ascending list")
     return ks
 
 
 def load_times(cfg: dict) -> tuple[float, float, int]:
-    dt = float(_require(cfg, "time_step"))
-    t_eval = float(_require(cfg, "t_eval"))
-    if dt <= 0.0 or t_eval <= 0.0:
-        raise ConfigError("time_step and t_eval must be positive")
+    dt, t_eval = _read(cfg, "time_step", lo=0.0), _read(cfg, "t_eval", lo=0.0)
     n = t_eval / dt
-    if abs(n - round(n)) > 1e-9:
+    if not (np.isfinite(n) and round(n) >= 1 and abs(n - round(n)) <= 1e-9):
         raise ConfigError("time_step must divide t_eval")
-    return dt, t_eval, int(round(n))
-
-
-def _int(cfg: dict, key: str, default: int) -> int:
-    try:
-        return int(cfg.get(key, default))
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"config key {key!r} must be an integer: {e}") from e
-
-
-def load_n_paths(cfg: dict) -> int:
-    n = _int(cfg, "n_paths", 1)
-    if n < 1:
-        raise ConfigError("n_paths must be at least 1")
-    return n
-
-
-def load_k(cfg: dict) -> int:
-    """Truncation level; its 2k + 1 modes must not alias on the FFT grid."""
-    k = _int(cfg, "k", 8)
-    k_max = (COEFF_POINTS - 2) // 2
-    if not 0 <= k <= k_max:
-        raise ConfigError(f"k must lie in [0, {k_max}], got {k}")
-    return k
+    return dt, t_eval, round(n)
 
 
 def load_windows(cfg: dict, params: BasisParams) -> list[tuple[float, float]]:
     windows = []
-    for w in cfg.get("windows", []):
+    for w in _read(cfg, "windows", list, default=[]):
         if not (isinstance(w, list) and len(w) == 2):
             raise ConfigError("each delivery window must be a [T1, T2] pair")
-        try:
-            T1, T2 = float(w[0]), float(w[1])
-        except (ValueError, TypeError) as e:
-            raise ConfigError(f"bad delivery window {w}: {e}") from e
+        T1, T2 = (_read({"windows": T}, "windows") for T in w)
         if not 0.0 <= T1 < T2 <= params.horizon:
             raise ConfigError(f"delivery window {w} must satisfy "
                               f"0 <= T1 < T2 <= {params.horizon}")
@@ -236,8 +238,8 @@ def loglog_slope(ks, errs) -> float:
 
 def cmd_basis_check(cfg: dict, base_dir: Path, out: Path) -> int:
     params = load_params(cfg)
-    seed = _int(cfg, "seed", 0)
-    k = max(_int(cfg, "k", 8), 0)
+    seed = _read(cfg, "seed", int, 0, default=0)
+    k = _read(cfg, "k", int, 0, _K_MAX, default=8)
     checks = []
 
     gram = dual_gram_matrix(params, min(k, 8) if k > 0 else 0)
@@ -292,10 +294,10 @@ def cmd_basis_check(cfg: dict, base_dir: Path, out: Path) -> int:
 
 def cmd_truncation_rate(cfg: dict, base_dir: Path, out: Path) -> int:
     params = load_params(cfg)
-    f0 = load_curve(_require(cfg, "f0"), base_dir)
-    ks = load_k_list(cfg, [4, 8, 16, 32, 64, 128])
-    C1 = compute_C1(f0, params)
+    f0 = load_curve(_read(cfg, "f0", object), base_dir)
     n_big = 512
+    ks = load_k_list(cfg, [4, 8, 16, 32, 64, 128], n_big - 1)
+    C1 = compute_C1(f0, params)
     big = coefficients_fft(f0, n_big, params, n_points=2**15 + 1)
     pb = BasisParams(params.alpha, params.lam, params.horizon, n_big)
     ns = pb.n_range()
@@ -319,14 +321,14 @@ def cmd_truncation_rate(cfg: dict, base_dir: Path, out: Path) -> int:
 
 def cmd_simulate(cfg: dict, base_dir: Path, out: Path) -> int:
     params = load_params(cfg)
-    seed = _int(cfg, "seed", 0)
+    seed = _read(cfg, "seed", int, 0, default=0)
     model = load_model(cfg, base_dir, params)
     driver = load_driver(cfg, base_dir, seed)
     dt, t_eval, n_steps = load_times(cfg)
-    n_paths = load_n_paths(cfg)
-    k = load_k(cfg)
+    n_paths = _read(cfg, "n_paths", int, 1, default=1)
+    k = _read(cfg, "k", int, 0, _K_MAX, default=8)
     times = np.linspace(0.0, t_eval, n_steps + 1)
-    x = np.linspace(0.0, params.horizon, _int(cfg, "x_points", 33))
+    x = np.linspace(0.0, params.horizon, _read(cfg, "x_points", int, 1, default=33))
     windows = load_windows(cfg, params)
 
     out.mkdir(parents=True, exist_ok=True)
@@ -360,22 +362,19 @@ def cmd_simulate(cfg: dict, base_dir: Path, out: Path) -> int:
 
 def cmd_converge(cfg: dict, base_dir: Path, out: Path, markovian: bool) -> int:
     params = load_params(cfg)
-    seed = _int(cfg, "seed", 0)
+    seed = _read(cfg, "seed", int, 0, default=0)
     model = load_model(cfg, base_dir, params)
     driver = load_driver(cfg, base_dir, seed)
-    n_paths = load_n_paths(cfg)
-    ks = load_k_list(cfg, [4, 8, 16, 32, 64])
+    n_paths = _read(cfg, "n_paths", int, 1, default=1)
+    ks = load_k_list(cfg, [4, 8, 16, 32, 64], _K_MAX)
+    n_steps = _read(cfg, "n_steps", int, 1, default=32 if markovian else 64)
     out.mkdir(parents=True, exist_ok=True)
     if markovian:
-        m = cfg.get("markovian", {})
-        name = m.get("field", "constant")
-        kw = {}
-        if "kappa" in m:
-            kw["kappa"] = float(m["kappa"])
+        m = _read(cfg, "markovian", dict, default={})
+        name = _read(m, "field", str, default="constant")
+        kw = {key: _read(m, key) for key in ("kappa", "sigma0") if key in m}
         if "theta" in m:
             kw["theta"] = load_curve(m["theta"], base_dir)
-        if "sigma0" in m:
-            kw["sigma0"] = float(m["sigma0"])
         try:
             field = make_field(name, driver, params, **kw)
         except (ValueError, KeyError) as e:
@@ -386,14 +385,13 @@ def cmd_converge(cfg: dict, base_dir: Path, out: Path, markovian: bool) -> int:
             print(f"contract audit failed: {audit}")
             return 1
         rows = markovian_convergence_experiment(
-            field, model, driver, ks, n_paths,
-            n_steps=_int(cfg, "n_steps", 32))
+            field, model, driver, ks, n_paths, n_steps=n_steps)
         table = [[r["k"], repr(r["mc_error"]), repr(r["stderr"]), "",
                   r["n_paths"], r["seed"]] for r in rows]
     else:
         _, t_eval, _ = load_times(cfg)
         rows = convergence_experiment(model, driver, t_eval, ks, n_paths,
-                                      n_steps=_int(cfg, "n_steps", 64))
+                                      n_steps=n_steps)
         table = [[r["k"], repr(r["mc_error"]), repr(r["stderr"]),
                   repr(r["bound_A_over_k"]), r["n_paths"], r["seed"]] for r in rows]
     write_csv(out / "converge.csv",

@@ -101,7 +101,7 @@ def make_field(name: str, driver: LevyDriver, params: BasisParams,
         sigma0 = float(kw["sigma0"])
 
         def psi(t, f):
-            s = sigma0 * (1.0 + 0.5 * np.tanh(complex(f.value(0.0)).real))
+            s = sigma0 * (1.0 + 0.5 * np.tanh(complex(f.value_at_zero).real))
             return tuple(c * s for c in loads)
 
         # |d/dv tanh| <= 1 and |f(0) - g(0)| <= sqrt(1 + 1/alpha) ||f - g||
@@ -185,7 +185,8 @@ def contract_audit(cf: CoefficientField, params: BasisParams, rank: int,
         worst_lip_psi = max(worst_lip_psi, npsi / (cf.lipschitz_psi * dist + 1e-300))
         gb = norm_alpha(cf.b(t, fm), params.alpha)
         worst_growth = max(worst_growth,
-                           gb / (cf.lipschitz_b * (1.0 + norm_alpha(f, params.alpha))))
+                           gb / (cf.lipschitz_b * (1.0 + norm_alpha(f, params.alpha))
+                                 + 1e-300))
         # tail-only perturbation: must not change any output
         tail = f.deriv_samples.copy()
         tail[f.grid > params.horizon - t + 1e-9] += rng.normal()

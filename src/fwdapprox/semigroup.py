@@ -27,6 +27,9 @@ def shift_curve(f: Curve, t: float, x_max_out: float | None = None) -> Curve:
         raise DomainTooShort(
             f"shift by {t} needs the curve on [0, {t + x_max_out}], has [0, {f.x_max}]")
     n = int(round(x_max_out / f.grid_step)) + 1
+    if n < 2:
+        raise DomainTooShort(f"shift by {t} leaves less than one grid step of "
+                             f"[0, {f.x_max}]")
     m = t / f.grid_step
     if abs(m - round(m)) < 1e-9:
         # on-grid shift: slice the samples, integrate the skipped prefix

@@ -44,16 +44,13 @@ DEFAULT_POINTS = 2**12 + 1  # resolves |n| <= 128 oscillations at >= 16 pts/peri
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Quadrature rule selector plus target tolerance."""
+    """Quadrature rule selector."""
 
     rule: str = "simpson"
-    tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.rule not in ("simpson", "trapezoid"):
             raise ValueError(f"unknown quadrature rule {self.rule!r}")
-        if not (self.tolerance > 0.0):
-            raise ValueError("tolerance must be positive")
 
     def integrate(self, y: np.ndarray, dx: float, axis: int = -1):
         if self.rule == "simpson":

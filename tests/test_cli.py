@@ -1,7 +1,11 @@
+import copy
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fwdapprox.cli import loglog_slope, main
 
@@ -220,3 +224,138 @@ def test_non_finite_curve_file_is_config_error(tmp_path):
     p = write_cfg(tmp_path, "c.json", cfg)
     for command in ("truncation-rate", "converge"):
         assert main([command, "--config", p, "--out", str(tmp_path / "o")]) == 2
+
+
+MARKOVIAN = ("converge", "--markovian")
+MEAN_REVERT = {"field": "mean_revert", "kappa": 0.5,
+               "theta": {"kind": "flat", "level": 1.2}}
+DRIVER = base_model_cfg()["driver"]
+
+
+@pytest.mark.parametrize("argv, change", [
+    pytest.param(("converge",), {"k_list": [0, 4]}, id="converge-k-zero"),
+    pytest.param(("truncation-rate",), {"k_list": [0, 4]}, id="rate-k-zero"),
+    pytest.param(("converge",), {"k_list": [4096]}, id="converge-aliasing-k"),
+    pytest.param(("converge",), {"k_list": ["a"]}, id="converge-string-k"),
+    pytest.param(("converge",), {"n_steps": 0}, id="converge-zero-steps"),
+    pytest.param(("converge",), {"n_steps": -3}, id="converge-negative-steps"),
+    pytest.param(MARKOVIAN, {"markovian": MEAN_REVERT, "n_steps": 0},
+                 id="markovian-zero-steps"),
+    pytest.param(MARKOVIAN, {"markovian": dict(MEAN_REVERT, kappa="abc")},
+                 id="markovian-string-kappa"),
+    pytest.param(MARKOVIAN, {"markovian": 3}, id="markovian-not-an-object"),
+    pytest.param(("simulate",), {"time_step": "abc"}, id="string-time_step"),
+    pytest.param(("simulate",), {"time_step": float("nan")}, id="nan-time_step"),
+    pytest.param(("simulate",), {"t_eval": float("inf")}, id="infinite-t_eval"),
+    pytest.param(("simulate",), {"driver": dict(DRIVER, rank=None)}, id="null-rank"),
+    pytest.param(("simulate",),
+                 {"driver": dict(DRIVER, law="variance_gamma", law_param="x")},
+                 id="string-law_param"),
+    pytest.param(("simulate",), {"f0": {"kind": "exp", "n_points": 1}},
+                 id="one-point-curve"),
+    pytest.param(("truncation-rate",), {"k_list": [4, 600]},
+                 id="rate-k-beyond-reference-modes"),
+    pytest.param(("basis-check",), {"k": -1}, id="basis-check-negative-k"),
+    pytest.param(("converge",), {"k_list": [4.7]}, id="converge-fractional-k"),
+    pytest.param(("simulate",), {"x_points": 0}, id="zero-x_points"),
+    pytest.param(("simulate",),
+                 {"driver": dict(DRIVER, law="nig", law_param=float("inf"))},
+                 id="infinite-law_param"),
+    pytest.param(("basis-check",), {"seed": -1}, id="negative-seed"),
+    pytest.param(("simulate",), {"time_step": 1e20}, id="no-whole-step"),
+    pytest.param(("simulate",), {"time_step": 5e-324}, id="infinite-step-count"),
+    pytest.param(("simulate",), {"f0": {"kind": "seasonal", "period": 0}},
+                 id="zero-period"),
+    pytest.param(("simulate",), {"f0": {"kind": []}}, id="list-curve-kind"),
+    pytest.param(("simulate",), {"f0": ""}, id="curve-path-is-a-directory"),
+])
+def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, argv, change):
+    cfg = base_model_cfg(n_paths=1)
+    cfg.update(change)
+    p = write_cfg(tmp_path, "c.json", cfg)
+    assert main([*argv, "--config", p, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, change", [
+    (("simulate",), {"params": dict(PARAMS, horizon=3.0)}),
+    (("converge",), {"t_eval": 2.5, "time_step": 0.125, "k_list": [2]}),
+], ids=["horizon-beyond-curves", "t_eval-beyond-horizon"])
+def test_exhausted_domain_exits_3(tmp_path, capsys, argv, change):
+    cfg = base_model_cfg(n_paths=1)
+    cfg.update(change)
+    p = write_cfg(tmp_path, "c.json", cfg)
+    assert main([*argv, "--config", p, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+# Small configs that each run to exit 0; curves on 257 points keep every run short.
+SMALL_CURVE = {"n_points": 257}
+FUZZ_DRIVER = {"rank": 1, "law": "gaussian",
+               "loadings": [dict(SMALL_CURVE, kind="exp", scale=0.1, rate=0.5)]}
+FUZZ_CONFIGS = {
+    ("basis-check",): {"params": dict(PARAMS, k=0), "k": 2, "seed": 1},
+    ("truncation-rate",): {"params": PARAMS, "k_list": [4],
+                           "f0": dict(SMALL_CURVE, kind="bump", center=0.4)},
+    ("simulate",): {
+        "params": PARAMS, "seed": 1, "k": 2, "n_paths": 1, "time_step": 0.125,
+        "t_eval": 0.25, "x_points": 3, "windows": [[0.5, 0.75]],
+        "f0": dict(SMALL_CURVE, kind="seasonal", period=1.0),
+        "beta": dict(SMALL_CURVE, kind="flat", level=0.05), "driver": FUZZ_DRIVER},
+    ("converge",): {
+        "params": PARAMS, "seed": 1, "n_paths": 2, "n_steps": 4, "k_list": [2, 4],
+        "time_step": 0.125, "t_eval": 0.25, "f0": dict(SMALL_CURVE, kind="bump"),
+        "driver": FUZZ_DRIVER},
+    MARKOVIAN: {
+        "params": PARAMS, "seed": 1, "n_paths": 1, "n_steps": 32, "k_list": [1],
+        "f0": dict(SMALL_CURVE, kind="bump"), "driver": FUZZ_DRIVER,
+        "markovian": {"field": "mean_revert", "kappa": 0.5,
+                      "theta": dict(SMALL_CURVE, kind="flat", level=1.2)}},
+}
+# replacement values; none is a large size, since e.g. "n_paths": 1e300 is a
+# valid request that would run without end
+FUZZ_VALUES = (None, "abc", [1], {"a": 1}, float("nan"), float("inf"),
+               float("-inf"), 0, -1, 2.5)
+REMOVE = "<remove>"
+
+
+def key_paths(node, path=()):
+    """Every key and list index of a nested config, as a path from the root."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from key_paths(child, path + (key,))
+
+
+def mutated(cfg, path, value):
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    if value == REMOVE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return cfg
+
+
+FUZZ_CASES = [(argv, path, value) for argv, cfg in FUZZ_CONFIGS.items()
+              for path in key_paths(cfg) for value in (REMOVE, *FUZZ_VALUES)]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(case=st.sampled_from(FUZZ_CASES))
+def test_mutated_config_never_raises(case):
+    argv, path, value = case
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "c.json"
+        p.write_text(json.dumps(mutated(FUZZ_CONFIGS[argv], path, value)))
+        assert main([*argv, "--config", str(p), "--out", str(Path(d) / "o")]) in range(4)
+
+
+@pytest.mark.parametrize("argv", list(FUZZ_CONFIGS), ids=" ".join)
+def test_fuzz_base_configs_run(tmp_path, argv):
+    p = write_cfg(tmp_path, "c.json", FUZZ_CONFIGS[argv])
+    assert main([*argv, "--config", p, "--out", str(tmp_path / "o")]) == 0

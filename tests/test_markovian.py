@@ -48,6 +48,7 @@ def test_contract_audit_passes_for_registry_fields():
     theta = flat_curve(1.2)
     for name, kw in (("constant", {}),
                      ("mean_revert", {"kappa": 0.5, "theta": theta}),
+                     ("mean_revert", {"kappa": 0.0, "theta": theta}),
                      ("proportional_vol", {"sigma0": 0.2})):
         field = make_field(name, drv, P, **kw)
         audit = contract_audit(field, P, drv.rank, n_pairs=40, seed=3)
@@ -55,6 +56,17 @@ def test_contract_audit_passes_for_registry_fields():
         assert audit["lipschitz_psi_ratio"] <= 1.0, (name, audit)
         assert audit["growth_ratio"] <= 1.0, (name, audit)
         assert audit["structure_leak"] == 0.0, (name, audit)
+
+
+def test_proportional_vol_reads_f0_without_building_splines():
+    drv = make_driver()
+    field = make_field("proportional_vol", drv, P, sigma0=0.2)
+    f = smooth_bump(value_at_zero=0.3)
+    outs = field.psi(0.0, f)
+    assert f._spline_cache == {}
+    s = 0.2 * (1.0 + 0.5 * np.tanh(0.3))
+    for out, load in zip(outs, drv.loadings):
+        np.testing.assert_array_equal(out.deriv_samples, load.deriv_samples * s)
 
 
 def test_projected_field_is_constant_independent_of_state():

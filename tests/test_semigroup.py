@@ -41,6 +41,8 @@ def test_shift_curve_domain_exhaustion():
     f = smooth_bump(x_max=1.0)
     with pytest.raises(DomainTooShort):
         shift_curve(f, 0.6, 0.8)
+    with pytest.raises(DomainTooShort):
+        shift_curve(f, f.x_max - 0.1 * f.grid_step)
     with pytest.raises(ValueError):
         shift_curve(f, -0.1)
 
