@@ -14,10 +14,11 @@ Exit codes: 0 success, 1 invariant failure, 2 config error, 3 numerical
 failure (instability, domain exhaustion, failed smoothness check).  A config
 value of the wrong type, a non-integral integer, a non-finite number or one
 out of range is a config error.  The ranges: alpha, lambda, horizon,
-time_step, t_eval, law_param > 0; params.k, seed >= 0; n_paths, n_steps,
-x_points, rank >= 1; k in [0, 2047]; k_list entries in [1, 2047] for
-converge and [1, 511] for truncation-rate; in a curve spec n_points >= 2,
-x_max and period > 0.
+time_step, t_eval, law_param > 0; params.k, seed >= 0; x_points, rank >= 1;
+n_paths in [1, 10^6]; n_steps and the step count t_eval / time_step in
+[1, 2^20]; k in [0, 2047]; k_list entries in [1, 2047] for converge and
+[1, 511] for truncation-rate; in a curve spec n_points >= 2, x_max and
+period > 0.
 """
 from __future__ import annotations
 
@@ -51,6 +52,9 @@ __all__ = ["main"]
 
 _REQUIRED = object()
 _K_MAX = (COEFF_POINTS - 2) // 2     # 2k + 1 modes must not alias on the FFT grid
+# size limits: a larger run would exhaust memory or never finish
+_MAX_PATHS = 10**6
+_MAX_STEPS = 2**20
 # numeric arguments of a curve spec with a bound; every other one is a finite float
 _CURVE_BOUNDS = {"n_points": (int, 2), "x_max": (float, 0.0), "period": (float, 0.0)}
 
@@ -151,7 +155,10 @@ def load_k_list(cfg: dict, default, hi: int) -> list[int]:
 def load_times(cfg: dict) -> tuple[float, float, int]:
     dt, t_eval = _read(cfg, "time_step", lo=0.0), _read(cfg, "t_eval", lo=0.0)
     n = t_eval / dt
-    if not (np.isfinite(n) and round(n) >= 1 and abs(n - round(n)) <= 1e-9):
+    if not n < _MAX_STEPS + 0.5:
+        raise ConfigError(f"t_eval / time_step must be at most {_MAX_STEPS}, "
+                          f"got {n:.6g}")
+    if not (round(n) >= 1 and abs(n - round(n)) <= 1e-9):
         raise ConfigError("time_step must divide t_eval")
     return dt, t_eval, round(n)
 
@@ -276,10 +283,9 @@ def cmd_basis_check(cfg: dict, base_dir: Path, out: Path) -> int:
     for n in (-2 * k_c, -k_c // 2, 0, k_c // 2, 2 * k_c):
         d = eval_g_n_deriv(params, n, x)
         h = Curve(0.0, d, params.horizon / (x.size - 1), params.horizon)
-        for t in t_grid:
-            expected = eval_g_n(params, n, float(t)) if abs(n) > k_c else 0.0
-            got = commutator_apply(h, k_c, float(t), params)
-            worst = max(worst, abs(got - expected))
+        expected = eval_g_n(params, n, t_grid) if abs(n) > k_c else 0.0
+        got = commutator_apply(h, k_c, t_grid, params)
+        worst = max(worst, float(np.max(np.abs(got - expected))))
     checks.append(("commutator_identity_max_dev", worst, 1e-10, worst <= 1e-10))
 
     out.mkdir(parents=True, exist_ok=True)
@@ -325,7 +331,7 @@ def cmd_simulate(cfg: dict, base_dir: Path, out: Path) -> int:
     model = load_model(cfg, base_dir, params)
     driver = load_driver(cfg, base_dir, seed)
     dt, t_eval, n_steps = load_times(cfg)
-    n_paths = _read(cfg, "n_paths", int, 1, default=1)
+    n_paths = _read(cfg, "n_paths", int, 1, _MAX_PATHS, default=1)
     k = _read(cfg, "k", int, 0, _K_MAX, default=8)
     times = np.linspace(0.0, t_eval, n_steps + 1)
     x = np.linspace(0.0, params.horizon, _read(cfg, "x_points", int, 1, default=33))
@@ -365,9 +371,10 @@ def cmd_converge(cfg: dict, base_dir: Path, out: Path, markovian: bool) -> int:
     seed = _read(cfg, "seed", int, 0, default=0)
     model = load_model(cfg, base_dir, params)
     driver = load_driver(cfg, base_dir, seed)
-    n_paths = _read(cfg, "n_paths", int, 1, default=1)
+    n_paths = _read(cfg, "n_paths", int, 1, _MAX_PATHS, default=1)
     ks = load_k_list(cfg, [4, 8, 16, 32, 64], _K_MAX)
-    n_steps = _read(cfg, "n_steps", int, 1, default=32 if markovian else 64)
+    n_steps = _read(cfg, "n_steps", int, 1, _MAX_STEPS,
+                    default=32 if markovian else 64)
     out.mkdir(parents=True, exist_ok=True)
     if markovian:
         m = _read(cfg, "markovian", dict, default={})

@@ -7,8 +7,16 @@ The coefficient of mode n is the weighted Fourier-type integral
 which only reads h on [0, T]: under the isometry onto C x L2 the weighted
 derivative of a localised curve is a damped periodisation, whose period-zero
 restriction e^{(lam + alpha/2) x} h'(x) is paired with the plain Fourier
-modes.  The batched transform factors out the n-independent weight and
-evaluates all modes with one FFT.
+modes.  Both directions between a curve and its coefficients are one DFT on
+the uniform grid x_j = jT/N over [0, T]:
+
+- fold (curve -> coefficients, ``_fold_fft``): the weighted derivative samples
+  w_j h'(x_j) e^{(lam + alpha/2) x_j}, with x = T folded onto x = 0, give
+  every mode -k..k at once;
+- synthesis (coefficients -> grid derivative, ``_synth_fft``, the adjoint):
+  sum_n c_n g_n'(x_j) = e^{-(lam + alpha/2) x_j} T^{-1/2} sum_n c_n
+  e^{2 pi i n j / N}, so the span derivative on the grid costs one FFT
+  instead of a (2k + 1) x (N + 1) matrix of exponentials.
 """
 from __future__ import annotations
 
@@ -189,6 +197,25 @@ def _fold_fft(a: np.ndarray, k: int, horizon: float) -> np.ndarray:
     return spectrum[np.arange(-k, k + 1) % n] / np.sqrt(horizon)
 
 
+def _synth_fft(c: np.ndarray, n_points: int, params: BasisParams) -> np.ndarray:
+    """Span derivative sum_n c_n g_n'(x_j) on the grid x_j = jT/N, j = 0..N.
+
+    The adjoint of ``_fold_fft``: g_n'(x_j) = e^{-(lam + alpha/2) x_j}
+    e^{2 pi i n j / N} / sqrt(T), so c_n goes into DFT bin (-n) mod N and one
+    DFT supplies every sample.  Modes that share a bin (2k + 1 > N) add there,
+    which is exact because they agree on the grid.  The x = T sample equals
+    the x = 0 one before the damping.
+    """
+    n = n_points - 1
+    k = (c.shape[-1] - 1) // 2
+    bins = np.zeros(n, dtype=np.complex128)
+    np.add.at(bins, -np.arange(-k, k + 1) % n, c)
+    spectrum = np.fft.fft(bins)  # index j holds sum c_n e^{2 pi i n j / N}
+    x = np.linspace(0.0, params.horizon, n_points)
+    return (np.exp(-params.decay * x) / np.sqrt(params.horizon)
+            * np.append(spectrum, spectrum[0]))
+
+
 def coefficients_fft(h: Curve, k: int, params: BasisParams,
                      n_points: int = COEFF_POINTS) -> CoeffState:
     """Localise-and-truncate map h -> h(0) g_* + sum_{|n|<=k} <h, g_n^*> g_n.
@@ -222,18 +249,21 @@ def reconstruct_deriv(s: CoeffState, x) -> np.ndarray | complex:
     return complex(out[0]) if x.ndim == 0 else out
 
 
-def commutator_apply(h: Curve, k: int, t: float, params: BasisParams,
-                     n_max: int = N_MAX) -> complex:
-    """Scalar the commutator maps h to (times the constant curve).
+def commutator_apply(h: Curve, k: int, t, params: BasisParams,
+                     n_max: int = N_MAX) -> np.ndarray | complex:
+    """Scalar the commutator maps h to (times the constant curve) at each t.
 
     Computed from the basis expansion: sum over |n| > k of g_n(t) <h, g_n^*>,
-    truncated at n_max.
+    truncated at n_max.  h is projected once for all t.
     """
+    t = np.asarray(t, dtype=float)
     state = coefficients_fft(h, n_max, params, n_points=2**14 + 1)
     ns = params.n_range(n_max)
-    g_t = eval_g_n(params, ns, np.array([float(t)]))[:, 0]
     mask = np.abs(ns) > k
-    return complex(np.sum(g_t[mask] * state.c[mask]))
+    g_t = eval_g_n(params, ns[mask], np.atleast_1d(t))
+    # one contiguous row per t, so each sum runs in the same order as for one t
+    out = np.sum(np.ascontiguousarray(g_t.T) * state.c[mask], axis=-1)
+    return complex(out[0]) if t.ndim == 0 else out
 
 
 def compute_C1(f: Curve, params: BasisParams) -> float:
@@ -313,9 +343,12 @@ def _period_norm(value_at_zero: complex, deriv, params: BasisParams,
 
 
 def norm_alpha_span(s: CoeffState, n_points: int = 2**13 + 1) -> float:
-    """Norm of a span element by quadrature over one period."""
-    return _period_norm(s.c_star, lambda x: reconstruct_deriv(s, x), s.params,
-                        n_points)
+    """Norm of a span element by quadrature over one period.
+
+    The derivative on the quadrature grid comes from one FFT (``_synth_fft``).
+    """
+    return _period_norm(s.c_star, lambda x: _synth_fft(s.c, x.size, s.params),
+                        s.params, n_points)
 
 
 def power_iteration_pi_norm(params: BasisParams, n_iter: int = 50,

@@ -114,6 +114,23 @@ def test_truncation_rate_flat_curve_zero_error(tmp_path):
     assert all(float(r[1]) < 1e-20 for r in rows[1:])
 
 
+# error_sq of configs/default.json from a dense evaluation of all 1,025
+# reference modes on the quadrature grid, independent of the FFT synthesis
+DEFAULT_ERROR_SQ = {4: 8.252753632156694e-05, 8: 7.130011540503553e-06,
+                    16: 1.9755326925334334e-07, 32: 6.852392226630417e-09,
+                    64: 2.1774528173773854e-10}
+
+
+def test_truncation_rate_default_config_golden(tmp_path):
+    config = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+    out = tmp_path / "out"
+    assert main(["truncation-rate", "--config", str(config), "--out", str(out)]) == 0
+    rows = read_rows(out / "truncation_rate.csv")[1:]
+    assert [int(r[0]) for r in rows] == list(DEFAULT_ERROR_SQ)
+    for k, err, _ in rows:
+        assert float(err) == pytest.approx(DEFAULT_ERROR_SQ[int(k)], rel=1e-12, abs=0)
+
+
 def test_simulate_outputs_are_deterministic(tmp_path):
     cfg = base_model_cfg(n_paths=2)
     cfg["windows"] = [[0.5, 0.8]]
@@ -268,6 +285,9 @@ DRIVER = base_model_cfg()["driver"]
                  id="zero-period"),
     pytest.param(("simulate",), {"f0": {"kind": []}}, id="list-curve-kind"),
     pytest.param(("simulate",), {"f0": ""}, id="curve-path-is-a-directory"),
+    pytest.param(("simulate",), {"time_step": 1e-300}, id="huge-step-count"),
+    pytest.param(("simulate",), {"n_paths": 1e300}, id="huge-n_paths"),
+    pytest.param(("converge",), {"n_steps": 2**20 + 1}, id="converge-too-many-steps"),
 ])
 def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, argv, change):
     cfg = base_model_cfg(n_paths=1)

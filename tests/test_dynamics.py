@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import linalg
 
 from fwdapprox.basis import BasisParams, eval_g_n, lambda_n
@@ -216,6 +217,30 @@ def test_delivery_forward_matches_quadrature():
     w = _simpson_weights(4001, (T2 - T1) / 4000)
     Fq = np.sum(w * reconstruct(s, xs)) / (T2 - T1)
     assert abs(F - Fq) < 1e-10
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(0.2, 3.0), lam=st.floats(0.1, 2.0),
+       T=st.floats(0.5, 2.0), k=st.integers(0, 8),
+       start=st.floats(0.0, 1.0), end=st.floats(0.0, 1.0),
+       width=st.floats(0.0, 1.0, exclude_min=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_delivery_forward_matches_quadrature_for_random_parameters(
+        alpha, lam, T, k, start, end, width, seed):
+    # closed-form window average against Simpson quadrature of reconstruct
+    # over x in [T1 - t, T2 - t], for any t <= T1 < T2 <= T
+    pk = BasisParams(alpha, lam, T, k)
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=2 * k + 1) + 1j * rng.normal(size=2 * k + 1)
+    s = CoeffState(complex(rng.normal()), c, pk)
+    t, T1 = min(start, end) * T, max(start, end) * T
+    T2 = T1 + width * (T - T1)
+    assume(T1 < T2)
+    F = delivery_forward(s, t, T1, T2)
+    xs = np.linspace(T1 - t, T2 - t, 4001)
+    w = _simpson_weights(4001, (T2 - T1) / 4000)
+    Fq = np.sum(w * reconstruct(s, xs)) / (T2 - T1)
+    assert abs(F - Fq) <= 1e-11 * (abs(s.c_star) + np.sum(np.abs(c)))
 
 
 def test_delivery_forward_window_limit_and_constant():

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fwdapprox.basis import (
     BasisParams,
@@ -14,6 +15,7 @@ from fwdapprox.errors import DomainTooShort, NotSmoothEnough
 from fwdapprox.projection import (
     CoeffState,
     _fold_fft,
+    _synth_fft,
     c_kt_norm_sq,
     coefficient,
     coefficients_fft,
@@ -210,3 +212,30 @@ def test_fold_of_on_grid_samples_matches_coefficients_fft(make, k):
     got = _fold_fft(w * curve.deriv_samples[:n_T + 1], k, P.horizon)
     want = coefficients_fft(curve, k, P, n_points=n_T + 1).c
     assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(0.2, 3.0), lam=st.floats(0.1, 2.0),
+       T=st.floats(0.5, 2.0), k=st.integers(0, 64),
+       n_points=st.integers(2, 129), seed=st.integers(0, 2**32 - 1))
+def test_fft_synthesis_matches_reconstruct_deriv(alpha, lam, T, k, n_points, seed):
+    # the grid derivative of a span element from one DFT, including 2k + 1
+    # modes on fewer bins, where modes that agree on the grid share a bin
+    p = BasisParams(alpha, lam, T, k)
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=2 * k + 1) + 1j * rng.normal(size=2 * k + 1)
+    x = np.linspace(0.0, T, n_points)
+    got = _synth_fft(c, n_points, p)
+    want = reconstruct_deriv(CoeffState(0.0, c, p), x)
+    scale = np.sum(np.abs(c)) * np.exp(-p.decay * x) / np.sqrt(T)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def test_commutator_apply_broadcasts_over_t():
+    h = basis_curve(9)
+    ts = np.linspace(0.0, 1.0, 5)
+    got = commutator_apply(h, 4, ts, P)
+    assert got.shape == ts.shape
+    assert isinstance(commutator_apply(h, 4, 0.25, P), complex)
+    for t, g in zip(ts, got):
+        assert g == commutator_apply(h, 4, float(t), P)

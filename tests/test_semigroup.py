@@ -77,6 +77,24 @@ def test_shift_coeffs_semigroup_property():
     assert np.allclose(a.c, b.c, atol=1e-12)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(0.2, 3.0), lam=st.floats(0.1, 2.0),
+       T=st.floats(0.5, 2.0), k=st.integers(0, 16),
+       a=st.floats(0.0, 2.0), b=st.floats(0.0, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_shift_coeffs_semigroup_for_random_parameters(alpha, lam, T, k, a, b, seed):
+    # U_b U_a = U_{a+b}, with shifts of up to two horizons each
+    pk = BasisParams(alpha, lam, T, k)
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=2 * k + 1) + 1j * rng.normal(size=2 * k + 1)
+    s = CoeffState(complex(rng.normal()), c, pk)
+    two = shift_coeffs(shift_coeffs(s, a * T), b * T)
+    one = shift_coeffs(s, (a + b) * T)
+    scale = abs(s.c_star) + np.sum(np.abs(c))
+    assert abs(two.c_star - one.c_star) <= 1e-12 * scale
+    assert np.max(np.abs(two.c - one.c)) <= 1e-12 * scale
+
+
 def test_adjoint_eigenvalue():
     t = 0.6
     for n in (-4, 0, 7):
