@@ -14,11 +14,11 @@ Exit codes: 0 success, 1 invariant failure, 2 config error, 3 numerical
 failure (instability, domain exhaustion, failed smoothness check).  A config
 value of the wrong type, a non-integral integer, a non-finite number or one
 out of range is a config error.  The ranges: alpha, lambda, horizon,
-time_step, t_eval, law_param > 0; params.k, seed >= 0; x_points, rank >= 1;
-n_paths in [1, 10^6]; n_steps and the step count t_eval / time_step in
-[1, 2^20]; k in [0, 2047]; k_list entries in [1, 2047] for converge and
-[1, 511] for truncation-rate; in a curve spec n_points >= 2, x_max and
-period > 0.
+time_step, t_eval, law_param > 0; params.k, seed >= 0; rank >= 1;
+x_points in [1, 2^16]; n_paths in [1, 10^6]; n_steps and the step count
+t_eval / time_step in [1, 2^20]; k in [0, 2047]; k_list entries in [1, 2047]
+for converge and [1, 511] for truncation-rate; in a curve spec n_points in
+[2, 2^20 + 1], x_max and period > 0.
 """
 from __future__ import annotations
 
@@ -55,8 +55,11 @@ _K_MAX = (COEFF_POINTS - 2) // 2     # 2k + 1 modes must not alias on the FFT gr
 # size limits: a larger run would exhaust memory or never finish
 _MAX_PATHS = 10**6
 _MAX_STEPS = 2**20
+_MAX_X_POINTS = 2**16
+_MAX_CURVE_POINTS = 2**20 + 1
 # numeric arguments of a curve spec with a bound; every other one is a finite float
-_CURVE_BOUNDS = {"n_points": (int, 2), "x_max": (float, 0.0), "period": (float, 0.0)}
+_CURVE_BOUNDS = {"n_points": (int, 2, _MAX_CURVE_POINTS), "x_max": (float, 0.0),
+                 "period": (float, 0.0)}
 
 
 def _read(cfg: dict, key: str, kind=float, lo=-np.inf, hi=np.inf, default=_REQUIRED):
@@ -334,7 +337,8 @@ def cmd_simulate(cfg: dict, base_dir: Path, out: Path) -> int:
     n_paths = _read(cfg, "n_paths", int, 1, _MAX_PATHS, default=1)
     k = _read(cfg, "k", int, 0, _K_MAX, default=8)
     times = np.linspace(0.0, t_eval, n_steps + 1)
-    x = np.linspace(0.0, params.horizon, _read(cfg, "x_points", int, 1, default=33))
+    n_x = _read(cfg, "x_points", int, 1, _MAX_X_POINTS, default=33)
+    x = np.linspace(0.0, params.horizon, n_x)
     windows = load_windows(cfg, params)
 
     out.mkdir(parents=True, exist_ok=True)

@@ -45,11 +45,18 @@ def shift_curve(f: Curve, t: float, x_max_out: float | None = None) -> Curve:
     return Curve(complex(f.value(t)), f.deriv(t + x), x_max_out / (n - 1), x_max_out)
 
 
-def _shift_factors(params: BasisParams, k: int, t: float):
-    """g_n(t) and e^{lambda_n t} for n = -k..k, the two factors of the shift."""
+def _shift_factors(params: BasisParams, k: int, t):
+    """g_n(t) and e^{lambda_n t} for n = -k..k, the two factors of the shift.
+
+    Broadcasts over an array of ``t``: each factor has shape t.shape + (2k+1,),
+    and a scalar ``t`` gives two (2k+1,) arrays.
+    """
+    t = np.asarray(t, dtype=float)
     ns = params.n_range(k)
-    return (eval_g_n(params, ns, np.array([float(t)]))[:, 0],
-            np.exp(lambda_n(params, ns) * t))
+    ts = np.atleast_1d(t)
+    g_t = np.ascontiguousarray(np.moveaxis(eval_g_n(params, ns, ts), 0, -1))
+    growth = np.exp(np.multiply.outer(ts, lambda_n(params, ns)))
+    return (g_t[0], growth[0]) if t.ndim == 0 else (g_t, growth)
 
 
 def _shift(c_star, c, g_t: np.ndarray, growth: np.ndarray):

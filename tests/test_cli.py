@@ -131,6 +131,27 @@ def test_truncation_rate_default_config_golden(tmp_path):
         assert float(err) == pytest.approx(DEFAULT_ERROR_SQ[int(k)], rel=1e-12, abs=0)
 
 
+# converge on configs/default.json before its final state had a closed form
+DEFAULT_MC_ERROR = {4: 7.587387875425253e-07, 8: 1.3739531811017178e-07,
+                    16: 2.9802341267931117e-08, 32: 7.375902904974879e-09,
+                    64: 1.813021748647092e-09}
+DEFAULT_BOUND = {4: "0.733884802312746", 8: "0.366942401156373",
+                 16: "0.1834712005781865", 32: "0.09173560028909325",
+                 64: "0.045867800144546625"}
+
+
+def test_converge_default_config_golden(tmp_path):
+    config = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+    out = tmp_path / "out"
+    assert main(["converge", "--config", str(config), "--out", str(out)]) == 0
+    rows = read_rows(out / "converge.csv")
+    assert rows[0][:4] == ["k", "mc_error", "stderr", "bound"]
+    assert [int(r[0]) for r in rows[1:]] == list(DEFAULT_MC_ERROR)
+    for k, err, _, bound, *_ in rows[1:]:
+        assert float(err) == pytest.approx(DEFAULT_MC_ERROR[int(k)], rel=1e-10, abs=0)
+        assert bound == DEFAULT_BOUND[int(k)]
+
+
 def test_simulate_outputs_are_deterministic(tmp_path):
     cfg = base_model_cfg(n_paths=2)
     cfg["windows"] = [[0.5, 0.8]]
@@ -288,6 +309,9 @@ DRIVER = base_model_cfg()["driver"]
     pytest.param(("simulate",), {"time_step": 1e-300}, id="huge-step-count"),
     pytest.param(("simulate",), {"n_paths": 1e300}, id="huge-n_paths"),
     pytest.param(("converge",), {"n_steps": 2**20 + 1}, id="converge-too-many-steps"),
+    pytest.param(("simulate",), {"x_points": 1e15}, id="huge-x_points"),
+    pytest.param(("simulate",), {"f0": {"kind": "bump", "n_points": 1e15}},
+                 id="huge-curve-n_points"),
 ])
 def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, argv, change):
     cfg = base_model_cfg(n_paths=1)

@@ -7,6 +7,8 @@ from fwdapprox.basis import BasisParams, eval_g_n, lambda_n
 from fwdapprox.dynamics import (
     LevyDriver,
     ModelSpec,
+    _exact_transport,
+    _final_state,
     convergence_experiment,
     delivery_forward,
     euler_coefficient_system,
@@ -318,3 +320,46 @@ def test_bound_does_not_depend_on_stored_range_of_f0():
         rows = convergence_experiment(spec, drv, 0.5, [4], 16, n_steps=16)
         bounds.append(rows[0]["bound_A_over_k"])
     assert bounds[1] == pytest.approx(bounds[0], rel=1e-12)
+
+
+def hermitian(rng, shape):
+    """Random complex array whose last axis satisfies c_{-n} = conj(c_n)."""
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return 0.5 * (c + np.conj(c[..., ::-1]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(0.2, 3.0), lam=st.floats(0.1, 2.0),
+       T=st.floats(0.5, 2.0), frac=st.floats(0.0, 1.0, exclude_min=True),
+       k=st.integers(0, 32), extra=st.integers(0, 3), L=st.integers(1, 64),
+       n_paths=st.integers(1, 4), d=st.integers(1, 3), with_drift=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_final_state_equals_last_transport_step(alpha, lam, T, frac, k, extra, L,
+                                                n_paths, d, with_drift, seed):
+    # the closed-form state at t = L dt against L steps of the exact
+    # transport, from a projection at level k + extra (modes -k..k kept)
+    rng = np.random.default_rng(seed)
+    kk = k + extra
+    pk = BasisParams(alpha, lam, T, kk)
+    init = CoeffState(complex(rng.normal()), hermitian(rng, 2 * kk + 1), pk)
+    loads = rng.normal(size=d) + 0j, hermitian(rng, (d, 2 * kk + 1))
+    drift = None
+    if with_drift:
+        drift = rng.normal(size=L) + 0j, hermitian(rng, (L, 2 * kk + 1))
+    weighted = rng.normal(size=(n_paths, L, d))
+    dt = frac * T / L
+
+    *_, (c_star, c) = _exact_transport(init, loads, drift, weighted, dt, k)
+    got_star, got = _final_state(init, loads, drift, weighted, dt, k)
+
+    sl = slice(extra, extra + 2 * k + 1)
+    inc_star, inc = weighted @ loads[0], weighted @ loads[1][:, sl]
+    if with_drift:
+        inc_star, inc = inc_star + dt * drift[0], inc + dt * drift[1][:, sl]
+    scale = (abs(init.c_star) + np.sum(np.abs(init.c[sl]))
+             + np.sum(np.abs(inc_star), axis=-1) + np.sum(np.abs(inc), axis=(-2, -1)))
+    assert np.all(np.abs(got_star - c_star) <= 1e-12 * scale)
+    assert np.all(np.max(np.abs(got - c), axis=-1) <= 1e-12 * scale)
+    # a real curve stays real: c_{-n} = conj(c_n) and c_star real
+    assert np.all(np.max(np.abs(got - np.conj(got[:, ::-1])), axis=-1) <= 1e-12 * scale)
+    assert np.all(np.abs(got_star.imag) <= 1e-12 * scale)
