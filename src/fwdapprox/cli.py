@@ -16,9 +16,9 @@ value of the wrong type, a non-integral integer, a non-finite number or one
 out of range is a config error.  The ranges: alpha, lambda, horizon,
 time_step, t_eval, law_param > 0; params.k, seed >= 0; rank >= 1;
 x_points in [1, 2^16]; n_paths in [1, 10^6]; n_steps and the step count
-t_eval / time_step in [1, 2^20]; k in [0, 2047]; k_list entries in [1, 2047]
-for converge and [1, 511] for truncation-rate; in a curve spec n_points in
-[2, 2^20 + 1], x_max and period > 0.
+t_eval / time_step in [1, 2^20]; k in [0, 2047]; k_list strictly ascending,
+entries in [1, 2047] for converge and [1, 511] for truncation-rate; in a
+curve spec n_points in [2, 2^20 + 1], x_max and period > 0.
 """
 from __future__ import annotations
 
@@ -150,8 +150,8 @@ def load_model(cfg: dict, base_dir: Path, params: BasisParams) -> ModelSpec:
 def load_k_list(cfg: dict, default, hi: int) -> list[int]:
     ks = [_read({"k_list": k}, "k_list", int, 1, hi)
           for k in _read(cfg, "k_list", list, default=default)]
-    if not ks or ks != sorted(ks):
-        raise ConfigError("k_list must be a non-empty ascending list")
+    if not ks or any(a >= b for a, b in zip(ks, ks[1:])):
+        raise ConfigError("k_list must be a non-empty, strictly ascending list")
     return ks
 
 

@@ -388,8 +388,8 @@ def _mild_sum(spec: ModelSpec, driver: LevyDriver, times: np.ndarray,
     f(t, x) = f0(t + x) + dt sum_l beta(t_l)(t - t_l + x)
               + sum_{l, i} weighted[..., l, i] loading_i(t - t_l + x),
 
-    ``weighted`` being psi weights times increments.  ``curve_eval`` is
-    `Curve.value`, or `Curve.deriv` for f'.
+    ``weighted`` being psi weights times increments.  ``curve_eval(curve, y)``
+    is `Curve.value`, its real part, or `Curve.deriv` for f'.
     """
     dt = float(times[1] - times[0])
     y = (times[-1] - times[:-1])[:, None] + x          # (L, n_x) lagged points
@@ -399,6 +399,42 @@ def _mild_sum(spec: ModelSpec, driver: LevyDriver, times: np.ndarray,
                                      for j, t in enumerate(times[:-1])]).sum(axis=0)
     M = np.stack([curve_eval(c, y) for c in driver.loadings])   # (d, L, n_x)
     return base + np.tensordot(weighted, M, axes=([-2, -1], [1, 0]))
+
+
+def _half_spectrum_values(params: BasisParams, c_star: np.ndarray,
+                          c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Re(c_star + c @ G) on x for Hermitian states, from modes 0..k only.
+
+    With c_{-n} = conj(c_n) and g_{-n} = conj(g_n) the two modes +-n add up
+    to 2 Re(c_n g_n), so the value is one real product
+
+        Re c_star + [Re c_0, Re c_{1..k}, Im c_{1..k}] @ [g_0; 2 Re g_{1..k}; -2 Im g_{1..k}]
+
+    over 2k+1 real columns; ``c`` is (..., 2k+1) on modes -k..k.
+    """
+    k = (c.shape[-1] - 1) // 2
+    G = eval_g_n(params, np.arange(k + 1), x)       # (k+1, n_x), g_0 real
+    B = 2.0 * np.concatenate([G.real, -G.imag[1:]])
+    B[0] = G[0].real
+    a = np.concatenate([c[..., k:].real, c[..., k + 1:].imag], axis=-1)
+    return c_star.real[..., None] + a @ B
+
+
+def _require_real(spec: ModelSpec, driver: LevyDriver, times: np.ndarray) -> None:
+    """Raise ValueError unless f0, every loading and every drift curve is real."""
+    named = [("f0", spec.f0)]
+    named += [(f"loading {i}", c) for i, c in enumerate(driver.loadings)]
+    if spec.beta is not None:
+        # one check per distinct curve object, as in `_sampled_bound`
+        betas = {}
+        for t in times[:-1]:
+            b = spec.beta(t)
+            betas.setdefault(id(b), (f"drift at t={float(t):g}", b))
+        named += betas.values()
+    for name, c in named:
+        if c.deriv_samples.imag.any() or complex(c.value_at_zero).imag != 0.0:
+            raise ValueError(f"convergence_experiment needs real curves; {name} "
+                             "has an imaginary part")
 
 
 def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
@@ -414,27 +450,34 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
     random numbers).  The reported bound column is the sampled rate constant
     divided by k, built from the projected initial condition, the drift and
     noise loads, and pathwise curvature constants of the oracle solution.
+
+    The inputs must be real curves, as forward prices are: f0, every
+    loading and every drift curve, else ValueError.  Their states are then
+    Hermitian (c_{-n} = conj(c_n)), so both solutions are real and the error
+    is taken in real arithmetic, the model value from the half spectrum
+    (modes 0..k, `_half_spectrum_values`).
     """
     p = spec.params
     T = p.horizon
     dt = t_eval / n_steps
     times = np.linspace(0.0, t_eval, n_steps + 1)
+    _require_real(spec, driver, times)
     dL = np.stack([_noise_for(driver, dt, n_steps, None, pid)
                    for pid in range(n_paths)])      # (P, L, d)
     init, loads, drift, psi = _projected_inputs(spec, driver, times,
                                                 int(max(k_list)))
     weighted = dL * psi
     x = np.linspace(0.0, T - t_eval, n_x)
-    oracle = _mild_sum(spec, driver, times, weighted, x, Curve.value)
+    oracle = _mild_sum(spec, driver, times, weighted, x,
+                       lambda c, y: c.value(y).real)
 
     rows = []
     A_common, C1_mean = _sampled_bound(spec, driver, times, psi,
                                        weighted[:min(bound_paths, n_paths)])
     for k in k_list:
         c_star, c = _final_state(init, loads, drift, weighted, dt, k)
-        G = eval_g_n(p, p.n_range(k), x)             # (2k+1, n_x)
-        vals = c_star[:, None] + c @ G
-        err = np.max(np.abs(vals - oracle) ** 2, axis=1)
+        vals = _half_spectrum_values(p, c_star, c, x)
+        err = np.max((vals - oracle) ** 2, axis=1)
         rows.append({
             "k": int(k),
             "mc_error": float(np.mean(err)),

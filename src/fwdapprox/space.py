@@ -60,7 +60,14 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class Curve:
-    """A curve represented by f(0) and uniform samples of f' on [0, x_max]."""
+    """A curve represented by f(0) and uniform samples of f' on [0, x_max].
+
+    Values and derivatives between the nodes come from a cubic spline of the
+    real part and one of the imaginary part.  A real curve (every sample's
+    imaginary part zero, as for real forward prices) builds only the real
+    spline; its imaginary part is then exactly zero, so the results are the
+    same to the bit.
+    """
 
     value_at_zero: complex
     deriv_samples: np.ndarray
@@ -96,9 +103,9 @@ class Curve:
     def _spline(self) -> CubicSpline:
         sp = self._spline_cache.get("deriv")
         if sp is None:
-            g = self.grid
-            sp = (CubicSpline(g, self.deriv_samples.real),
-                  CubicSpline(g, self.deriv_samples.imag))
+            g, d = self.grid, self.deriv_samples
+            sp = (CubicSpline(g, d.real),
+                  CubicSpline(g, d.imag) if d.imag.any() else None)
             self._spline_cache["deriv"] = sp
         return sp
 
@@ -106,7 +113,7 @@ class Curve:
         sp = self._spline_cache.get("anti")
         if sp is None:
             re, im = self._spline()
-            sp = (re.antiderivative(), im.antiderivative())
+            sp = (re.antiderivative(), None if im is None else im.antiderivative())
             self._spline_cache["anti"] = sp
         return sp
 
@@ -116,7 +123,7 @@ class Curve:
         if np.any(x > self.x_max + 1e-9) or np.any(x < -1e-12):
             raise DomainTooShort(f"requested derivative beyond x_max={self.x_max}")
         re, im = self._spline()
-        return re(x) + 1j * im(x)
+        return re(x) + (0j if im is None else 1j * im(x))
 
     def value(self, x) -> np.ndarray:
         """f(x) = f(0) + int_0^x f'(y) dy via the spline antiderivative."""
@@ -124,7 +131,7 @@ class Curve:
         if np.any(x > self.x_max + 1e-9) or np.any(x < -1e-12):
             raise DomainTooShort(f"requested value beyond x_max={self.x_max}")
         re, im = self._antideriv()
-        return self.value_at_zero + re(x) + 1j * im(x)
+        return self.value_at_zero + re(x) + (0j if im is None else 1j * im(x))
 
     def values_on_grid(self) -> np.ndarray:
         return self.value(self.grid)

@@ -275,6 +275,8 @@ DRIVER = base_model_cfg()["driver"]
     pytest.param(("truncation-rate",), {"k_list": [0, 4]}, id="rate-k-zero"),
     pytest.param(("converge",), {"k_list": [4096]}, id="converge-aliasing-k"),
     pytest.param(("converge",), {"k_list": ["a"]}, id="converge-string-k"),
+    pytest.param(("converge",), {"k_list": [4, 4]}, id="converge-duplicate-k"),
+    pytest.param(("truncation-rate",), {"k_list": [4, 4]}, id="rate-duplicate-k"),
     pytest.param(("converge",), {"n_steps": 0}, id="converge-zero-steps"),
     pytest.param(("converge",), {"n_steps": -3}, id="converge-negative-steps"),
     pytest.param(MARKOVIAN, {"markovian": MEAN_REVERT, "n_steps": 0},

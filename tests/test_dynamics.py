@@ -9,6 +9,7 @@ from fwdapprox.dynamics import (
     ModelSpec,
     _exact_transport,
     _final_state,
+    _half_spectrum_values,
     convergence_experiment,
     delivery_forward,
     euler_coefficient_system,
@@ -19,9 +20,10 @@ from fwdapprox.dynamics import (
     system_matrix,
 )
 from fwdapprox.errors import BadWindow, UnstableStep
+from fwdapprox.markovian import make_field, simulate_markovian_fk
 from fwdapprox.projection import CoeffState, coefficients_fft, reconstruct, reconstruct_deriv
 from fwdapprox.space import Curve, _simpson_weights
-from fwdapprox.testcurves import exp_loading, flat_curve, smooth_bump
+from fwdapprox.testcurves import exp_loading, flat_curve, seasonal_curve, smooth_bump
 
 P = BasisParams(alpha=1.0, lam=0.5, horizon=1.0)
 
@@ -363,3 +365,64 @@ def test_final_state_equals_last_transport_step(alpha, lam, T, frac, k, extra, L
     # a real curve stays real: c_{-n} = conj(c_n) and c_star real
     assert np.all(np.max(np.abs(got - np.conj(got[:, ::-1])), axis=-1) <= 1e-12 * scale)
     assert np.all(np.abs(got_star.imag) <= 1e-12 * scale)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(0.2, 3.0), lam=st.floats(0.1, 2.0), T=st.floats(0.5, 2.0),
+       k=st.integers(0, 32), n_paths=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_half_spectrum_value_equals_full_spectrum(alpha, lam, T, k, n_paths, seed):
+    # modes 0..k of a Hermitian state give the real value of all 2k+1 modes
+    rng = np.random.default_rng(seed)
+    pk = BasisParams(alpha, lam, T)
+    c_star = rng.normal(size=n_paths) + 0j
+    c = hermitian(rng, (n_paths, 2 * k + 1))
+    x = np.concatenate([[0.0, T], rng.uniform(0.0, T, size=31)])
+    full = (c_star[:, None] + c @ eval_g_n(pk, pk.n_range(k), x)).real
+    half = _half_spectrum_values(pk, c_star, c, x)
+    scale = np.abs(c_star) + np.sum(np.abs(c), axis=-1)
+    assert half.dtype == np.float64
+    assert np.all(np.max(np.abs(half - full), axis=-1) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("which", ["f0", "f0-value", "loading", "drift"])
+def test_convergence_experiment_rejects_complex_curves(which):
+    bump, drift = smooth_bump(), flat_curve(0.05)
+    complex_bump = bump * (1.0 + 0.5j)
+    if which == "f0-value":
+        complex_bump = Curve(1.0 + 1e-3j, bump.deriv_samples, bump.grid_step, bump.x_max)
+    drv = make_driver()
+    if which == "loading":
+        drv = LevyDriver(rank=3, loadings=list(drv.loadings[:2]) + [complex_bump],
+                         seed=7)
+    f0 = complex_bump if which.startswith("f0") else bump
+    beta = (lambda t: drift * 1j) if which == "drift" else (lambda t: drift)
+    spec = ModelSpec(f0=f0, params=P, beta=beta)
+    with pytest.raises(ValueError, match="imaginary part"):
+        convergence_experiment(spec, drv, 0.5, [4], 2, n_steps=4)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(0.2, 3.0), lam=st.floats(0.1, 2.0), T=st.floats(0.5, 2.0),
+       k=st.integers(0, 16), frac=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
+def test_every_coefficient_scheme_preserves_hermitian_symmetry(alpha, lam, T, k,
+                                                               frac, seed):
+    # real inputs stay real: c_{-n} = conj(c_n) and c_star real at every
+    # step of the exact transport, linear Euler and the Markovian scheme
+    pk = BasisParams(alpha, lam, T)
+    n_steps = 8
+    dt = frac * euler_stability_limit(pk, k)
+    times = dt * np.arange(n_steps + 1)
+    grid = dict(x_max=2.0 * T, n_points=1025)   # [0, T] splits into 512 steps
+    b = seasonal_curve(0.05, **grid)
+    drv = LevyDriver(rank=2, loadings=[exp_loading(0.1, 0.5, **grid),
+                                       exp_loading(0.05, 2.0, **grid)], seed=seed)
+    spec = ModelSpec(f0=smooth_bump(**grid), params=pk, beta=lambda t: b)
+    noise = drv.increments(drv.path_rng(0), dt, n_steps)
+    paths = [simulate_fk_state(spec, drv, times, k, noise=noise)[0],
+             euler_coefficient_system(spec, drv, times, k, noise=noise),
+             simulate_markovian_fk(make_field("constant", drv, pk, b_curve=b),
+                                   spec, drv, times, k, noise=noise)]
+    for path in paths:
+        for s in path.states:
+            scale = abs(s.c_star) + np.sum(np.abs(s.c))
+            assert s.hermitian_defect() <= 1e-12 * scale

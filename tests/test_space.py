@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 from fwdapprox.basis import BasisParams
 from fwdapprox.errors import DomainTooShort, GridMismatch
@@ -42,6 +44,44 @@ def test_domain_errors():
         f.value(1.5)
     with pytest.raises(DomainTooShort):
         f.resample(f.grid_step, 2.0)
+
+
+def both_splines(f, x):
+    """f' and f at x from a spline of the real and one of the imaginary part."""
+    re = CubicSpline(f.grid, f.deriv_samples.real)
+    im = CubicSpline(f.grid, f.deriv_samples.imag)
+    deriv = re(x) + 1j * im(x)
+    value = f.value_at_zero + re.antiderivative()(x) + 1j * im.antiderivative()(x)
+    return deriv, value
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 300), x_max=st.floats(0.1, 5.0), v0=st.floats(-10.0, 10.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_real_curve_single_spline_equals_both_splines(n, x_max, v0, seed):
+    # a real curve skips the spline of its zero imaginary part; every value
+    # must stay bitwise what the two-spline evaluation gives
+    rng = np.random.default_rng(seed)
+    f = Curve(v0, rng.normal(size=n), x_max / (n - 1), x_max)
+    x = np.concatenate([f.grid, rng.uniform(0.0, x_max, size=17)])
+    deriv, value = both_splines(f, x)
+    assert np.array_equal(f.deriv(x), deriv)
+    assert np.array_equal(f.value(x), value)
+    assert not f.deriv(x).imag.any() and not f.value(x).imag.any()
+
+
+def test_complex_curve_keeps_its_imaginary_part():
+    x_max, n = 2.0, 129
+    grid = np.linspace(0.0, x_max, n)
+    f = Curve(0.5 - 0.25j, np.cos(3.0 * grid) + 1j * np.sin(2.0 * grid),
+              x_max / (n - 1), x_max)
+    x = np.linspace(0.0, x_max, 37)
+    deriv, value = both_splines(f, x)
+    assert np.array_equal(f.deriv(x), deriv)
+    assert np.array_equal(f.value(x), value)
+    assert np.allclose(f.deriv(x).imag, np.sin(2.0 * x), atol=1e-6)
+    assert np.allclose(f.value(x).imag, -0.25 + (1.0 - np.cos(2.0 * x)) / 2.0,
+                       atol=1e-6)
 
 
 def test_inner_product_closed_form():
