@@ -41,13 +41,11 @@ from .errors import (
     ConfigError,
     DomainTooShort,
     FwdApproxError,
-    GridMismatch,
     NotSmoothEnough,
     UnstableStep,
 )
 from .markovian import (
     CoefficientField,
-    PicardConfig,
     contract_audit,
     make_field,
     markovian_convergence_experiment,
@@ -74,7 +72,6 @@ from .projection import (
 from .semigroup import adjoint_on_dual, shift_coeffs, shift_curve
 from .space import (
     Curve,
-    QuadratureSpec,
     dual_gram_matrix,
     inner_product_alpha,
     norm_alpha,

@@ -35,7 +35,7 @@ from .basis import (BasisParams, eval_g_n, eval_g_n_deriv,
                     projector_norm_bound, shift_norm_bound)
 from .dynamics import (LevyDriver, ModelSpec, convergence_experiment,
                        delivery_forward, simulate_fk_state)
-from .errors import (ConfigError, DomainTooShort, FwdApproxError, GridMismatch,
+from .errors import (ConfigError, DomainTooShort, FwdApproxError,
                      NotSmoothEnough, UnstableStep)
 from .markovian import (contract_audit, make_field,
                         markovian_convergence_experiment)
@@ -451,7 +451,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (UnstableStep, DomainTooShort, NotSmoothEnough, GridMismatch) as e:
+    except (UnstableStep, DomainTooShort, NotSmoothEnough) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
     except FwdApproxError as e:

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .basis import BasisParams, eval_g_n, lambda_n
-from .errors import BadWindow, UnstableStep
+from .errors import BadWindow, DomainTooShort, UnstableStep
 from .projection import (CoeffState, _period_norm, coefficients_fft,
                          compute_C1, compute_C2)
 from .semigroup import _shift, _shift_factors, shift_curve
@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 _LAWS = ("gaussian", "variance_gamma", "nig")
+CONV_X_POINTS = 1024   # points of [0, T - t_eval] the convergence sup runs over
+BOUND_PATHS = 64       # paths whose curvature constants enter the sampled bound
 
 
 def splitmix64(x: int) -> int:
@@ -331,13 +333,15 @@ def _stable_euler_matrix(params: BasisParams, k: int, dt: float) -> np.ndarray:
 
 
 def euler_coefficient_system(spec: ModelSpec, driver: LevyDriver, times, k: int,
-                             noise: np.ndarray | None = None,
-                             path_id: int = 0) -> SimPath:
-    """Plain explicit Euler on the 2k+2 complex coefficient system."""
+                             noise: np.ndarray | None = None) -> SimPath:
+    """Plain explicit Euler on the 2k+2 complex coefficient system.
+
+    Without ``noise`` the driver's path 0 supplies the increments.
+    """
     times = np.asarray(times, dtype=float)
     dt = _uniform_step(times)
     A = _stable_euler_matrix(spec.params, k, dt)
-    dL = _noise_for(driver, dt, times.size - 1, noise, path_id)
+    dL = _noise_for(driver, dt, times.size - 1, noise)
     init, loads, drift, psi = _projected_inputs(spec, driver, times, k)
     load_v = np.column_stack(loads)                  # (d, 2k+2)
     drift_v = None if drift is None else np.column_stack(drift)
@@ -439,17 +443,19 @@ def _require_real(spec: ModelSpec, driver: LevyDriver, times: np.ndarray) -> Non
 
 def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
                            k_list: Sequence[int], n_paths: int,
-                           n_steps: int = 64, n_x: int = 1024,
-                           bound_paths: int = 64) -> list[dict]:
+                           n_steps: int = 64) -> list[dict]:
     """Mean squared sup-error of the truncated model against the oracle.
 
     Both solutions are linear in the noise (deterministic coefficients), so
     the oracle at time t_eval is evaluated directly from the mild-solution
     sum and the truncated model by the closed-form coefficient mild sum of
     the exact transport, sharing one noise tensor across every k (common
-    random numbers).  The reported bound column is the sampled rate constant
+    random numbers).  The sup is taken over CONV_X_POINTS points of
+    [0, T - t_eval].  The reported bound column is the sampled rate constant
     divided by k, built from the projected initial condition, the drift and
-    noise loads, and pathwise curvature constants of the oracle solution.
+    noise loads, and pathwise curvature constants of the oracle solution on
+    the first BOUND_PATHS paths.  A t_eval beyond T raises DomainTooShort
+    before any other work.
 
     The inputs must be real curves, as forward prices are: f0, every
     loading and every drift curve, else ValueError.  Their states are then
@@ -459,6 +465,9 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
     """
     p = spec.params
     T = p.horizon
+    if t_eval > T + 1e-12:
+        raise DomainTooShort(f"t_eval={t_eval} lies beyond the horizon T={T}; "
+                             "the error is measured on [0, T - t_eval]")
     dt = t_eval / n_steps
     times = np.linspace(0.0, t_eval, n_steps + 1)
     _require_real(spec, driver, times)
@@ -467,13 +476,13 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
     init, loads, drift, psi = _projected_inputs(spec, driver, times,
                                                 int(max(k_list)))
     weighted = dL * psi
-    x = np.linspace(0.0, T - t_eval, n_x)
+    x = np.linspace(0.0, T - t_eval, CONV_X_POINTS)
     oracle = _mild_sum(spec, driver, times, weighted, x,
                        lambda c, y: c.value(y).real)
 
     rows = []
     A_common, C1_mean = _sampled_bound(spec, driver, times, psi,
-                                       weighted[:min(bound_paths, n_paths)])
+                                       weighted[:min(BOUND_PATHS, n_paths)])
     for k in k_list:
         c_star, c = _final_state(init, loads, drift, weighted, dt, k)
         vals = _half_spectrum_values(p, c_star, c, x)

@@ -1,12 +1,11 @@
 """Exception types shared across the library."""
 
+__all__ = ["FwdApproxError", "DomainTooShort", "NotSmoothEnough", "UnstableStep",
+           "BadWindow", "ConfigError"]
+
 
 class FwdApproxError(Exception):
     """Base class for all library-specific errors."""
-
-
-class GridMismatch(FwdApproxError):
-    """Two curves live on incompatible grids and resampling is disabled."""
 
 
 class DomainTooShort(FwdApproxError):

@@ -26,7 +26,6 @@ from .testcurves import flat_curve
 
 __all__ = [
     "CoefficientField",
-    "PicardConfig",
     "make_field",
     "projected_coefficients",
     "contract_audit",
@@ -56,14 +55,8 @@ class CoefficientField:
             raise ValueError("Lipschitz constants must be nonnegative")
 
 
-@dataclass(frozen=True)
-class PicardConfig:
-    max_iter: int = 8
-    residual_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+AUDIT_K_SPAN = 8                 # truncation level of the audit's random curves
+AUDIT_TIMES = (0.0, 0.3, 0.7)    # times at which the audit evaluates the field
 
 
 def _masked(f: Curve, t: float, params: BasisParams) -> Curve:
@@ -153,28 +146,31 @@ def projected_coefficients(cf: CoefficientField, k: int, params: BasisParams,
 
 
 def contract_audit(cf: CoefficientField, params: BasisParams, rank: int,
-                   n_pairs: int = 100, seed: int = 0, k_span: int = 8,
-                   t_samples: Sequence[float] = (0.0, 0.3, 0.7)) -> dict:
+                   n_pairs: int = 100, seed: int = 0) -> dict:
     """Empirical check of the declared Lipschitz, growth and structure promises.
 
-    Random span curves are fed through the masked inputs; reported are the
-    worst observed ratios (must be <= 1 for a honest field) and the largest
-    output change under tail-only perturbations (must be exactly 0).
+    Random real span curves of level AUDIT_K_SPAN are fed through the masked
+    inputs at times drawn from AUDIT_TIMES; reported are the worst observed
+    ratios (must be <= 1 for a honest field) and the largest output change
+    under tail-only perturbations (must be exactly 0).
     """
     rng = np.random.default_rng(seed)
-    pk = BasisParams(params.alpha, params.lam, params.horizon, k_span)
+    pk = BasisParams(params.alpha, params.lam, params.horizon, AUDIT_K_SPAN)
     x_max = 2.0 * params.horizon
 
     def rand_curve():
-        c = rng.normal(size=2 * k_span + 1) + 1j * rng.normal(size=2 * k_span + 1)
+        n_c = 2 * AUDIT_K_SPAN + 1
+        c = rng.normal(size=n_c) + 1j * rng.normal(size=n_c)
         c = 0.5 * (c + np.conj(c[::-1]))     # hermitian: real curve
-        s = CoeffState(complex(rng.normal()), c, pk)
-        return _span_curve(s, x_max, 513)
+        f = _span_curve(CoeffState(complex(rng.normal()), c, pk), x_max, 513)
+        # drop the synthesis' rounding-level imaginary part: a real curve
+        # builds one spline when another grid resamples it
+        return Curve(f.value_at_zero, f.deriv_samples.real, f.grid_step, x_max)
 
     worst_lip_b = worst_lip_psi = worst_growth = worst_structure = 0.0
     for _ in range(n_pairs):
         f, g = rand_curve(), rand_curve()
-        t = float(rng.choice(t_samples))
+        t = float(rng.choice(AUDIT_TIMES))
         fm, gm = _masked(f, t, params), _masked(g, t, params)
         dist = norm_alpha(f - g, params.alpha)
         nb = norm_alpha(cf.b(t, fm) - cf.b(t, gm), params.alpha)
@@ -210,17 +206,17 @@ def _field_increment(cf: CoefficientField, spec: ModelSpec, t: float,
 
 
 def oracle_markovian(cf: CoefficientField, spec: ModelSpec, driver: LevyDriver,
-                     times, noise: np.ndarray | None = None,
-                     path_id: int = 0) -> SimPath:
+                     times, noise: np.ndarray | None = None) -> SimPath:
     """Fine-grid curve-space Euler scheme for the state-dependent dynamics.
 
     f_{j+1} = shift_dt(f_j + b(t_j, f_j) dt + psi(t_j, f_j) dL_j), with the
-    pre-step state in the noise term (left-limit evaluation).
+    pre-step state in the noise term (left-limit evaluation).  Without
+    ``noise`` the driver's path 0 supplies the increments.
     """
     times = np.asarray(times, dtype=float)
     dt = _uniform_step(times)
     n_steps = times.size - 1
-    dL = _noise_for(driver, dt, n_steps, noise, path_id)
+    dL = _noise_for(driver, dt, n_steps, noise)
     states = _curve_recursion(
         spec.f0, dt, n_steps,
         lambda j, f: _field_increment(cf, spec, times[j], f, dL[j], dt))
@@ -246,8 +242,7 @@ def picard_operator_V(h_states: Sequence[Curve], cf: CoefficientField,
 
 def simulate_markovian_fk(cf: CoefficientField, spec: ModelSpec,
                           driver: LevyDriver, times, k: int,
-                          noise: np.ndarray | None = None,
-                          path_id: int = 0) -> SimPath:
+                          noise: np.ndarray | None = None) -> SimPath:
     """Explicit Euler on the 2k+2 coefficient system with state feedback.
 
     The coefficients b_k, psi_k are evaluated by reconstructing the current
@@ -255,13 +250,14 @@ def simulate_markovian_fk(cf: CoefficientField, spec: ModelSpec,
     field and re-extracting coefficients; the state therefore stays in the
     span by construction.  Every field output is folded on the initial
     curve's nodes over [0, T], read through its spline if on another grid.
+    Without ``noise`` the driver's path 0 supplies the increments.
     """
     p = spec.params
     times = np.asarray(times, dtype=float)
     dt = _uniform_step(times)
     A = _stable_euler_matrix(p, k, dt)
     n_steps = times.size - 1
-    dL = _noise_for(driver, dt, n_steps, noise, path_id)
+    dL = _noise_for(driver, dt, n_steps, noise)
 
     f0 = spec.f0
     xg = f0.grid
@@ -301,7 +297,6 @@ def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
                                      driver: LevyDriver,
                                      k_list: Sequence[int], n_paths: int,
                                      n_steps: int = 32, n_x: int = 256,
-                                     t_max: float | None = None,
                                      sup_slices: int = 64) -> list[dict]:
     """MC estimate of E[sup over the (t, x) grid of |fk_hat - f|^2] per k.
 
@@ -311,8 +306,7 @@ def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
     the estimate beyond MC noise, which the test-suite checks.
     """
     p = spec.params
-    T = p.horizon if t_max is None else t_max
-    times = np.linspace(0.0, T, n_steps + 1)
+    times = np.linspace(0.0, p.horizon, n_steps + 1)
     stride = max(1, n_steps // sup_slices)
     slice_idx = list(range(0, times.size, stride))
     if slice_idx[-1] != times.size - 1:

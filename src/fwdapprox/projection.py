@@ -56,6 +56,7 @@ __all__ = [
 N_MAX = 512  # series truncation horizon; tails certified by the 1/n^2 bound
 COEFF_POINTS = 2**12 + 1
 COEFF_POINTS_CAP = 2**16 + 1
+PERIOD_POINTS = 2**13 + 1  # Simpson nodes of the one-period norm quadrature
 
 
 @dataclass(frozen=True)
@@ -249,16 +250,15 @@ def reconstruct_deriv(s: CoeffState, x) -> np.ndarray | complex:
     return complex(out[0]) if x.ndim == 0 else out
 
 
-def commutator_apply(h: Curve, k: int, t, params: BasisParams,
-                     n_max: int = N_MAX) -> np.ndarray | complex:
+def commutator_apply(h: Curve, k: int, t, params: BasisParams) -> np.ndarray | complex:
     """Scalar the commutator maps h to (times the constant curve) at each t.
 
     Computed from the basis expansion: sum over |n| > k of g_n(t) <h, g_n^*>,
-    truncated at n_max.  h is projected once for all t.
+    truncated at N_MAX.  h is projected once for all t.
     """
     t = np.asarray(t, dtype=float)
-    state = coefficients_fft(h, n_max, params, n_points=2**14 + 1)
-    ns = params.n_range(n_max)
+    state = coefficients_fft(h, N_MAX, params, n_points=2**14 + 1)
+    ns = params.n_range(N_MAX)
     mask = np.abs(ns) > k
     g_t = eval_g_n(params, ns[mask], np.atleast_1d(t))
     # one contiguous row per t, so each sum runs in the same order as for one t
@@ -309,69 +309,67 @@ def compute_C2(params: BasisParams) -> float:
     return float(params.horizon / (np.pi**2 * params.damping_factor))
 
 
-def c_kt_norm_sq(params: BasisParams, k: int, t: float,
-                 n_max: int = N_MAX) -> CommutatorElement:
+def c_kt_norm_sq(params: BasisParams, k: int, t: float) -> CommutatorElement:
     """Certified upper estimate of the squared norm of the commutator kernel.
 
-    Truncated series C * sum_{k < |n| <= n_max} |g_n(t)|^2 plus the geometric
-    1/n^2 tail bound beyond n_max.
+    Truncated series C * sum_{k < |n| <= N_MAX} |g_n(t)|^2 plus the geometric
+    1/n^2 tail bound beyond N_MAX.
     """
     T = params.horizon
     C = frame_upper_constant(params)
-    ns = params.n_range(n_max)
+    ns = params.n_range(N_MAX)
     mask = np.abs(ns) > k
     g_t = eval_g_n(params, ns[mask], np.array([float(t)]))[:, 0]
     series = float(np.sum(np.abs(g_t) ** 2))
-    tail = (1.0 + np.exp(-(2.0 * params.lam + params.alpha) * t)) * T / (np.pi**2 * n_max)
+    tail = (1.0 + np.exp(-(2.0 * params.lam + params.alpha) * t)) * T / (np.pi**2 * N_MAX)
     return CommutatorElement(t=float(t), k=k,
                              norm_sq_bound=float(C * (series + tail)))
 
 
-def _period_norm(value_at_zero: complex, deriv, params: BasisParams,
-                 n_points: int = 2**13 + 1) -> float:
+def _period_norm(value_at_zero: complex, deriv, params: BasisParams) -> float:
     """Norm of a span element or a localised curve Pi h from one period.
 
     Their weighted derivative energy over [mT, (m+1)T] is e^{-2 lam m T} times
-    that over [0, T], so the full integral is the one-period quadrature
-    divided by (1 - e^{-2 lam T}).  ``deriv`` maps points of [0, T] to h'.
+    that over [0, T], so the full integral is the one-period quadrature (on
+    PERIOD_POINTS nodes) divided by (1 - e^{-2 lam T}).  ``deriv`` maps
+    points of [0, T] to h'.
     """
-    x = np.linspace(0.0, params.horizon, n_points)
+    x = np.linspace(0.0, params.horizon, PERIOD_POINTS)
     d = deriv(x)
-    w = _simpson_weights(n_points, params.horizon / (n_points - 1))
+    w = _simpson_weights(PERIOD_POINTS, params.horizon / (PERIOD_POINTS - 1))
     energy = float(np.sum(w * np.abs(d) ** 2 * np.exp(params.alpha * x)))
     return float(np.sqrt(abs(value_at_zero) ** 2 + energy / params.damping_factor))
 
 
-def norm_alpha_span(s: CoeffState, n_points: int = 2**13 + 1) -> float:
+def norm_alpha_span(s: CoeffState) -> float:
     """Norm of a span element by quadrature over one period.
 
     The derivative on the quadrature grid comes from one FFT (``_synth_fft``).
     """
     return _period_norm(s.c_star, lambda x: _synth_fft(s.c, x.size, s.params),
-                        s.params, n_points)
+                        s.params)
 
 
-def power_iteration_pi_norm(params: BasisParams, n_iter: int = 50,
-                            pts_per_period: int = 256,
-                            n_periods: int | None = None,
-                            seed: int = 0) -> float:
+def power_iteration_pi_norm(params: BasisParams) -> float:
     """Operator-norm estimate of the localisation projector by power iteration.
 
     Curves are discretised as (value, per-period derivative blocks) with
     duplicated period-boundary nodes so the projector's one-sided limits are
     represented exactly; the iteration runs on the weighted adjoint square.
+    It takes 50 steps from a seed-0 random start, on 256 intervals per period
+    over enough periods that the neglected tail weight is below 1e-6.
     """
+    n_iter, pts_per_period = 50, 256
     T = params.horizon
     q = np.exp(-2.0 * params.lam * T)
-    if n_periods is None:
-        n_periods = max(3, int(np.ceil(np.log(1e-6) / np.log(q))) + 1)
+    n_periods = max(3, int(np.ceil(np.log(1e-6) / np.log(q))) + 1)
     u = np.linspace(0.0, T, pts_per_period + 1)
     w = _simpson_weights(pts_per_period + 1, T / pts_per_period)
     # weighted quadrature weights per block m: w_j * e^{alpha (u_j + m T)}
     block_w = w[None, :] * np.exp(params.alpha * (u[None, :] + T * np.arange(n_periods)[:, None]))
     damp = np.exp(-params.decay * T * np.arange(n_periods))  # block scale of Pi
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     h0 = rng.normal()
     W = rng.normal(size=(n_periods, pts_per_period + 1))
 

@@ -18,15 +18,14 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import simpson, trapezoid
+from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
 from .basis import BasisParams, eval_e_n_star, eval_g_n_deriv
-from .errors import DomainTooShort, GridMismatch
+from .errors import DomainTooShort
 
 __all__ = [
     "Curve",
-    "QuadratureSpec",
     "inner_product_alpha",
     "norm_alpha",
     "sup_norm_bound",
@@ -40,22 +39,9 @@ __all__ = [
 ]
 
 DEFAULT_POINTS = 2**12 + 1  # resolves |n| <= 128 oscillations at >= 16 pts/period for T=1
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Quadrature rule selector."""
-
-    rule: str = "simpson"
-
-    def __post_init__(self) -> None:
-        if self.rule not in ("simpson", "trapezoid"):
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
-
-    def integrate(self, y: np.ndarray, dx: float, axis: int = -1):
-        if self.rule == "simpson":
-            return simpson(y, dx=dx, axis=axis)
-        return trapezoid(y, dx=dx, axis=axis)
+# dual Gram quadrature: Simpson points per period, relative tail neglected
+GRAM_PTS_PER_PERIOD = 2048
+GRAM_TAIL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -121,7 +107,8 @@ class Curve:
         """Cubic-spline evaluation of f' at arbitrary points inside the grid."""
         x = np.asarray(x, dtype=float)
         if np.any(x > self.x_max + 1e-9) or np.any(x < -1e-12):
-            raise DomainTooShort(f"requested derivative beyond x_max={self.x_max}")
+            raise DomainTooShort("requested derivative outside [0, x_max], "
+                                 f"x_max={self.x_max}")
         re, im = self._spline()
         return re(x) + (0j if im is None else 1j * im(x))
 
@@ -129,7 +116,8 @@ class Curve:
         """f(x) = f(0) + int_0^x f'(y) dy via the spline antiderivative."""
         x = np.asarray(x, dtype=float)
         if np.any(x > self.x_max + 1e-9) or np.any(x < -1e-12):
-            raise DomainTooShort(f"requested value beyond x_max={self.x_max}")
+            raise DomainTooShort("requested value outside [0, x_max], "
+                                 f"x_max={self.x_max}")
         re, im = self._antideriv()
         return self.value_at_zero + re(x) + (0j if im is None else 1j * im(x))
 
@@ -172,35 +160,31 @@ class Curve:
     __rmul__ = __mul__
 
 
-def _align(f: Curve, g: Curve, resample: bool = True) -> tuple[Curve, Curve]:
+def _align(f: Curve, g: Curve) -> tuple[Curve, Curve]:
+    """Both curves on one grid: the finer step over the shorter range."""
     same = (abs(f.grid_step - g.grid_step) < 1e-12
             and abs(f.x_max - g.x_max) < 1e-12)
     if same:
         return f, g
-    if not resample:
-        raise GridMismatch("curves live on different grids and resampling is off")
     x_max = min(f.x_max, g.x_max)
     step = min(f.grid_step, g.grid_step)
     return f.resample(step, x_max), g.resample(step, x_max)
 
 
-def inner_product_alpha(
-    f: Curve,
-    g: Curve,
-    alpha: float,
-    quad: QuadratureSpec = QuadratureSpec(),
-    resample: bool = True,
-) -> complex:
-    """f(0) conj(g(0)) + weighted quadrature of f' conj(g') over the grid."""
-    f, g = _align(f, g, resample=resample)
+def inner_product_alpha(f: Curve, g: Curve, alpha: float) -> complex:
+    """f(0) conj(g(0)) + weighted Simpson quadrature of f' conj(g') over the grid.
+
+    Curves on different grids are first resampled onto a common one.
+    """
+    f, g = _align(f, g)
     x = f.grid
     integrand = f.deriv_samples * np.conj(g.deriv_samples) * np.exp(alpha * x)
     return complex(f.value_at_zero * np.conj(g.value_at_zero)
-                   + quad.integrate(integrand, dx=f.grid_step))
+                   + simpson(integrand, dx=f.grid_step))
 
 
-def norm_alpha(f: Curve, alpha: float, quad: QuadratureSpec = QuadratureSpec()) -> float:
-    return float(np.sqrt(max(inner_product_alpha(f, f, alpha, quad).real, 0.0)))
+def norm_alpha(f: Curve, alpha: float) -> float:
+    return float(np.sqrt(max(inner_product_alpha(f, f, alpha).real, 0.0)))
 
 
 class SupNormCheck(NamedTuple):
@@ -208,10 +192,9 @@ class SupNormCheck(NamedTuple):
     grid_sup: float
 
 
-def sup_norm_bound(f: Curve, alpha: float,
-                   quad: QuadratureSpec = QuadratureSpec()) -> SupNormCheck:
+def sup_norm_bound(f: Curve, alpha: float) -> SupNormCheck:
     """Embedding bound sqrt(1 + 1/alpha) * ||f|| next to the observed grid sup."""
-    bound = float(np.sqrt(1.0 + 1.0 / alpha) * norm_alpha(f, alpha, quad))
+    bound = float(np.sqrt(1.0 + 1.0 / alpha) * norm_alpha(f, alpha))
     sup = float(np.max(np.abs(f.values_on_grid())))
     return SupNormCheck(bound=bound, grid_sup=sup)
 
@@ -278,19 +261,18 @@ def read_curve_csv(path_or_buf) -> Curve:
 
 # -- segmented quadrature against the biorthogonal system --------------------
 
-def segmented_grid(params: BasisParams, tail_tol: float = 1e-9,
-                   pts_per_period: int = 2048) -> tuple[np.ndarray, np.ndarray, int]:
+def segmented_grid(params: BasisParams) -> tuple[np.ndarray, np.ndarray, int]:
     """Period-blocked quadrature grid for integrands that decay like e^{-2 lam T}
     per period and may jump at period boundaries.
 
     Returns (y, u, n_periods): global points and their period-local offsets,
-    both of shape (n_periods, pts_per_period + 1).  The block count is chosen
-    so the neglected geometric tail is below ``tail_tol`` relatively.
+    both of shape (n_periods, GRAM_PTS_PER_PERIOD + 1).  The block count is
+    chosen so the neglected geometric tail is below GRAM_TAIL_TOL relatively.
     """
     T = params.horizon
     q = np.exp(-2.0 * params.lam * T)
-    n_periods = max(2, int(np.ceil(np.log(tail_tol * (1.0 - q)) / np.log(q))) + 1)
-    u = np.linspace(0.0, T, pts_per_period + 1)
+    n_periods = max(2, int(np.ceil(np.log(GRAM_TAIL_TOL * (1.0 - q)) / np.log(q))) + 1)
+    u = np.linspace(0.0, T, GRAM_PTS_PER_PERIOD + 1)
     starts = T * np.arange(n_periods)
     y = starts[:, None] + u[None, :]
     uu = np.broadcast_to(u, y.shape)
@@ -306,18 +288,16 @@ def _simpson_weights(n_points: int, dx: float) -> np.ndarray:
     return w * (dx / 3.0)
 
 
-def dual_gram_matrix(params: BasisParams, n_max: int,
-                     pts_per_period: int = 2048,
-                     tail_tol: float = 1e-9) -> np.ndarray:
+def dual_gram_matrix(params: BasisParams, n_max: int) -> np.ndarray:
     """Gram matrix <g_m, g_n^*> for |m|, |n| <= n_max by blockwise Simpson.
 
     The dual derivative jumps at period boundaries, so each period is
     integrated as a closed smooth segment with one-sided boundary values.
     Biorthogonality predicts the identity matrix.
     """
-    y, u, _ = segmented_grid(params, tail_tol, pts_per_period)
-    dx = params.horizon / pts_per_period
-    w = _simpson_weights(pts_per_period + 1, dx)
+    y, u, _ = segmented_grid(params)
+    dx = params.horizon / GRAM_PTS_PER_PERIOD
+    w = _simpson_weights(GRAM_PTS_PER_PERIOD + 1, dx)
     weight = (w[None, :] * np.exp(params.alpha * y)).ravel()
 
     ns = params.n_range(n_max)

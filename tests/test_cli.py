@@ -217,6 +217,10 @@ def test_converge_markovian_runs_small(tmp_path):
     assert rows[0] == ["k", "mc_error", "stderr", "bound", "n_paths", "seed"]
     assert [r[3] for r in rows[1:]] == ["", ""]
     assert float(rows[1][1]) > float(rows[2][1])
+    # the Markovian numbers themselves, pinned: a refactor must not move them
+    assert [int(r[0]) for r in rows[1:]] == [2, 4]
+    assert float(rows[1][1]) == pytest.approx(1.0534997337908746e-05, rel=1e-10)
+    assert float(rows[2][1]) == pytest.approx(8.209095350868012e-06, rel=1e-10)
 
 
 def test_curve_file_loading_roundtrip(tmp_path):

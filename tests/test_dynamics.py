@@ -19,7 +19,7 @@ from fwdapprox.dynamics import (
     splitmix64,
     system_matrix,
 )
-from fwdapprox.errors import BadWindow, UnstableStep
+from fwdapprox.errors import BadWindow, DomainTooShort, UnstableStep
 from fwdapprox.markovian import make_field, simulate_markovian_fk
 from fwdapprox.projection import CoeffState, coefficients_fft, reconstruct, reconstruct_deriv
 from fwdapprox.space import Curve, _simpson_weights
@@ -399,6 +399,15 @@ def test_convergence_experiment_rejects_complex_curves(which):
     spec = ModelSpec(f0=f0, params=P, beta=beta)
     with pytest.raises(ValueError, match="imaginary part"):
         convergence_experiment(spec, drv, 0.5, [4], 2, n_steps=4)
+
+
+def test_convergence_experiment_names_t_eval_beyond_the_horizon():
+    # the curves cover [0, 4], so the failure lies in t_eval > T, not the range
+    grid = dict(x_max=4.0, n_points=513)
+    drv = LevyDriver(rank=1, loadings=[exp_loading(0.1, 1.0, **grid)], seed=7)
+    spec = ModelSpec(f0=smooth_bump(**grid), params=P)
+    with pytest.raises(DomainTooShort, match=r"t_eval=1\.5 lies beyond the horizon T=1\.0"):
+        convergence_experiment(spec, drv, 1.5, [4], 2, n_steps=4)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from fwdapprox import space
 from fwdapprox.basis import BasisParams
 from fwdapprox.dynamics import LevyDriver, ModelSpec, euler_coefficient_system
 from fwdapprox.errors import UnstableStep
 from fwdapprox.markovian import (
     CoefficientField,
-    PicardConfig,
     contract_audit,
     make_field,
     markovian_convergence_experiment,
@@ -32,12 +32,6 @@ def make_spec():
     return ModelSpec(f0=smooth_bump(), params=P)
 
 
-def test_picard_config_validation():
-    with pytest.raises(ValueError):
-        PicardConfig(max_iter=0)
-    assert PicardConfig().max_iter >= 1
-
-
 def test_registry_unknown_field():
     with pytest.raises(ValueError):
         make_field("quadratic", make_driver(), P)
@@ -56,6 +50,24 @@ def test_contract_audit_passes_for_registry_fields():
         assert audit["lipschitz_psi_ratio"] <= 1.0, (name, audit)
         assert audit["growth_ratio"] <= 1.0, (name, audit)
         assert audit["structure_leak"] == 0.0, (name, audit)
+
+
+def test_contract_audit_fits_no_spline_to_rounding_noise(monkeypatch):
+    # the audit's random curves are real; resampling one for theta - f must
+    # not fit a spline to a rounding-level imaginary part of its synthesis
+    built = []
+    spline = space.CubicSpline
+
+    def recording(x, y, *args, **kwargs):
+        built.append(float(np.max(np.abs(y))))
+        return spline(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(space, "CubicSpline", recording)
+    field = make_field("mean_revert", make_driver(), P, kappa=0.5,
+                       theta=flat_curve(1.2))
+    contract_audit(field, P, 3, n_pairs=5)
+    assert built, "the audit resamples its curves onto theta's grid"
+    assert sum(m < 1e-12 for m in built) == 0
 
 
 def test_proportional_vol_reads_f0_without_building_splines():
