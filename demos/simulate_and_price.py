@@ -1,8 +1,9 @@
 """Simulate truncated forward-curve dynamics and price delivery windows.
 
 Builds a three-factor driver, runs the exact state-variable scheme for the
-2k+2 coefficient system, and prices average-delivery forwards with the
-closed-form window weights.
+2k+2 coefficient system (its trajectory: the spot S_k and the factors U at
+every time), and prices average-delivery forwards with the closed-form window
+weights.
 
 Run:  python demos/simulate_and_price.py
 """
@@ -28,7 +29,7 @@ spec = ModelSpec(f0=smooth_bump(), params=params)
 
 k = 8
 times = np.linspace(0.0, 0.5, 65)
-path, sv = simulate_fk_state(spec, driver, times, k, path_id=0)
+sv = simulate_fk_state(spec, driver, times, k, path_id=0)
 
 print("== spot trajectory (the constant coefficient) ==")
 for j in range(0, times.size, 16):
@@ -36,7 +37,7 @@ for j in range(0, times.size, 16):
 print()
 
 # the spot always equals the curve evaluated at zero time to maturity
-s_end = path.states[-1]
+s_end = sv.state(-1)
 print(f"invariant check: |spot - f_k(t, 0)| = "
       f"{abs(sv.S_k[-1] - complex(reconstruct(s_end, 0.0))):.2e}")
 print()
@@ -44,7 +45,7 @@ print()
 print("== curve snapshots ==")
 x = np.linspace(0.0, 1.0, 6)
 for j in (0, 32, 64):
-    vals = np.real(reconstruct(path.states[j], x))
+    vals = np.real(reconstruct(sv.state(j), x))
     print(f"t={times[j]:.3f}  f(t, x): " + "  ".join(f"{v:+.4f}" for v in vals))
 print()
 
@@ -57,7 +58,7 @@ for T1, T2 in windows:
     for j in (0, 32, 64):
         t = times[j]
         if t <= T1:
-            F = delivery_forward(path.states[j], float(t), T1, T2)
+            F = delivery_forward(sv.state(j), float(t), T1, T2)
             print(f"  t={t:.3f}  F(t, {T1}, {T2}) = {F.real:+.5f}")
 print()
 

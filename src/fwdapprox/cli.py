@@ -345,9 +345,9 @@ def cmd_simulate(cfg: dict, base_dir: Path, out: Path) -> int:
     G = eval_g_n(params, params.n_range(k), x)
     scen_rows, fwd_rows, slices = [], [], []
     for pid in range(n_paths):
-        path, _ = simulate_fk_state(model, driver, times, k, path_id=pid)
+        path = simulate_fk_state(model, driver, times, k, path_id=pid)
         for j, t in enumerate(times):
-            s = path.states[j]
+            s = path.state(j)
             vals = s.c_star + s.c @ G
             for xi, v in zip(x, vals):
                 scen_rows.append([pid, repr(float(t)), repr(float(xi)),

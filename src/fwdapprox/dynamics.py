@@ -2,8 +2,11 @@
 
 Contains the finite-rank noise driver, a fine-grid mild-solution oracle, the
 exact finite-dimensional state-variable simulation, the explicit Euler scheme
-on the coefficient system, delivery-period forwards and the Monte-Carlo
-convergence experiment comparing the truncated model to the oracle.
+on the coefficient system (the one Euler loop `_euler_path`, which the
+Markovian scheme shares; linear Euler feeds it a field that ignores the
+curve), delivery-period forwards and the Monte-Carlo convergence experiment
+comparing the truncated model to the oracle.  The coefficient schemes return
+`StateVariables` arrays.
 
 Time stepping is left-Riemann throughout: each step adds the drift and noise
 increment evaluated at the left endpoint and then transports by the shift.
@@ -20,12 +23,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import BasisParams, eval_g_n, lambda_n
+from .basis import BasisParams, eval_g_n, eval_g_n_deriv, lambda_n
 from .errors import BadWindow, DomainTooShort, UnstableStep
-from .projection import (CoeffState, _period_norm, coefficients_fft,
+from .projection import (CoeffState, _fold_fft, _period_norm, coefficients_fft,
                          compute_C1, compute_C2)
 from .semigroup import _shift, _shift_factors, shift_curve
-from .space import Curve
+from .space import Curve, _simpson_weights
 
 __all__ = [
     "LevyDriver",
@@ -123,7 +126,7 @@ class ModelSpec:
 
 @dataclass
 class SimPath:
-    """One simulated trajectory: grid times, states and the noise used."""
+    """One curve-space trajectory: grid times, curve states and the noise used."""
 
     times: np.ndarray
     states: list
@@ -137,10 +140,15 @@ class SimPath:
 
 @dataclass
 class StateVariables:
-    """Spot path S_k (times,) and factor paths U (times, 2k+1)."""
+    """Spot path S_k (times,) and factor paths U (times, 2k+1) at level k."""
 
     S_k: np.ndarray
     U: np.ndarray
+    params: BasisParams
+
+    def state(self, j: int) -> CoeffState:
+        """The coefficients at grid time j (negative j counts from the end)."""
+        return CoeffState(complex(self.S_k[j]), self.U[j], self.params)
 
 
 def _uniform_step(times: np.ndarray) -> float:
@@ -284,7 +292,7 @@ def _final_state(init: CoeffState, loads, drift, weighted: np.ndarray,
 
 def simulate_fk_state(spec: ModelSpec, driver: LevyDriver, times, k: int,
                       noise: np.ndarray | None = None,
-                      path_id: int = 0) -> tuple[SimPath, StateVariables]:
+                      path_id: int = 0) -> StateVariables:
     """Exact simulation of the truncated dynamics via its state variables.
 
     Mode n follows dU_n = lambda_n U_n dt + dX_n with the linear part solved
@@ -296,12 +304,9 @@ def simulate_fk_state(spec: ModelSpec, driver: LevyDriver, times, k: int,
     dt = _uniform_step(times)
     dL = _noise_for(driver, dt, times.size - 1, noise, path_id)
     init, loads, drift, psi = _projected_inputs(spec, driver, times, k)
-    states = [init]
-    for c_star, c in _exact_transport(init, loads, drift, psi * dL, dt, k):
-        states.append(CoeffState(complex(c_star), c, init.params))
-    path = SimPath(times=times, states=states, noise_record=dL)
-    return path, StateVariables(S_k=np.array([s.c_star for s in states]),
-                                U=np.stack([s.c for s in states]))
+    S_k, U = zip((init.c_star, init.c),
+                 *_exact_transport(init, loads, drift, psi * dL, dt, k))
+    return StateVariables(np.array(S_k), np.stack(U), init.params)
 
 
 def euler_stability_limit(params: BasisParams, k: int) -> float:
@@ -324,36 +329,71 @@ def system_matrix(params: BasisParams, k: int) -> np.ndarray:
     return A
 
 
-def _stable_euler_matrix(params: BasisParams, k: int, dt: float) -> np.ndarray:
-    """`system_matrix`, once dt is checked against the explicit-Euler limit."""
-    limit = euler_stability_limit(params, k)
+def _euler_path(spec: ModelSpec, driver: LevyDriver, times, k: int,
+                noise: np.ndarray | None,
+                outputs: Callable[[float, Curve], Sequence[Curve]]) -> StateVariables:
+    """Explicit Euler on the 2k+2 coefficient system fed by a curve field.
+
+    ``outputs(t_j, f_j)`` gives the drift and one noise column per factor at
+    the current span curve f_j, each folded on f0's nodes over [0, T] and
+    scaled by dt or dL_j; they must cover [0, T] (else DomainTooShort).
+    """
+    p = spec.params
+    times = np.asarray(times, dtype=float)
+    dt = _uniform_step(times)
+    limit = euler_stability_limit(p, k)
     if dt >= limit:
         raise UnstableStep(f"step {dt} >= stability limit {limit:.3e} for k={k}")
-    return system_matrix(params, k)
+    A = system_matrix(p, k)
+    dL = _noise_for(driver, dt, times.size - 1, noise)
+
+    f0, step = spec.f0, spec.f0.grid_step
+    n_T = int(round(p.horizon / step))
+    if abs(n_T * step - p.horizon) > 1e-9 or n_T % 2 != 0:
+        raise ValueError("initial-curve grid must split [0, T] into an even "
+                         "number of intervals")
+    xT = f0.grid[:n_T + 1]
+    w = _simpson_weights(n_T + 1, p.horizon / n_T) * np.exp(p.decay * xT)
+    Gd = eval_g_n_deriv(p, p.n_range(k), f0.grid)
+
+    init = coefficients_fft(f0, k, p)
+    x = np.concatenate(([init.c_star], init.c))
+    xs = [x]
+    for j, t in enumerate(times[:-1]):
+        outs = outputs(t, Curve(complex(x[0]), x[1:] @ Gd, step, f0.x_max))
+        scale = np.concatenate(([dt], dL[j]))
+        inc = dt * (A @ x)
+        for s, out_curve in zip(scale, outs):
+            if out_curve.x_max < p.horizon - 1e-12:
+                raise DomainTooShort(f"field output at t={t:g} covers "
+                                     f"[0, {out_curve.x_max}], not [0, T]")
+            if s != 0.0:
+                if abs(out_curve.grid_step - step) < 1e-12:
+                    d = out_curve.deriv_samples[:n_T + 1]
+                else:
+                    d = out_curve.deriv(xT)
+                inc[0] += s * complex(out_curve.value_at_zero)
+                inc[1:] += s * _fold_fft(w * d, k, p.horizon)
+        x = x + inc
+        xs.append(x)
+    xs = np.stack(xs)
+    return StateVariables(xs[:, 0], xs[:, 1:], init.params)
 
 
 def euler_coefficient_system(spec: ModelSpec, driver: LevyDriver, times, k: int,
-                             noise: np.ndarray | None = None) -> SimPath:
+                             noise: np.ndarray | None = None) -> StateVariables:
     """Plain explicit Euler on the 2k+2 complex coefficient system.
 
-    Without ``noise`` the driver's path 0 supplies the increments.
+    The Markovian Euler loop on the field b = beta(t) (zero without drift),
+    psi_i = w_i(t) loading_i, which ignores the curve.  Without ``noise`` the
+    driver's path 0 supplies the increments.
     """
-    times = np.asarray(times, dtype=float)
-    dt = _uniform_step(times)
-    A = _stable_euler_matrix(spec.params, k, dt)
-    dL = _noise_for(driver, dt, times.size - 1, noise)
-    init, loads, drift, psi = _projected_inputs(spec, driver, times, k)
-    load_v = np.column_stack(loads)                  # (d, 2k+2)
-    drift_v = None if drift is None else np.column_stack(drift)
-    x = np.concatenate(([init.c_star], init.c))
-    states = [init]
-    for j, w in enumerate(psi * dL):
-        rate = A @ x
-        if drift_v is not None:
-            rate = rate + drift_v[j]
-        x = x + dt * rate + w @ load_v
-        states.append(CoeffState(complex(x[0]), x[1:].copy(), init.params))
-    return SimPath(times=times, states=states, noise_record=dL)
+    def outputs(t, f):
+        b = f * 0.0 if spec.beta is None else spec.beta(t)
+        w = spec.weights(t, driver.rank)
+        return [b] + [c * wi for c, wi in zip(driver.loadings, w)]
+
+    return _euler_path(spec, driver, times, k, noise, outputs)
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:

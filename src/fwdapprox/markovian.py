@@ -5,7 +5,8 @@ psi_i(t, f) together with declared Lipschitz constants.  The structure
 condition (coefficients may read the curve only on [0, T - t]) is enforced
 mechanically: every field evaluation receives the input curve with its
 derivative zeroed beyond T - t, so dependence on the tail is impossible by
-construction and audits can verify it by perturbation.
+construction and audits can verify it by perturbation.  The truncated scheme
+feeds the masked field to the one coefficient Euler loop, `dynamics._euler_path`.
 """
 from __future__ import annotations
 
@@ -14,14 +15,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import (BasisParams, eval_g_n_deriv, frame_lower_constant,
-                    frame_upper_constant, projector_norm_bound)
-from .dynamics import (LevyDriver, ModelSpec, SimPath, _curve_recursion,
-                       _increment, _noise_for, _stable_euler_matrix,
+from .basis import (BasisParams, frame_lower_constant, frame_upper_constant,
+                    projector_norm_bound)
+from .dynamics import (LevyDriver, ModelSpec, SimPath, StateVariables,
+                       _curve_recursion, _euler_path, _increment, _noise_for,
                        _uniform_step)
-from .projection import (CoeffState, _fold_fft, coefficients_fft, reconstruct,
-                         reconstruct_deriv)
-from .space import Curve, _simpson_weights, norm_alpha
+from .projection import CoeffState, coefficients_fft, reconstruct, reconstruct_deriv
+from .space import Curve, norm_alpha
 from .testcurves import flat_curve
 
 __all__ = [
@@ -173,13 +173,13 @@ def contract_audit(cf: CoefficientField, params: BasisParams, rank: int,
         t = float(rng.choice(AUDIT_TIMES))
         fm, gm = _masked(f, t, params), _masked(g, t, params)
         dist = norm_alpha(f - g, params.alpha)
-        nb = norm_alpha(cf.b(t, fm) - cf.b(t, gm), params.alpha)
+        bf, pf = cf.b(t, fm), cf.psi(t, fm)
+        nb = norm_alpha(bf - cf.b(t, gm), params.alpha)
         worst_lip_b = max(worst_lip_b, nb / (cf.lipschitz_b * dist + 1e-300))
-        pf, pg = cf.psi(t, fm), cf.psi(t, gm)
         npsi = np.sqrt(sum(norm_alpha(a - b, params.alpha) ** 2
-                           for a, b in zip(pf, pg)))
+                           for a, b in zip(pf, cf.psi(t, gm))))
         worst_lip_psi = max(worst_lip_psi, npsi / (cf.lipschitz_psi * dist + 1e-300))
-        gb = norm_alpha(cf.b(t, fm), params.alpha)
+        gb = norm_alpha(bf, params.alpha)
         worst_growth = max(worst_growth,
                            gb / (cf.lipschitz_b * (1.0 + norm_alpha(f, params.alpha))
                                  + 1e-300))
@@ -187,9 +187,9 @@ def contract_audit(cf: CoefficientField, params: BasisParams, rank: int,
         tail = f.deriv_samples.copy()
         tail[f.grid > params.horizon - t + 1e-9] += rng.normal()
         f_pert = _masked(Curve(f.value_at_zero, tail, f.grid_step, f.x_max), t, params)
-        db = norm_alpha(cf.b(t, fm) - cf.b(t, f_pert), params.alpha)
+        db = norm_alpha(bf - cf.b(t, f_pert), params.alpha)
         dpsi = max(norm_alpha(a - b, params.alpha)
-                   for a, b in zip(cf.psi(t, fm), cf.psi(t, f_pert)))
+                   for a, b in zip(pf, cf.psi(t, f_pert)))
         worst_structure = max(worst_structure, db, dpsi)
     return {
         "lipschitz_b_ratio": float(worst_lip_b),
@@ -242,7 +242,7 @@ def picard_operator_V(h_states: Sequence[Curve], cf: CoefficientField,
 
 def simulate_markovian_fk(cf: CoefficientField, spec: ModelSpec,
                           driver: LevyDriver, times, k: int,
-                          noise: np.ndarray | None = None) -> SimPath:
+                          noise: np.ndarray | None = None) -> StateVariables:
     """Explicit Euler on the 2k+2 coefficient system with state feedback.
 
     The coefficients b_k, psi_k are evaluated by reconstructing the current
@@ -252,45 +252,11 @@ def simulate_markovian_fk(cf: CoefficientField, spec: ModelSpec,
     curve's nodes over [0, T], read through its spline if on another grid.
     Without ``noise`` the driver's path 0 supplies the increments.
     """
-    p = spec.params
-    times = np.asarray(times, dtype=float)
-    dt = _uniform_step(times)
-    A = _stable_euler_matrix(p, k, dt)
-    n_steps = times.size - 1
-    dL = _noise_for(driver, dt, n_steps, noise)
+    def outputs(t, f):
+        fm = _masked(f, t, spec.params)
+        return [cf.b(t, fm)] + list(cf.psi(t, fm))
 
-    f0 = spec.f0
-    xg = f0.grid
-    step = f0.grid_step
-    n_T = int(round(p.horizon / step))
-    if abs(n_T * step - p.horizon) > 1e-9 or n_T % 2 != 0:
-        raise ValueError("initial-curve grid must split [0, T] into an even "
-                         "number of intervals")
-    xT = xg[:n_T + 1]
-    w = _simpson_weights(n_T + 1, p.horizon / n_T) * np.exp(p.decay * xT)
-    Gd = eval_g_n_deriv(p, p.n_range(k), xg)
-
-    state = coefficients_fft(f0, k, p)
-    pk = state.params
-    x = np.concatenate(([state.c_star], state.c))
-    states = [state]
-    for j in range(n_steps):
-        t = times[j]
-        f_hat = _masked(Curve(complex(x[0]), x[1:] @ Gd, step, f0.x_max), t, p)
-        outs = [cf.b(t, f_hat)] + list(cf.psi(t, f_hat))
-        scale = np.concatenate(([dt], dL[j]))
-        inc = dt * (A @ x)
-        for s, out_curve in zip(scale, outs):
-            if s != 0.0:
-                if abs(out_curve.grid_step - step) < 1e-12:
-                    d = out_curve.deriv_samples[:n_T + 1]
-                else:
-                    d = out_curve.deriv(xT)
-                inc[0] += s * complex(out_curve.value_at_zero)
-                inc[1:] += s * _fold_fft(w * d, k, p.horizon)
-        x = x + inc
-        states.append(CoeffState(complex(x[0]), x[1:].copy(), pk))
-    return SimPath(times=times, states=states, noise_record=dL)
+    return _euler_path(spec, driver, times, k, noise, outputs)
 
 
 def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
@@ -326,7 +292,7 @@ def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
                                          noise=noise)
             worst = 0.0
             for j in slice_idx:
-                vals = reconstruct(path.states[j], xs[j])
+                vals = reconstruct(path.state(j), xs[j])
                 worst = max(worst, float(np.max(np.abs(vals - o_vals[j]) ** 2)))
             errs[int(k)][pid] = worst
     return [{

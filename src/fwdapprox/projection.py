@@ -103,16 +103,6 @@ class CoeffState:
         c = np.array([complex(re, im) for re, im in d["c"]])
         return cls(complex(*d["c_star"]), c, params)
 
-    def __add__(self, other: "CoeffState") -> "CoeffState":
-        if other.params != self.params:
-            raise ValueError("coefficient states have different parameters")
-        return CoeffState(self.c_star + other.c_star, self.c + other.c, self.params)
-
-    def __mul__(self, z) -> "CoeffState":
-        return CoeffState(self.c_star * z, self.c * z, self.params)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
 class CommutatorElement:

@@ -318,7 +318,7 @@ def test_12_euler_strong_order_one():
         path = euler_coefficient_system(spec, driver,
                                         np.linspace(0.0, t_end, L + 1), k,
                                         noise=np.zeros((L, 3)))
-        s = path.states[-1]
+        s = path.state(-1)
         errs.append(float(np.max(np.abs(
             np.concatenate(([s.c_star], s.c)) - exact))))
     slope = float(np.polyfit(np.log([t_end / L for L in steps]),

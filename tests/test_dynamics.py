@@ -103,8 +103,8 @@ def test_state_sim_zero_noise_closed_form():
     drv = make_driver()
     t_end = 0.5
     times = np.linspace(0, t_end, 33)
-    path, sv = simulate_fk_state(spec, drv, times, k=6,
-                                 noise=np.zeros((32, 3)))
+    sv = simulate_fk_state(spec, drv, times, k=6,
+                           noise=np.zeros((32, 3)))
     init = coefficients_fft(spec.f0, 6, P)
     lams = lambda_n(P, P.n_range(6))
     assert np.allclose(sv.U[-1], init.c * np.exp(lams * t_end), atol=1e-12)
@@ -117,24 +117,25 @@ def test_spot_equals_curve_at_zero():
     spec = make_spec(beta_level=0.1)
     drv = make_driver()
     times = np.linspace(0, 0.5, 17)
-    path, sv = simulate_fk_state(spec, drv, times, k=4)
-    for j, s in enumerate(path.states):
+    sv = simulate_fk_state(spec, drv, times, k=4)
+    for j in range(times.size):
+        s = sv.state(j)
         assert abs(complex(reconstruct(s, 0.0)) - sv.S_k[j]) < 1e-10
 
 
 def test_state_sim_starts_at_initial_spot():
     spec = make_spec()
     drv = make_driver()
-    _, sv = simulate_fk_state(spec, drv, np.linspace(0, 0.1, 3), k=4,
-                              noise=np.zeros((2, 3)))
+    sv = simulate_fk_state(spec, drv, np.linspace(0, 0.1, 3), k=4,
+                           noise=np.zeros((2, 3)))
     assert sv.S_k[0] == pytest.approx(complex(spec.f0.value(0.0)))
 
 
 def test_hermitian_symmetry_preserved():
     spec = make_spec(beta_level=0.05)
     drv = make_driver()
-    path, _ = simulate_fk_state(spec, drv, np.linspace(0, 0.5, 33), k=8)
-    assert max(s.hermitian_defect() for s in path.states) < 1e-10
+    path = simulate_fk_state(spec, drv, np.linspace(0, 0.5, 33), k=8)
+    assert max(path.state(j).hermitian_defect() for j in range(33)) < 1e-10
 
 
 def test_factor_is_ou_with_known_stationary_variance():
@@ -185,7 +186,7 @@ def test_euler_converges_to_exact_exponential():
     for L in (64, 128, 256, 512):
         path = euler_coefficient_system(spec, drv, np.linspace(0, t_end, L + 1),
                                         k, noise=np.zeros((L, 3)))
-        s = path.states[-1]
+        s = path.state(-1)
         got = np.concatenate(([s.c_star], s.c))
         errs.append(np.max(np.abs(got - exact)))
     rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -201,11 +202,11 @@ def test_euler_tracks_exact_state_sim_under_shared_noise():
         noise = drv.increments(drv.path_rng(0), t_end / L, L)
         ep = euler_coefficient_system(spec, drv, np.linspace(0, t_end, L + 1),
                                       k, noise=noise)
-        sp, _ = simulate_fk_state(spec, drv, np.linspace(0, t_end, L + 1),
-                                  k, noise=noise)
+        sp = simulate_fk_state(spec, drv, np.linspace(0, t_end, L + 1),
+                               k, noise=noise)
         x = np.linspace(0, 0.75, 65)
-        diffs.append(np.max(np.abs(reconstruct(ep.states[-1], x)
-                                   - reconstruct(sp.states[-1], x))))
+        diffs.append(np.max(np.abs(reconstruct(ep.state(-1), x)
+                                   - reconstruct(sp.state(-1), x))))
     assert diffs[0] > diffs[1] > diffs[2]
 
 
@@ -427,11 +428,32 @@ def test_every_coefficient_scheme_preserves_hermitian_symmetry(alpha, lam, T, k,
                                        exp_loading(0.05, 2.0, **grid)], seed=seed)
     spec = ModelSpec(f0=smooth_bump(**grid), params=pk, beta=lambda t: b)
     noise = drv.increments(drv.path_rng(0), dt, n_steps)
-    paths = [simulate_fk_state(spec, drv, times, k, noise=noise)[0],
+    paths = [simulate_fk_state(spec, drv, times, k, noise=noise),
              euler_coefficient_system(spec, drv, times, k, noise=noise),
              simulate_markovian_fk(make_field("constant", drv, pk, b_curve=b),
                                    spec, drv, times, k, noise=noise)]
     for path in paths:
-        for s in path.states:
+        for j in range(times.size):
+            s = path.state(j)
             scale = abs(s.c_star) + np.sum(np.abs(s.c))
             assert s.hermitian_defect() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("run", [simulate_fk_state, euler_coefficient_system])
+def test_psi_weights_scale_the_noise_at_the_left_endpoint(run):
+    # Psi(t) = sum_i w_i(t) loading_i: weighting the loadings by w(t_j) is
+    # the same as weighting the increments dL_j
+    drv = make_driver()
+    b = seasonal_curve(0.05)
+    weights = lambda t: np.array([1.0 + t, 0.5 - t, 2.0 * np.cos(3.0 * t)])
+    plain = ModelSpec(f0=smooth_bump(), params=P, beta=lambda t: b)
+    weighted = ModelSpec(f0=smooth_bump(), params=P, beta=lambda t: b,
+                         psi_weights=weights)
+    L = 128
+    times = np.linspace(0, 0.25, L + 1)
+    noise = drv.increments(drv.path_rng(0), times[1], L)
+    scaled = noise * np.stack([weights(t) for t in times[:-1]])
+    got = run(weighted, drv, times, 4, noise=noise)
+    want = run(plain, drv, times, 4, noise=scaled)
+    for a, ref in ((got.S_k, want.S_k), (got.U, want.U)):
+        assert np.max(np.abs(a - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -4,7 +4,7 @@ import pytest
 from fwdapprox import space
 from fwdapprox.basis import BasisParams
 from fwdapprox.dynamics import LevyDriver, ModelSpec, euler_coefficient_system
-from fwdapprox.errors import UnstableStep
+from fwdapprox.errors import DomainTooShort, UnstableStep
 from fwdapprox.markovian import (
     CoefficientField,
     contract_audit,
@@ -70,6 +70,28 @@ def test_contract_audit_fits_no_spline_to_rounding_noise(monkeypatch):
     assert sum(m < 1e-12 for m in built) == 0
 
 
+def test_contract_audit_evaluates_each_field_output_once_per_input():
+    # each pair has three inputs (f, g and f with a perturbed tail); b and
+    # psi run once on each, and the audit reports what it did before
+    base = make_field("mean_revert", make_driver(), P, kappa=0.5,
+                      theta=flat_curve(1.2))
+    calls = {"b": 0, "psi": 0}
+
+    def b(t, f):
+        calls["b"] += 1
+        return base.b(t, f)
+
+    def psi(t, f):
+        calls["psi"] += 1
+        return base.psi(t, f)
+
+    counted = CoefficientField(b=b, psi=psi, lipschitz_b=base.lipschitz_b,
+                               lipschitz_psi=base.lipschitz_psi)
+    audit = contract_audit(counted, P, 3, n_pairs=10)
+    assert calls == {"b": 30, "psi": 30}
+    assert audit == contract_audit(base, P, 3, n_pairs=10)
+
+
 def test_proportional_vol_reads_f0_without_building_splines():
     drv = make_driver()
     field = make_field("proportional_vol", drv, P, sigma0=0.2)
@@ -116,8 +138,8 @@ def test_constant_field_matches_linear_euler_system():
     mk = simulate_markovian_fk(field, spec, drv, times, 2, noise=noise)
     le = euler_coefficient_system(spec, drv, times, 2, noise=noise)
     x = np.linspace(0, 0.75, 33)
-    diff = np.max(np.abs(reconstruct(mk.states[-1], x)
-                         - reconstruct(le.states[-1], x)))
+    diff = np.max(np.abs(reconstruct(mk.state(-1), x)
+                         - reconstruct(le.state(-1), x)))
     assert diff < 1e-8
 
 
@@ -133,7 +155,7 @@ def test_mean_revert_zero_noise_flat_scalar_ode():
     times = np.linspace(0, t_end, L + 1)
     mk = simulate_markovian_fk(field, spec, drv, times, k,
                                noise=np.zeros((L, 3)))
-    final = mk.states[-1]
+    final = mk.state(-1)
     exact = theta0 + (c0 - theta0) * np.exp(-kappa * t_end)
     assert complex(final.c_star) == pytest.approx(exact, abs=5e-4)
     assert np.max(np.abs(final.c)) < 1e-12
@@ -155,7 +177,7 @@ def test_markovian_hermitian_symmetry():
     L = 1024
     times = np.linspace(0, 0.5, L + 1)
     mk = simulate_markovian_fk(field, spec, drv, times, 2)
-    assert max(s.hermitian_defect() for s in mk.states) < 1e-10
+    assert max(mk.state(j).hermitian_defect() for j in range(L + 1)) < 1e-10
 
 
 def test_picard_trivial_field_returns_transport():
@@ -237,6 +259,37 @@ def test_off_grid_field_output_is_projected_like_on_grid_one():
         make_field("mean_revert", drv, P, kappa=0.5,
                    theta=smooth_bump(1.2, n_points=n)),
         spec, drv, times, 4, noise=noise) for n in (4097, 8193))
-    for a, b in zip(on.states, off.states):
-        assert abs(a.c_star - b.c_star) <= 1e-13
-        assert np.max(np.abs(a.c - b.c)) <= 1e-13
+    assert np.max(np.abs(on.S_k - off.S_k)) <= 1e-13
+    assert np.max(np.abs(on.U - off.U)) <= 1e-13
+
+
+@pytest.mark.parametrize("scheme", ["markovian", "linear"])
+@pytest.mark.parametrize("short", ["drift", "loading"])
+def test_field_output_short_of_the_horizon_raises(scheme, short):
+    # on the initial curve's grid step but stored on [0, 0.5] only, T = 1
+    cut = dict(x_max=0.5, n_points=1025)
+    curve = flat_curve(0.1, **cut) if short == "drift" else exp_loading(0.05, 1.0, **cut)
+    loads = [exp_loading(0.05, 0.5), curve if short == "loading" else exp_loading(0.05, 1.0)]
+    drv = LevyDriver(rank=2, loadings=loads, seed=11)
+    b = curve if short == "drift" else flat_curve(0.0)
+    times = np.linspace(0, 0.25, 129)
+    with pytest.raises(DomainTooShort, match=r"covers \[0, 0\.5\]"):
+        if scheme == "markovian":
+            simulate_markovian_fk(make_field("constant", drv, P, b_curve=b),
+                                  make_spec(), drv, times, 2)
+        else:
+            euler_coefficient_system(ModelSpec(f0=smooth_bump(), params=P,
+                                               beta=lambda t: b), drv, times, 2)
+
+
+@pytest.mark.parametrize("scheme", ["markovian", "linear"])
+@pytest.mark.parametrize("n_points", [4096, 4095])   # 2047.5 and 2047 intervals
+def test_initial_grid_must_split_the_horizon_evenly(scheme, n_points):
+    drv = make_driver()
+    spec = ModelSpec(f0=smooth_bump(n_points=n_points), params=P)
+    times = np.linspace(0, 0.25, 129)
+    with pytest.raises(ValueError, match="even number of intervals"):
+        if scheme == "markovian":
+            simulate_markovian_fk(make_field("constant", drv, P), spec, drv, times, 2)
+        else:
+            euler_coefficient_system(spec, drv, times, 2)

@@ -1,6 +1,7 @@
 """The public surface: every exported name exists and is declared public."""
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -28,3 +29,71 @@ def test_package_reexports_only_public_names():
             stale += [f"{node.module}.{a.name}" for a in node.names
                       if a.name not in mod.__all__]
     assert not stale, f"fwdapprox/__init__.py imports names outside __all__: {stale}"
+
+
+def _defaulted_parameters():
+    """``module.name(param)`` for every defaulted parameter of a public
+    callable: the functions, classes (dataclass fields included) and public
+    methods of every name in each module's ``__all__``."""
+    found = set()
+    for name in MODULES:
+        mod = importlib.import_module(f"fwdapprox.{name}")
+        for attr in mod.__all__:
+            obj = getattr(mod, attr)
+            if not callable(obj) or obj.__module__ == "fwdapprox.errors":
+                continue   # constants, and exceptions (which take *args)
+            targets = [(attr, obj)]
+            if inspect.isclass(obj):
+                for meth_name, meth in vars(obj).items():
+                    meth = getattr(meth, "__func__", meth)   # class/static methods
+                    if not meth_name.startswith("_") and inspect.isfunction(meth):
+                        targets.append((f"{attr}.{meth_name}", meth))
+            for label, fn in targets:
+                found |= {f"{name}.{label}({p.name})"
+                          for p in inspect.signature(fn).parameters.values()
+                          if p.default is not p.empty and not p.name.startswith("_")}
+    return found
+
+
+# Every option a caller can leave out.  A new one is added here in the same
+# change that adds it, so that growth of the API is a visible decision.
+DEFAULTED_PARAMETERS = {
+    "basis.BasisParams(k)", "basis.BasisParams.n_range(k)",
+    "basis.eval_e_n_star(local)",
+    "cli.main(argv)",
+    "dynamics.LevyDriver(increment_law)", "dynamics.LevyDriver(law_param)",
+    "dynamics.LevyDriver(seed)", "dynamics.ModelSpec(beta)",
+    "dynamics.ModelSpec(psi_weights)", "dynamics.convergence_experiment(n_steps)",
+    "dynamics.euler_coefficient_system(noise)",
+    "dynamics.oracle_mild_solution(noise)", "dynamics.oracle_mild_solution(path_id)",
+    "dynamics.simulate_fk_state(noise)", "dynamics.simulate_fk_state(path_id)",
+    "markovian.contract_audit(n_pairs)", "markovian.contract_audit(seed)",
+    "markovian.markovian_convergence_experiment(n_steps)",
+    "markovian.markovian_convergence_experiment(n_x)",
+    "markovian.markovian_convergence_experiment(sup_slices)",
+    "markovian.oracle_markovian(noise)", "markovian.projected_coefficients(n_points)",
+    "markovian.simulate_markovian_fk(noise)",
+    "projection.coefficient(n_points)", "projection.coefficients_fft(n_points)",
+    "projection.project_pi(x_max)",
+    "semigroup.shift_curve(x_max_out)",
+    "space.Curve.from_deriv_fn(n_points)", "space.Curve.from_deriv_fn(value_at_zero)",
+    "space.Curve.from_deriv_fn(x_max)", "space.Curve.resample(x_max)",
+    "testcurves.exp_loading(n_points)", "testcurves.exp_loading(rate)",
+    "testcurves.exp_loading(scale)", "testcurves.exp_loading(x_max)",
+    "testcurves.flat_curve(level)", "testcurves.flat_curve(n_points)",
+    "testcurves.flat_curve(x_max)",
+    "testcurves.seasonal_curve(amplitude)", "testcurves.seasonal_curve(damp)",
+    "testcurves.seasonal_curve(level)", "testcurves.seasonal_curve(n_points)",
+    "testcurves.seasonal_curve(period)", "testcurves.seasonal_curve(x_max)",
+    "testcurves.smooth_bump(center)", "testcurves.smooth_bump(n_points)",
+    "testcurves.smooth_bump(value_at_zero)", "testcurves.smooth_bump(width)",
+    "testcurves.smooth_bump(x_max)",
+}
+
+
+def test_no_new_defaulted_parameters():
+    found = _defaulted_parameters()
+    assert not found - DEFAULTED_PARAMETERS, \
+        f"new defaulted parameters {sorted(found - DEFAULTED_PARAMETERS)}: list them here"
+    assert not DEFAULTED_PARAMETERS - found, \
+        f"gone, drop them from the list: {sorted(DEFAULTED_PARAMETERS - found)}"
