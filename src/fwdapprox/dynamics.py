@@ -331,12 +331,15 @@ def system_matrix(params: BasisParams, k: int) -> np.ndarray:
 
 def _euler_path(spec: ModelSpec, driver: LevyDriver, times, k: int,
                 noise: np.ndarray | None,
-                outputs: Callable[[float, Curve], Sequence[Curve]]) -> StateVariables:
+                outputs: Callable[[float, Callable[[], Curve]], Sequence[Curve | None]]
+                ) -> StateVariables:
     """Explicit Euler on the 2k+2 coefficient system fed by a curve field.
 
-    ``outputs(t_j, f_j)`` gives the drift and one noise column per factor at
-    the current span curve f_j, each folded on f0's nodes over [0, T] and
-    scaled by dt or dL_j; they must cover [0, T] (else DomainTooShort).
+    ``outputs(t_j, span)`` gives the drift and one noise column per factor,
+    each folded on f0's nodes over [0, T] and scaled by dt or dL_j; they must
+    cover [0, T] (else DomainTooShort).  ``span()`` builds the current span
+    curve f_j, so a field that ignores the state never pays for it, and a
+    None drift is zero and skipped.
     """
     p = spec.params
     times = np.asarray(times, dtype=float)
@@ -360,10 +363,12 @@ def _euler_path(spec: ModelSpec, driver: LevyDriver, times, k: int,
     x = np.concatenate(([init.c_star], init.c))
     xs = [x]
     for j, t in enumerate(times[:-1]):
-        outs = outputs(t, Curve(complex(x[0]), x[1:] @ Gd, step, f0.x_max))
+        outs = outputs(t, lambda: Curve(complex(x[0]), x[1:] @ Gd, step, f0.x_max))
         scale = np.concatenate(([dt], dL[j]))
         inc = dt * (A @ x)
         for s, out_curve in zip(scale, outs):
+            if out_curve is None:
+                continue
             if out_curve.x_max < p.horizon - 1e-12:
                 raise DomainTooShort(f"field output at t={t:g} covers "
                                      f"[0, {out_curve.x_max}], not [0, T]")
@@ -384,12 +389,12 @@ def euler_coefficient_system(spec: ModelSpec, driver: LevyDriver, times, k: int,
                              noise: np.ndarray | None = None) -> StateVariables:
     """Plain explicit Euler on the 2k+2 complex coefficient system.
 
-    The Markovian Euler loop on the field b = beta(t) (zero without drift),
+    The Markovian Euler loop on the field b = beta(t) (none without drift),
     psi_i = w_i(t) loading_i, which ignores the curve.  Without ``noise`` the
     driver's path 0 supplies the increments.
     """
-    def outputs(t, f):
-        b = f * 0.0 if spec.beta is None else spec.beta(t)
+    def outputs(t, span):
+        b = None if spec.beta is None else spec.beta(t)
         w = spec.weights(t, driver.rank)
         return [b] + [c * wi for c, wi in zip(driver.loadings, w)]
 

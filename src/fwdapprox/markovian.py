@@ -252,8 +252,8 @@ def simulate_markovian_fk(cf: CoefficientField, spec: ModelSpec,
     curve's nodes over [0, T], read through its spline if on another grid.
     Without ``noise`` the driver's path 0 supplies the increments.
     """
-    def outputs(t, f):
-        fm = _masked(f, t, spec.params)
+    def outputs(t, span):
+        fm = _masked(span(), t, spec.params)
         return [cf.b(t, fm)] + list(cf.psi(t, fm))
 
     return _euler_path(spec, driver, times, k, noise, outputs)

@@ -15,11 +15,10 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
 
 from .basis import BasisParams, eval_e_n_star, eval_g_n_deriv
 from .errors import DomainTooShort
@@ -42,6 +41,156 @@ DEFAULT_POINTS = 2**12 + 1  # resolves |n| <= 128 oscillations at >= 16 pts/peri
 # dual Gram quadrature: Simpson points per period, relative tail neglected
 GRAM_PTS_PER_PERIOD = 2048
 GRAM_TAIL_TOL = 1e-9
+
+
+# -- uniform-grid cubic spline -----------------------------------------------
+
+class _PiecewisePoly:
+    """Piecewise polynomial on uniform breakpoints x_0 < ... < x_{n-1}.
+
+    Row i of ``c`` holds segment i's coefficients in powers of (x - x_i),
+    highest first.  A point lies in segment i when x_i <= x < x_{i+1} (the
+    last segment includes x_{n-1}); points outside [x_0, x_{n-1}] use the end
+    segments.
+    """
+
+    def __init__(self, x: np.ndarray, c: np.ndarray) -> None:
+        self.x, self.c = x, c
+        self._inv_h = (x.size - 1) / (x[-1] - x[0])
+        # segment i's bounds; NaN at the two ends, which no point compares
+        # beyond, so the end segments reach out to +-inf
+        self._lo, self._hi = x[:-1].copy(), x[1:].copy()
+        self._lo[0] = self._hi[-1] = np.nan
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0:
+            return np.float64(self._at(float(x)))
+        # the segment from the grid step, corrected by one where rounding put
+        # x on the wrong side of a node; fmin/fmax keep NaN in range (it stays NaN)
+        i = np.fmax(np.fmin((x - self.x[0]) * self._inv_h, self.x.size - 2),
+                    0.0).astype(np.intp)
+        i -= x < self._lo.take(i)
+        i += x >= self._hi.take(i)
+        t = x - self.x.take(i)
+        c = self.c.take(i, axis=0)  # far quicker than fancy indexing here
+        r = c[..., 0] * t
+        for j in range(1, self.c.shape[1] - 1):
+            r += c[..., j]
+            r *= t
+        r += c[..., -1]
+        return r
+
+    def _at(self, x: float) -> float:
+        """`__call__` at one point in plain floats, bit for bit: the array
+        path spends about 20 us in numpy calls on a single point."""
+        if x != x:
+            return x
+        i = int(min(max((x - self.x[0]) * self._inv_h, 0.0), self.x.size - 2))
+        if x < self._lo[i]:
+            i -= 1
+        elif x >= self._hi[i]:
+            i += 1
+        t, c = x - self.x[i], self.c[i].tolist()
+        r = c[0]
+        for cj in c[1:]:
+            r = r * t + cj
+        return r
+
+
+@lru_cache(maxsize=8)
+def _not_a_knot_lu(n: int):
+    """The data-free part of the not-a-knot slope solve on n >= 4 uniform nodes.
+
+    With secants m_i = (y_{i+1} - y_i) / h the slopes s solve
+
+        s_0 + 2 s_1 = (5 m_0 + m_1) / 2,
+        s_{i-1} + 4 s_i + s_{i+1} = 3 (m_{i-1} + m_i),
+        2 s_{n-2} + s_{n-1} = (m_{n-3} + 5 m_{n-2}) / 2.
+
+    Its LU factors (no pivoting; every pivot is at least 3/7) make both
+    triangular sweeps first-order recurrences y_i = q_i + g_i y_{i-1}, which
+    recursive doubling runs in log2(n) array steps: at span s,
+    q_i += G_i q_{i-s} with G_i the product of the s multipliers g_i ... g_{i-s+1}.
+    Returns 1/pivots and the (s, G[s:]) levels of the forward sweep and of the
+    backward sweep in reversed order, dropping the levels where G underflows
+    to zero.
+    """
+    d = np.empty(n)
+    d[0], d[1] = 1.0, 2.0
+    # the interior pivots d_i = 4 - 1/d_{i-1} reach their fixed point, 2 + sqrt(3),
+    # within a few dozen rows; from there on the recurrence repeats it exactly
+    i = 2
+    while i < n - 1 and d[i - 1] != d[i - 2]:
+        d[i] = 4.0 - 1.0 / d[i - 1]
+        i += 1
+    d[i:n - 1] = d[i - 1]
+    d[n - 1] = 1.0 - 2.0 / d[n - 2]
+    sub = np.ones(n - 1)  # A[i, i-1] for i >= 1
+    sub[-1] = 2.0
+    sup = np.ones(n - 1)  # A[i, i+1] for i <= n-2
+    sup[0] = 2.0
+    lower = np.concatenate(([0.0], -sub / d[:-1]))
+    upper = np.concatenate(([0.0], (-sup / d[:-1])[::-1]))
+    return 1.0 / d, _doubling_levels(lower), _doubling_levels(upper)
+
+
+def _doubling_levels(g: np.ndarray) -> list:
+    levels, s = [], 1
+    while s < g.size and g[s:].any():
+        levels.append((s, g[s:].copy()))
+        g[s:] = g[s:] * g[:-s]  # g[:s] is zero: the chain ends at y_0
+        s *= 2
+    return levels
+
+
+class CubicSpline(_PiecewisePoly):
+    """Not-a-knot cubic interpolant of real samples y on a uniform grid x.
+
+    The first and second segments at each end share one cubic; two points
+    give the line and three the parabola through them.  Evaluation outside
+    [x_0, x_{n-1}] extends the end cubics.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
+        y = np.asarray(y, dtype=float)
+        if not np.isfinite(y).all():
+            raise ValueError("spline samples must be finite")
+        x = np.asarray(x, dtype=float)
+        n, dx = y.size, np.diff(x)
+        if not dx.min() > 0.0:
+            raise ValueError("spline nodes must increase")
+        m = np.diff(y) / dx
+        if n == 2:
+            s = np.array([m[0], m[0]])
+        elif n == 3:
+            s = np.array([1.5 * m[0] - 0.5 * m[1], 0.5 * (m[0] + m[1]),
+                          1.5 * m[1] - 0.5 * m[0]])
+        else:
+            inv_d, forward, backward = _not_a_knot_lu(n)
+            s = np.empty(n)
+            s[0] = 0.5 * (5.0 * m[0] + m[1])
+            s[1:-1] = 3.0 * (m[:-1] + m[1:])
+            s[-1] = 0.5 * (m[-2] + 5.0 * m[-1])
+            for span, g in forward:
+                s[span:] += g * s[:-span]
+            s *= inv_d
+            rev = s[::-1].copy()  # contiguous: the sweep runs twice as fast
+            for span, g in backward:
+                rev[span:] += g * rev[:-span]
+            s = rev[::-1]
+        # Hermite form of each segment from its end values and slopes
+        t = (s[:-1] + s[1:] - 2.0 * m) / dx
+        super().__init__(x, np.stack([t / dx, (m - s[:-1]) / dx - t, s[:-1], y[:-1]],
+                                     axis=1))
+
+    def antiderivative(self) -> _PiecewisePoly:
+        """The piecewise quartic F with F' = self and F(x_0) = 0."""
+        c = self.c / np.array([4.0, 3.0, 2.0, 1.0])
+        dx = np.diff(self.x)
+        area = (((c[:, 0] * dx + c[:, 1]) * dx + c[:, 2]) * dx + c[:, 3]) * dx
+        base = np.concatenate(([0.0], np.cumsum(area[:-1])))
+        return _PiecewisePoly(self.x, np.concatenate([c, base[:, None]], axis=1))
 
 
 @dataclass(frozen=True)
@@ -174,13 +323,14 @@ def _align(f: Curve, g: Curve) -> tuple[Curve, Curve]:
 def inner_product_alpha(f: Curve, g: Curve, alpha: float) -> complex:
     """f(0) conj(g(0)) + weighted Simpson quadrature of f' conj(g') over the grid.
 
-    Curves on different grids are first resampled onto a common one.
+    Curves on different grids are first resampled onto a common one.  An even
+    point count gets `_simpson_rule`'s end correction.
     """
     f, g = _align(f, g)
     x = f.grid
     integrand = f.deriv_samples * np.conj(g.deriv_samples) * np.exp(alpha * x)
     return complex(f.value_at_zero * np.conj(g.value_at_zero)
-                   + simpson(integrand, dx=f.grid_step))
+                   + integrand @ _simpson_rule(x.size, f.grid_step))
 
 
 def norm_alpha(f: Curve, alpha: float) -> float:
@@ -286,6 +436,24 @@ def _simpson_weights(n_points: int, dx: float) -> np.ndarray:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return w * (dx / 3.0)
+
+
+def _simpson_rule(n_points: int, dx: float) -> np.ndarray:
+    """Simpson weights on any n_points >= 2 uniform nodes.
+
+    Composite Simpson for an odd count.  For an even count, Simpson on the
+    first n_points - 1 nodes plus Cartwright's correction for the last
+    interval, (-1, 8, 5) dx / 12 on the last three nodes; the trapezoid for
+    two.
+    """
+    if n_points == 2:
+        return np.array([0.5 * dx, 0.5 * dx])
+    if n_points % 2:
+        return _simpson_weights(n_points, dx)
+    w = np.zeros(n_points)
+    w[:-1] = _simpson_weights(n_points - 1, dx)
+    w[-3:] += np.array([-1.0, 8.0, 5.0]) * (dx / 12.0)
+    return w
 
 
 def dual_gram_matrix(params: BasisParams, n_max: int) -> np.ndarray:

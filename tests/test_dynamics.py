@@ -242,9 +242,14 @@ def test_delivery_forward_matches_quadrature_for_random_parameters(
     T2 = T1 + width * (T - T1)
     assume(T1 < T2)
     F = delivery_forward(s, t, T1, T2)
-    xs = np.linspace(T1 - t, T2 - t, 4001)
-    w = _simpson_weights(4001, (T2 - T1) / 4000)
-    Fq = np.sum(w * reconstruct(s, xs)) / (T2 - T1)
+    if (T2 - T1) / 4000 < np.finfo(float).tiny:
+        # the quadrature step underflows (T2 - T1 can be 5e-324); a window
+        # that narrow averages to the point value
+        Fq = complex(reconstruct(s, T1 - t))
+    else:
+        xs = np.linspace(T1 - t, T2 - t, 4001)
+        w = _simpson_weights(4001, (T2 - T1) / 4000)
+        Fq = np.sum(w * reconstruct(s, xs)) / (T2 - T1)
     assert abs(F - Fq) <= 1e-11 * (abs(s.c_star) + np.sum(np.abs(c)))
 
 

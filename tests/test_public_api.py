@@ -2,7 +2,10 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,3 +100,15 @@ def test_no_new_defaulted_parameters():
         f"new defaulted parameters {sorted(found - DEFAULTED_PARAMETERS)}: list them here"
     assert not DEFAULTED_PARAMETERS - found, \
         f"gone, drop them from the list: {sorted(DEFAULTED_PARAMETERS - found)}"
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    src = str(Path(fwdapprox.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, fwdapprox.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

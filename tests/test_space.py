@@ -2,11 +2,13 @@ import io
 
 import numpy as np
 import pytest
+import scipy.interpolate
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
 
+from fwdapprox import space
 from fwdapprox.basis import BasisParams
+from fwdapprox.cli import load_curve
 from fwdapprox.errors import DomainTooShort
 from fwdapprox.space import (
     Curve,
@@ -57,8 +59,8 @@ def test_domain_error_names_the_stored_range(method, x):
 
 def both_splines(f, x):
     """f' and f at x from a spline of the real and one of the imaginary part."""
-    re = CubicSpline(f.grid, f.deriv_samples.real)
-    im = CubicSpline(f.grid, f.deriv_samples.imag)
+    re = space.CubicSpline(f.grid, f.deriv_samples.real)
+    im = space.CubicSpline(f.grid, f.deriv_samples.imag)
     deriv = re(x) + 1j * im(x)
     value = f.value_at_zero + re.antiderivative()(x) + 1j * im.antiderivative()(x)
     return deriv, value
@@ -91,6 +93,80 @@ def test_complex_curve_keeps_its_imaginary_part():
     assert np.allclose(f.deriv(x).imag, np.sin(2.0 * x), atol=1e-6)
     assert np.allclose(f.value(x).imag, -0.25 + (1.0 - np.cos(2.0 * x)) / 2.0,
                        atol=1e-6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.one_of(st.sampled_from([2, 3, 4, 5]), st.integers(6, 4097)),
+       x_max=st.floats(0.05, 20.0), rough=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_spline_matches_scipy_not_a_knot(n, x_max, rough, seed):
+    # scipy's CubicSpline (not-a-knot, extrapolating) is the oracle for f' and
+    # f = f(0) + int f', at the nodes, at random points and just past the ends
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(0.0, x_max, n)
+    if rough:
+        d = rng.normal(scale=rng.uniform(0.1, 100.0), size=n)
+    else:
+        d = np.cos(rng.uniform(0.5, 6.0) * grid / x_max + rng.uniform(0, 2 * np.pi))
+    v0 = rng.normal()
+    f = Curve(v0, d, x_max / (n - 1), x_max)
+    x = np.concatenate([grid, rng.uniform(0.0, x_max, size=257),
+                        [-1e-12, x_max + 1e-9]])
+    ref = scipy.interpolate.CubicSpline(grid, d)
+    scale = np.max(np.abs(d))
+    assert np.max(np.abs(f.deriv(x) - ref(x))) <= 1e-12 * scale
+    value = v0 + ref.antiderivative()(x)
+    assert np.max(np.abs(f.value(x) - value)) <= 1e-12 * max(scale * x_max, abs(v0))
+    # one point at a time takes a scalar path with the same arithmetic
+    for j in (0, n // 2, n - 1, n, n + 1, -2, -1):
+        assert f.deriv(x[j]) == f.deriv(x)[j] and f.value(x[j]) == f.value(x)[j]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spline_rejects_non_finite_samples(bad):
+    grid = np.linspace(0.0, 1.0, 9)
+    y = np.cos(grid)
+    y[4] = bad
+    with pytest.raises(ValueError, match="finite"):
+        space.CubicSpline(grid, y)
+    f = Curve(0.0, y, 1.0 / 8, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        f.deriv(0.5)
+    d = np.cos(grid).astype(complex)
+    d.imag = y  # a non-finite imaginary part only
+    with pytest.raises(ValueError, match="finite"):
+        Curve(0.0, d, 1.0 / 8, 1.0).value(0.5)
+
+
+def test_spline_rejects_a_grid_that_does_not_increase():
+    # a curve stored on [0, 0] has no spline (as with scipy's CubicSpline)
+    with pytest.raises(ValueError, match="increase"):
+        Curve(0.0, np.ones(5), 0.0, 0.0).deriv(0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 64, 257, 1000, 1001])
+def test_inner_product_matches_scipy_simpson(n):
+    # odd counts take composite Simpson, even ones scipy's end correction
+    x_max = 2.0
+    grid = np.linspace(0.0, x_max, n)
+    f = Curve(0.3 + 0.1j, np.cos(3.0 * grid) + 1j * grid, x_max / (n - 1), x_max)
+    g = Curve(-1.2, np.exp(-grid), x_max / (n - 1), x_max)
+    for a, b in ((f, g), (f, f), (g, g)):
+        integrand = a.deriv_samples * np.conj(b.deriv_samples) * np.exp(0.7 * grid)
+        want = a.value_at_zero * np.conj(b.value_at_zero) + simpson(integrand, dx=a.grid_step)
+        assert abs(inner_product_alpha(a, b, 0.7) - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("spec", [{"kind": "seasonal", "n_points": 1000},
+                                  {"kind": "bump", "n_points": 4096},
+                                  {"kind": "flat", "level": 1.2, "n_points": 1000}])
+def test_norm_of_config_curve_with_even_point_count(spec):
+    # a curve spec may ask for an even n_points; its norm is scipy's simpson
+    f = load_curve(spec, None)
+    assert f.deriv_samples.size % 2 == 0
+    energy = np.abs(f.deriv_samples) ** 2 * np.exp(1.0 * f.grid)
+    want = np.sqrt(abs(f.value_at_zero) ** 2 + simpson(energy, dx=f.grid_step))
+    assert norm_alpha(f, 1.0) == pytest.approx(want, rel=1e-14)
 
 
 def test_inner_product_closed_form():
