@@ -18,7 +18,9 @@ time_step, t_eval, law_param > 0; params.k, seed >= 0; rank >= 1;
 x_points in [1, 2^16]; n_paths in [1, 10^6]; n_steps and the step count
 t_eval / time_step in [1, 2^20]; k in [0, 2047]; k_list strictly ascending,
 entries in [1, 2047] for converge and [1, 511] for truncation-rate; in a
-curve spec n_points in [2, 2^20 + 1], x_max and period > 0.
+curve spec n_points in [2, 2^20 + 1], x_max and period > 0.  For converge
+--markovian, f0's grid must split [0, horizon] into an even number of
+intervals, at least 2 max(k_list) + 1 of them.
 """
 from __future__ import annotations
 
@@ -33,8 +35,8 @@ import numpy as np
 from .basis import (BasisParams, eval_g_n, eval_g_n_deriv,
                     frame_lower_constant, frame_upper_constant,
                     projector_norm_bound, shift_norm_bound)
-from .dynamics import (LevyDriver, ModelSpec, convergence_experiment,
-                       delivery_forward, simulate_fk_state)
+from .dynamics import (LevyDriver, ModelSpec, _euler_intervals,
+                       convergence_experiment, delivery_forward, simulate_fk_state)
 from .errors import (ConfigError, DomainTooShort, FwdApproxError,
                      NotSmoothEnough, UnstableStep)
 from .markovian import (contract_audit, make_field,
@@ -388,8 +390,9 @@ def cmd_converge(cfg: dict, base_dir: Path, out: Path, markovian: bool) -> int:
             kw["theta"] = load_curve(m["theta"], base_dir)
         try:
             field = make_field(name, driver, params, **kw)
+            _euler_intervals(model.f0, max(ks), params)
         except (ValueError, KeyError) as e:
-            raise ConfigError(f"bad markovian field spec: {e}") from e
+            raise ConfigError(f"bad --markovian setup: {e}") from e
         audit = contract_audit(field, params, driver.rank, n_pairs=50, seed=seed)
         if audit["structure_leak"] > 0.0 or audit["lipschitz_b_ratio"] > 1.0 \
                 or audit["lipschitz_psi_ratio"] > 1.0:

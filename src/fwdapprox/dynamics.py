@@ -25,10 +25,10 @@ import numpy as np
 
 from .basis import BasisParams, eval_g_n, eval_g_n_deriv, lambda_n
 from .errors import BadWindow, DomainTooShort, UnstableStep
-from .projection import (CoeffState, _fold_fft, _period_norm, coefficients_fft,
-                         compute_C1, compute_C2)
+from .projection import (CoeffState, _fold_curve, _fold_grid, _period_norm,
+                         coefficients_fft, compute_C1, compute_C2)
 from .semigroup import _shift, _shift_factors, shift_curve
-from .space import Curve, _simpson_weights
+from .space import Curve
 
 __all__ = [
     "LevyDriver",
@@ -329,6 +329,18 @@ def system_matrix(params: BasisParams, k: int) -> np.ndarray:
     return A
 
 
+def _euler_intervals(f0: Curve, k: int, params: BasisParams) -> int:
+    """The count of f0's grid intervals on [0, T], where the Euler loop folds;
+    ValueError unless T is a node, the count is even and 2k+1 modes fit."""
+    n_T = int(round(params.horizon / f0.grid_step))
+    if abs(n_T * f0.grid_step - params.horizon) > 1e-9 or n_T % 2 != 0:
+        raise ValueError("initial-curve grid must split [0, T] into an even "
+                         "number of intervals")
+    if 2 * k + 1 > n_T:
+        raise ValueError(f"{2 * k + 1} modes alias on f0's {n_T} intervals over [0, T]")
+    return n_T
+
+
 def _euler_path(spec: ModelSpec, driver: LevyDriver, times, k: int,
                 noise: np.ndarray | None,
                 outputs: Callable[[float, Callable[[], Curve]], Sequence[Curve | None]]
@@ -336,10 +348,10 @@ def _euler_path(spec: ModelSpec, driver: LevyDriver, times, k: int,
     """Explicit Euler on the 2k+2 coefficient system fed by a curve field.
 
     ``outputs(t_j, span)`` gives the drift and one noise column per factor,
-    each folded on f0's nodes over [0, T] and scaled by dt or dL_j; they must
-    cover [0, T] (else DomainTooShort).  ``span()`` builds the current span
-    curve f_j, so a field that ignores the state never pays for it, and a
-    None drift is zero and skipped.
+    each folded (`projection._fold_curve`) on f0's nodes over [0, T] and
+    scaled by dt or dL_j; they must cover [0, T] (else DomainTooShort).
+    ``span()`` builds the current span curve f_j, so a field that ignores
+    the state never pays for it, and a None drift is zero and skipped.
     """
     p = spec.params
     times = np.asarray(times, dtype=float)
@@ -351,12 +363,7 @@ def _euler_path(spec: ModelSpec, driver: LevyDriver, times, k: int,
     dL = _noise_for(driver, dt, times.size - 1, noise)
 
     f0, step = spec.f0, spec.f0.grid_step
-    n_T = int(round(p.horizon / step))
-    if abs(n_T * step - p.horizon) > 1e-9 or n_T % 2 != 0:
-        raise ValueError("initial-curve grid must split [0, T] into an even "
-                         "number of intervals")
-    xT = f0.grid[:n_T + 1]
-    w = _simpson_weights(n_T + 1, p.horizon / n_T) * np.exp(p.decay * xT)
+    grid = _fold_grid(_euler_intervals(f0, k, p) + 1, p)
     Gd = eval_g_n_deriv(p, p.n_range(k), f0.grid)
 
     init = coefficients_fft(f0, k, p)
@@ -373,12 +380,8 @@ def _euler_path(spec: ModelSpec, driver: LevyDriver, times, k: int,
                 raise DomainTooShort(f"field output at t={t:g} covers "
                                      f"[0, {out_curve.x_max}], not [0, T]")
             if s != 0.0:
-                if abs(out_curve.grid_step - step) < 1e-12:
-                    d = out_curve.deriv_samples[:n_T + 1]
-                else:
-                    d = out_curve.deriv(xT)
                 inc[0] += s * complex(out_curve.value_at_zero)
-                inc[1:] += s * _fold_fft(w * d, k, p.horizon)
+                inc[1:] += s * _fold_curve(out_curve, k, p, grid)
         x = x + inc
         xs.append(x)
     xs = np.stack(xs)

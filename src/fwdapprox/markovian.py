@@ -18,8 +18,8 @@ import numpy as np
 from .basis import (BasisParams, frame_lower_constant, frame_upper_constant,
                     projector_norm_bound)
 from .dynamics import (LevyDriver, ModelSpec, SimPath, StateVariables,
-                       _curve_recursion, _euler_path, _increment, _noise_for,
-                       _uniform_step)
+                       _curve_recursion, _euler_intervals, _euler_path, _increment,
+                       _noise_for, _uniform_step)
 from .projection import CoeffState, coefficients_fft, reconstruct, reconstruct_deriv
 from .space import Curve, norm_alpha
 from .testcurves import flat_curve
@@ -270,8 +270,11 @@ def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
     The sup is evaluated on at most ``sup_slices`` time slices of the
     simulation grid (evenly strided); refining the slice grid must not move
     the estimate beyond MC noise, which the test-suite checks.
+    f0's grid must suit every k (`dynamics._euler_intervals`), checked first.
     """
     p = spec.params
+    for k in k_list:
+        _euler_intervals(spec.f0, int(k), p)
     times = np.linspace(0.0, p.horizon, n_steps + 1)
     stride = max(1, n_steps // sup_slices)
     slice_idx = list(range(0, times.size, stride))

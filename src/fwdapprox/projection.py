@@ -12,7 +12,8 @@ the uniform grid x_j = jT/N over [0, T]:
 
 - fold (curve -> coefficients, ``_fold_fft``): the weighted derivative samples
   w_j h'(x_j) e^{(lam + alpha/2) x_j}, with x = T folded onto x = 0, give
-  every mode -k..k at once;
+  every mode -k..k at once; ``_fold_curve`` applies it to a curve on the
+  nodes of ``_fold_grid``, for ``coefficients_fft`` and the Euler loop alike;
 - synthesis (coefficients -> grid derivative, ``_synth_fft``, the adjoint):
   sum_n c_n g_n'(x_j) = e^{-(lam + alpha/2) x_j} T^{-1/2} sum_n c_n
   e^{2 pi i n j / N}, so the span derivative on the grid costs one FFT
@@ -132,14 +133,6 @@ def project_pi(h: Curve, params: BasisParams, x_max: float | None = None) -> Cur
     return Curve(h.value_at_zero, d, x_max / (n - 1), x_max)
 
 
-def _coeff_grid(h: Curve, params: BasisParams, n_points: int):
-    T = params.horizon
-    if h.x_max < T - 1e-12:
-        raise DomainTooShort("coefficient extraction needs the curve on [0, T]")
-    x = np.linspace(0.0, T, n_points)
-    return x, h.deriv(x)
-
-
 def coefficient(h: Curve, n: int, params: BasisParams,
                 n_points: int | None = None) -> complex:
     """Single-mode coefficient by composite Simpson over [0, T].
@@ -152,9 +145,9 @@ def coefficient(h: Curve, n: int, params: BasisParams,
     scale = 1.0 / np.sqrt(T)
 
     def estimate(npts: int) -> complex:
-        x, d = _coeff_grid(h, params, npts)
+        x = np.linspace(0.0, T, npts)
         w = _simpson_weights(npts, T / (npts - 1))
-        return complex(scale * np.sum(w * d * np.exp(xi * x)))
+        return complex(scale * np.sum(w * h.deriv(x) * np.exp(xi * x)))
 
     if n_points is not None:
         return estimate(n_points)
@@ -188,6 +181,26 @@ def _fold_fft(a: np.ndarray, k: int, horizon: float) -> np.ndarray:
     return spectrum[np.arange(-k, k + 1) % n] / np.sqrt(horizon)
 
 
+def _fold_grid(n_points: int, params: BasisParams):
+    """The fold's nodes x_j of [0, T], Simpson weights w_j and e^{(lam + alpha/2) x_j}."""
+    T = params.horizon
+    x = np.linspace(0.0, T, n_points)
+    return x, _simpson_weights(n_points, T / (n_points - 1)), np.exp(params.decay * x)
+
+
+def _fold_curve(h: Curve, k: int, params: BasisParams, grid) -> np.ndarray:
+    """Modes -k..k of h on ``grid`` (`_fold_grid`), reading h' from its samples
+    on the grid's step and from its spline otherwise."""
+    x, w, e = grid
+    if h.x_max < params.horizon - 1e-12:
+        raise DomainTooShort("coefficient extraction needs the curve on [0, T]")
+    if abs(h.grid_step - params.horizon / (x.size - 1)) < 1e-12:
+        d = h.deriv_samples[:x.size]
+    else:
+        d = h.deriv(x)
+    return _fold_fft(w * d * e, k, params.horizon)
+
+
 def _synth_fft(c: np.ndarray, n_points: int, params: BasisParams) -> np.ndarray:
     """Span derivative sum_n c_n g_n'(x_j) on the grid x_j = jT/N, j = 0..N.
 
@@ -217,12 +230,10 @@ def coefficients_fft(h: Curve, k: int, params: BasisParams,
     scalar quadrature exactly (same Simpson weights): the n-independent factor
     h'(x) e^{(lam + alpha/2) x} is formed once and the DFT supplies every mode.
     """
-    T = params.horizon
-    x, d = _coeff_grid(h, params, n_points)
-    w = _simpson_weights(n_points, T / (n_points - 1))
-    c = _fold_fft(w * d * np.exp(params.decay * x), k, T)
+    c = _fold_curve(h, k, params, _fold_grid(n_points, params))
     p = BasisParams(params.alpha, params.lam, params.horizon, k)
-    return CoeffState(complex(h.value(0.0)), c, p)
+    # h(0) as stored; + 0j gives it the signs of zero of h.value(0.0)
+    return CoeffState(complex(h.value_at_zero) + 0j, c, p)
 
 
 def reconstruct(s: CoeffState, x) -> np.ndarray | complex:
@@ -274,12 +285,10 @@ def compute_C1(f: Curve, params: BasisParams) -> float:
     npts = max(COEFF_POINTS, f.deriv_samples.shape[0])
     if npts % 2 == 0:
         npts += 1
-    x = np.linspace(0.0, T, npts)
+    x, w, weight = _fold_grid(npts, params)
     d = f.deriv(x)
     h = T / (npts - 1)
     d2 = np.gradient(d, h, edge_order=2)
-    weight = np.exp(params.decay * x)
-    w = _simpson_weights(npts, h)
     integral = float(np.sum(w * np.abs(d2) * weight))
     # refinement sanity check: recompute the curvature at half resolution;
     # for genuinely twice-differentiable data the two quadratures agree

@@ -48,10 +48,10 @@ GRAM_TAIL_TOL = 1e-9
 class _PiecewisePoly:
     """Piecewise polynomial on uniform breakpoints x_0 < ... < x_{n-1}.
 
-    Row i of ``c`` holds segment i's coefficients in powers of (x - x_i),
-    highest first.  A point lies in segment i when x_i <= x < x_{i+1} (the
-    last segment includes x_{n-1}); points outside [x_0, x_{n-1}] use the end
-    segments.
+    Row i of ``c[p]`` holds segment i's coefficients in powers of (x - x_i),
+    highest first, of part p: one real part, or a real and an imaginary one.
+    A point lies in segment i when x_i <= x < x_{i+1} (the last segment
+    includes x_{n-1}); points outside [x_0, x_{n-1}] use the end segments.
     """
 
     def __init__(self, x: np.ndarray, c: np.ndarray) -> None:
@@ -64,8 +64,6 @@ class _PiecewisePoly:
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            return np.float64(self._at(float(x)))
         # the segment from the grid step, corrected by one where rounding put
         # x on the wrong side of a node; fmin/fmax keep NaN in range (it stays NaN)
         i = np.fmax(np.fmin((x - self.x[0]) * self._inv_h, self.x.size - 2),
@@ -73,29 +71,13 @@ class _PiecewisePoly:
         i -= x < self._lo.take(i)
         i += x >= self._hi.take(i)
         t = x - self.x.take(i)
-        c = self.c.take(i, axis=0)  # far quicker than fancy indexing here
+        c = self.c.take(i, axis=1)  # far quicker than fancy indexing here
         r = c[..., 0] * t
-        for j in range(1, self.c.shape[1] - 1):
+        for j in range(1, self.c.shape[-1] - 1):
             r += c[..., j]
             r *= t
         r += c[..., -1]
-        return r
-
-    def _at(self, x: float) -> float:
-        """`__call__` at one point in plain floats, bit for bit: the array
-        path spends about 20 us in numpy calls on a single point."""
-        if x != x:
-            return x
-        i = int(min(max((x - self.x[0]) * self._inv_h, 0.0), self.x.size - 2))
-        if x < self._lo[i]:
-            i -= 1
-        elif x >= self._hi[i]:
-            i += 1
-        t, c = x - self.x[i], self.c[i].tolist()
-        r = c[0]
-        for cj in c[1:]:
-            r = r * t + cj
-        return r
+        return r[0] if len(r) == 1 else r[0] + 1j * r[1]
 
 
 @lru_cache(maxsize=8)
@@ -145,21 +127,28 @@ def _doubling_levels(g: np.ndarray) -> list:
 
 
 class CubicSpline(_PiecewisePoly):
-    """Not-a-knot cubic interpolant of real samples y on a uniform grid x.
+    """Not-a-knot cubic interpolant of real or complex samples y on a uniform grid x.
 
     The first and second segments at each end share one cubic; two points
     give the line and three the parabola through them.  Evaluation outside
-    [x_0, x_{n-1}] extends the end cubics.
+    [x_0, x_{n-1}] extends the end cubics.  Complex samples run the same
+    recurrences on the real and on the imaginary part, so each part is bit
+    for bit the spline of that part alone, and the values are complex.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
-        y = np.asarray(y, dtype=float)
+        y = np.asarray(y)
         if not np.isfinite(y).all():
             raise ValueError("spline samples must be finite")
         x = np.asarray(x, dtype=float)
-        n, dx = y.size, np.diff(x)
-        if not dx.min() > 0.0:
+        if not np.diff(x).min() > 0.0:
             raise ValueError("spline nodes must increase")
+        parts = (y.real, y.imag) if np.iscomplexobj(y) else (y.astype(float),)
+        super().__init__(x, np.stack([self._segments(x, part) for part in parts]))
+
+    @staticmethod
+    def _segments(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        n, dx = y.size, np.diff(x)
         m = np.diff(y) / dx
         if n == 2:
             s = np.array([m[0], m[0]])
@@ -181,27 +170,24 @@ class CubicSpline(_PiecewisePoly):
             s = rev[::-1]
         # Hermite form of each segment from its end values and slopes
         t = (s[:-1] + s[1:] - 2.0 * m) / dx
-        super().__init__(x, np.stack([t / dx, (m - s[:-1]) / dx - t, s[:-1], y[:-1]],
-                                     axis=1))
+        return np.stack([t / dx, (m - s[:-1]) / dx - t, s[:-1], y[:-1]], axis=1)
 
     def antiderivative(self) -> _PiecewisePoly:
         """The piecewise quartic F with F' = self and F(x_0) = 0."""
         c = self.c / np.array([4.0, 3.0, 2.0, 1.0])
         dx = np.diff(self.x)
-        area = (((c[:, 0] * dx + c[:, 1]) * dx + c[:, 2]) * dx + c[:, 3]) * dx
-        base = np.concatenate(([0.0], np.cumsum(area[:-1])))
-        return _PiecewisePoly(self.x, np.concatenate([c, base[:, None]], axis=1))
+        area = (((c[..., 0] * dx + c[..., 1]) * dx + c[..., 2]) * dx + c[..., 3]) * dx
+        base = np.pad(np.cumsum(area[..., :-1], axis=-1), ((0, 0), (1, 0)))
+        return _PiecewisePoly(self.x, np.concatenate([c, base[..., None]], axis=-1))
 
 
 @dataclass(frozen=True)
 class Curve:
     """A curve represented by f(0) and uniform samples of f' on [0, x_max].
 
-    Values and derivatives between the nodes come from a cubic spline of the
-    real part and one of the imaginary part.  A real curve (every sample's
-    imaginary part zero, as for real forward prices) builds only the real
-    spline; its imaginary part is then exactly zero, so the results are the
-    same to the bit.
+    Values and derivatives between the nodes come from one cubic spline and
+    its antiderivative.  The spline is real when every sample's imaginary
+    part is zero (as for real forward prices), and complex otherwise.
     """
 
     value_at_zero: complex
@@ -238,18 +224,15 @@ class Curve:
     def _spline(self) -> CubicSpline:
         sp = self._spline_cache.get("deriv")
         if sp is None:
-            g, d = self.grid, self.deriv_samples
-            sp = (CubicSpline(g, d.real),
-                  CubicSpline(g, d.imag) if d.imag.any() else None)
-            self._spline_cache["deriv"] = sp
+            d = self.deriv_samples
+            sp = self._spline_cache["deriv"] = CubicSpline(
+                self.grid, d if d.imag.any() else d.real)
         return sp
 
     def _antideriv(self):
         sp = self._spline_cache.get("anti")
         if sp is None:
-            re, im = self._spline()
-            sp = (re.antiderivative(), None if im is None else im.antiderivative())
-            self._spline_cache["anti"] = sp
+            sp = self._spline_cache["anti"] = self._spline().antiderivative()
         return sp
 
     def deriv(self, x) -> np.ndarray:
@@ -258,8 +241,7 @@ class Curve:
         if np.any(x > self.x_max + 1e-9) or np.any(x < -1e-12):
             raise DomainTooShort("requested derivative outside [0, x_max], "
                                  f"x_max={self.x_max}")
-        re, im = self._spline()
-        return re(x) + (0j if im is None else 1j * im(x))
+        return self._spline()(x) + 0j
 
     def value(self, x) -> np.ndarray:
         """f(x) = f(0) + int_0^x f'(y) dy via the spline antiderivative."""
@@ -267,8 +249,7 @@ class Curve:
         if np.any(x > self.x_max + 1e-9) or np.any(x < -1e-12):
             raise DomainTooShort("requested value outside [0, x_max], "
                                  f"x_max={self.x_max}")
-        re, im = self._antideriv()
-        return self.value_at_zero + re(x) + (0j if im is None else 1j * im(x))
+        return self.value_at_zero + self._antideriv()(x) + 0j
 
     def values_on_grid(self) -> np.ndarray:
         return self.value(self.grid)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fwdapprox import cli
 from fwdapprox.cli import loglog_slope, main
 
 PARAMS = {"alpha": 1.0, "lambda": 0.5, "horizon": 1.0}
@@ -274,6 +275,31 @@ MEAN_REVERT = {"field": "mean_revert", "kappa": 0.5,
 DRIVER = base_model_cfg()["driver"]
 
 
+# Small configs that each run to exit 0; curves on 257 points keep every run short.
+SMALL_CURVE = {"n_points": 257}
+FUZZ_DRIVER = {"rank": 1, "law": "gaussian",
+               "loadings": [dict(SMALL_CURVE, kind="exp", scale=0.1, rate=0.5)]}
+FUZZ_CONFIGS = {
+    ("basis-check",): {"params": dict(PARAMS, k=0), "k": 2, "seed": 1},
+    ("truncation-rate",): {"params": PARAMS, "k_list": [4],
+                           "f0": dict(SMALL_CURVE, kind="bump", center=0.4)},
+    ("simulate",): {
+        "params": PARAMS, "seed": 1, "k": 2, "n_paths": 1, "time_step": 0.125,
+        "t_eval": 0.25, "x_points": 3, "windows": [[0.5, 0.75]],
+        "f0": dict(SMALL_CURVE, kind="seasonal", period=1.0),
+        "beta": dict(SMALL_CURVE, kind="flat", level=0.05), "driver": FUZZ_DRIVER},
+    ("converge",): {
+        "params": PARAMS, "seed": 1, "n_paths": 2, "n_steps": 4, "k_list": [2, 4],
+        "time_step": 0.125, "t_eval": 0.25, "f0": dict(SMALL_CURVE, kind="bump"),
+        "driver": FUZZ_DRIVER},
+    MARKOVIAN: {
+        "params": PARAMS, "seed": 1, "n_paths": 1, "n_steps": 32, "k_list": [1],
+        "f0": dict(SMALL_CURVE, kind="bump"), "driver": FUZZ_DRIVER,
+        "markovian": {"field": "mean_revert", "kappa": 0.5,
+                      "theta": dict(SMALL_CURVE, kind="flat", level=1.2)}},
+}
+
+
 @pytest.mark.parametrize("argv, change", [
     pytest.param(("converge",), {"k_list": [0, 4]}, id="converge-k-zero"),
     pytest.param(("truncation-rate",), {"k_list": [0, 4]}, id="rate-k-zero"),
@@ -288,6 +314,11 @@ DRIVER = base_model_cfg()["driver"]
     pytest.param(MARKOVIAN, {"markovian": dict(MEAN_REVERT, kappa="abc")},
                  id="markovian-string-kappa"),
     pytest.param(MARKOVIAN, {"markovian": 3}, id="markovian-not-an-object"),
+    pytest.param(MARKOVIAN, dict(FUZZ_CONFIGS[MARKOVIAN], f0={"kind": "bump", "n_points": 256}),
+                 id="markovian-horizon-not-a-node"),
+    pytest.param(MARKOVIAN, dict(FUZZ_CONFIGS[MARKOVIAN], f0={"kind": "bump", "n_points": 65},
+                                 k_list=[16], n_steps=8192),
+                 id="markovian-modes-alias-on-f0"),
     pytest.param(("simulate",), {"time_step": "abc"}, id="string-time_step"),
     pytest.param(("simulate",), {"time_step": float("nan")}, id="nan-time_step"),
     pytest.param(("simulate",), {"t_eval": float("inf")}, id="infinite-t_eval"),
@@ -328,6 +359,16 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, argv, change):
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
+def test_markovian_grid_error_comes_before_the_contract_audit(tmp_path, monkeypatch):
+    def audit(*args, **kwargs):
+        raise AssertionError("the contract audit ran")
+
+    monkeypatch.setattr(cli, "contract_audit", audit)
+    cfg = dict(FUZZ_CONFIGS[MARKOVIAN], f0={"kind": "bump", "n_points": 65}, k_list=[16])
+    p = write_cfg(tmp_path, "c.json", cfg)
+    assert main([*MARKOVIAN, "--config", p, "--out", str(tmp_path / "o")]) == 2
+
+
 @pytest.mark.parametrize("argv, change", [
     (("simulate",), {"params": dict(PARAMS, horizon=3.0)}),
     (("converge",), {"t_eval": 2.5, "time_step": 0.125, "k_list": [2]}),
@@ -340,29 +381,6 @@ def test_exhausted_domain_exits_3(tmp_path, capsys, argv, change):
     assert capsys.readouterr().err.startswith("numerical failure:")
 
 
-# Small configs that each run to exit 0; curves on 257 points keep every run short.
-SMALL_CURVE = {"n_points": 257}
-FUZZ_DRIVER = {"rank": 1, "law": "gaussian",
-               "loadings": [dict(SMALL_CURVE, kind="exp", scale=0.1, rate=0.5)]}
-FUZZ_CONFIGS = {
-    ("basis-check",): {"params": dict(PARAMS, k=0), "k": 2, "seed": 1},
-    ("truncation-rate",): {"params": PARAMS, "k_list": [4],
-                           "f0": dict(SMALL_CURVE, kind="bump", center=0.4)},
-    ("simulate",): {
-        "params": PARAMS, "seed": 1, "k": 2, "n_paths": 1, "time_step": 0.125,
-        "t_eval": 0.25, "x_points": 3, "windows": [[0.5, 0.75]],
-        "f0": dict(SMALL_CURVE, kind="seasonal", period=1.0),
-        "beta": dict(SMALL_CURVE, kind="flat", level=0.05), "driver": FUZZ_DRIVER},
-    ("converge",): {
-        "params": PARAMS, "seed": 1, "n_paths": 2, "n_steps": 4, "k_list": [2, 4],
-        "time_step": 0.125, "t_eval": 0.25, "f0": dict(SMALL_CURVE, kind="bump"),
-        "driver": FUZZ_DRIVER},
-    MARKOVIAN: {
-        "params": PARAMS, "seed": 1, "n_paths": 1, "n_steps": 32, "k_list": [1],
-        "f0": dict(SMALL_CURVE, kind="bump"), "driver": FUZZ_DRIVER,
-        "markovian": {"field": "mean_revert", "kappa": 0.5,
-                      "theta": dict(SMALL_CURVE, kind="flat", level=1.2)}},
-}
 # replacement values; none is a large size, since e.g. "n_paths": 1e300 is a
 # valid request that would run without end
 FUZZ_VALUES = (None, "abc", [1], {"a": 1}, float("nan"), float("inf"),

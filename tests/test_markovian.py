@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fwdapprox import space
+from fwdapprox import markovian, space
 from fwdapprox.basis import BasisParams
 from fwdapprox.dynamics import LevyDriver, ModelSpec, euler_coefficient_system
 from fwdapprox.errors import DomainTooShort, UnstableStep
@@ -280,6 +280,20 @@ def test_field_output_short_of_the_horizon_raises(scheme, short):
         else:
             euler_coefficient_system(ModelSpec(f0=smooth_bump(), params=P,
                                                beta=lambda t: b), drv, times, 2)
+
+
+def test_convergence_experiment_checks_the_grid_before_the_oracle(monkeypatch):
+    # 33 modes do not fit on f0's 32 intervals over [0, T]; the experiment
+    # says so before it runs a single oracle path
+    def oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(markovian, "oracle_markovian", oracle)
+    drv = make_driver()
+    spec = ModelSpec(f0=smooth_bump(n_points=65), params=P)
+    with pytest.raises(ValueError, match="33 modes alias"):
+        markovian_convergence_experiment(make_field("constant", drv, P), spec, drv,
+                                         [2, 16], 1, n_steps=8192)
 
 
 @pytest.mark.parametrize("scheme", ["markovian", "linear"])

@@ -77,12 +77,24 @@ def test_coefficient_biorthogonality():
 
 
 def test_fft_matches_scalar_quadrature():
-    f = smooth_bump()
-    s = coefficients_fft(f, 6, P)
-    for n in (-6, -1, 0, 3):
-        assert s.coeff(n) == pytest.approx(coefficient(f, n, P, n_points=2**12 + 1),
-                                           abs=1e-12)
-    assert complex(s.c_star) == pytest.approx(complex(f.value(0.0)))
+    # the fold reads h' through the spline (step 1/2048) and, for a curve on
+    # the fold's own step 1/4096, straight from the samples
+    for f in (smooth_bump(), smooth_bump(x_max=1.0)):
+        s = coefficients_fft(f, 6, P)
+        for n in (-6, -1, 0, 3):
+            assert s.coeff(n) == pytest.approx(
+                coefficient(f, n, P, n_points=2**12 + 1), abs=1e-12)
+        assert complex(s.c_star) == pytest.approx(complex(f.value(0.0)))
+
+
+@pytest.mark.parametrize("v0", [1.0, -0.0, 0.5 - 0.25j, complex(-0.0, -0.0)])
+def test_coefficients_fft_reads_value_at_zero_without_antiderivative(v0):
+    # c_star is h(0) as stored; no quartic antiderivative is built for it, and
+    # the result is Curve.value's at 0 to the bit, signs of zero included
+    h = smooth_bump(value_at_zero=v0)
+    s = coefficients_fft(h, 4, P)
+    assert "anti" not in h._spline_cache
+    assert repr(s.c_star) == repr(complex(h.value(0.0)))
 
 
 def test_project_pi_replicates_derivative():

@@ -112,3 +112,15 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_fold_helpers_stay_with_their_owners():
+    # projection.py owns the curve-to-coefficients fold and every FFT; the
+    # Simpson weights serve the quadrature of space.py and projection.py
+    src = Path(fwdapprox.__file__).parent
+    owners = {"np.fft": {"projection.py"}, "_fold_fft": {"projection.py"},
+              "_simpson_weights": {"space.py", "projection.py"}}
+    for name, allowed in owners.items():
+        users = {p.name for p in src.glob("*.py") if name in p.read_text()}
+        assert users <= allowed, f"{name} is referenced outside {sorted(allowed)}: " \
+                                 f"{sorted(users - allowed)}"

@@ -68,17 +68,37 @@ def both_splines(f, x):
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(2, 300), x_max=st.floats(0.1, 5.0), v0=st.floats(-10.0, 10.0),
-       seed=st.integers(0, 2**32 - 1))
-def test_real_curve_single_spline_equals_both_splines(n, x_max, v0, seed):
-    # a real curve skips the spline of its zero imaginary part; every value
-    # must stay bitwise what the two-spline evaluation gives
+       seed=st.integers(0, 2**32 - 1), complex_samples=st.booleans())
+def test_real_curve_single_spline_equals_both_splines(n, x_max, v0, seed,
+                                                      complex_samples):
+    # a curve builds one spline: real for real samples, complex otherwise;
+    # every value must stay bitwise what the two-spline evaluation gives
     rng = np.random.default_rng(seed)
-    f = Curve(v0, rng.normal(size=n), x_max / (n - 1), x_max)
+    d = rng.normal(size=n) + (1j * rng.normal(size=n) if complex_samples else 0.0)
+    f = Curve(v0, d, x_max / (n - 1), x_max)
     x = np.concatenate([f.grid, rng.uniform(0.0, x_max, size=17)])
     deriv, value = both_splines(f, x)
     assert np.array_equal(f.deriv(x), deriv)
     assert np.array_equal(f.value(x), value)
-    assert not f.deriv(x).imag.any() and not f.value(x).imag.any()
+    if not complex_samples:
+        assert not f.deriv(x).imag.any() and not f.value(x).imag.any()
+
+
+def test_complex_curve_builds_one_spline(monkeypatch):
+    built = []
+    spline = space.CubicSpline
+
+    def recording(x, y):
+        built.append(y.dtype)
+        return spline(x, y)
+
+    monkeypatch.setattr(space, "CubicSpline", recording)
+    grid = np.linspace(0.0, 2.0, 129)
+    f = Curve(0.5, np.cos(grid) + 1j * np.sin(grid), 2.0 / 128, 2.0)
+    x = np.linspace(0.0, 2.0, 37)
+    f.deriv(x)
+    f.value(x)
+    assert built == [np.complex128]
 
 
 def test_complex_curve_keeps_its_imaginary_part():
