@@ -18,7 +18,8 @@ time_step, t_eval, law_param > 0; params.k, seed >= 0; rank >= 1;
 x_points in [1, 2^16]; n_paths in [1, 10^6]; n_steps and the step count
 t_eval / time_step in [1, 2^20]; k in [0, 2047]; k_list strictly ascending,
 entries in [1, 2047] for converge and [1, 511] for truncation-rate; in a
-curve spec n_points in [2, 2^20 + 1], x_max and period > 0.  For converge
+curve spec n_points in [2, 2^20 + 1], x_max and period > 0, and the curve
+it gives must be finite.  For converge
 --markovian, f0's grid must split [0, horizon] into an even number of
 intervals, at least 2 max(k_list) + 1 of them.
 """
@@ -122,9 +123,14 @@ def load_curve(spec, base_dir: Path) -> Curve:
     if kind not in factory:
         raise ConfigError(f"unknown curve kind {kind!r}")
     try:
-        return factory[kind](**kw)
+        # an overflow is reported by the finiteness check below, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            curve = factory[kind](**kw)
     except TypeError as e:
         raise ConfigError(f"bad arguments for curve kind {kind!r}: {e}") from e
+    if not (np.isfinite(curve.deriv_samples).all() and np.isfinite(curve.value_at_zero)):
+        raise ConfigError(f"curve kind {kind!r} with {kw} gives non-finite values")
+    return curve
 
 
 def load_driver(cfg: dict, base_dir: Path, seed: int) -> LevyDriver:
@@ -345,20 +351,22 @@ def cmd_simulate(cfg: dict, base_dir: Path, out: Path) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     G = eval_g_n(params, params.n_range(k), x)
+    # every path shares the t, x and window cells: format each once
+    t_cells = [(t, repr(t)) for t in times.tolist()]
+    x_cells = [repr(xi) for xi in x.tolist()]
+    w_cells = [(wi, T1, T2, repr(T1), repr(T2)) for wi, (T1, T2) in enumerate(windows)]
     scen_rows, fwd_rows, slices = [], [], []
     for pid in range(n_paths):
         path = simulate_fk_state(model, driver, times, k, path_id=pid)
-        for j, t in enumerate(times):
+        for j, (t, t_cell) in enumerate(t_cells):
             s = path.state(j)
             vals = s.c_star + s.c @ G
-            for xi, v in zip(x, vals):
-                scen_rows.append([pid, repr(float(t)), repr(float(xi)),
-                                  repr(float(np.real(v)))])
-            for wi, (T1, T2) in enumerate(windows):
+            scen_rows.extend([pid, t_cell, x_cell, repr(v)]
+                             for x_cell, v in zip(x_cells, vals.real.tolist()))
+            for wi, T1, T2, T1_cell, T2_cell in w_cells:
                 if t <= T1:
-                    F = delivery_forward(s, float(t), T1, T2)
-                    fwd_rows.append([pid, repr(float(t)), wi, repr(T1),
-                                     repr(T2), repr(float(np.real(F)))])
+                    F = delivery_forward(s, t, T1, T2)
+                    fwd_rows.append([pid, t_cell, wi, T1_cell, T2_cell, repr(F.real)])
             if pid == 0:
                 slices.append(json.loads(s.to_json()))
     write_csv(out / "scenarios.csv", ["path_id", "t", "x", "f"], scen_rows)

@@ -19,6 +19,7 @@ uses for its final state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -420,15 +421,24 @@ def delivery_forward(state: CoeffState, t: float, T1: float, T2: float) -> compl
 
     the exact window average of g_n shifted to calendar time t, where
     phi1(z) = (e^z - 1) / z.  This form has no cancellation as the window
-    narrows.
+    narrows.  The weights G come from a bounded memo (`_window_weights`), as
+    every simulated path asks for the same (t, window) pairs.
     """
     p = state.params
     if not (t <= T1 < T2 <= p.horizon + 1e-12):
         raise BadWindow(f"need t <= T1 < T2 <= {p.horizon}, got ({t}, {T1}, {T2})")
-    lams = lambda_n(p, p.n_range(state.k))
+    return complex(state.c_star + np.sum(_window_weights(p, t, T1, T2) * state.c))
+
+
+@lru_cache(maxsize=512)
+def _window_weights(params: BasisParams, t: float, T1: float, T2: float) -> np.ndarray:
+    """The read-only weights G_n, n = -k..k, of `delivery_forward` at level params.k;
+    the memo holds at most 512 of them."""
+    lams = lambda_n(params, params.n_range())
     G = (np.exp(lams * (T1 - t)) * _phi1(lams * (T2 - T1)) - 1.0) \
-        / (lams * np.sqrt(p.horizon))
-    return complex(state.c_star + np.sum(G * state.c))
+        / (lams * np.sqrt(params.horizon))
+    G.flags.writeable = False
+    return G
 
 
 # -- Monte-Carlo convergence experiment --------------------------------------

@@ -229,11 +229,22 @@ def coefficients_fft(h: Curve, k: int, params: BasisParams,
     curve is built.  All modes come from one weighted FFT that matches the
     scalar quadrature exactly (same Simpson weights): the n-independent factor
     h'(x) e^{(lam + alpha/2) x} is formed once and the DFT supplies every mode.
+
+    The result is memoised on ``h`` (in ``Curve._spline_cache``, beside its
+    spline; curves are immutable) under every input it depends on, (k,
+    n_points, alpha, lam, T), so a curve projected again, as f0 and the
+    loadings are on every simulated path, folds once.  Its ``c`` is read-only:
+    every caller shares it.  A call that raises stores nothing.
     """
-    c = _fold_curve(h, k, params, _fold_grid(n_points, params))
-    p = BasisParams(params.alpha, params.lam, params.horizon, k)
-    # h(0) as stored; + 0j gives it the signs of zero of h.value(0.0)
-    return CoeffState(complex(h.value_at_zero) + 0j, c, p)
+    key = ("coefficients_fft", k, n_points, params.alpha, params.lam, params.horizon)
+    state = h._spline_cache.get(key)
+    if state is None:
+        c = _fold_curve(h, k, params, _fold_grid(n_points, params))
+        c.flags.writeable = False
+        p = BasisParams(params.alpha, params.lam, params.horizon, k)
+        # h(0) as stored; + 0j gives it the signs of zero of h.value(0.0)
+        state = h._spline_cache[key] = CoeffState(complex(h.value_at_zero) + 0j, c, p)
+    return state
 
 
 def reconstruct(s: CoeffState, x) -> np.ndarray | complex:

@@ -188,6 +188,10 @@ class Curve:
     Values and derivatives between the nodes come from one cubic spline and
     its antiderivative.  The spline is real when every sample's imaginary
     part is zero (as for real forward prices), and complex otherwise.
+
+    A curve must not be mutated after construction, its samples included:
+    the spline and every projection (`projection.coefficients_fft`) are
+    memoised on it in ``_spline_cache``.  Arithmetic returns new curves.
     """
 
     value_at_zero: complex

@@ -1,9 +1,11 @@
 import copy
 import csv
 import json
+import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -168,6 +170,27 @@ def test_simulate_outputs_are_deterministic(tmp_path):
     fwd = read_rows(out1 / "forwards.csv")
     assert fwd[0] == ["path_id", "t", "window", "T1", "T2", "F"]
     assert all(float(r[1]) <= 0.5 for r in fwd[1:])
+
+
+def test_simulate_folds_each_distinct_input_once(tmp_path, monkeypatch):
+    # f0, the two loadings and the one flat beta are each folded by one FFT,
+    # however many paths re-project them
+    fft, calls = np.fft.fft, []
+
+    def counted(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "fwdapprox.projection":
+            calls.append(1)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    counts = []
+    for n_paths in (1, 3):
+        cfg = dict(base_model_cfg(n_paths=n_paths), beta={"kind": "flat", "level": 0.05})
+        p = write_cfg(tmp_path, f"c{n_paths}.json", cfg)
+        calls.clear()
+        assert main(["simulate", "--config", p, "--out", str(tmp_path / f"o{n_paths}")]) == 0
+        counts.append(len(calls))
+    assert counts == [4, 4]
 
 
 def test_converge_writes_bound_column(tmp_path, capsys):
@@ -349,6 +372,10 @@ FUZZ_CONFIGS = {
     pytest.param(("simulate",), {"x_points": 1e15}, id="huge-x_points"),
     pytest.param(("simulate",), {"f0": {"kind": "bump", "n_points": 1e15}},
                  id="huge-curve-n_points"),
+    pytest.param(("simulate",), {"f0": {"kind": "exp", "scale": 1e308, "rate": 10}},
+                 id="non-finite-curve-samples"),
+    pytest.param(("simulate",), {"f0": {"kind": "seasonal", "amplitude": 1e308}},
+                 id="overflowing-curve-samples"),
 ])
 def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, argv, change):
     cfg = base_model_cfg(n_paths=1)

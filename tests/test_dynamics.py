@@ -10,6 +10,8 @@ from fwdapprox.dynamics import (
     _exact_transport,
     _final_state,
     _half_spectrum_values,
+    _phi1,
+    _window_weights,
     convergence_experiment,
     delivery_forward,
     euler_coefficient_system,
@@ -251,6 +253,24 @@ def test_delivery_forward_matches_quadrature_for_random_parameters(
         w = _simpson_weights(4001, (T2 - T1) / 4000)
         Fq = np.sum(w * reconstruct(s, xs)) / (T2 - T1)
     assert abs(F - Fq) <= 1e-11 * (abs(s.c_star) + np.sum(np.abs(c)))
+
+
+def test_delivery_forward_memo_is_read_only_and_exact():
+    # memoised window weights give the unmemoised closed form bit for bit,
+    # on the first call and on repeats; the shared weights are read-only
+    pk = BasisParams(1.0, 0.5, 1.0, 6)
+    rng = np.random.default_rng(4)
+    lams = lambda_n(pk, pk.n_range())
+    for t, T1, T2 in [(0.0, 0.6, 0.9), (0.25, 0.5, 0.75), (0.0, 0.6, 0.9)]:
+        c = rng.normal(size=13) + 1j * rng.normal(size=13)
+        s = CoeffState(complex(rng.normal()), c, pk)
+        G = (np.exp(lams * (T1 - t)) * _phi1(lams * (T2 - T1)) - 1.0) \
+            / (lams * np.sqrt(pk.horizon))
+        assert delivery_forward(s, t, T1, T2) == complex(s.c_star + np.sum(G * c))
+    G = _window_weights(pk, 0.0, 0.6, 0.9)
+    assert G is _window_weights(pk, 0.0, 0.6, 0.9)
+    with pytest.raises(ValueError):
+        G[0] = 0.0
 
 
 def test_delivery_forward_window_limit_and_constant():

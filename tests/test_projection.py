@@ -208,6 +208,37 @@ def test_coefficients_fft_refuses_aliased_modes():
     assert s.c.shape == (4095,)
 
 
+def test_coefficients_fft_memo_key_covers_every_input():
+    # one curve folded under every input the result depends on, in shuffled
+    # order and twice over, equals a fold of a fresh copy bit for bit
+    h = smooth_bump()
+    inputs = [(k, n_points, BasisParams(alpha, lam, horizon, 3))
+              for k in (2, 5) for n_points in (2**8 + 1, 2**10 + 1)
+              for alpha in (0.5, 1.0) for lam in (0.25, 0.5) for horizon in (1.0, 1.5)]
+    order = np.random.default_rng(0).permutation(2 * len(inputs)) % len(inputs)
+    for i in order:
+        k, n_points, params = inputs[i]
+        got = coefficients_fft(h, k, params, n_points)
+        fresh = Curve(h.value_at_zero, h.deriv_samples.copy(), h.grid_step, h.x_max)
+        want = coefficients_fft(fresh, k, params, n_points)
+        assert got.params == want.params
+        assert got.c_star == want.c_star
+        assert got.c.tobytes() == want.c.tobytes()
+    assert coefficients_fft(h, 2, P) is coefficients_fft(h, 2, P)
+
+
+def test_coefficients_fft_memo_is_read_only_and_skips_failed_calls():
+    h = smooth_bump()
+    s = coefficients_fft(h, 4, P)
+    with pytest.raises(ValueError):
+        s.c[0] = 1.0
+    short = smooth_bump(x_max=0.5)
+    for _ in range(2):  # a call that raised stored nothing, so it raises again
+        with pytest.raises(DomainTooShort):
+            coefficients_fft(short, 4, P)
+    assert short._spline_cache.keys() <= {"deriv"}
+
+
 @pytest.mark.parametrize("k", [2, 8])
 @pytest.mark.parametrize("make", [
     lambda: read_curve_csv(str(DATA / "bump_curve.csv")),
