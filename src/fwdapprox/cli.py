@@ -19,9 +19,9 @@ x_points in [1, 2^16]; n_paths in [1, 10^6]; n_steps and the step count
 t_eval / time_step in [1, 2^20]; k in [0, 2047]; k_list strictly ascending,
 entries in [1, 2047] for converge and [1, 511] for truncation-rate; in a
 curve spec n_points in [2, 2^20 + 1], x_max and period > 0, and the curve
-it gives must be finite.  For converge
---markovian, f0's grid must split [0, horizon] into an even number of
-intervals, at least 2 max(k_list) + 1 of them.
+it gives, or a curve file holds, must be finite, its cubic spline included.
+For converge --markovian, f0's grid must split [0, horizon] into an even
+number of intervals, at least 2 max(k_list) + 1 of them.
 """
 from __future__ import annotations
 
@@ -105,6 +105,18 @@ def load_params(cfg: dict) -> BasisParams:
 
 
 def load_curve(spec, base_dir: Path) -> Curve:
+    curve = _read_curve(spec, base_dir)
+    # finite samples can be steep and large enough that the spline's segments
+    # (divided twice by the grid step) overflow, and every value read through
+    # it would be nan; the spline is memoised on the curve for later reads
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(curve._spline().c).all()
+    if not finite:
+        raise ConfigError(f"curve {spec!r} overflows its cubic spline")
+    return curve
+
+
+def _read_curve(spec, base_dir: Path) -> Curve:
     if isinstance(spec, str):
         path = base_dir / spec
         if not path.is_file():

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import BadWindow, DomainTooShort, UnstableStep
 from .projection import (CoeffState, _fold_curve, _fold_grid, _period_norm,
                          coefficients_fft, compute_C1, compute_C2)
 from .semigroup import _shift, _shift_factors, shift_curve
-from .space import Curve
+from .space import Curve, _scaled_sum
 
 __all__ = [
     "LevyDriver",
@@ -171,20 +171,22 @@ def _noise_for(driver: LevyDriver, dt: float, n_steps: int,
 
 def _increment(b: Curve, cols, dL_row: np.ndarray, dt: float) -> Curve:
     """Left-endpoint increment b dt + sum_i cols[i] dL_i; zero noise is skipped."""
-    inc = b * dt
-    for col, dl in zip(cols, dL_row):
-        if dl != 0.0:
-            inc = inc + col * dl
-    return inc
+    return _scaled_sum([(b, dt)] + [(col, dl) for col, dl in zip(cols, dL_row)
+                                    if dl != 0.0])
 
 
 def _curve_recursion(f0: Curve, dt: float, n_steps: int,
-                     increment: Callable[[int, Curve], Curve]) -> list:
-    """Mild-solution states f_{j+1} = shift_dt(f_j + increment(j, f_j))."""
-    states = [f0]
+                     increment: Callable[[int, Curve], Curve]) -> Iterator[Curve]:
+    """Yield the mild-solution states f_0..f_L, f_{j+1} = shift_dt(f_j + increment(j, f_j)).
+
+    Only the current state is held, so a caller that keeps what it needs of
+    each state as it appears runs in memory independent of L.
+    """
+    f = f0
+    yield f
     for j in range(n_steps):
-        states.append(shift_curve(states[-1] + increment(j, states[-1]), dt))
-    return states
+        f = shift_curve(f + increment(j, f), dt)
+        yield f
 
 
 def oracle_mild_solution(spec: ModelSpec, driver: LevyDriver, times,
@@ -206,7 +208,8 @@ def oracle_mild_solution(spec: ModelSpec, driver: LevyDriver, times,
         b = f * 0.0 if spec.beta is None else spec.beta(t)
         return _increment(b, driver.loadings, spec.weights(t, driver.rank) * dL[j], dt)
 
-    return SimPath(times=times, states=_curve_recursion(spec.f0, dt, n_steps, increment),
+    return SimPath(times=times,
+                   states=list(_curve_recursion(spec.f0, dt, n_steps, increment)),
                    noise_record=dL)
 
 
@@ -370,9 +373,9 @@ def _euler_path(spec: ModelSpec, driver: LevyDriver, times, k: int,
     init = coefficients_fft(f0, k, p)
     x = np.concatenate(([init.c_star], init.c))
     xs = [x]
-    for j, t in enumerate(times[:-1]):
+    scales = np.concatenate((np.full((dL.shape[0], 1), dt), dL), axis=1)  # (L, 1+d)
+    for t, scale in zip(times[:-1], scales):
         outs = outputs(t, lambda: Curve(complex(x[0]), x[1:] @ Gd, step, f0.x_max))
-        scale = np.concatenate(([dt], dL[j]))
         inc = dt * (A @ x)
         for s, out_curve in zip(scale, outs):
             if out_curve is None:

@@ -11,7 +11,7 @@ feeds the masked field to the one coefficient Euler loop, `dynamics._euler_path`
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -205,22 +205,30 @@ def _field_increment(cf: CoefficientField, spec: ModelSpec, t: float,
     return _increment(cf.b(t, fm), cf.psi(t, fm), dL_row, dt)
 
 
+def _oracle_states(cf: CoefficientField, spec: ModelSpec, times: np.ndarray,
+                   dL: np.ndarray) -> Iterator[Curve]:
+    """Yield the oracle's states f_0..f_L on ``times`` for the increments dL,
+    holding only the current one (`dynamics._curve_recursion`)."""
+    dt = _uniform_step(times)
+    return _curve_recursion(
+        spec.f0, dt, times.size - 1,
+        lambda j, f: _field_increment(cf, spec, times[j], f, dL[j], dt))
+
+
 def oracle_markovian(cf: CoefficientField, spec: ModelSpec, driver: LevyDriver,
                      times, noise: np.ndarray | None = None) -> SimPath:
     """Fine-grid curve-space Euler scheme for the state-dependent dynamics.
 
     f_{j+1} = shift_dt(f_j + b(t_j, f_j) dt + psi(t_j, f_j) dL_j), with the
     pre-step state in the noise term (left-limit evaluation).  Without
-    ``noise`` the driver's path 0 supplies the increments.
+    ``noise`` the driver's path 0 supplies the increments.  Every state is
+    kept, for tests and the Picard map; `markovian_convergence_experiment`
+    streams the same states instead and holds one at a time.
     """
     times = np.asarray(times, dtype=float)
-    dt = _uniform_step(times)
-    n_steps = times.size - 1
-    dL = _noise_for(driver, dt, n_steps, noise)
-    states = _curve_recursion(
-        spec.f0, dt, n_steps,
-        lambda j, f: _field_increment(cf, spec, times[j], f, dL[j], dt))
-    return SimPath(times=times, states=states, noise_record=dL)
+    dL = _noise_for(driver, _uniform_step(times), times.size - 1, noise)
+    return SimPath(times=times, states=list(_oracle_states(cf, spec, times, dL)),
+                   noise_record=dL)
 
 
 def picard_operator_V(h_states: Sequence[Curve], cf: CoefficientField,
@@ -235,9 +243,9 @@ def picard_operator_V(h_states: Sequence[Curve], cf: CoefficientField,
     """
     times = np.asarray(times, dtype=float)
     dt = _uniform_step(times)
-    return _curve_recursion(
+    return list(_curve_recursion(
         spec.f0, dt, times.size - 1,
-        lambda j, f: _field_increment(cf, spec, times[j], h_states[j], noise[j], dt))
+        lambda j, f: _field_increment(cf, spec, times[j], h_states[j], noise[j], dt)))
 
 
 def simulate_markovian_fk(cf: CoefficientField, spec: ModelSpec,
@@ -269,7 +277,9 @@ def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
     The oracle and every truncation level share each path's noise record.
     The sup is evaluated on at most ``sup_slices`` time slices of the
     simulation grid (evenly strided); refining the slice grid must not move
-    the estimate beyond MC noise, which the test-suite checks.
+    the estimate beyond MC noise, which the test-suite checks.  The oracle's
+    states are streamed (`_oracle_states`) and read at the slices as they
+    appear, so memory does not grow with ``n_steps``.
     f0's grid must suit every k (`dynamics._euler_intervals`), checked first.
     """
     p = spec.params
@@ -280,16 +290,12 @@ def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
     slice_idx = list(range(0, times.size, stride))
     if slice_idx[-1] != times.size - 1:
         slice_idx.append(times.size - 1)
+    xs = {j: np.linspace(0.0, max(p.horizon - times[j], 0.0), n_x) for j in slice_idx}
     errs = {int(k): np.empty(n_paths) for k in k_list}
     for pid in range(n_paths):
         noise = _noise_for(driver, times[1], n_steps, None, pid)
-        oracle = oracle_markovian(cf, spec, driver, times, noise=noise)
-        o_vals = {}
-        xs = {}
-        for j in slice_idx:
-            x = np.linspace(0.0, max(p.horizon - times[j], 0.0), n_x)
-            xs[j] = x
-            o_vals[j] = oracle.states[j].value(x)
+        o_vals = {j: f.value(xs[j])
+                  for j, f in enumerate(_oracle_states(cf, spec, times, noise)) if j in xs}
         for k in k_list:
             path = simulate_markovian_fk(cf, spec, driver, times, int(k),
                                          noise=noise)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -178,7 +179,15 @@ def _fold_fft(a: np.ndarray, k: int, horizon: float) -> np.ndarray:
     folded = a[:-1].copy()
     folded[0] += a[-1]
     spectrum = np.fft.fft(folded)  # index n holds sum a_j e^{-2 pi i n j / N}
-    return spectrum[np.arange(-k, k + 1) % n] / np.sqrt(horizon)
+    return spectrum[_mode_bins(k, n)] / np.sqrt(horizon)
+
+
+@lru_cache(maxsize=64)
+def _mode_bins(k: int, n: int) -> np.ndarray:
+    """The read-only DFT bins (-k..k) mod n of the modes; at most 64 are memoised."""
+    bins = np.arange(-k, k + 1) % n
+    bins.flags.writeable = False
+    return bins
 
 
 def _fold_grid(n_points: int, params: BasisParams):

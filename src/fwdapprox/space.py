@@ -274,7 +274,7 @@ class Curve:
     def restrict_mask(self, x_cut: float) -> "Curve":
         """Zero the derivative beyond x_cut (curve frozen at its x_cut value)."""
         d = self.deriv_samples.copy()
-        d[self.grid > x_cut + 1e-12] = 0.0
+        d[_first_node_beyond(self.x_max, d.shape[0], x_cut + 1e-12):] = 0.0
         return Curve(self.value_at_zero, d, self.grid_step, self.x_max)
 
     def __add__(self, other: "Curve") -> "Curve":
@@ -292,6 +292,57 @@ class Curve:
                      self.grid_step, self.x_max)
 
     __rmul__ = __mul__
+
+
+def _first_node_beyond(x_max: float, n: int, cut: float) -> int:
+    """The first index i with grid[i] > cut on the grid of `Curve.grid`, n if none.
+
+    Node i of np.linspace(0, x_max, n) is i * (x_max / (n - 1)), the last
+    one x_max, so the index is read off the step and corrected against the
+    nodes themselves without building the grid.
+    """
+    if not cut < x_max:          # no node lies beyond (a NaN cut masks nothing)
+        return n
+    if cut < 0.0:                # every node, 0 included, lies beyond
+        return 0
+    step = x_max / (n - 1)
+
+    def node(i: int) -> float:
+        return x_max if i == n - 1 else i * step
+
+    i = min(int(cut // step) + 1, n - 1)
+    while i > 0 and node(i - 1) > cut:
+        i -= 1
+    while node(i) <= cut:        # ends at n - 1 at the latest: x_max > cut
+        i += 1
+    return i
+
+
+def _scaled_sum(terms) -> Curve:
+    """sum_i w_i c_i over (c_i, w_i) pairs, in order, as one new curve.
+
+    Bit for bit the chained arithmetic ((c_0 * w_0 + c_1 * w_1) + ...): a
+    term on the running sum's step, within `_align`'s tolerance, adds its
+    samples, both cut to the shorter range as `_align` truncates them.
+    From the first term on another step the chain itself goes on, as such a
+    sum resamples through the splines.
+    """
+    (c0, w0), *rest = terms
+    v, d, step, x_max = c0.value_at_zero * w0, c0.deriv_samples * w0, c0.grid_step, c0.x_max
+    for i, (c, w) in enumerate(rest):
+        if abs(c.grid_step - step) >= 1e-12:
+            acc = Curve(v, d, step, x_max)
+            for later, weight in rest[i:]:
+                acc = acc + later * weight
+            return acc
+        cd = c.deriv_samples
+        if abs(c.x_max - x_max) >= 1e-12:
+            x_max = min(x_max, c.x_max)
+            n = int(round(x_max / min(step, c.grid_step))) + 1
+            step, d, cd = x_max / (n - 1), d[:n], cd[:n]
+        v = v + c.value_at_zero * w
+        d = d + cd * w
+    return Curve(v, d, step, x_max)
 
 
 def _align(f: Curve, g: Curve) -> tuple[Curve, Curve]:

@@ -262,6 +262,18 @@ def test_curve_file_loading_roundtrip(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+def test_curve_file_that_overflows_its_spline_is_a_config_error(tmp_path):
+    # finite samples, as steep as the spec exp(scale=1e300, rate=800)
+    with open(tmp_path / "f0.csv", "w") as fh:
+        fh.write("x,f,fprime\n")
+        for x in np.linspace(0.0, 2.0, 4097).tolist():
+            e = np.exp(-800.0 * x).item()
+            fh.write(f"{x!r},{1e300 * e!r},{-8e302 * e!r}\n")
+    cfg = write_cfg(tmp_path, "c.json",
+                    {"params": PARAMS, "f0": "f0.csv", "k_list": [4, 8]})
+    assert main(["truncation-rate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
 @pytest.mark.parametrize("change", [{"k": -1}, {"n_paths": "many"}, {"k": 2048},
                                     {"windows": [[0.9, 0.6]]}],
                          ids=["negative-k", "non-integer-n_paths",
@@ -376,6 +388,8 @@ FUZZ_CONFIGS = {
                  id="non-finite-curve-samples"),
     pytest.param(("simulate",), {"f0": {"kind": "seasonal", "amplitude": 1e308}},
                  id="overflowing-curve-samples"),
+    pytest.param(("simulate",), {"f0": {"kind": "exp", "scale": 1e300, "rate": 800}},
+                 id="overflowing-spline"),
 ])
 def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, argv, change):
     cfg = base_model_cfg(n_paths=1)

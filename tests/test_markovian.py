@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,50 @@ def test_convergence_experiment_decreasing_and_slice_stable():
     assert fine[0]["mc_error"] <= errs[1] * 1.05 + 3 * rows[1]["stderr"]
 
 
+def test_convergence_experiment_row_equals_the_materialised_oracle():
+    # the experiment streams the oracle; its sup must be bit for bit the one
+    # read off the whole trajectory at the same slices
+    drv = make_driver()
+    spec = make_spec()
+    field = make_field("mean_revert", drv, P, kappa=0.5, theta=flat_curve(1.2))
+    L, n_x = 128, 33
+    rows = markovian_convergence_experiment(field, spec, drv, [1, 2], 1,
+                                            n_steps=L, n_x=n_x)
+    times = np.linspace(0.0, P.horizon, L + 1)
+    noise = drv.increments(drv.path_rng(0), times[1], L)
+    oracle = oracle_markovian(field, spec, drv, times, noise=noise)
+    for row in rows:
+        path = simulate_markovian_fk(field, spec, drv, times, row["k"], noise=noise)
+        worst = 0.0
+        for j in range(0, L + 1, L // 64):
+            x = np.linspace(0.0, max(P.horizon - times[j], 0.0), n_x)
+            err = np.abs(reconstruct(path.state(j), x) - oracle.states[j].value(x)) ** 2
+            worst = max(worst, float(np.max(err)))
+        assert row["mc_error"] == worst
+
+
+def test_convergence_experiment_memory_does_not_grow_with_steps():
+    # holding the oracle's trajectory would grow the peak with n_steps x grid
+    drv = make_driver()
+    spec = make_spec()
+    field = make_field("mean_revert", drv, P, kappa=0.5, theta=flat_curve(1.2))
+
+    def peak(n_steps):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        markovian_convergence_experiment(field, spec, drv, [1], 1,
+                                         n_steps=n_steps, n_x=65)
+        return tracemalloc.get_traced_memory()[1] - start
+
+    tracemalloc.start()
+    try:
+        peak(64)            # refills the spline LU memo under tracing
+        small, large = peak(64), peak(256)
+    finally:
+        tracemalloc.stop()
+    assert large <= 1.1 * small, (small, large)
+
+
 def test_oracle_is_exact_fixed_point_of_picard_map():
     drv = make_driver()
     spec = make_spec()
@@ -288,7 +334,7 @@ def test_convergence_experiment_checks_the_grid_before_the_oracle(monkeypatch):
     def oracle(*args, **kwargs):
         raise AssertionError("the oracle ran")
 
-    monkeypatch.setattr(markovian, "oracle_markovian", oracle)
+    monkeypatch.setattr(markovian, "_oracle_states", oracle)
     drv = make_driver()
     spec = ModelSpec(f0=smooth_bump(n_points=65), params=P)
     with pytest.raises(ValueError, match="33 modes alias"):
