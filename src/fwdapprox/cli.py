@@ -18,8 +18,8 @@ time_step, t_eval, law_param > 0; params.k, seed >= 0; rank >= 1;
 x_points in [1, 2^16]; n_paths in [1, 10^6]; n_steps and the step count
 t_eval / time_step in [1, 2^20]; k in [0, 2047]; k_list strictly ascending,
 entries in [1, 2047] for converge and [1, 511] for truncation-rate; in a
-curve spec n_points in [2, 2^20 + 1], x_max and period > 0, and the curve
-it gives, or a curve file holds, must be finite, its cubic spline included.
+curve spec n_points in [2, 2^20 + 1], x_max and period > 0, a curve file's
+grid uniform from x = 0, and every curve finite, its cubic spline included.
 For converge --markovian, f0's grid must split [0, horizon] into an even
 number of intervals, at least 2 max(k_list) + 1 of them.
 """
@@ -305,7 +305,7 @@ def cmd_basis_check(cfg: dict, base_dir: Path, out: Path) -> int:
     k_c = max(k, 2)
     for n in (-2 * k_c, -k_c // 2, 0, k_c // 2, 2 * k_c):
         d = eval_g_n_deriv(params, n, x)
-        h = Curve(0.0, d, params.horizon / (x.size - 1), params.horizon)
+        h = Curve(0.0, d, params.horizon)
         expected = eval_g_n(params, n, t_grid) if abs(n) > k_c else 0.0
         got = commutator_apply(h, k_c, t_grid, params)
         worst = max(worst, float(np.max(np.abs(got - expected))))

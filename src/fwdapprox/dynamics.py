@@ -366,7 +366,7 @@ def _euler_path(spec: ModelSpec, driver: LevyDriver, times, k: int,
     A = system_matrix(p, k)
     dL = _noise_for(driver, dt, times.size - 1, noise)
 
-    f0, step = spec.f0, spec.f0.grid_step
+    f0 = spec.f0
     grid = _fold_grid(_euler_intervals(f0, k, p) + 1, p)
     Gd = eval_g_n_deriv(p, p.n_range(k), f0.grid)
 
@@ -375,7 +375,7 @@ def _euler_path(spec: ModelSpec, driver: LevyDriver, times, k: int,
     xs = [x]
     scales = np.concatenate((np.full((dL.shape[0], 1), dt), dL), axis=1)  # (L, 1+d)
     for t, scale in zip(times[:-1], scales):
-        outs = outputs(t, lambda: Curve(complex(x[0]), x[1:] @ Gd, step, f0.x_max))
+        outs = outputs(t, lambda: Curve(complex(x[0]), x[1:] @ Gd, f0.x_max))
         inc = dt * (A @ x)
         for s, out_curve in zip(scale, outs):
             if out_curve is None:
@@ -446,22 +446,31 @@ def _window_weights(params: BasisParams, t: float, T1: float, T2: float) -> np.n
 
 # -- Monte-Carlo convergence experiment --------------------------------------
 
-def _mild_sum(spec: ModelSpec, driver: LevyDriver, times: np.ndarray,
+def _drift_curves(spec: ModelSpec, times: np.ndarray):
+    """beta(t_l) per left endpoint, and the distinct curves as (first t_l, curve)."""
+    betas = [] if spec.beta is None else [spec.beta(t) for t in times[:-1]]
+    distinct = {}
+    for t, b in zip(times, betas):   # the list keeps every id in use
+        distinct.setdefault(id(b), (t, b))
+    return betas, list(distinct.values())
+
+
+def _mild_sum(spec: ModelSpec, driver: LevyDriver, times: np.ndarray, betas,
               weighted: np.ndarray, x: np.ndarray, curve_eval) -> np.ndarray:
     """Closed-form mild solution at t = times[-1] on x, shape (..., n_x):
 
     f(t, x) = f0(t + x) + dt sum_l beta(t_l)(t - t_l + x)
               + sum_{l, i} weighted[..., l, i] loading_i(t - t_l + x),
 
-    ``weighted`` being psi weights times increments.  ``curve_eval(curve, y)``
-    is `Curve.value`, its real part, or `Curve.deriv` for f'.
+    ``betas`` being beta(t_l), ``weighted`` psi weights times increments and
+    ``curve_eval(curve, y)`` `Curve.value`, its real part, or `Curve.deriv`.
     """
     dt = float(times[1] - times[0])
     y = (times[-1] - times[:-1])[:, None] + x          # (L, n_x) lagged points
     base = curve_eval(spec.f0, times[-1] + x)
-    if spec.beta is not None:
-        base = base + dt * np.stack([curve_eval(spec.beta(t), y[j])
-                                     for j, t in enumerate(times[:-1])]).sum(axis=0)
+    if betas:
+        base = base + dt * np.stack([curve_eval(b, y[j])
+                                     for j, b in enumerate(betas)]).sum(axis=0)
     M = np.stack([curve_eval(c, y) for c in driver.loadings])   # (d, L, n_x)
     return base + np.tensordot(weighted, M, axes=([-2, -1], [1, 0]))
 
@@ -485,17 +494,11 @@ def _half_spectrum_values(params: BasisParams, c_star: np.ndarray,
     return c_star.real[..., None] + a @ B
 
 
-def _require_real(spec: ModelSpec, driver: LevyDriver, times: np.ndarray) -> None:
-    """Raise ValueError unless f0, every loading and every drift curve is real."""
+def _require_real(spec: ModelSpec, driver: LevyDriver, drifts) -> None:
+    """Raise ValueError unless f0, every loading and every distinct drift is real."""
     named = [("f0", spec.f0)]
     named += [(f"loading {i}", c) for i, c in enumerate(driver.loadings)]
-    if spec.beta is not None:
-        # one check per distinct curve object, as in `_sampled_bound`
-        betas = {}
-        for t in times[:-1]:
-            b = spec.beta(t)
-            betas.setdefault(id(b), (f"drift at t={float(t):g}", b))
-        named += betas.values()
+    named += [(f"drift at t={float(t):g}", b) for t, b in drifts]
     for name, c in named:
         if c.deriv_samples.imag.any() or complex(c.value_at_zero).imag != 0.0:
             raise ValueError(f"convergence_experiment needs real curves; {name} "
@@ -531,18 +534,19 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
                              "the error is measured on [0, T - t_eval]")
     dt = t_eval / n_steps
     times = np.linspace(0.0, t_eval, n_steps + 1)
-    _require_real(spec, driver, times)
+    betas, drifts = _drift_curves(spec, times)
+    _require_real(spec, driver, drifts)
     dL = np.stack([_noise_for(driver, dt, n_steps, None, pid)
                    for pid in range(n_paths)])      # (P, L, d)
     init, loads, drift, psi = _projected_inputs(spec, driver, times,
                                                 int(max(k_list)))
     weighted = dL * psi
     x = np.linspace(0.0, T - t_eval, CONV_X_POINTS)
-    oracle = _mild_sum(spec, driver, times, weighted, x,
+    oracle = _mild_sum(spec, driver, times, betas, weighted, x,
                        lambda c, y: c.value(y).real)
 
     rows = []
-    A_common, C1_mean = _sampled_bound(spec, driver, times, psi,
+    A_common, C1_mean = _sampled_bound(spec, driver, times, betas, drifts, psi,
                                        weighted[:min(BOUND_PATHS, n_paths)])
     for k in k_list:
         c_star, c = _final_state(init, loads, drift, weighted, dt, k)
@@ -559,14 +563,14 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
     return rows
 
 
-def _sampled_bound(spec: ModelSpec, driver: LevyDriver, times: np.ndarray,
+def _sampled_bound(spec: ModelSpec, driver: LevyDriver, times: np.ndarray, betas, drifts,
                    w_t: np.ndarray, weighted: np.ndarray) -> tuple[float, float]:
     """Sampled rate constant: deterministic part plus mean pathwise curvature.
 
     Deterministic part: 3 c_alpha^2 C2 (||Pi f0||^2 + integrated noise trace
     + squared integrated drift norm); pathwise part: mean of the curvature
     constant of the oracle curve at times[-1] over the paths of ``weighted``
-    (psi weights times increments, (n_sample, L, d)).
+    (psi weights times increments, (n_sample, L, d)); ``betas``, ``drifts``: `_drift_curves`.
     """
     p = spec.params
     dt = float(times[1] - times[0])
@@ -578,18 +582,13 @@ def _sampled_bound(spec: ModelSpec, driver: LevyDriver, times: np.ndarray,
 
     load_norms = np.array([pi_norm(c) for c in driver.loadings])
     trace_term = float(np.sum(dt * (w_t**2) @ (load_norms**2)))
-    drift_term = 0.0
-    if spec.beta is not None:
-        # one norm per distinct curve object; holding them all keeps ids unique
-        betas = [spec.beta(t) for t in times[:-1]]
-        norms = {i: pi_norm(b) for i, b in {id(b): b for b in betas}.items()}
-        drift_term = sum(dt * norms[id(b)] for b in betas) ** 2
+    norms = {id(b): pi_norm(b) for _, b in drifts}     # one per distinct curve
+    drift_term = sum((dt * norms[id(b)] for b in betas), 0.0) ** 2
     A_common = c_alpha_sq * C2 * (pi_norm(spec.f0) ** 2 + trace_term + drift_term)
 
     # pathwise curvature constants of the oracle solution at times[-1]
     n_pts = spec.f0.deriv_samples.shape[0]
     xg = np.linspace(0.0, p.horizon, min(n_pts, 2**12 + 1))
-    derivs = _mild_sum(spec, driver, times, weighted, xg, Curve.deriv)
-    step = p.horizon / (xg.size - 1)
-    c1s = [compute_C1(Curve(0.0, d, step, p.horizon), p) for d in derivs]
+    derivs = _mild_sum(spec, driver, times, betas, weighted, xg, Curve.deriv)
+    c1s = [compute_C1(Curve(0.0, d, p.horizon), p) for d in derivs]
     return A_common, float(np.mean(c1s))

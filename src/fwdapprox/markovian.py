@@ -122,8 +122,7 @@ def truncation_norm_bound(params: BasisParams) -> float:
 
 def _span_curve(state: CoeffState, x_max: float, n_points: int) -> Curve:
     x = np.linspace(0.0, x_max, n_points)
-    return Curve(state.c_star, reconstruct_deriv(state, x),
-                 x_max / (n_points - 1), x_max)
+    return Curve(state.c_star, reconstruct_deriv(state, x), x_max)
 
 
 def projected_coefficients(cf: CoefficientField, k: int, params: BasisParams,
@@ -165,7 +164,7 @@ def contract_audit(cf: CoefficientField, params: BasisParams, rank: int,
         f = _span_curve(CoeffState(complex(rng.normal()), c, pk), x_max, 513)
         # drop the synthesis' rounding-level imaginary part: a real curve
         # builds one spline when another grid resamples it
-        return Curve(f.value_at_zero, f.deriv_samples.real, f.grid_step, x_max)
+        return Curve(f.value_at_zero, f.deriv_samples.real, x_max)
 
     worst_lip_b = worst_lip_psi = worst_growth = worst_structure = 0.0
     for _ in range(n_pairs):
@@ -186,7 +185,7 @@ def contract_audit(cf: CoefficientField, params: BasisParams, rank: int,
         # tail-only perturbation: must not change any output
         tail = f.deriv_samples.copy()
         tail[f.grid > params.horizon - t + 1e-9] += rng.normal()
-        f_pert = _masked(Curve(f.value_at_zero, tail, f.grid_step, f.x_max), t, params)
+        f_pert = _masked(Curve(f.value_at_zero, tail, f.x_max), t, params)
         db = norm_alpha(bf - cf.b(t, f_pert), params.alpha)
         dpsi = max(norm_alpha(a - b, params.alpha)
                    for a, b in zip(pf, cf.psi(t, f_pert)))

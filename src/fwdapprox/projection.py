@@ -36,7 +36,7 @@ from .basis import (
     lambda_n,
 )
 from .errors import DomainTooShort, NotSmoothEnough
-from .space import Curve, _simpson_weights
+from .space import Curve, _node_count, _simpson_weights
 
 __all__ = [
     "CoeffState",
@@ -127,11 +127,10 @@ def project_pi(h: Curve, params: BasisParams, x_max: float | None = None) -> Cur
     if h.x_max < T - 1e-12:
         raise DomainTooShort("curve must cover [0, T] to be localised")
     x_max = h.x_max if x_max is None else x_max
-    n = int(round(x_max / h.grid_step)) + 1
-    y = np.linspace(0.0, x_max, n)
+    y = np.linspace(0.0, x_max, _node_count(x_max, h.grid_step))
     u = cut(y, T)
     d = np.exp(-params.decay * (y - u)) * h.deriv(u)
-    return Curve(h.value_at_zero, d, x_max / (n - 1), x_max)
+    return Curve(h.value_at_zero, d, x_max)
 
 
 def coefficient(h: Curve, n: int, params: BasisParams,
@@ -198,16 +197,12 @@ def _fold_grid(n_points: int, params: BasisParams):
 
 
 def _fold_curve(h: Curve, k: int, params: BasisParams, grid) -> np.ndarray:
-    """Modes -k..k of h on ``grid`` (`_fold_grid`), reading h' from its samples
-    on the grid's step and from its spline otherwise."""
+    """Modes -k..k of h on ``grid`` (`_fold_grid`), reading h' on its nodes
+    (`Curve._deriv_on`: the samples on h's own step, the spline otherwise)."""
     x, w, e = grid
     if h.x_max < params.horizon - 1e-12:
         raise DomainTooShort("coefficient extraction needs the curve on [0, T]")
-    if abs(h.grid_step - params.horizon / (x.size - 1)) < 1e-12:
-        d = h.deriv_samples[:x.size]
-    else:
-        d = h.deriv(x)
-    return _fold_fft(w * d * e, k, params.horizon)
+    return _fold_fft(w * h._deriv_on(params.horizon, x.size) * e, k, params.horizon)
 
 
 def _synth_fft(c: np.ndarray, n_points: int, params: BasisParams) -> np.ndarray:

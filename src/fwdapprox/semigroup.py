@@ -12,7 +12,7 @@ import numpy as np
 from .basis import BasisParams, eval_g_n, lambda_n
 from .errors import DomainTooShort
 from .projection import CoeffState
-from .space import Curve
+from .space import Curve, _node_count
 
 __all__ = ["shift_curve", "shift_coeffs", "adjoint_on_dual"]
 
@@ -26,7 +26,7 @@ def shift_curve(f: Curve, t: float, x_max_out: float | None = None) -> Curve:
     if t + x_max_out > f.x_max + 1e-9:
         raise DomainTooShort(
             f"shift by {t} needs the curve on [0, {t + x_max_out}], has [0, {f.x_max}]")
-    n = int(round(x_max_out / f.grid_step)) + 1
+    n = _node_count(x_max_out, f.grid_step)
     if n < 2:
         raise DomainTooShort(f"shift by {t} leaves less than one grid step of "
                              f"[0, {f.x_max}]")
@@ -34,15 +34,10 @@ def shift_curve(f: Curve, t: float, x_max_out: float | None = None) -> Curve:
     if abs(m - round(m)) < 1e-9:
         # on-grid shift: slice the samples, integrate the skipped prefix
         m = int(round(m))
-        d = f.deriv_samples
-        if m == 0:
-            head = 0.0
-        else:
-            head = np.trapezoid(d[:m + 1], dx=f.grid_step)
-        return Curve(complex(f.value_at_zero + head), d[m:m + n],
-                     x_max_out / (n - 1), x_max_out)
+        head = np.trapezoid(f.deriv_samples[:m + 1], dx=f.grid_step) if m else 0.0
+        return Curve(complex(f.value_at_zero + head), f.deriv_samples[m:m + n], x_max_out)
     x = np.linspace(0.0, x_max_out, n)
-    return Curve(complex(f.value(t)), f.deriv(t + x), x_max_out / (n - 1), x_max_out)
+    return Curve(complex(f.value(t)), f.deriv(t + x), x_max_out)
 
 
 def _shift_factors(params: BasisParams, k: int, t):

@@ -1,7 +1,7 @@
 """Weighted curve space: grid representation, inner product and isometry.
 
 A curve f is stored through its value at zero and samples of its derivative
-on a uniform grid; the inner product is
+on the uniform grid np.linspace(0, x_max, n); the inner product is
 
     <f, g> = f(0) conj(g(0)) + int_0^infty f'(x) conj(g'(x)) e^{alpha x} dx
 
@@ -183,11 +183,12 @@ class CubicSpline(_PiecewisePoly):
 
 @dataclass(frozen=True)
 class Curve:
-    """A curve represented by f(0) and uniform samples of f' on [0, x_max].
+    """A curve represented by f(0) and samples of f' on the grid of [0, x_max].
 
-    Values and derivatives between the nodes come from one cubic spline and
-    its antiderivative.  The spline is real when every sample's imaginary
-    part is zero (as for real forward prices), and complex otherwise.
+    The nodes are np.linspace(0, x_max, n), n >= 2: the grid starts at 0, and
+    its step ``grid_step`` is derived, x_max / (n - 1).  Values and derivatives
+    between the nodes come from one cubic spline and its antiderivative, real
+    when every sample's imaginary part is zero (as for forward prices).
 
     A curve must not be mutated after construction, its samples included:
     the spline and every projection (`projection.coefficients_fft`) are
@@ -196,18 +197,18 @@ class Curve:
 
     value_at_zero: complex
     deriv_samples: np.ndarray
-    grid_step: float
     x_max: float
-    _spline_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _spline_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         d = np.asarray(self.deriv_samples, dtype=np.complex128)
         object.__setattr__(self, "deriv_samples", d)
-        n = d.shape[0]
-        if n < 2:
+        if d.shape[0] < 2:
             raise ValueError("need at least two derivative samples")
-        if abs(self.grid_step * (n - 1) - self.x_max) > 1e-9 * max(1.0, self.x_max):
-            raise ValueError("grid_step * (len - 1) must equal x_max")
+
+    @property
+    def grid_step(self) -> float:
+        return self.x_max / (len(self.deriv_samples) - 1)
 
     @property
     def grid(self) -> np.ndarray:
@@ -222,8 +223,7 @@ class Curve:
         n_points: int = DEFAULT_POINTS,
     ) -> "Curve":
         x = np.linspace(0.0, x_max, n_points)
-        return cls(complex(value_at_zero), np.asarray(deriv_fn(x), dtype=np.complex128),
-                   x_max / (n_points - 1), x_max)
+        return cls(complex(value_at_zero), np.asarray(deriv_fn(x), dtype=np.complex128), x_max)
 
     def _spline(self) -> CubicSpline:
         sp = self._spline_cache.get("deriv")
@@ -239,59 +239,71 @@ class Curve:
             sp = self._spline_cache["anti"] = self._spline().antiderivative()
         return sp
 
-    def deriv(self, x) -> np.ndarray:
-        """Cubic-spline evaluation of f' at arbitrary points inside the grid."""
+    def _in_domain(self, x, what: str) -> np.ndarray:
+        """x as floats, or DomainTooShort if a point lies outside [0, x_max]."""
         x = np.asarray(x, dtype=float)
         if np.any(x > self.x_max + 1e-9) or np.any(x < -1e-12):
-            raise DomainTooShort("requested derivative outside [0, x_max], "
-                                 f"x_max={self.x_max}")
+            raise DomainTooShort(f"requested {what} outside [0, x_max], x_max={self.x_max}")
+        return x
+
+    def deriv(self, x) -> np.ndarray:
+        """Cubic-spline evaluation of f' at arbitrary points inside the grid."""
+        x = self._in_domain(x, "derivative")
         return self._spline()(x) + 0j
 
     def value(self, x) -> np.ndarray:
         """f(x) = f(0) + int_0^x f'(y) dy via the spline antiderivative."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x > self.x_max + 1e-9) or np.any(x < -1e-12):
-            raise DomainTooShort("requested value outside [0, x_max], "
-                                 f"x_max={self.x_max}")
+        x = self._in_domain(x, "value")
         return self.value_at_zero + self._antideriv()(x) + 0j
 
     def values_on_grid(self) -> np.ndarray:
         return self.value(self.grid)
 
+    def _deriv_on(self, x_max: float, n: int) -> np.ndarray:
+        """f' on the n nodes of [0, x_max]: the samples on this curve's step, else the spline."""
+        if _same_step(x_max / (n - 1), self.grid_step):
+            return self.deriv_samples[:n]
+        return self.deriv(np.linspace(0.0, x_max, n))
+
     def resample(self, grid_step: float, x_max: float | None = None) -> "Curve":
-        """Cubic resampling of the derivative onto a new uniform grid."""
+        """f' on the grid of [0, x_max] nearest ``grid_step`` (`_deriv_on`), as a new curve."""
         x_max = self.x_max if x_max is None else x_max
         if x_max > self.x_max + 1e-9:
             raise DomainTooShort("cannot resample beyond the stored range")
-        n = int(round(x_max / grid_step)) + 1
-        if abs(grid_step - self.grid_step) < 1e-12 * max(1.0, self.grid_step):
-            # same step, shorter range: plain truncation of the samples
-            return Curve(self.value_at_zero, self.deriv_samples[:n],
-                         x_max / (n - 1), x_max)
-        x = np.linspace(0.0, x_max, n)
-        return Curve(self.value_at_zero, self.deriv(x), x_max / (n - 1), x_max)
+        return Curve(self.value_at_zero,
+                     self._deriv_on(x_max, _node_count(x_max, grid_step)), x_max)
 
     def restrict_mask(self, x_cut: float) -> "Curve":
         """Zero the derivative beyond x_cut (curve frozen at its x_cut value)."""
         d = self.deriv_samples.copy()
         d[_first_node_beyond(self.x_max, d.shape[0], x_cut + 1e-12):] = 0.0
-        return Curve(self.value_at_zero, d, self.grid_step, self.x_max)
+        return Curve(self.value_at_zero, d, self.x_max)
 
     def __add__(self, other: "Curve") -> "Curve":
         a, b = _align(self, other)
         return Curve(a.value_at_zero + b.value_at_zero,
-                     a.deriv_samples + b.deriv_samples, a.grid_step, a.x_max)
+                     a.deriv_samples + b.deriv_samples, a.x_max)
 
     def __sub__(self, other: "Curve") -> "Curve":
         a, b = _align(self, other)
         return Curve(a.value_at_zero - b.value_at_zero,
-                     a.deriv_samples - b.deriv_samples, a.grid_step, a.x_max)
+                     a.deriv_samples - b.deriv_samples, a.x_max)
 
     def __mul__(self, c) -> "Curve":
-        return Curve(self.value_at_zero * c, self.deriv_samples * c,
-                     self.grid_step, self.x_max)
+        return Curve(self.value_at_zero * c, self.deriv_samples * c, self.x_max)
 
     __rmul__ = __mul__
+
+
+def _same_step(a: float, b: float) -> bool:
+    """Whether two grid steps are one: within 1e-12, relative above a step of 1."""
+    d = abs(a - b)
+    return d < 1e-12 or d < 1e-12 * max(a, b)     # the first test decides the usual case
+
+
+def _node_count(x_max: float, step: float) -> int:
+    """The node count of the uniform grid of [0, x_max] nearest ``step``."""
+    return int(round(x_max / step)) + 1
 
 
 def _first_node_beyond(x_max: float, n: int, cut: float) -> int:
@@ -322,37 +334,34 @@ def _scaled_sum(terms) -> Curve:
     """sum_i w_i c_i over (c_i, w_i) pairs, in order, as one new curve.
 
     Bit for bit the chained arithmetic ((c_0 * w_0 + c_1 * w_1) + ...): a
-    term on the running sum's step, within `_align`'s tolerance, adds its
-    samples, both cut to the shorter range as `_align` truncates them.
+    term on the running sum's step (`_same_step`) adds its samples, both
+    cut to the shorter range as `_align` truncates them.
     From the first term on another step the chain itself goes on, as such a
     sum resamples through the splines.
     """
     (c0, w0), *rest = terms
     v, d, step, x_max = c0.value_at_zero * w0, c0.deriv_samples * w0, c0.grid_step, c0.x_max
     for i, (c, w) in enumerate(rest):
-        if abs(c.grid_step - step) >= 1e-12:
-            acc = Curve(v, d, step, x_max)
+        if not _same_step(c.grid_step, step):
+            acc = Curve(v, d, x_max)
             for later, weight in rest[i:]:
                 acc = acc + later * weight
             return acc
         cd = c.deriv_samples
         if abs(c.x_max - x_max) >= 1e-12:
             x_max = min(x_max, c.x_max)
-            n = int(round(x_max / min(step, c.grid_step))) + 1
+            n = _node_count(x_max, min(step, c.grid_step))
             step, d, cd = x_max / (n - 1), d[:n], cd[:n]
         v = v + c.value_at_zero * w
         d = d + cd * w
-    return Curve(v, d, step, x_max)
+    return Curve(v, d, x_max)
 
 
 def _align(f: Curve, g: Curve) -> tuple[Curve, Curve]:
     """Both curves on one grid: the finer step over the shorter range."""
-    same = (abs(f.grid_step - g.grid_step) < 1e-12
-            and abs(f.x_max - g.x_max) < 1e-12)
-    if same:
+    if _same_step(f.grid_step, g.grid_step) and abs(f.x_max - g.x_max) < 1e-12:
         return f, g
-    x_max = min(f.x_max, g.x_max)
-    step = min(f.grid_step, g.grid_step)
+    x_max, step = min(f.x_max, g.x_max), min(f.grid_step, g.grid_step)
     return f.resample(step, x_max), g.resample(step, x_max)
 
 
@@ -390,12 +399,11 @@ def theta(f: Curve, alpha: float) -> tuple[complex, np.ndarray]:
     return complex(f.value_at_zero), f.deriv_samples * np.exp(0.5 * alpha * f.grid)
 
 
-def theta_inv(z: complex, h: np.ndarray, alpha: float,
-              grid_step: float, x_max: float) -> Curve:
+def theta_inv(z: complex, h: np.ndarray, alpha: float, x_max: float) -> Curve:
     """Inverse isometry: value z plus the reweighted derivative samples."""
     h = np.asarray(h, dtype=np.complex128)
     x = np.linspace(0.0, x_max, h.shape[0])
-    return Curve(complex(z), h * np.exp(-0.5 * alpha * x), grid_step, x_max)
+    return Curve(complex(z), h * np.exp(-0.5 * alpha * x), x_max)
 
 
 # -- CSV interchange ---------------------------------------------------------
@@ -425,6 +433,7 @@ def _parse(s: str) -> complex:
 
 
 def read_curve_csv(path_or_buf) -> Curve:
+    """Read `x,f,fprime` rows: the x column must be a uniform grid from 0."""
     own = isinstance(path_or_buf, (str, bytes))
     handle = open(path_or_buf, "r", newline="") if own else path_or_buf
     try:
@@ -442,7 +451,9 @@ def read_curve_csv(path_or_buf) -> Curve:
     steps = np.diff(x)
     if steps.size == 0 or np.max(np.abs(steps - steps[0])) > 1e-9 * max(1.0, x[-1]):
         raise ValueError("curve CSV must use a uniform grid")
-    return Curve(complex(vals[0]), deriv, float(steps[0]), float(x[-1]))
+    if abs(x[0]) > 1e-9 * max(1.0, x[-1]):
+        raise ValueError(f"curve CSV grid must start at x = 0, not {float(x[0])}")
+    return Curve(complex(vals[0]), deriv, float(x[-1]))
 
 
 # -- segmented quadrature against the biorthogonal system --------------------

@@ -390,8 +390,12 @@ FUZZ_CONFIGS = {
                  id="overflowing-curve-samples"),
     pytest.param(("simulate",), {"f0": {"kind": "exp", "scale": 1e300, "rate": 800}},
                  id="overflowing-spline"),
+    pytest.param(("simulate",), {"f0": "offset.csv"}, id="curve-file-not-from-zero"),
 ])
 def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, argv, change):
+    # a uniform curve file on [0.5, 2]: a curve's grid starts at 0
+    (tmp_path / "offset.csv").write_text(
+        "x,f,fprime\n" + "".join(f"{x},{x + 0.5},1.0\n" for x in (0.5, 1.0, 1.5, 2.0)))
     cfg = base_model_cfg(n_paths=1)
     cfg.update(change)
     p = write_cfg(tmp_path, "c.json", cfg)

@@ -415,7 +415,7 @@ def test_convergence_experiment_rejects_complex_curves(which):
     bump, drift = smooth_bump(), flat_curve(0.05)
     complex_bump = bump * (1.0 + 0.5j)
     if which == "f0-value":
-        complex_bump = Curve(1.0 + 1e-3j, bump.deriv_samples, bump.grid_step, bump.x_max)
+        complex_bump = Curve(1.0 + 1e-3j, bump.deriv_samples, bump.x_max)
     drv = make_driver()
     if which == "loading":
         drv = LevyDriver(rank=3, loadings=list(drv.loadings[:2]) + [complex_bump],

@@ -37,7 +37,7 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 
 def basis_curve(n, x_max=1.0, n_points=2**12 + 1):
     x = np.linspace(0.0, x_max, n_points)
-    return Curve(0.0, eval_g_n_deriv(P, n, x), x_max / (n_points - 1), x_max)
+    return Curve(0.0, eval_g_n_deriv(P, n, x), x_max)
 
 
 def test_coeff_state_validation_and_access():
@@ -116,7 +116,7 @@ def test_reconstruct_roundtrip_on_span():
     c = rng.normal(size=9) + 1j * rng.normal(size=9)
     s = CoeffState(0.7 + 0j, c, p4)
     x = np.linspace(0, 1, 2**12 + 1)
-    f = Curve(s.c_star, reconstruct_deriv(s, x), 1.0 / (x.size - 1), 1.0)
+    f = Curve(s.c_star, reconstruct_deriv(s, x), 1.0)
     t = coefficients_fft(f, 4, P)
     assert np.max(np.abs(t.c - s.c)) < 1e-9
     assert complex(t.c_star) == pytest.approx(complex(s.c_star))
@@ -159,7 +159,7 @@ def test_compute_C1_zero_for_constant_derivative():
 
 def test_compute_C1_rejects_rough_data():
     rng = np.random.default_rng(1)
-    f = Curve(0.0, rng.normal(size=2**12 + 1), 1.0 / 2**12, 1.0)
+    f = Curve(0.0, rng.normal(size=2**12 + 1), 1.0)
     with pytest.raises(NotSmoothEnough):
         compute_C1(f, P)
 
@@ -219,7 +219,7 @@ def test_coefficients_fft_memo_key_covers_every_input():
     for i in order:
         k, n_points, params = inputs[i]
         got = coefficients_fft(h, k, params, n_points)
-        fresh = Curve(h.value_at_zero, h.deriv_samples.copy(), h.grid_step, h.x_max)
+        fresh = Curve(h.value_at_zero, h.deriv_samples.copy(), h.x_max)
         want = coefficients_fft(fresh, k, params, n_points)
         assert got.params == want.params
         assert got.c_star == want.c_star

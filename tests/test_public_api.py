@@ -124,3 +124,32 @@ def test_fold_helpers_stay_with_their_owners():
         users = {p.name for p in src.glob("*.py") if name in p.read_text()}
         assert users <= allowed, f"{name} is referenced outside {sorted(allowed)}: " \
                                  f"{sorted(users - allowed)}"
+
+
+def _step_differences(tree: ast.AST) -> list[int]:
+    """Lines of comparisons that hold a difference of two grid steps: each
+    side a ``.grid_step`` read, a name ending in ``step`` or a quotient (a
+    range over an interval count)."""
+    def is_step(node):
+        return ((isinstance(node, ast.Attribute) and node.attr == "grid_step")
+                or (isinstance(node, ast.Name) and node.id.endswith("step"))
+                or (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)))
+
+    return [d.lineno for cmp in ast.walk(tree) if isinstance(cmp, ast.Compare)
+            for d in ast.walk(cmp)
+            if isinstance(d, ast.BinOp) and isinstance(d.op, ast.Sub)
+            and is_step(d.left) and is_step(d.right)]
+
+
+def test_only_space_compares_grid_steps():
+    # a curve's grid is space.py's decision: whether two steps are one is
+    # space._same_step's test, and no other module compares steps itself
+    src = Path(fwdapprox.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "space.py":
+            continue
+        text = path.read_text()
+        found += [f"{path.name}: _same_step"] if "_same_step" in text else []
+        found += [f"{path.name}:{line}" for line in _step_differences(ast.parse(text))]
+    assert not found, f"grid steps compared outside space.py: {found}"

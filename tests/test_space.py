@@ -29,9 +29,10 @@ P = BasisParams(alpha=1.0, lam=0.5, horizon=1.0)
 
 def test_curve_validation():
     with pytest.raises(ValueError):
-        Curve(0.0, np.zeros(1), 1.0, 1.0)
-    with pytest.raises(ValueError):
-        Curve(0.0, np.zeros(5), 0.3, 1.0)  # step * (n-1) != x_max
+        Curve(0.0, np.zeros(1), 1.0)
+    # the step is derived from x_max and the sample count; it is not an argument
+    with pytest.raises(TypeError):
+        Curve(0.0, np.zeros(5), 0.25, 1.0)
 
 
 def test_value_integrates_derivative():
@@ -56,6 +57,7 @@ def test_domain_error_names_the_stored_range(method, x):
     f = Curve.from_deriv_fn(lambda y: y, 0.0, x_max=1.0, n_points=65)
     with pytest.raises(DomainTooShort, match=r"outside \[0, x_max\], x_max=1\.0"):
         getattr(f, method)(np.array([0.25, x]))
+    assert f._spline_cache == {}    # the range is checked before a spline is built
 
 
 def both_splines(f, x):
@@ -76,7 +78,7 @@ def test_real_curve_single_spline_equals_both_splines(n, x_max, v0, seed,
     # every value must stay bitwise what the two-spline evaluation gives
     rng = np.random.default_rng(seed)
     d = rng.normal(size=n) + (1j * rng.normal(size=n) if complex_samples else 0.0)
-    f = Curve(v0, d, x_max / (n - 1), x_max)
+    f = Curve(v0, d, x_max)
     x = np.concatenate([f.grid, rng.uniform(0.0, x_max, size=17)])
     deriv, value = both_splines(f, x)
     assert np.array_equal(f.deriv(x), deriv)
@@ -95,7 +97,7 @@ def test_complex_curve_builds_one_spline(monkeypatch):
 
     monkeypatch.setattr(space, "CubicSpline", recording)
     grid = np.linspace(0.0, 2.0, 129)
-    f = Curve(0.5, np.cos(grid) + 1j * np.sin(grid), 2.0 / 128, 2.0)
+    f = Curve(0.5, np.cos(grid) + 1j * np.sin(grid), 2.0)
     x = np.linspace(0.0, 2.0, 37)
     f.deriv(x)
     f.value(x)
@@ -105,8 +107,7 @@ def test_complex_curve_builds_one_spline(monkeypatch):
 def test_complex_curve_keeps_its_imaginary_part():
     x_max, n = 2.0, 129
     grid = np.linspace(0.0, x_max, n)
-    f = Curve(0.5 - 0.25j, np.cos(3.0 * grid) + 1j * np.sin(2.0 * grid),
-              x_max / (n - 1), x_max)
+    f = Curve(0.5 - 0.25j, np.cos(3.0 * grid) + 1j * np.sin(2.0 * grid), x_max)
     x = np.linspace(0.0, x_max, 37)
     deriv, value = both_splines(f, x)
     assert np.array_equal(f.deriv(x), deriv)
@@ -130,7 +131,7 @@ def test_spline_matches_scipy_not_a_knot(n, x_max, rough, seed):
     else:
         d = np.cos(rng.uniform(0.5, 6.0) * grid / x_max + rng.uniform(0, 2 * np.pi))
     v0 = rng.normal()
-    f = Curve(v0, d, x_max / (n - 1), x_max)
+    f = Curve(v0, d, x_max)
     x = np.concatenate([grid, rng.uniform(0.0, x_max, size=257),
                         [-1e-12, x_max + 1e-9]])
     ref = scipy.interpolate.CubicSpline(grid, d)
@@ -150,19 +151,19 @@ def test_spline_rejects_non_finite_samples(bad):
     y[4] = bad
     with pytest.raises(ValueError, match="finite"):
         space.CubicSpline(grid, y)
-    f = Curve(0.0, y, 1.0 / 8, 1.0)
+    f = Curve(0.0, y, 1.0)
     with pytest.raises(ValueError, match="finite"):
         f.deriv(0.5)
     d = np.cos(grid).astype(complex)
     d.imag = y  # a non-finite imaginary part only
     with pytest.raises(ValueError, match="finite"):
-        Curve(0.0, d, 1.0 / 8, 1.0).value(0.5)
+        Curve(0.0, d, 1.0).value(0.5)
 
 
 def test_spline_rejects_a_grid_that_does_not_increase():
     # a curve stored on [0, 0] has no spline (as with scipy's CubicSpline)
     with pytest.raises(ValueError, match="increase"):
-        Curve(0.0, np.ones(5), 0.0, 0.0).deriv(0.0)
+        Curve(0.0, np.ones(5), 0.0).deriv(0.0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 64, 257, 1000, 1001])
@@ -170,8 +171,8 @@ def test_inner_product_matches_scipy_simpson(n):
     # odd counts take composite Simpson, even ones scipy's end correction
     x_max = 2.0
     grid = np.linspace(0.0, x_max, n)
-    f = Curve(0.3 + 0.1j, np.cos(3.0 * grid) + 1j * grid, x_max / (n - 1), x_max)
-    g = Curve(-1.2, np.exp(-grid), x_max / (n - 1), x_max)
+    f = Curve(0.3 + 0.1j, np.cos(3.0 * grid) + 1j * grid, x_max)
+    g = Curve(-1.2, np.exp(-grid), x_max)
     for a, b in ((f, g), (f, f), (g, g)):
         integrand = a.deriv_samples * np.conj(b.deriv_samples) * np.exp(0.7 * grid)
         want = a.value_at_zero * np.conj(b.value_at_zero) + simpson(integrand, dx=a.grid_step)
@@ -219,6 +220,40 @@ def test_resample_same_step_is_truncation():
     assert np.array_equal(g.deriv_samples, f.deriv_samples[:n])
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 3000), x_max=st.floats(1e-3, 50.0), frac=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_resample_at_its_own_step_truncates_only_on_its_nodes(n, x_max, frac, seed):
+    # to any node of its own grid, a curve resamples by cutting its samples
+    rng = np.random.default_rng(seed)
+    f = Curve(rng.normal(), rng.normal(size=n), x_max)
+    assert f.grid_step == x_max / (n - 1)
+    j = 1 + int(frac * (n - 2))
+    for g, kept in ((f.resample(f.grid_step), n), (f.resample(f.grid_step, f.grid[j]), j + 1)):
+        assert g.value_at_zero == f.value_at_zero
+        assert np.array_equal(g.deriv_samples, f.deriv_samples[:kept])
+    assert g.x_max == f.grid[j]
+    # to an end between its nodes, the new nodes are not its own: the spline
+    g = f.resample(f.grid_step, f.grid[j] - 0.3 * f.grid_step)
+    assert np.array_equal(g.deriv_samples, f.deriv(g.grid))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 3000), x_max=st.floats(1e-3, 50.0), m=st.integers(2, 3000),
+       frac=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_on_grid_read_is_the_derivative_at_the_nodes(n, x_max, m, frac, seed):
+    # the samples on the curve's own nodes, the spline on any others: either
+    # way f' there, exact but for the last own node (the spline's end value)
+    rng = np.random.default_rng(seed)
+    f = Curve(rng.normal(), rng.normal(size=n), x_max)
+    assert np.array_equal(f._deriv_on(x_max, n), f.deriv_samples)
+    scale = np.max(np.abs(f.deriv_samples))
+    for end, count in ((x_max, n), (frac * x_max, m)):
+        got, want = f._deriv_on(end, count), f.deriv(np.linspace(0.0, end, count))
+        assert np.array_equal(got[:-1], want[:-1])
+        assert abs(got[-1] - want[-1]) <= 1e-14 * scale
+
+
 def test_restrict_mask_zeroes_tail():
     f = smooth_bump()
     g = f.restrict_mask(0.5)
@@ -232,7 +267,7 @@ def test_restrict_mask_zeroes_tail():
        frac=st.floats(-0.5, 1.5), on_node=st.booleans(), nudge=st.integers(-2, 2))
 def test_restrict_mask_cuts_where_the_grid_does(n, x_max, frac, on_node, nudge):
     # the cut index is found without the grid; it must mask what grid > cut does
-    f = Curve(1.0, np.ones(n), x_max / (n - 1), x_max)
+    f = Curve(1.0, np.ones(n), x_max)
     grid = np.linspace(0.0, x_max, n)
     x_cut = frac * x_max
     if on_node:     # at a node's own threshold, give or take a few ulps
@@ -246,7 +281,7 @@ def test_restrict_mask_cuts_where_the_grid_does(n, x_max, frac, on_node, nudge):
 @pytest.mark.parametrize("x_cut, masked", [(np.nan, 0), (np.inf, 0), (-np.inf, 5),
                                            (-1.0, 5), (0.0, 4), (1.0, 0)])
 def test_restrict_mask_extreme_cuts(x_cut, masked):
-    g = Curve(1.0, np.ones(5), 0.25, 1.0).restrict_mask(x_cut)
+    g = Curve(1.0, np.ones(5), 1.0).restrict_mask(x_cut)
     assert np.count_nonzero(g.deriv_samples == 0.0) == masked
 
 
@@ -296,7 +331,7 @@ def test_sup_norm_bound_dominates_grid_sup():
 def test_theta_roundtrip():
     f = smooth_bump()
     z, h = theta(f, 1.0)
-    g = theta_inv(z, h, 1.0, f.grid_step, f.x_max)
+    g = theta_inv(z, h, 1.0, f.x_max)
     assert np.allclose(g.deriv_samples, f.deriv_samples)
     assert complex(g.value_at_zero) == complex(f.value_at_zero)
     # the isometry preserves the norm by construction
@@ -321,6 +356,10 @@ def test_csv_rejects_bad_header_and_nonuniform_grid():
     bad = "x,f,fprime\n0.0,0.0,1.0\n0.1,0.1,1.0\n0.35,0.3,1.0\n"
     with pytest.raises(ValueError):
         read_curve_csv(io.StringIO(bad))
+    # a curve's grid starts at 0: an offset file would be read shifted
+    offset = "x,f,fprime\n0.5,1.0,1.0\n1.0,1.5,1.0\n1.5,2.0,1.0\n2.0,2.5,1.0\n"
+    with pytest.raises(ValueError, match=r"must start at x = 0, not 0\.5"):
+        read_curve_csv(io.StringIO(offset))
 
 
 def test_dual_gram_identity_small():
