@@ -335,9 +335,10 @@ def system_matrix(params: BasisParams, k: int) -> np.ndarray:
 
 def _euler_intervals(f0: Curve, k: int, params: BasisParams) -> int:
     """The count of f0's grid intervals on [0, T], where the Euler loop folds;
-    ValueError unless T is a node, the count is even and 2k+1 modes fit."""
-    n_T = int(round(params.horizon / f0.grid_step))
-    if abs(n_T * f0.grid_step - params.horizon) > 1e-9 or n_T % 2 != 0:
+    ValueError unless T is a node (`Curve._node_index`), the count is even
+    and 2k+1 modes fit."""
+    n_T = f0._node_index(params.horizon)
+    if n_T is None or n_T % 2 != 0:
         raise ValueError("initial-curve grid must split [0, T] into an even "
                          "number of intervals")
     if 2 * k + 1 > n_T:
@@ -380,7 +381,7 @@ def _euler_path(spec: ModelSpec, driver: LevyDriver, times, k: int,
         for s, out_curve in zip(scale, outs):
             if out_curve is None:
                 continue
-            if out_curve.x_max < p.horizon - 1e-12:
+            if not out_curve._covers(p.horizon):
                 raise DomainTooShort(f"field output at t={t:g} covers "
                                      f"[0, {out_curve.x_max}], not [0, T]")
             if s != 0.0:

@@ -59,9 +59,14 @@ AUDIT_K_SPAN = 8                 # truncation level of the audit's random curves
 AUDIT_TIMES = (0.0, 0.3, 0.7)    # times at which the audit evaluates the field
 
 
+def _input_cut(t: float, params: BasisParams) -> float:
+    """The structure condition's cut: a field at time t reads [0, T - t]."""
+    return max(params.horizon - t, 0.0)
+
+
 def _masked(f: Curve, t: float, params: BasisParams) -> Curve:
     """Input restriction realising the structure condition."""
-    return f.restrict_mask(max(params.horizon - t, 0.0))
+    return f.restrict_mask(_input_cut(t, params))
 
 
 def make_field(name: str, driver: LevyDriver, params: BasisParams,
@@ -182,9 +187,10 @@ def contract_audit(cf: CoefficientField, params: BasisParams, rank: int,
         worst_growth = max(worst_growth,
                            gb / (cf.lipschitz_b * (1.0 + norm_alpha(f, params.alpha))
                                  + 1e-300))
-        # tail-only perturbation: must not change any output
+        # tail-only perturbation of exactly the nodes the mask zeroes:
+        # must not change any output
         tail = f.deriv_samples.copy()
-        tail[f.grid > params.horizon - t + 1e-9] += rng.normal()
+        tail[f._masked_from(_input_cut(t, params)):] += rng.normal()
         f_pert = _masked(Curve(f.value_at_zero, tail, f.x_max), t, params)
         db = norm_alpha(bf - cf.b(t, f_pert), params.alpha)
         dpsi = max(norm_alpha(a - b, params.alpha)

@@ -124,7 +124,7 @@ def project_pi(h: Curve, params: BasisParams, x_max: float | None = None) -> Cur
     curves should be period-aware when high accuracy is needed.
     """
     T = params.horizon
-    if h.x_max < T - 1e-12:
+    if not h._covers(T):
         raise DomainTooShort("curve must cover [0, T] to be localised")
     x_max = h.x_max if x_max is None else x_max
     y = np.linspace(0.0, x_max, _node_count(x_max, h.grid_step))
@@ -200,7 +200,7 @@ def _fold_curve(h: Curve, k: int, params: BasisParams, grid) -> np.ndarray:
     """Modes -k..k of h on ``grid`` (`_fold_grid`), reading h' on its nodes
     (`Curve._deriv_on`: the samples on h's own step, the spline otherwise)."""
     x, w, e = grid
-    if h.x_max < params.horizon - 1e-12:
+    if not h._covers(params.horizon):
         raise DomainTooShort("coefficient extraction needs the curve on [0, T]")
     return _fold_fft(w * h._deriv_on(params.horizon, x.size) * e, k, params.horizon)
 
@@ -295,7 +295,7 @@ def compute_C1(f: Curve, params: BasisParams) -> float:
     the stored derivative samples (one-sided second order at the boundary).
     """
     T = params.horizon
-    if f.x_max < T - 1e-12:
+    if not f._covers(T):
         raise DomainTooShort("curve must cover [0, T]")
     npts = max(COEFF_POINTS, f.deriv_samples.shape[0])
     if npts % 2 == 0:

@@ -18,22 +18,26 @@ __all__ = ["shift_curve", "shift_coeffs", "adjoint_on_dual"]
 
 
 def shift_curve(f: Curve, t: float, x_max_out: float | None = None) -> Curve:
-    """(shift_t f)(x) = f(t + x), cubic interpolation at off-grid t."""
+    """(shift_t f)(x) = f(t + x) on [0, x_max_out], at f's step.
+
+    f must cover [0, t + x_max_out] (`Curve._covers`), else DomainTooShort.
+    When t is a node of f's grid (`Curve._node_index`), the samples are
+    sliced and the value at zero adds the trapezoid sum of the skipped
+    ones; off the grid, both come from the spline and its antiderivative.
+    """
     if t < 0.0:
         raise ValueError("shift time must be nonnegative")
     if x_max_out is None:
         x_max_out = f.x_max - t
-    if t + x_max_out > f.x_max + 1e-9:
+    if not f._covers(t + x_max_out):
         raise DomainTooShort(
             f"shift by {t} needs the curve on [0, {t + x_max_out}], has [0, {f.x_max}]")
     n = _node_count(x_max_out, f.grid_step)
     if n < 2:
         raise DomainTooShort(f"shift by {t} leaves less than one grid step of "
                              f"[0, {f.x_max}]")
-    m = t / f.grid_step
-    if abs(m - round(m)) < 1e-9:
-        # on-grid shift: slice the samples, integrate the skipped prefix
-        m = int(round(m))
+    m = f._node_index(t)
+    if m is not None:
         head = np.trapezoid(f.deriv_samples[:m + 1], dx=f.grid_step) if m else 0.0
         return Curve(complex(f.value_at_zero + head), f.deriv_samples[m:m + n], x_max_out)
     x = np.linspace(0.0, x_max_out, n)

@@ -41,6 +41,8 @@ DEFAULT_POINTS = 2**12 + 1  # resolves |n| <= 128 oscillations at >= 16 pts/peri
 # dual Gram quadrature: Simpson points per period, relative tail neglected
 GRAM_PTS_PER_PERIOD = 2048
 GRAM_TAIL_TOL = 1e-9
+# how far past x_max a read, a resample or a covered range [0, x] may reach
+_RANGE_TOL = 1e-9
 
 
 # -- uniform-grid cubic spline -----------------------------------------------
@@ -185,8 +187,9 @@ class CubicSpline(_PiecewisePoly):
 class Curve:
     """A curve represented by f(0) and samples of f' on the grid of [0, x_max].
 
-    The nodes are np.linspace(0, x_max, n), n >= 2: the grid starts at 0, and
-    its step ``grid_step`` is derived, x_max / (n - 1).  Values and derivatives
+    The nodes are np.linspace(0, x_max, n), n >= 2, with x_max finite and
+    positive (else ValueError): the grid starts at 0, and its step
+    ``grid_step`` is derived, x_max / (n - 1).  Values and derivatives
     between the nodes come from one cubic spline and its antiderivative, real
     when every sample's imaginary part is zero (as for forward prices).
 
@@ -205,6 +208,9 @@ class Curve:
         object.__setattr__(self, "deriv_samples", d)
         if d.shape[0] < 2:
             raise ValueError("need at least two derivative samples")
+        if not 0.0 < self.x_max < np.inf:
+            raise ValueError(f"a curve's nodes must increase from 0 to a finite "
+                             f"x_max > 0, not to {self.x_max}")
 
     @property
     def grid_step(self) -> float:
@@ -239,10 +245,23 @@ class Curve:
             sp = self._spline_cache["anti"] = self._spline().antiderivative()
         return sp
 
+    def _covers(self, x: float) -> bool:
+        """Whether the curve is stored on [0, x]: x_max reaches x within 1e-9,
+        the margin every spline read (`_in_domain`) allows."""
+        return x <= self.x_max + _RANGE_TOL
+
+    def _node_index(self, t: float) -> int | None:
+        """The i with t = i * grid_step, counting in steps (within 1e-9 of
+        one), or None when t is not a node.  The range is not checked here:
+        that is `_covers`' test."""
+        m = t / self.grid_step
+        i = round(m)
+        return int(i) if abs(m - i) < 1e-9 else None
+
     def _in_domain(self, x, what: str) -> np.ndarray:
         """x as floats, or DomainTooShort if a point lies outside [0, x_max]."""
         x = np.asarray(x, dtype=float)
-        if np.any(x > self.x_max + 1e-9) or np.any(x < -1e-12):
+        if np.any(x > self.x_max + _RANGE_TOL) or np.any(x < -1e-12):
             raise DomainTooShort(f"requested {what} outside [0, x_max], x_max={self.x_max}")
         return x
 
@@ -268,15 +287,19 @@ class Curve:
     def resample(self, grid_step: float, x_max: float | None = None) -> "Curve":
         """f' on the grid of [0, x_max] nearest ``grid_step`` (`_deriv_on`), as a new curve."""
         x_max = self.x_max if x_max is None else x_max
-        if x_max > self.x_max + 1e-9:
+        if not self._covers(x_max):
             raise DomainTooShort("cannot resample beyond the stored range")
         return Curve(self.value_at_zero,
                      self._deriv_on(x_max, _node_count(x_max, grid_step)), x_max)
 
+    def _masked_from(self, x_cut: float) -> int:
+        """The first node `restrict_mask(x_cut)` zeroes: the first beyond x_cut + 1e-12."""
+        return _first_node_beyond(self.x_max, self.deriv_samples.shape[0], x_cut + 1e-12)
+
     def restrict_mask(self, x_cut: float) -> "Curve":
         """Zero the derivative beyond x_cut (curve frozen at its x_cut value)."""
         d = self.deriv_samples.copy()
-        d[_first_node_beyond(self.x_max, d.shape[0], x_cut + 1e-12):] = 0.0
+        d[self._masked_from(x_cut):] = 0.0
         return Curve(self.value_at_zero, d, self.x_max)
 
     def __add__(self, other: "Curve") -> "Curve":
@@ -299,6 +322,12 @@ def _same_step(a: float, b: float) -> bool:
     """Whether two grid steps are one: within 1e-12, relative above a step of 1."""
     d = abs(a - b)
     return d < 1e-12 or d < 1e-12 * max(a, b)     # the first test decides the usual case
+
+
+def _on_grid(c: Curve, x_max: float, step: float) -> bool:
+    """Whether c is stored on the grid of [0, x_max] at ``step``: one step
+    (`_same_step`) and one range, within 1e-12."""
+    return _same_step(c.grid_step, step) and abs(c.x_max - x_max) < 1e-12
 
 
 def _node_count(x_max: float, step: float) -> int:
@@ -334,8 +363,9 @@ def _scaled_sum(terms) -> Curve:
     """sum_i w_i c_i over (c_i, w_i) pairs, in order, as one new curve.
 
     Bit for bit the chained arithmetic ((c_0 * w_0 + c_1 * w_1) + ...): a
-    term on the running sum's step (`_same_step`) adds its samples, both
-    cut to the shorter range as `_align` truncates them.
+    term on the running sum's step (`_same_step`) adds its samples; off the
+    sum's grid (`_on_grid`), both are cut to the shorter range as `_align`
+    truncates them.
     From the first term on another step the chain itself goes on, as such a
     sum resamples through the splines.
     """
@@ -348,7 +378,7 @@ def _scaled_sum(terms) -> Curve:
                 acc = acc + later * weight
             return acc
         cd = c.deriv_samples
-        if abs(c.x_max - x_max) >= 1e-12:
+        if not _on_grid(c, x_max, step):
             x_max = min(x_max, c.x_max)
             n = _node_count(x_max, min(step, c.grid_step))
             step, d, cd = x_max / (n - 1), d[:n], cd[:n]
@@ -358,11 +388,11 @@ def _scaled_sum(terms) -> Curve:
 
 
 def _align(f: Curve, g: Curve) -> tuple[Curve, Curve]:
-    """Both curves on one grid: the finer step over the shorter range."""
-    if _same_step(f.grid_step, g.grid_step) and abs(f.x_max - g.x_max) < 1e-12:
-        return f, g
+    """Both curves on one grid, the finer step over the shorter range: an
+    operand already on it (`_on_grid`) is kept, the other resampled."""
     x_max, step = min(f.x_max, g.x_max), min(f.grid_step, g.grid_step)
-    return f.resample(step, x_max), g.resample(step, x_max)
+    return tuple(c if _on_grid(c, x_max, step) else c.resample(step, x_max)
+                 for c in (f, g))
 
 
 def inner_product_alpha(f: Curve, g: Curve, alpha: float) -> complex:
@@ -433,7 +463,8 @@ def _parse(s: str) -> complex:
 
 
 def read_curve_csv(path_or_buf) -> Curve:
-    """Read `x,f,fprime` rows: the x column must be a uniform grid from 0."""
+    """Read `x,f,fprime` rows: the x column must be a uniform grid from 0 that
+    increases (`Curve`'s x_max > 0), and every row must hold the three cells."""
     own = isinstance(path_or_buf, (str, bytes))
     handle = open(path_or_buf, "r", newline="") if own else path_or_buf
     try:
@@ -443,6 +474,9 @@ def read_curve_csv(path_or_buf) -> Curve:
             handle.close()
     if not rows or [c.strip() for c in rows[0]] != ["x", "f", "fprime"]:
         raise ValueError("expected header 'x,f,fprime'")
+    for i, r in enumerate(rows[1:], start=2):
+        if len(r) < 3:
+            raise ValueError(f"curve CSV row {i} needs the 3 cells x,f,fprime, has {len(r)}")
     x = np.array([float(r[0]) for r in rows[1:]])
     vals = np.array([_parse(r[1]) for r in rows[1:]])
     deriv = np.array([_parse(r[2]) for r in rows[1:]])

@@ -7,6 +7,7 @@ from fwdapprox.basis import BasisParams, eval_g_n, lambda_n
 from fwdapprox.dynamics import (
     LevyDriver,
     ModelSpec,
+    _euler_intervals,
     _exact_transport,
     _final_state,
     _half_spectrum_values,
@@ -24,6 +25,7 @@ from fwdapprox.dynamics import (
 from fwdapprox.errors import BadWindow, DomainTooShort, UnstableStep
 from fwdapprox.markovian import make_field, simulate_markovian_fk
 from fwdapprox.projection import CoeffState, coefficients_fft, reconstruct, reconstruct_deriv
+from fwdapprox.semigroup import shift_curve
 from fwdapprox.space import Curve, _simpson_weights
 from fwdapprox.testcurves import exp_loading, flat_curve, seasonal_curve, smooth_bump
 
@@ -172,6 +174,29 @@ def test_euler_unstable_step_raises():
         euler_coefficient_system(spec, drv, np.linspace(0, 0.5, 9), k=8)
     assert euler_stability_limit(P, 2) == pytest.approx(
         2.0 / (1.0 + (4 * np.pi) ** 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("x_max, n", [(2.0, 513), (800.0, 9)])    # steps 1/256 and 100
+@pytest.mark.parametrize("off", [0.0, 4e-10, 4e-8])                # in steps
+def test_horizon_is_a_node_where_shift_curve_slices(x_max, n, off):
+    # one node test, counting in steps: T is a node for the Euler loop exactly
+    # when a shift by T slices the samples.  In x, off = 4e-8 on step 1/256 is
+    # 1.6e-10 and off = 4e-10 on step 100 is 4e-8, so an absolute 1e-9 would
+    # decide both the other way
+    f0 = Curve(0.5, np.random.default_rng(3).normal(size=n), x_max)
+    i = (n - 1) // 2
+    T = (i + off) * f0.grid_step
+    node = i if off < 1e-9 else None
+    assert f0._node_index(T) == node
+    p = BasisParams(alpha=1.0, lam=0.5, horizon=T)
+    if node is None:
+        with pytest.raises(ValueError, match="even number of intervals"):
+            _euler_intervals(f0, 1, p)
+    else:
+        assert _euler_intervals(f0, 1, p) == i
+    g = shift_curve(f0, T)
+    sliced = np.array_equal(g.deriv_samples, f0.deriv_samples[i:i + g.deriv_samples.size])
+    assert sliced is (node is not None)
 
 
 def test_euler_converges_to_exact_exponential():

@@ -141,15 +141,39 @@ def _step_differences(tree: ast.AST) -> list[int]:
             and is_step(d.left) and is_step(d.right)]
 
 
+def _grid_tolerances(tree: ast.AST) -> list[int]:
+    """Lines of node tests and range tolerances: a quotient by ``.grid_step``
+    (a count in steps, rounded or not), and a comparison of ``.x_max`` or
+    ``.grid`` with an offset literal (a sum or difference with a number)."""
+    def is_attr(node, names):
+        return isinstance(node, ast.Attribute) and node.attr in names
+
+    def is_offset(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+                and any(isinstance(side, ast.Constant) and isinstance(side.value, (int, float))
+                        for side in (node.left, node.right)))
+
+    steps = [d.lineno for d in ast.walk(tree) if isinstance(d, ast.BinOp)
+             and isinstance(d.op, ast.Div) and is_attr(d.right, {"grid_step"})]
+    ranges = [cmp.lineno for cmp in ast.walk(tree) if isinstance(cmp, ast.Compare)
+              and any(is_attr(d, {"x_max", "grid"}) for d in ast.walk(cmp))
+              and any(is_offset(d) for d in ast.walk(cmp))]
+    return steps + ranges
+
+
 def test_only_space_compares_grid_steps():
-    # a curve's grid is space.py's decision: whether two steps are one is
-    # space._same_step's test, and no other module compares steps itself
+    # a curve's grid is space.py's decision: whether two steps are one
+    # (space._same_step), whether a point is a node (Curve._node_index), whether
+    # a curve covers a range (Curve._covers) and where a mask cuts
+    # (Curve._masked_from); no other module counts in steps or holds a tolerance
     src = Path(fwdapprox.__file__).parent
     found = []
     for path in sorted(src.glob("*.py")):
         if path.name == "space.py":
             continue
         text = path.read_text()
+        tree = ast.parse(text)
         found += [f"{path.name}: _same_step"] if "_same_step" in text else []
-        found += [f"{path.name}:{line}" for line in _step_differences(ast.parse(text))]
-    assert not found, f"grid steps compared outside space.py: {found}"
+        found += [f"{path.name}:{line}"
+                  for line in _step_differences(tree) + _grid_tolerances(tree)]
+    assert not found, f"grid steps, nodes or ranges decided outside space.py: {found}"

@@ -10,6 +10,7 @@ from fwdapprox import space
 from fwdapprox.basis import BasisParams
 from fwdapprox.cli import load_curve
 from fwdapprox.errors import DomainTooShort
+from fwdapprox.projection import coefficients_fft, compute_C1, project_pi
 from fwdapprox.space import (
     Curve,
     dual_gram_matrix,
@@ -33,6 +34,10 @@ def test_curve_validation():
     # the step is derived from x_max and the sample count; it is not an argument
     with pytest.raises(TypeError):
         Curve(0.0, np.zeros(5), 0.25, 1.0)
+    # the nodes of [0, x_max] increase only for a finite x_max > 0
+    for x_max in (0.0, -2.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite x_max > 0"):
+            Curve(0.0, np.zeros(3), x_max)
 
 
 def test_value_integrates_derivative():
@@ -213,6 +218,38 @@ def test_inner_product_resamples_mismatched_grids():
     assert ip.real > 0.0
 
 
+def test_align_keeps_an_operand_on_the_common_grid():
+    # the common grid is the finer step over the shorter range; an operand
+    # already on it is kept as it is, and only the other one is resampled
+    fine_short = Curve.from_deriv_fn(np.cos, 0.5, x_max=1.0, n_points=201)
+    coarse_long = Curve.from_deriv_fn(np.sin, 1.0, x_max=2.0, n_points=201)
+    fine_long = Curve.from_deriv_fn(np.exp, 2.0, x_max=2.0, n_points=401)
+    for f, g in ((fine_short, coarse_long), (coarse_long, fine_short),
+                 (fine_short, fine_long), (fine_long, coarse_long), (fine_long, fine_long)):
+        x_max, step = min(f.x_max, g.x_max), min(f.grid_step, g.grid_step)
+        for got, c in zip(space._align(f, g), (f, g)):
+            assert (got is c) == space._on_grid(c, x_max, step)
+            want = c.resample(step, x_max)
+            assert (got.value_at_zero, got.x_max) == (want.value_at_zero, want.x_max)
+            assert np.array_equal(got.deriv_samples, want.deriv_samples)
+
+
+@pytest.mark.parametrize("short, covers", [(5e-10, True), (2e-9, False)])
+def test_every_range_check_is_the_one_range_test(short, covers):
+    # f covers [0, T] when x_max reaches T within 1e-9, the margin every
+    # spline read allows; each check that needs [0, T] asks this one test
+    h = Curve.from_deriv_fn(lambda x: np.exp(-x), 0.5, x_max=1.0 - short, n_points=1025)
+    assert h._covers(1.0) is covers
+    for check in (lambda: project_pi(h, P), lambda: coefficients_fft(h, 4, P),
+                  lambda: compute_C1(h, P), lambda: h.resample(h.grid_step, 1.0),
+                  lambda: shift_curve(h, 0.25, 0.75)):
+        if covers:
+            check()
+        else:
+            with pytest.raises(DomainTooShort):
+                check()
+
+
 def test_resample_same_step_is_truncation():
     f = smooth_bump()
     g = f.resample(f.grid_step, 1.0)
@@ -360,8 +397,25 @@ def test_csv_rejects_bad_header_and_nonuniform_grid():
     offset = "x,f,fprime\n0.5,1.0,1.0\n1.0,1.5,1.0\n1.5,2.0,1.0\n2.0,2.5,1.0\n"
     with pytest.raises(ValueError, match=r"must start at x = 0, not 0\.5"):
         read_curve_csv(io.StringIO(offset))
+    # an x column that does not increase gives no range [0, x_max]
+    for rows in ("0,1,0\n0,1,0\n", "0,1,0\n-1,1,0\n-2,1,0\n"):
+        with pytest.raises(ValueError, match="finite x_max > 0"):
+            read_curve_csv(io.StringIO("x,f,fprime\n" + rows))
+    # a row short of its three cells is named, a blank last line included
+    for rows, row in (("0,1,0\n0.5,1\n1,1,0\n", 3), ("0,1,0\n1,1,0\n\n", 4)):
+        with pytest.raises(ValueError, match=rf"row {row} needs the 3 cells"):
+            read_curve_csv(io.StringIO("x,f,fprime\n" + rows))
 
 
 def test_dual_gram_identity_small():
     gram = dual_gram_matrix(P, 2)
     assert np.max(np.abs(gram - np.eye(5))) < 1e-8
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(0.2, 3.0), lam_T=st.floats(0.25, 2.0), T=st.floats(0.25, 4.0),
+       k=st.integers(1, 4))
+def test_dual_gram_is_the_identity_for_random_parameters(alpha, lam_T, T, k):
+    # biorthogonality <g_m, g_n^*> = delta_mn within test_01's tolerance
+    gram = dual_gram_matrix(BasisParams(alpha, lam_T / T, T), k)
+    assert np.max(np.abs(gram - np.eye(2 * k + 1))) <= 1e-6
