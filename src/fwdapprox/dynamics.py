@@ -2,11 +2,12 @@
 
 Contains the finite-rank noise driver, a fine-grid mild-solution oracle, the
 exact finite-dimensional state-variable simulation, the explicit Euler scheme
-on the coefficient system (the one Euler loop `_euler_path`, which the
-Markovian scheme shares; linear Euler feeds it a field that ignores the
-curve), delivery-period forwards and the Monte-Carlo convergence experiment
-comparing the truncated model to the oracle.  The coefficient schemes return
-`StateVariables` arrays.
+on the coefficient system (`_euler_path`; it and the curve recursion
+`_curve_recursion` step any field ``outputs(t, state) -> [b or None, col_1..]``
+scaled by [dt, dL_j], the linear one ignoring the curve), delivery-period
+forwards and the Monte-Carlo convergence experiment comparing the truncated
+model to the oracle.  The coefficient schemes return `StateVariables` arrays;
+every scheme checks its times and noise by one rule, `_time_grid`.
 
 Time stepping is left-Riemann throughout: each step adds the drift and noise
 increment evaluated at the left endpoint and then transports by the shift.
@@ -134,9 +135,7 @@ class SimPath:
     noise_record: np.ndarray
 
     def __post_init__(self) -> None:
-        self.times = np.asarray(self.times, dtype=float)
-        if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0.0):
-            raise ValueError("times must start at 0 and increase")
+        self.times, _, self.noise_record = _time_grid(self.times, None, self.noise_record)
 
 
 @dataclass
@@ -152,40 +151,62 @@ class StateVariables:
         return CoeffState(complex(self.S_k[j]), self.U[j], self.params)
 
 
-def _uniform_step(times: np.ndarray) -> float:
+def _time_grid(times, driver: LevyDriver | None, noise: np.ndarray | None = None,
+               path_id: int = 0) -> tuple[np.ndarray, float, np.ndarray]:
+    """(times, dt, dL) of one path: ValueError unless ``times`` are finite, start
+    at 0 and rise in uniform steps (within 1e-9 of the first, relative), and
+    unless a given ``noise`` is finite with shape (L, driver rank), any rank
+    without a driver; without ``noise``, dL is the driver's path ``path_id``."""
+    times = np.asarray(times, dtype=float)
     steps = np.diff(times)
-    if steps.size == 0 or np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
-        raise ValueError("times must form a uniform grid")
-    return float(steps[0])
+    if not (steps.size and np.isfinite(times).all() and times[0] == 0.0 and steps[0] > 0.0
+            and np.max(np.abs(steps - steps[0])) <= 1e-9 * steps[0]):
+        raise ValueError("times must be finite and rise from 0 in uniform steps")
+    dt, n_steps = float(steps[0]), steps.size
+    if noise is None:
+        return times, dt, driver.increments(driver.path_rng(path_id), dt, n_steps)
+    noise = np.asarray(noise, dtype=float)
+    d = noise.shape[-1:] if driver is None else (driver.rank,)
+    if noise.shape != (n_steps, *d) or not np.isfinite(noise).all():
+        raise ValueError(f"noise must be finite with shape {(n_steps, *d)}, not {noise.shape}")
+    return times, dt, noise
 
 
-def _noise_for(driver: LevyDriver, dt: float, n_steps: int,
-               noise: np.ndarray | None, path_id: int = 0) -> np.ndarray:
-    if noise is not None:
-        noise = np.asarray(noise, dtype=float)
-        if noise.shape != (n_steps, driver.rank):
-            raise ValueError(f"noise must have shape ({n_steps}, {driver.rank})")
-        return noise
-    return driver.increments(driver.path_rng(path_id), dt, n_steps)
+def _psi_rows(spec: ModelSpec, driver: LevyDriver, times: np.ndarray) -> np.ndarray:
+    """The (L, d) psi weights at the left endpoints times[:-1]."""
+    return np.stack([spec.weights(t, driver.rank) for t in times[:-1]])
 
 
-def _increment(b: Curve, cols, dL_row: np.ndarray, dt: float) -> Curve:
-    """Left-endpoint increment b dt + sum_i cols[i] dL_i; zero noise is skipped."""
-    return _scaled_sum([(b, dt)] + [(col, dl) for col, dl in zip(cols, dL_row)
-                                    if dl != 0.0])
+def _linear_field(spec: ModelSpec, driver: LevyDriver):
+    """The linear dynamics as a field that ignores the curve: beta(t) (None
+    without drift) and the raw loadings; the psi weights scale the noise
+    instead (dL * `_psi_rows`), as in `_exact_transport`."""
+    def outputs(t, state):
+        return [None if spec.beta is None else spec.beta(t), *driver.loadings]
+
+    return outputs
 
 
-def _curve_recursion(f0: Curve, dt: float, n_steps: int,
-                     increment: Callable[[int, Curve], Curve]) -> Iterator[Curve]:
-    """Yield the mild-solution states f_0..f_L, f_{j+1} = shift_dt(f_j + increment(j, f_j)).
+def _increment(outs, scale_row) -> Curve | None:
+    """sum_i scale_i outs_i (`space._scaled_sum`) over the terms that are not
+    None or scaled by zero; None if no term is left."""
+    terms = [(out, s) for out, s in zip(outs, scale_row) if out is not None and s != 0.0]
+    return _scaled_sum(terms) if terms else None
 
+
+def _curve_recursion(f0: Curve, times: np.ndarray, dt: float, noise: np.ndarray,
+                     outputs, reads: Sequence[Curve] | None = None) -> Iterator[Curve]:
+    """Yield the states f_0..f_L on ``times``, f_{j+1} = shift_dt(f_j + the
+    `_increment` of the field at t_j), which reads f_j, or reads[j] if given.
     Only the current state is held, so a caller that keeps what it needs of
     each state as it appears runs in memory independent of L.
     """
     f = f0
     yield f
-    for j in range(n_steps):
-        f = shift_curve(f + increment(j, f), dt)
+    for j, (t, row) in enumerate(zip(times[:-1], noise)):
+        state = f if reads is None else reads[j]
+        inc = _increment(outputs(t, lambda: state), (dt, *row))
+        f = shift_curve(f if inc is None else f + inc, dt)
         yield f
 
 
@@ -198,19 +219,10 @@ def oracle_mild_solution(spec: ModelSpec, driver: LevyDriver, times,
     represented x-range shrinks by dt each step, so f0 must cover
     [0, times[-1] + whatever range the caller needs at the final time].
     """
-    times = np.asarray(times, dtype=float)
-    dt = _uniform_step(times)
-    n_steps = times.size - 1
-    dL = _noise_for(driver, dt, n_steps, noise, path_id)
-
-    def increment(j, f):
-        t = times[j]
-        b = f * 0.0 if spec.beta is None else spec.beta(t)
-        return _increment(b, driver.loadings, spec.weights(t, driver.rank) * dL[j], dt)
-
-    return SimPath(times=times,
-                   states=list(_curve_recursion(spec.f0, dt, n_steps, increment)),
-                   noise_record=dL)
+    times, dt, dL = _time_grid(times, driver, noise, path_id)
+    states = _curve_recursion(spec.f0, times, dt, dL * _psi_rows(spec, driver, times),
+                              _linear_field(spec, driver))
+    return SimPath(times=times, states=list(states), noise_record=dL)
 
 
 def _projected_inputs(spec: ModelSpec, driver: LevyDriver, times, k: int):
@@ -228,8 +240,8 @@ def _projected_inputs(spec: ModelSpec, driver: LevyDriver, times, k: int):
         return np.array([s.c_star for s in states]), np.stack([s.c for s in states])
 
     drift = None if spec.beta is None else stacked(spec.beta(t) for t in times[:-1])
-    psi = np.stack([spec.weights(t, driver.rank) for t in times[:-1]])
-    return coefficients_fft(spec.f0, k, p), stacked(driver.loadings), drift, psi
+    return (coefficients_fft(spec.f0, k, p), stacked(driver.loadings), drift,
+            _psi_rows(spec, driver, times))
 
 
 def _exact_transport(init: CoeffState, loads, drift, weighted: np.ndarray,
@@ -304,9 +316,7 @@ def simulate_fk_state(spec: ModelSpec, driver: LevyDriver, times, k: int,
     which the shift updates through sum_n U_n g_n(dt).  The invariant
     "spot == curve value at 0" holds identically because g_n(0) = 0.
     """
-    times = np.asarray(times, dtype=float)
-    dt = _uniform_step(times)
-    dL = _noise_for(driver, dt, times.size - 1, noise, path_id)
+    times, dt, dL = _time_grid(times, driver, noise, path_id)
     init, loads, drift, psi = _projected_inputs(spec, driver, times, k)
     S_k, U = zip((init.c_star, init.c),
                  *_exact_transport(init, loads, drift, psi * dL, dt, k))
@@ -346,26 +356,21 @@ def _euler_intervals(f0: Curve, k: int, params: BasisParams) -> int:
     return n_T
 
 
-def _euler_path(spec: ModelSpec, driver: LevyDriver, times, k: int,
-                noise: np.ndarray | None,
-                outputs: Callable[[float, Callable[[], Curve]], Sequence[Curve | None]]
-                ) -> StateVariables:
+def _euler_path(spec: ModelSpec, times: np.ndarray, dt: float, noise: np.ndarray,
+                k: int, outputs) -> StateVariables:
     """Explicit Euler on the 2k+2 coefficient system fed by a curve field.
 
-    ``outputs(t_j, span)`` gives the drift and one noise column per factor,
+    The field's outputs at t_j (drift and one noise column per factor) are
     each folded (`projection._fold_curve`) on f0's nodes over [0, T] and
-    scaled by dt or dL_j; they must cover [0, T] (else DomainTooShort).
-    ``span()`` builds the current span curve f_j, so a field that ignores
-    the state never pays for it, and a None drift is zero and skipped.
+    scaled by dt or noise_j; they must cover [0, T] (else DomainTooShort).
+    The field's ``state()`` builds the current span curve f_j, so a field
+    that ignores the state never pays for it; a None output is skipped.
     """
     p = spec.params
-    times = np.asarray(times, dtype=float)
-    dt = _uniform_step(times)
     limit = euler_stability_limit(p, k)
     if dt >= limit:
         raise UnstableStep(f"step {dt} >= stability limit {limit:.3e} for k={k}")
     A = system_matrix(p, k)
-    dL = _noise_for(driver, dt, times.size - 1, noise)
 
     f0 = spec.f0
     grid = _fold_grid(_euler_intervals(f0, k, p) + 1, p)
@@ -374,11 +379,10 @@ def _euler_path(spec: ModelSpec, driver: LevyDriver, times, k: int,
     init = coefficients_fft(f0, k, p)
     x = np.concatenate(([init.c_star], init.c))
     xs = [x]
-    scales = np.concatenate((np.full((dL.shape[0], 1), dt), dL), axis=1)  # (L, 1+d)
-    for t, scale in zip(times[:-1], scales):
+    for t, row in zip(times[:-1], noise):
         outs = outputs(t, lambda: Curve(complex(x[0]), x[1:] @ Gd, f0.x_max))
         inc = dt * (A @ x)
-        for s, out_curve in zip(scale, outs):
+        for s, out_curve in zip((dt, *row), outs):
             if out_curve is None:
                 continue
             if not out_curve._covers(p.horizon):
@@ -395,18 +399,13 @@ def _euler_path(spec: ModelSpec, driver: LevyDriver, times, k: int,
 
 def euler_coefficient_system(spec: ModelSpec, driver: LevyDriver, times, k: int,
                              noise: np.ndarray | None = None) -> StateVariables:
-    """Plain explicit Euler on the 2k+2 complex coefficient system.
-
-    The Markovian Euler loop on the field b = beta(t) (none without drift),
-    psi_i = w_i(t) loading_i, which ignores the curve.  Without ``noise`` the
-    driver's path 0 supplies the increments.
+    """Plain explicit Euler on the 2k+2 complex coefficient system: the
+    Markovian Euler loop on the field that ignores the curve (`_linear_field`).
+    Without ``noise`` the driver's path 0 supplies the increments.
     """
-    def outputs(t, span):
-        b = None if spec.beta is None else spec.beta(t)
-        w = spec.weights(t, driver.rank)
-        return [b] + [c * wi for c, wi in zip(driver.loadings, w)]
-
-    return _euler_path(spec, driver, times, k, noise, outputs)
+    times, dt, dL = _time_grid(times, driver, noise)
+    return _euler_path(spec, times, dt, dL * _psi_rows(spec, driver, times), k,
+                       _linear_field(spec, driver))
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -537,7 +536,7 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
     times = np.linspace(0.0, t_eval, n_steps + 1)
     betas, drifts = _drift_curves(spec, times)
     _require_real(spec, driver, drifts)
-    dL = np.stack([_noise_for(driver, dt, n_steps, None, pid)
+    dL = np.stack([driver.increments(driver.path_rng(pid), dt, n_steps)
                    for pid in range(n_paths)])      # (P, L, d)
     init, loads, drift, psi = _projected_inputs(spec, driver, times,
                                                 int(max(k_list)))

@@ -5,8 +5,9 @@ psi_i(t, f) together with declared Lipschitz constants.  The structure
 condition (coefficients may read the curve only on [0, T - t]) is enforced
 mechanically: every field evaluation receives the input curve with its
 derivative zeroed beyond T - t, so dependence on the tail is impossible by
-construction and audits can verify it by perturbation.  The truncated scheme
-feeds the masked field to the one coefficient Euler loop, `dynamics._euler_path`.
+construction and audits can verify it by perturbation.  The scheme, the oracle
+and the Picard map step one masked field (`_masked_field`) and differ only in
+the state it reads.
 """
 from __future__ import annotations
 
@@ -18,8 +19,7 @@ import numpy as np
 from .basis import (BasisParams, frame_lower_constant, frame_upper_constant,
                     projector_norm_bound)
 from .dynamics import (LevyDriver, ModelSpec, SimPath, StateVariables,
-                       _curve_recursion, _euler_intervals, _euler_path, _increment,
-                       _noise_for, _uniform_step)
+                       _curve_recursion, _euler_intervals, _euler_path, _time_grid)
 from .projection import CoeffState, coefficients_fft, reconstruct, reconstruct_deriv
 from .space import Curve, norm_alpha
 from .testcurves import flat_curve
@@ -204,20 +204,21 @@ def contract_audit(cf: CoefficientField, params: BasisParams, rank: int,
     }
 
 
-def _field_increment(cf: CoefficientField, spec: ModelSpec, t: float,
-                     f: Curve, dL_row: np.ndarray, dt: float) -> Curve:
-    fm = _masked(f, t, spec.params)
-    return _increment(cf.b(t, fm), cf.psi(t, fm), dL_row, dt)
+def _masked_field(cf: CoefficientField, params: BasisParams):
+    """The field as every scheme reads it: outputs(t, state) = [b, psi_1..psi_d]
+    at the curve state() masked beyond T - t (`_masked`)."""
+    def outputs(t, state):
+        fm = _masked(state(), t, params)
+        return [cf.b(t, fm), *cf.psi(t, fm)]
+
+    return outputs
 
 
 def _oracle_states(cf: CoefficientField, spec: ModelSpec, times: np.ndarray,
-                   dL: np.ndarray) -> Iterator[Curve]:
+                   dt: float, dL: np.ndarray) -> Iterator[Curve]:
     """Yield the oracle's states f_0..f_L on ``times`` for the increments dL,
     holding only the current one (`dynamics._curve_recursion`)."""
-    dt = _uniform_step(times)
-    return _curve_recursion(
-        spec.f0, dt, times.size - 1,
-        lambda j, f: _field_increment(cf, spec, times[j], f, dL[j], dt))
+    return _curve_recursion(spec.f0, times, dt, dL, _masked_field(cf, spec.params))
 
 
 def oracle_markovian(cf: CoefficientField, spec: ModelSpec, driver: LevyDriver,
@@ -230,9 +231,8 @@ def oracle_markovian(cf: CoefficientField, spec: ModelSpec, driver: LevyDriver,
     kept, for tests and the Picard map; `markovian_convergence_experiment`
     streams the same states instead and holds one at a time.
     """
-    times = np.asarray(times, dtype=float)
-    dL = _noise_for(driver, _uniform_step(times), times.size - 1, noise)
-    return SimPath(times=times, states=list(_oracle_states(cf, spec, times, dL)),
+    times, dt, dL = _time_grid(times, driver, noise)
+    return SimPath(times=times, states=list(_oracle_states(cf, spec, times, dt, dL)),
                    noise_record=dL)
 
 
@@ -244,13 +244,14 @@ def picard_operator_V(h_states: Sequence[Curve], cf: CoefficientField,
     V(h)(t_j) = shift_{t_j} f0
                 + sum_{l<j} shift_{t_j - t_l} (b(t_l, h_l) dt + psi(t_l, h_l) dL_l)
 
-    on the same grid and noise record as h, by the oracle's own recursion.
+    on the same grid and noise record as h, by the oracle's own recursion;
+    ValueError unless h holds one state per time.
     """
-    times = np.asarray(times, dtype=float)
-    dt = _uniform_step(times)
-    return list(_curve_recursion(
-        spec.f0, dt, times.size - 1,
-        lambda j, f: _field_increment(cf, spec, times[j], h_states[j], noise[j], dt)))
+    times, dt, noise = _time_grid(times, driver, noise)
+    if len(h_states) != times.size:
+        raise ValueError(f"{len(h_states)} states for {times.size} times")
+    return list(_curve_recursion(spec.f0, times, dt, noise,
+                                 _masked_field(cf, spec.params), h_states))
 
 
 def simulate_markovian_fk(cf: CoefficientField, spec: ModelSpec,
@@ -265,11 +266,8 @@ def simulate_markovian_fk(cf: CoefficientField, spec: ModelSpec,
     curve's nodes over [0, T], read through its spline if on another grid.
     Without ``noise`` the driver's path 0 supplies the increments.
     """
-    def outputs(t, span):
-        fm = _masked(span(), t, spec.params)
-        return [cf.b(t, fm)] + list(cf.psi(t, fm))
-
-    return _euler_path(spec, driver, times, k, noise, outputs)
+    times, dt, dL = _time_grid(times, driver, noise)
+    return _euler_path(spec, times, dt, dL, k, _masked_field(cf, spec.params))
 
 
 def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
@@ -291,6 +289,7 @@ def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
     for k in k_list:
         _euler_intervals(spec.f0, int(k), p)
     times = np.linspace(0.0, p.horizon, n_steps + 1)
+    dt = float(times[1])
     stride = max(1, n_steps // sup_slices)
     slice_idx = list(range(0, times.size, stride))
     if slice_idx[-1] != times.size - 1:
@@ -298,9 +297,9 @@ def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
     xs = {j: np.linspace(0.0, max(p.horizon - times[j], 0.0), n_x) for j in slice_idx}
     errs = {int(k): np.empty(n_paths) for k in k_list}
     for pid in range(n_paths):
-        noise = _noise_for(driver, times[1], n_steps, None, pid)
+        noise = driver.increments(driver.path_rng(pid), dt, n_steps)
         o_vals = {j: f.value(xs[j])
-                  for j, f in enumerate(_oracle_states(cf, spec, times, noise)) if j in xs}
+                  for j, f in enumerate(_oracle_states(cf, spec, times, dt, noise)) if j in xs}
         for k in k_list:
             path = simulate_markovian_fk(cf, spec, driver, times, int(k),
                                          noise=noise)

@@ -464,7 +464,7 @@ def _parse(s: str) -> complex:
 
 def read_curve_csv(path_or_buf) -> Curve:
     """Read `x,f,fprime` rows: the x column must be a uniform grid from 0 that
-    increases (`Curve`'s x_max > 0), and every row must hold the three cells."""
+    increases (`Curve`'s x_max > 0), and every row must hold exactly the three cells."""
     own = isinstance(path_or_buf, (str, bytes))
     handle = open(path_or_buf, "r", newline="") if own else path_or_buf
     try:
@@ -475,7 +475,7 @@ def read_curve_csv(path_or_buf) -> Curve:
     if not rows or [c.strip() for c in rows[0]] != ["x", "f", "fprime"]:
         raise ValueError("expected header 'x,f,fprime'")
     for i, r in enumerate(rows[1:], start=2):
-        if len(r) < 3:
+        if len(r) != 3:
             raise ValueError(f"curve CSV row {i} needs the 3 cells x,f,fprime, has {len(r)}")
     x = np.array([float(r[0]) for r in rows[1:]])
     vals = np.array([_parse(r[1]) for r in rows[1:]])

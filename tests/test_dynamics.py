@@ -23,7 +23,8 @@ from fwdapprox.dynamics import (
     system_matrix,
 )
 from fwdapprox.errors import BadWindow, DomainTooShort, UnstableStep
-from fwdapprox.markovian import make_field, simulate_markovian_fk
+from fwdapprox.markovian import (make_field, oracle_markovian, picard_operator_V,
+                                 simulate_markovian_fk)
 from fwdapprox.projection import CoeffState, coefficients_fft, reconstruct, reconstruct_deriv
 from fwdapprox.semigroup import shift_curve
 from fwdapprox.space import Curve, _simpson_weights
@@ -507,3 +508,87 @@ def test_psi_weights_scale_the_noise_at_the_left_endpoint(run):
     want = run(plain, drv, times, 4, noise=scaled)
     for a, ref in ((got.S_k, want.S_k), (got.U, want.U)):
         assert np.max(np.abs(a - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _schemes():
+    """Every scheme by name, as run(times, noise) on the default inputs at k = 2."""
+    drv, spec = make_driver(), make_spec()
+    field = make_field("constant", drv, P)
+    return {
+        "simulate_fk_state": lambda t, n: simulate_fk_state(spec, drv, t, 2, noise=n),
+        "euler_coefficient_system":
+            lambda t, n: euler_coefficient_system(spec, drv, t, 2, noise=n),
+        "oracle_mild_solution": lambda t, n: oracle_mild_solution(spec, drv, t, noise=n),
+        "simulate_markovian_fk":
+            lambda t, n: simulate_markovian_fk(field, spec, drv, t, 2, noise=n),
+        "oracle_markovian": lambda t, n: oracle_markovian(field, spec, drv, t, noise=n),
+        "picard_operator_V":
+            lambda t, n: picard_operator_V([spec.f0] * len(t), field, spec, drv, t, n),
+    }
+
+
+_TIMES = np.linspace(0.0, 0.05, 9)      # a stable Euler step at k = 2
+_NAN_TIME = _TIMES.copy()
+_NAN_TIME[3] = np.nan
+_NAN_NOISE = np.zeros((8, 3))
+_NAN_NOISE[5, 1] = np.inf
+
+
+@pytest.mark.parametrize("times, noise, bad", [
+    pytest.param(np.zeros(9), np.zeros((8, 3)), "times", id="zero-step"),
+    pytest.param(_NAN_TIME, np.zeros((8, 3)), "times", id="nan-time"),
+    pytest.param(0.5 + _TIMES, np.zeros((8, 3)), "times", id="starts-at-0.5"),
+    pytest.param(-_TIMES, np.zeros((8, 3)), "times", id="decreasing"),
+    pytest.param(_TIMES, _NAN_NOISE, "noise", id="non-finite-noise"),
+    pytest.param(_TIMES, np.zeros((8, 2)), "noise", id="noise-of-rank-d-1"),
+    pytest.param(_TIMES, np.zeros((9, 3)), "noise", id="noise-one-step-long"),
+])
+@pytest.mark.parametrize("scheme", list(_schemes()))
+def test_every_scheme_checks_its_time_grid_and_noise(scheme, times, noise, bad):
+    # one time-grid rule: finite times rising from 0 in uniform steps, and a
+    # finite (L, d) noise record.  Unchecked, a zero step freezes the state, a
+    # NaN time gives NaN states and Picard reads d - 1 loadings of (L, d - 1)
+    with pytest.raises(ValueError, match=f"{bad} must be"):
+        _schemes()[scheme](times, noise)
+
+
+def test_picard_needs_one_state_per_time():
+    drv, spec = make_driver(), make_spec()
+    with pytest.raises(ValueError, match="8 states for 9 times"):
+        picard_operator_V([spec.f0] * 8, make_field("constant", drv, P), spec, drv,
+                          _TIMES, np.zeros((8, 3)))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(0.2, 3.0), lam=st.floats(0.1, 2.0), T=st.floats(0.5, 2.0),
+       k=st.integers(0, 16), seed=st.integers(0, 2**32 - 1), drift=st.booleans())
+def test_linear_schemes_are_the_markovian_ones_on_the_constant_field(alpha, lam, T, k,
+                                                                     seed, drift):
+    # the linear dynamics is the field that ignores the curve: on the constant
+    # field, linear Euler and the linear oracle are the Markovian scheme and
+    # oracle bit for bit.  About 30 % of the increments are zero and one
+    # loading is stored on a shorter range, so a path that added a zero-noise
+    # term would cut the oracle's range where the other path does not
+    pk = BasisParams(alpha, lam, T)
+    n_steps = 8
+    dt = min(0.5 * euler_stability_limit(pk, k), T / (2 * n_steps))
+    times = dt * np.arange(n_steps + 1)
+    grid = dict(x_max=2.0 * T, n_points=1025)     # [0, T] splits into 512 steps
+    short = dict(x_max=1.5 * T, n_points=769)     # the same step on [0, 1.5 T]
+    b = seasonal_curve(0.05, **grid) if drift else flat_curve(0.0, **grid)
+    drv = LevyDriver(rank=3, loadings=[exp_loading(0.1, 0.5, **grid),
+                                       exp_loading(0.05, 2.0, **short),
+                                       exp_loading(0.08, 1.0, **grid)], seed=seed)
+    spec = ModelSpec(f0=smooth_bump(**grid), params=pk,
+                     beta=(lambda t: b) if drift else None)
+    noise = drv.increments(drv.path_rng(0), dt, n_steps)
+    noise[np.random.default_rng(seed).random(noise.shape) < 0.3] = 0.0
+    field = make_field("constant", drv, pk, b_curve=b)
+    linear = euler_coefficient_system(spec, drv, times, k, noise=noise)
+    markov = simulate_markovian_fk(field, spec, drv, times, k, noise=noise)
+    assert np.array_equal(linear.S_k, markov.S_k) and np.array_equal(linear.U, markov.U)
+    linear = oracle_mild_solution(spec, drv, times, noise=noise)
+    markov = oracle_markovian(field, spec, drv, times, noise=noise)
+    for a, c in zip(linear.states, markov.states, strict=True):
+        assert (a.value_at_zero, a.x_max) == (c.value_at_zero, c.x_max)
+        assert np.array_equal(a.deriv_samples, c.deriv_samples)

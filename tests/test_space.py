@@ -405,6 +405,10 @@ def test_csv_rejects_bad_header_and_nonuniform_grid():
     for rows, row in (("0,1,0\n0.5,1\n1,1,0\n", 3), ("0,1,0\n1,1,0\n\n", 4)):
         with pytest.raises(ValueError, match=rf"row {row} needs the 3 cells"):
             read_curve_csv(io.StringIO("x,f,fprime\n" + rows))
+    # and so is a row past its three cells: a shifted column is not read silently
+    for rows, row in (("0,1,0,7\n1,1,0\n", 2), ("0,1,0\n1,1,0,junk\n2,1,0\n", 3)):
+        with pytest.raises(ValueError, match=rf"row {row} needs the 3 cells x,f,fprime, has 4"):
+            read_curve_csv(io.StringIO("x,f,fprime\n" + rows))
 
 
 def test_dual_gram_identity_small():
