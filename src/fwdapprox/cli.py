@@ -20,7 +20,8 @@ t_eval / time_step in [1, 2^20]; k in [0, 2047]; k_list strictly ascending,
 entries in [1, 2047] for converge and [1, 511] for truncation-rate; in a
 curve spec n_points in [2, 2^20 + 1], x_max and period > 0, a curve file's
 grid uniform from x = 0 and increasing, each of its rows (a blank line
-included) holding exactly the three cells x,f,fprime, and every curve
+included) holding exactly the three cells x,f,fprime, its f column within
+1e-6 max(1, max|f|) of f(0) plus the integral of fprime, and every curve
 finite, its cubic spline included.
 For converge --markovian, f0's grid must split [0, horizon] into an even
 number of intervals, at least 2 max(k_list) + 1 of them.

@@ -49,6 +49,12 @@ __all__ = [
 _LAWS = ("gaussian", "variance_gamma", "nig")
 CONV_X_POINTS = 1024   # points of [0, T - t_eval] the convergence sup runs over
 BOUND_PATHS = 64       # paths whose curvature constants enter the sampled bound
+# paths convergence_experiment steps together, so that its memory is one
+# chunk's.  Not fewer: OpenBLAS rounds some rows of a small product
+# differently (its small-matrix kernel); at 256 rows mc_error moved in its
+# last bits on 2,000 paths x 128 steps, at 512 it does not
+_PATH_CHUNK = 512
+_BLOCK_POINTS = 2**16  # points per spline evaluation while `_mild_terms` fills a kernel
 
 
 def splitmix64(x: int) -> int:
@@ -270,9 +276,9 @@ def _exact_transport(init: CoeffState, loads, drift, weighted: np.ndarray,
         yield c_star, c
 
 
-def _final_state(init: CoeffState, loads, drift, weighted: np.ndarray,
-                 dt: float, k: int):
-    """The last (c_star, c) of `_exact_transport`, in closed form.
+def _final_state(init: CoeffState, loads, drift, n_steps: int, dt: float, k: int):
+    """The last (c_star, c) of `_exact_transport` in closed form, as a function
+    of ``weighted`` (..., n_steps, d).
 
     The recursion is linear, so at t = L dt, with lag_l = t - t_l and inc_l
     the increment added at step l,
@@ -280,15 +286,15 @@ def _final_state(init: CoeffState, loads, drift, weighted: np.ndarray,
         c(t) = e^{lambda_n t} c_0 + sum_l e^{lambda_n lag_l} inc_l,
         c_star(t) = c_star_0 + g(t).c_0 + sum_l (inc_star_l + g(lag_l).inc_l),
 
-    because g_n(dt) sum_{m<M} e^{lambda_n m dt} = g_n(M dt).  The noise part
-    contracts ``weighted`` (..., L, d) over (l, i) with one kernel of 2k+2
-    columns, as two real products; the f0 and drift parts are the same for
-    every path.
+    because g_n(dt) sum_{m<M} e^{lambda_n m dt} = g_n(M dt).  The f0 and
+    drift parts are the same for every path, and the noise part contracts
+    ``weighted`` over (l, i) with one kernel of 2k+2 columns, as two real
+    products; both are built here, once, and the function only contracts.
     """
     k_max = init.k
     sl = slice(k_max - k, k_max + k + 1)
     load_star, load_c = loads[0], loads[1][:, sl]
-    n_steps, d = weighted.shape[-2:]
+    d = load_star.shape[0]
     g_lag, growth_lag = _shift_factors(init.params, k, dt * np.arange(n_steps, 0, -1))
     g_t, growth_t = _shift_factors(init.params, k, n_steps * dt)
     c0 = init.c[sl]
@@ -301,9 +307,13 @@ def _final_state(init: CoeffState, loads, drift, weighted: np.ndarray,
     kernel = np.concatenate([(load_star + g_lag @ load_c.T)[..., None],
                              growth_lag[:, None, :] * load_c], axis=-1)
     kernel = kernel.reshape(n_steps * d, 2 * k + 2)
-    w = weighted.reshape(*weighted.shape[:-2], n_steps * d)
-    noise = w @ kernel.real + 1j * (w @ kernel.imag)
-    return c_star + noise[..., 0], c + noise[..., 1:]
+
+    def final(weighted: np.ndarray):
+        w = weighted.reshape(*weighted.shape[:-2], n_steps * d)
+        noise = w @ kernel.real + 1j * (w @ kernel.imag)
+        return c_star + noise[..., 0], c + noise[..., 1:]
+
+    return final
 
 
 def simulate_fk_state(spec: ModelSpec, driver: LevyDriver, times, k: int,
@@ -455,15 +465,20 @@ def _drift_curves(spec: ModelSpec, times: np.ndarray):
     return betas, list(distinct.values())
 
 
-def _mild_sum(spec: ModelSpec, driver: LevyDriver, times: np.ndarray, betas,
-              weighted: np.ndarray, x: np.ndarray, curve_eval) -> np.ndarray:
-    """Closed-form mild solution at t = times[-1] on x, shape (..., n_x):
+def _mild_terms(spec: ModelSpec, driver: LevyDriver, times: np.ndarray, betas,
+                x: np.ndarray, curve_eval) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-form mild solution at t = times[-1] on x,
 
     f(t, x) = f0(t + x) + dt sum_l beta(t_l)(t - t_l + x)
               + sum_{l, i} weighted[..., l, i] loading_i(t - t_l + x),
 
-    ``betas`` being beta(t_l), ``weighted`` psi weights times increments and
-    ``curve_eval(curve, y)`` `Curve.value`, its real part, or `Curve.deriv`.
+    as its noise-free part ``base`` (n_x,) and its loading kernel (L, d, n_x),
+    kernel[l, i] = loading_i(t - t_l + x), so that the paths of ``weighted``
+    (psi weights times increments, (..., L, d)) are
+    ``base + np.tensordot(weighted, kernel, axes=2)``.  ``betas`` are
+    beta(t_l) and ``curve_eval(curve, y)`` is `Curve.value`, its real part, or
+    `Curve.deriv`.  The kernel is filled in blocks of about _BLOCK_POINTS
+    points, so the spline evaluation's temporaries stay that small.
     """
     dt = float(times[1] - times[0])
     y = (times[-1] - times[:-1])[:, None] + x          # (L, n_x) lagged points
@@ -471,27 +486,35 @@ def _mild_sum(spec: ModelSpec, driver: LevyDriver, times: np.ndarray, betas,
     if betas:
         base = base + dt * np.stack([curve_eval(b, y[j])
                                      for j, b in enumerate(betas)]).sum(axis=0)
-    M = np.stack([curve_eval(c, y) for c in driver.loadings])   # (d, L, n_x)
-    return base + np.tensordot(weighted, M, axes=([-2, -1], [1, 0]))
+    kernel = np.empty((y.shape[0], driver.rank, x.size), base.dtype)
+    lags = max(1, _BLOCK_POINTS // x.size)
+    for l0 in range(0, y.shape[0], lags):
+        for i, c in enumerate(driver.loadings):
+            kernel[l0:l0 + lags, i] = curve_eval(c, y[l0:l0 + lags])
+    return base, kernel
 
 
-def _half_spectrum_values(params: BasisParams, c_star: np.ndarray,
-                          c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Re(c_star + c @ G) on x for Hermitian states, from modes 0..k only.
+def _half_spectrum(params: BasisParams, k: int, x: np.ndarray):
+    """Re(c_star + c @ G) on x for Hermitian states of level k, from modes
+    0..k only, as a function of (c_star, c).
 
     With c_{-n} = conj(c_n) and g_{-n} = conj(g_n) the two modes +-n add up
     to 2 Re(c_n g_n), so the value is one real product
 
         Re c_star + [Re c_0, Re c_{1..k}, Im c_{1..k}] @ [g_0; 2 Re g_{1..k}; -2 Im g_{1..k}]
 
-    over 2k+1 real columns; ``c`` is (..., 2k+1) on modes -k..k.
+    over 2k+1 real columns; ``c`` is (..., 2k+1) on modes -k..k.  The
+    basis rows are built here, once.
     """
-    k = (c.shape[-1] - 1) // 2
     G = eval_g_n(params, np.arange(k + 1), x)       # (k+1, n_x), g_0 real
     B = 2.0 * np.concatenate([G.real, -G.imag[1:]])
     B[0] = G[0].real
-    a = np.concatenate([c[..., k:].real, c[..., k + 1:].imag], axis=-1)
-    return c_star.real[..., None] + a @ B
+
+    def values(c_star: np.ndarray, c: np.ndarray) -> np.ndarray:
+        a = np.concatenate([c[..., k:].real, c[..., k + 1:].imag], axis=-1)
+        return c_star.real[..., None] + a @ B
+
+    return values
 
 
 def _require_real(spec: ModelSpec, driver: LevyDriver, drifts) -> None:
@@ -513,19 +536,22 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
     Both solutions are linear in the noise (deterministic coefficients), so
     the oracle at time t_eval is evaluated directly from the mild-solution
     sum and the truncated model by the closed-form coefficient mild sum of
-    the exact transport, sharing one noise tensor across every k (common
-    random numbers).  The sup is taken over CONV_X_POINTS points of
-    [0, T - t_eval].  The reported bound column is the sampled rate constant
-    divided by k, built from the projected initial condition, the drift and
-    noise loads, and pathwise curvature constants of the oracle solution on
-    the first BOUND_PATHS paths.  A t_eval beyond T raises DomainTooShort
-    before any other work.
+    the exact transport.  The paths are stepped in chunks of _PATH_CHUNK,
+    each path drawing its own stream (`LevyDriver.path_rng`), so memory does
+    not grow with n_paths; within each chunk one noise tensor is shared
+    across every k (common random numbers), and only the per-path sup-errors
+    (len(k_list), n_paths) are kept.  The sup is taken over CONV_X_POINTS
+    points of [0, T - t_eval].  The reported bound column is the sampled
+    rate constant divided by k, built from the projected initial condition,
+    the drift and noise loads, and pathwise curvature constants of the
+    oracle solution on the first BOUND_PATHS paths, drawn before the chunks.
+    A t_eval beyond T raises DomainTooShort before any other work.
 
     The inputs must be real curves, as forward prices are: f0, every
     loading and every drift curve, else ValueError.  Their states are then
     Hermitian (c_{-n} = conj(c_n)), so both solutions are real and the error
     is taken in real arithmetic, the model value from the half spectrum
-    (modes 0..k, `_half_spectrum_values`).
+    (modes 0..k, `_half_spectrum`).
     """
     p = spec.params
     T = p.horizon
@@ -536,31 +562,37 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
     times = np.linspace(0.0, t_eval, n_steps + 1)
     betas, drifts = _drift_curves(spec, times)
     _require_real(spec, driver, drifts)
-    dL = np.stack([driver.increments(driver.path_rng(pid), dt, n_steps)
-                   for pid in range(n_paths)])      # (P, L, d)
     init, loads, drift, psi = _projected_inputs(spec, driver, times,
                                                 int(max(k_list)))
-    weighted = dL * psi
-    x = np.linspace(0.0, T - t_eval, CONV_X_POINTS)
-    oracle = _mild_sum(spec, driver, times, betas, weighted, x,
-                       lambda c, y: c.value(y).real)
 
-    rows = []
+    def weighted(ids) -> np.ndarray:
+        """psi weights times the increments of paths ``ids``, (len(ids), L, d)."""
+        return np.stack([driver.increments(driver.path_rng(pid), dt, n_steps)
+                         for pid in ids]) * psi
+
     A_common, C1_mean = _sampled_bound(spec, driver, times, betas, drifts, psi,
-                                       weighted[:min(BOUND_PATHS, n_paths)])
-    for k in k_list:
-        c_star, c = _final_state(init, loads, drift, weighted, dt, k)
-        vals = _half_spectrum_values(p, c_star, c, x)
-        err = np.max((vals - oracle) ** 2, axis=1)
-        rows.append({
-            "k": int(k),
-            "mc_error": float(np.mean(err)),
-            "stderr": float(np.std(err) / np.sqrt(n_paths)),
-            "bound_A_over_k": float((A_common + 3.0 * (1.0 + 1.0 / p.alpha) * C1_mean) / k),
-            "n_paths": int(n_paths),
-            "seed": int(driver.seed),
-        })
-    return rows
+                                       weighted(range(min(BOUND_PATHS, n_paths))))
+    x = np.linspace(0.0, T - t_eval, CONV_X_POINTS)
+    base, kernel = _mild_terms(spec, driver, times, betas, x,
+                               lambda c, y: c.value(y).real)
+    models = [(_final_state(init, loads, drift, n_steps, dt, k), _half_spectrum(p, k, x))
+              for k in k_list]
+    errs = np.empty((len(k_list), n_paths))
+    for start in range(0, n_paths, _PATH_CHUNK):
+        chunk = slice(start, min(start + _PATH_CHUNK, n_paths))
+        w = weighted(range(chunk.start, chunk.stop))
+        oracle = base + np.tensordot(w, kernel, axes=2)
+        for err, (final, values) in zip(errs, models):
+            err[chunk] = np.max((values(*final(w)) - oracle) ** 2, axis=1)
+
+    return [{
+        "k": int(k),
+        "mc_error": float(np.mean(err)),
+        "stderr": float(np.std(err) / np.sqrt(n_paths)),
+        "bound_A_over_k": float((A_common + 3.0 * (1.0 + 1.0 / p.alpha) * C1_mean) / k),
+        "n_paths": int(n_paths),
+        "seed": int(driver.seed),
+    } for err, k in zip(errs, k_list)]
 
 
 def _sampled_bound(spec: ModelSpec, driver: LevyDriver, times: np.ndarray, betas, drifts,
@@ -589,6 +621,7 @@ def _sampled_bound(spec: ModelSpec, driver: LevyDriver, times: np.ndarray, betas
     # pathwise curvature constants of the oracle solution at times[-1]
     n_pts = spec.f0.deriv_samples.shape[0]
     xg = np.linspace(0.0, p.horizon, min(n_pts, 2**12 + 1))
-    derivs = _mild_sum(spec, driver, times, betas, weighted, xg, Curve.deriv)
+    base, kernel = _mild_terms(spec, driver, times, betas, xg, Curve.deriv)
+    derivs = base + np.tensordot(weighted, kernel, axes=2)
     c1s = [compute_C1(Curve(0.0, d, p.horizon), p) for d in derivs]
     return A_common, float(np.mean(c1s))

@@ -464,7 +464,9 @@ def _parse(s: str) -> complex:
 
 def read_curve_csv(path_or_buf) -> Curve:
     """Read `x,f,fprime` rows: the x column must be a uniform grid from 0 that
-    increases (`Curve`'s x_max > 0), and every row must hold exactly the three cells."""
+    increases (`Curve`'s x_max > 0), every row must hold exactly the three
+    cells, and the f column must be f(0) plus the integral of fprime (the
+    curve's `value`) within 1e-6 max(1, max|f|)."""
     own = isinstance(path_or_buf, (str, bytes))
     handle = open(path_or_buf, "r", newline="") if own else path_or_buf
     try:
@@ -487,7 +489,18 @@ def read_curve_csv(path_or_buf) -> Curve:
         raise ValueError("curve CSV must use a uniform grid")
     if abs(x[0]) > 1e-9 * max(1.0, x[-1]):
         raise ValueError(f"curve CSV grid must start at x = 0, not {float(x[0])}")
-    return Curve(complex(vals[0]), deriv, float(x[-1]))
+    curve = Curve(complex(vals[0]), deriv, float(x[-1]))
+    # the curve keeps f(0) and fprime only, so an f column that disagrees with
+    # them would go unread.  A spline that overflows gives non-finite values,
+    # which no row fails here: the caller's overflow check names them
+    with np.errstate(over="ignore", invalid="ignore"):
+        integral = curve.values_on_grid()
+        bad = np.flatnonzero(np.abs(vals - integral) > 1e-6 * max(1.0, np.max(np.abs(vals))))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"curve CSV row {i + 2} has f = {_fmt(vals[i])}, but f(0) plus the "
+                         f"integral of fprime is {_fmt(integral[i])}")
+    return curve
 
 
 # -- segmented quadrature against the biorthogonal system --------------------

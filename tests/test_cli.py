@@ -396,17 +396,19 @@ FUZZ_CONFIGS = {
     pytest.param(("simulate",), {"f0": "short-row.csv"}, id="curve-file-short-row"),
     pytest.param(("converge",), {"f0": "blank-line.csv"}, id="curve-file-blank-line"),
     pytest.param(("simulate",), {"f0": "long-row.csv"}, id="curve-file-long-row"),
+    pytest.param(("converge",), {"f0": "contradicting-f.csv"}, id="contradicting-f"),
 ])
 def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, argv, change):
     # a uniform curve file on [0.5, 2]: a curve's grid starts at 0
     (tmp_path / "offset.csv").write_text(
         "x,f,fprime\n" + "".join(f"{x},{x + 0.5},1.0\n" for x in (0.5, 1.0, 1.5, 2.0)))
     # x columns that do not increase, a row short of a cell, a blank last
-    # line, rows past their three cells
+    # line, rows past their three cells, an f column that fprime contradicts
     for name, rows in (("repeated", "0,1,0\n0,1,0\n"), ("decreasing", "0,1,0\n-1,1,0\n-2,1,0\n"),
                        ("short-row", "0,1,0\n1,1\n2,1,0\n"),
                        ("blank-line", "0,1,0\n1,1,0\n2,1,0\n\n"),
-                       ("long-row", "0,1,0,7\n1,1,0,junk\n2,1,0\n")):
+                       ("long-row", "0,1,0,7\n1,1,0,junk\n2,1,0\n"),
+                       ("contradicting-f", "0,1,0\n1,1,0\n2,-5,0\n")):
         (tmp_path / f"{name}.csv").write_text("x,f,fprime\n" + rows)
     cfg = base_model_cfg(n_paths=1)
     cfg.update(change)

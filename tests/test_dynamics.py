@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import linalg
 
+from fwdapprox import dynamics
 from fwdapprox.basis import BasisParams, eval_g_n, lambda_n
 from fwdapprox.dynamics import (
     LevyDriver,
@@ -10,7 +13,7 @@ from fwdapprox.dynamics import (
     _euler_intervals,
     _exact_transport,
     _final_state,
-    _half_spectrum_values,
+    _half_spectrum,
     _phi1,
     _window_weights,
     convergence_experiment,
@@ -351,6 +354,47 @@ def test_convergence_experiment_structure():
         assert r["n_paths"] == 200
 
 
+def test_convergence_experiment_memory_does_not_grow_with_paths():
+    # the paths are stepped in chunks: holding every path's noise, oracle and
+    # model values would grow the peak fourfold from 2 to 8 chunks
+    spec = make_spec()
+    drv = make_driver()
+
+    def peak(n_paths):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        convergence_experiment(spec, drv, 0.5, [4], n_paths, n_steps=4)
+        return tracemalloc.get_traced_memory()[1] - start
+
+    tracemalloc.start()
+    try:
+        peak(2 * dynamics._PATH_CHUNK)      # fills the projection memos under tracing
+        small, large = peak(2 * dynamics._PATH_CHUNK), peak(8 * dynamics._PATH_CHUNK)
+    finally:
+        tracemalloc.stop()
+    assert large <= 1.1 * small, (small, large)
+
+
+def test_convergence_experiment_rows_do_not_depend_on_the_chunk(monkeypatch):
+    # two full chunks and a partial one, against the smallest chunk the bound
+    # allows and one chunk of every path; BLAS may round rows of products of
+    # other sizes differently, so the errors agree to rounding, while the
+    # bound reads the same first BOUND_PATHS paths either way
+    spec = make_spec(beta_level=0.05)
+    drv = make_driver()
+    n_paths = 2 * dynamics._PATH_CHUNK + 37
+    runs = []
+    for chunk in (dynamics.BOUND_PATHS, n_paths):
+        monkeypatch.setattr(dynamics, "_PATH_CHUNK", chunk)
+        runs.append(convergence_experiment(spec, drv, 0.5, [2, 4], n_paths, n_steps=8))
+    for small, whole in zip(*runs):
+        assert small["bound_A_over_k"] == whole["bound_A_over_k"]
+        assert (small["k"], small["n_paths"], small["seed"]) == \
+            (whole["k"], whole["n_paths"], whole["seed"])
+        for key in ("mc_error", "stderr"):
+            assert small[key] == pytest.approx(whole[key], rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("width", [1e-8, 1e-10])
 def test_delivery_forward_narrow_window_has_no_cancellation(width):
     pk = BasisParams(1.0, 0.5, 1.0, 8)
@@ -404,7 +448,7 @@ def test_final_state_equals_last_transport_step(alpha, lam, T, frac, k, extra, L
     dt = frac * T / L
 
     *_, (c_star, c) = _exact_transport(init, loads, drift, weighted, dt, k)
-    got_star, got = _final_state(init, loads, drift, weighted, dt, k)
+    got_star, got = _final_state(init, loads, drift, L, dt, k)(weighted)
 
     sl = slice(extra, extra + 2 * k + 1)
     inc_star, inc = weighted @ loads[0], weighted @ loads[1][:, sl]
@@ -430,7 +474,7 @@ def test_half_spectrum_value_equals_full_spectrum(alpha, lam, T, k, n_paths, see
     c = hermitian(rng, (n_paths, 2 * k + 1))
     x = np.concatenate([[0.0, T], rng.uniform(0.0, T, size=31)])
     full = (c_star[:, None] + c @ eval_g_n(pk, pk.n_range(k), x)).real
-    half = _half_spectrum_values(pk, c_star, c, x)
+    half = _half_spectrum(pk, k, x)(c_star, c)
     scale = np.abs(c_star) + np.sum(np.abs(c), axis=-1)
     assert half.dtype == np.float64
     assert np.all(np.max(np.abs(half - full), axis=-1) <= 1e-12 * scale)

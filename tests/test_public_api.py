@@ -118,13 +118,15 @@ def test_fold_helpers_stay_with_their_owners():
     # projection.py owns the curve-to-coefficients fold and every FFT; the
     # Simpson weights serve the quadrature of space.py and projection.py.
     # The schemes read their time step and form a curve step only through
-    # the time-grid rule and the one increment of dynamics.py
+    # the time-grid rule and the one increment of dynamics.py; the mild sum's
+    # kernel and the path chunk of the convergence experiment stay in dynamics.py
     src = Path(fwdapprox.__file__).parent
     owners = {"np.fft": {"projection.py"}, "_fold_fft": {"projection.py"},
               "_simpson_weights": {"space.py", "projection.py"},
               "_time_grid": {"dynamics.py", "markovian.py"},
               "_increment": {"dynamics.py", "markovian.py"},
-              "_scaled_sum": {"space.py", "dynamics.py"}}
+              "_scaled_sum": {"space.py", "dynamics.py"},
+              "_mild_terms": {"dynamics.py"}, "_PATH_CHUNK": {"dynamics.py"}}
     for name, allowed in owners.items():
         users = {p.name for p in src.glob("*.py") if name in p.read_text()}
         assert users <= allowed, f"{name} is referenced outside {sorted(allowed)}: " \

@@ -409,6 +409,14 @@ def test_csv_rejects_bad_header_and_nonuniform_grid():
     for rows, row in (("0,1,0,7\n1,1,0\n", 2), ("0,1,0\n1,1,0,junk\n2,1,0\n", 3)):
         with pytest.raises(ValueError, match=rf"row {row} needs the 3 cells x,f,fprime, has 4"):
             read_curve_csv(io.StringIO("x,f,fprime\n" + rows))
+    # the curve keeps f(0) and fprime, so an f column they contradict is named
+    # at its first wrong row, here f(2) = -5 on a flat fprime
+    for rows, row in (("0,1,0\n1,1,0\n2,-5,0\n", 4), ("0,0,1\n1,1.5,1\n2,2.5,1\n", 3)):
+        with pytest.raises(ValueError, match=rf"row {row} has f = .*, but f\(0\) plus the "
+                                             r"integral of fprime is"):
+            read_curve_csv(io.StringIO("x,f,fprime\n" + rows))
+    # within 1e-6 max(1, max|f|) of the integral, the file is read
+    assert read_curve_csv(io.StringIO("x,f,fprime\n0,1,0\n1,1.0000005,0\n")).x_max == 1.0
 
 
 def test_dual_gram_identity_small():
