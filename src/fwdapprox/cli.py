@@ -23,6 +23,8 @@ grid uniform from x = 0 and increasing, each of its rows (a blank line
 included) holding exactly the three cells x,f,fprime, its f column within
 1e-6 max(1, max|f|) of f(0) plus the integral of fprime, and every curve
 finite, its cubic spline included.
+For basis-check, lambda * horizon must be at least about 3.15e-3, so that
+the dual Gram's neglected tail falls below 1e-9 within 2^12 periods.
 For converge --markovian, f0's grid must split [0, horizon] into an even
 number of intervals, at least 2 max(k_list) + 1 of them.
 """
@@ -275,7 +277,10 @@ def cmd_basis_check(cfg: dict, base_dir: Path, out: Path) -> int:
     k = _read(cfg, "k", int, 0, _K_MAX, default=8)
     checks = []
 
-    gram = dual_gram_matrix(params, min(k, 8) if k > 0 else 0)
+    try:  # refuses a tail beyond its period cap before any quadrature
+        gram = dual_gram_matrix(params, min(k, 8) if k > 0 else 0)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     dev = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
     checks.append(("biorthogonality_max_dev", dev, 1e-6, dev <= 1e-6))
 

@@ -34,13 +34,14 @@ __all__ = [
     "read_curve_csv",
     "write_curve_csv",
     "dual_gram_matrix",
-    "segmented_grid",
 ]
 
 DEFAULT_POINTS = 2**12 + 1  # resolves |n| <= 128 oscillations at >= 16 pts/period for T=1
 # dual Gram quadrature: Simpson points per period, relative tail neglected
 GRAM_PTS_PER_PERIOD = 2048
 GRAM_TAIL_TOL = 1e-9
+# the most periods the dual Gram integrates over (lambda * horizon >= ~3.15e-3)
+GRAM_MAX_PERIODS = 2**12
 # how far past x_max a read, a resample or a covered range [0, x] may reach
 _RANGE_TOL = 1e-9
 
@@ -505,22 +506,22 @@ def read_curve_csv(path_or_buf) -> Curve:
 
 # -- segmented quadrature against the biorthogonal system --------------------
 
-def segmented_grid(params: BasisParams) -> tuple[np.ndarray, np.ndarray, int]:
-    """Period-blocked quadrature grid for integrands that decay like e^{-2 lam T}
-    per period and may jump at period boundaries.
+def _gram_periods(params: BasisParams) -> int:
+    """Periods the dual Gram integrates over: enough that the neglected
+    geometric tail, which falls by e^{-2 lam T} a period, is below
+    GRAM_TAIL_TOL relatively.
 
-    Returns (y, u, n_periods): global points and their period-local offsets,
-    both of shape (n_periods, GRAM_PTS_PER_PERIOD + 1).  The block count is
-    chosen so the neglected geometric tail is below GRAM_TAIL_TOL relatively.
+    Raises ValueError when that takes more than GRAM_MAX_PERIODS periods,
+    which is when lambda * horizon is below about 3.15e-3.
     """
-    T = params.horizon
-    q = np.exp(-2.0 * params.lam * T)
-    n_periods = max(2, int(np.ceil(np.log(GRAM_TAIL_TOL * (1.0 - q)) / np.log(q))) + 1)
-    u = np.linspace(0.0, T, GRAM_PTS_PER_PERIOD + 1)
-    starts = T * np.arange(n_periods)
-    y = starts[:, None] + u[None, :]
-    uu = np.broadcast_to(u, y.shape)
-    return y, uu, n_periods
+    q = np.exp(-2.0 * params.lam * params.horizon)
+    # q rounds to one below lambda T ~ 1e-16, where no count suffices
+    n = np.inf if q == 1.0 else np.ceil(np.log(GRAM_TAIL_TOL * (1.0 - q)) / np.log(q)) + 1
+    if n > GRAM_MAX_PERIODS:
+        raise ValueError(f"lambda * horizon = {params.lam * params.horizon:.6g} is below "
+                         f"about 3.15e-3: the dual Gram's tail would need {n:.6g} periods, "
+                         f"more than {GRAM_MAX_PERIODS}")
+    return max(2, int(n))
 
 
 def _simpson_weights(n_points: int, dx: float) -> np.ndarray:
@@ -555,19 +556,23 @@ def dual_gram_matrix(params: BasisParams, n_max: int) -> np.ndarray:
 
     The dual derivative jumps at period boundaries, so each period is
     integrated as a closed smooth segment with one-sided boundary values.
-    Biorthogonality predicts the identity matrix.
+    Periods are summed one at a time, in increasing order, so memory is one
+    period's (2 n_max + 1, GRAM_PTS_PER_PERIOD + 1) blocks whatever the
+    period count.  A tail that needs more than GRAM_MAX_PERIODS periods is a
+    ValueError, raised before any quadrature.  Biorthogonality predicts the
+    identity matrix.
     """
-    y, u, _ = segmented_grid(params)
-    dx = params.horizon / GRAM_PTS_PER_PERIOD
-    w = _simpson_weights(GRAM_PTS_PER_PERIOD + 1, dx)
-    weight = (w[None, :] * np.exp(params.alpha * y)).ravel()
-
+    T = params.horizon
+    n_periods = _gram_periods(params)
+    u = np.linspace(0.0, T, GRAM_PTS_PER_PERIOD + 1)
+    w = _simpson_weights(GRAM_PTS_PER_PERIOD + 1, T / GRAM_PTS_PER_PERIOD)
     ns = params.n_range(n_max)
-    # primal derivatives e^{lambda_m y} / sqrt(T)
-    gm = eval_g_n_deriv(params, ns, y.ravel())
-    # dual derivatives e^{-alpha y / 2} e_n^*(y), period-local cut
-    dual = np.exp(-0.5 * params.alpha * y.ravel())[None, :] * np.stack(
-        [eval_e_n_star(params, int(n), y.ravel(), local=u.ravel()) for n in ns]
-    )
-    gram = (gm * weight[None, :]) @ np.conj(dual).T
+    gram = np.zeros((ns.size, ns.size), dtype=complex)
+    for p in range(n_periods):
+        y = T * p + u
+        # primal derivatives e^{lambda_m y} / sqrt(T), weighted
+        gm = eval_g_n_deriv(params, ns, y) * (w * np.exp(params.alpha * y))
+        # dual derivatives e^{-alpha y / 2} e_n^*(y), period-local cut
+        dual = np.exp(-0.5 * params.alpha * y) * eval_e_n_star(params, ns, y, local=u)
+        gram += gm @ np.conj(dual).T
     return gram

@@ -86,6 +86,19 @@ def test_e_n_star_damping_and_jump():
     assert abs(left - right) > 0.1
 
 
+def test_e_n_star_over_an_array_of_modes_equals_per_mode_calls():
+    # the dual Gram evaluates every mode in one call; each row must be the
+    # per-mode value bit for bit, with the cut computed or supplied
+    params = BasisParams(alpha=0.7, lam=0.3, horizon=2.0)
+    ns = np.arange(-8, 9)
+    u = np.linspace(0.0, 2.0, 33)
+    y = 2.0 * 3 + u
+    for local in (None, u):
+        rows = eval_e_n_star(params, ns, y, local=local)
+        each = np.stack([eval_e_n_star(params, int(n), y, local=local) for n in ns])
+        assert np.array_equal(rows, each)
+
+
 def test_g_n_star_vanishes_at_zero_and_integrates_e_n_star():
     assert eval_g_n_star(P, 3, 0.0) == 0.0
     # numeric integral of e^{-y alpha/2} e_n^*(y) against the closed form

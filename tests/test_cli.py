@@ -372,6 +372,8 @@ FUZZ_CONFIGS = {
                  {"driver": dict(DRIVER, law="nig", law_param=float("inf"))},
                  id="infinite-law_param"),
     pytest.param(("basis-check",), {"seed": -1}, id="negative-seed"),
+    pytest.param(("basis-check",), {"params": dict(PARAMS, **{"lambda": 1e-6})},
+                 id="basis-check-tiny-lambda"),
     pytest.param(("simulate",), {"time_step": 1e20}, id="no-whole-step"),
     pytest.param(("simulate",), {"time_step": 5e-324}, id="infinite-step-count"),
     pytest.param(("simulate",), {"f0": {"kind": "seasonal", "period": 0}},

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
 from fwdapprox import space
-from fwdapprox.basis import BasisParams
+from fwdapprox.basis import BasisParams, eval_e_n_star, eval_g_n_deriv
 from fwdapprox.cli import load_curve
 from fwdapprox.errors import DomainTooShort
 from fwdapprox.projection import coefficients_fft, compute_C1, project_pi
@@ -431,3 +432,56 @@ def test_dual_gram_is_the_identity_for_random_parameters(alpha, lam_T, T, k):
     # biorthogonality <g_m, g_n^*> = delta_mn within test_01's tolerance
     gram = dual_gram_matrix(BasisParams(alpha, lam_T / T, T), k)
     assert np.max(np.abs(gram - np.eye(2 * k + 1))) <= 1e-6
+
+
+def full_array_gram(params, n_max):
+    """The dual Gram as one product over every period's nodes at once."""
+    T = params.horizon
+    q = np.exp(-2.0 * params.lam * T)
+    n_periods = max(2, int(np.ceil(np.log(space.GRAM_TAIL_TOL * (1.0 - q)) / np.log(q))) + 1)
+    u = np.linspace(0.0, T, space.GRAM_PTS_PER_PERIOD + 1)
+    y = (T * np.arange(n_periods))[:, None] + u[None, :]
+    uu = np.broadcast_to(u, y.shape).ravel()
+    w = space._simpson_weights(space.GRAM_PTS_PER_PERIOD + 1, T / space.GRAM_PTS_PER_PERIOD)
+    weight = (w[None, :] * np.exp(params.alpha * y)).ravel()
+    ns = params.n_range(n_max)
+    gm = eval_g_n_deriv(params, ns, y.ravel())
+    dual = np.exp(-0.5 * params.alpha * y.ravel())[None, :] * np.stack(
+        [eval_e_n_star(params, int(n), y.ravel(), local=uu) for n in ns])
+    return (gm * weight[None, :]) @ np.conj(dual).T
+
+
+@pytest.mark.parametrize("n_max", [2, 8])
+@pytest.mark.parametrize("alpha, lam, T", [(1.0, 0.5, 1.0), (0.7, 0.15, 2.0)])
+def test_dual_gram_equals_the_full_array_reference(alpha, lam, T, n_max):
+    # summed a period at a time, the Gram has the full product's nodes,
+    # weights and integrand: only the summation order differs
+    params = BasisParams(alpha, lam, T)
+    gram = dual_gram_matrix(params, n_max)
+    assert np.max(np.abs(gram - full_array_gram(params, n_max))) <= 1e-14
+
+
+def test_dual_gram_memory_is_flat_in_the_period_count():
+    # 23 and 45 periods: one period's blocks at a time, not every period's
+    def peak(lam_T):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        dual_gram_matrix(BasisParams(1.0, lam_T, 1.0), 8)
+        return tracemalloc.get_traced_memory()[1] - start
+
+    assert space._gram_periods(BasisParams(1.0, 0.25, 1.0)) \
+        >= 1.9 * space._gram_periods(BasisParams(1.0, 0.5, 1.0))
+    tracemalloc.start()
+    try:
+        small, large = peak(0.5), peak(0.25)
+    finally:
+        tracemalloc.stop()
+    assert large <= 1.1 * small, (small, large)
+
+
+def test_dual_gram_refuses_more_than_its_period_cap():
+    # lambda * horizon >= 3.15e-3 keeps the tail within GRAM_MAX_PERIODS
+    assert space._gram_periods(BasisParams(1.0, 3.15e-3, 1.0)) == space.GRAM_MAX_PERIODS
+    for lam in (3.14e-3, 1e-6, 1e-300):
+        with pytest.raises(ValueError, match=r"below about 3\.15e-3"):
+            dual_gram_matrix(BasisParams(1.0, lam, 1.0), 2)
