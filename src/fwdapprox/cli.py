@@ -24,7 +24,9 @@ included) holding exactly the three cells x,f,fprime, its f column within
 1e-6 max(1, max|f|) of f(0) plus the integral of fprime, and every curve
 finite, its cubic spline included.
 For basis-check, lambda * horizon must be at least about 3.15e-3, so that
-the dual Gram's neglected tail falls below 1e-9 within 2^12 periods.
+the dual Gram's neglected tail falls below 1e-9 within 2^12 periods (the
+range the tail rule is tested on; the Gram costs one period's quadrature
+at any period count).
 For converge --markovian, f0's grid must split [0, horizon] into an even
 number of intervals, at least 2 max(k_list) + 1 of them.
 """
@@ -288,7 +290,9 @@ def cmd_basis_check(cfg: dict, base_dir: Path, out: Path) -> int:
     rng = np.random.default_rng(seed)
     k_frame = max(k, 1)
     pf = BasisParams(params.alpha, params.lam, params.horizon, k_frame)
-    lo, hi = frame_lower_constant(params), frame_upper_constant(params)
+    # the g_* coordinate enters with constant 1, so the span's lower bound is
+    # min(1, lo); hi = 1 / (1 - e^{-2 lam T}) is at least 1 already
+    lo, hi = min(1.0, frame_lower_constant(params)), frame_upper_constant(params)
     worst_lo, worst_hi = np.inf, 0.0
     for _ in range(20):
         c = rng.normal(size=2 * k_frame + 1) + 1j * rng.normal(size=2 * k_frame + 1)

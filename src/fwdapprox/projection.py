@@ -372,6 +372,12 @@ def power_iteration_pi_norm(params: BasisParams) -> float:
     represented exactly; the iteration runs on the weighted adjoint square.
     It takes 50 steps from a seed-0 random start, on 256 intervals per period
     over enough periods that the neglected tail weight is below 1e-6.
+
+    Pi reads block 0 only and its adjoint writes block 0 only, so the state
+    is (value, block 0).  Block m of Pi W is e^{-(lam + alpha/2) m T} W_0
+    under the weights w_j e^{alpha (u_j + m T)}, so the adjoint square pairs
+    W_0 with w_j e^{alpha u_j} e^{-2 lam m T}.  Those stay bounded; the
+    block weights alone overflow once alpha T n_periods passes about 709.
     """
     n_iter, pts_per_period = 50, 256
     T = params.horizon
@@ -379,26 +385,18 @@ def power_iteration_pi_norm(params: BasisParams) -> float:
     n_periods = max(3, int(np.ceil(np.log(1e-6) / np.log(q))) + 1)
     u = np.linspace(0.0, T, pts_per_period + 1)
     w = _simpson_weights(pts_per_period + 1, T / pts_per_period)
-    # weighted quadrature weights per block m: w_j * e^{alpha (u_j + m T)}
-    block_w = w[None, :] * np.exp(params.alpha * (u[None, :] + T * np.arange(n_periods)[:, None]))
-    damp = np.exp(-params.decay * T * np.arange(n_periods))  # block scale of Pi
+    # weighted quadrature weights of block 0, and the pair weights of block m
+    block_w = w * np.exp(params.alpha * u)
+    pair_w = block_w[None, :] * q ** np.arange(n_periods)[:, None]
 
     rng = np.random.default_rng(0)
     h0 = rng.normal()
-    W = rng.normal(size=(n_periods, pts_per_period + 1))
-
-    def apply_pi(h0, W):
-        return h0, damp[:, None] * W[0][None, :]
-
-    def apply_pi_adjoint(h0, V):
-        W = np.zeros_like(V)
-        # <Pi h, g> pairs block 0 of h against every block of g
-        W[0] = np.sum(damp[:, None] * block_w * V, axis=0) / block_w[0]
-        return h0, W
+    W = rng.normal(size=pts_per_period + 1)  # block 0 of the random start
 
     est = 0.0
     for _ in range(n_iter):
-        h0, W = apply_pi_adjoint(*apply_pi(h0, W))
+        # Pi* Pi: block 0 paired against every block of Pi W
+        W = np.sum(pair_w * W, axis=0) / block_w
         nrm = np.sqrt(abs(h0) ** 2 + np.sum(block_w * np.abs(W) ** 2))
         h0, W = h0 / nrm, W / nrm
         est = nrm

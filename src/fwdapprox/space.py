@@ -552,11 +552,19 @@ def _simpson_rule(n_points: int, dx: float) -> np.ndarray:
 
 
 def dual_gram_matrix(params: BasisParams, n_max: int) -> np.ndarray:
-    """Gram matrix <g_m, g_n^*> for |m|, |n| <= n_max by blockwise Simpson.
+    """Gram matrix <g_m, g_n^*> for |m|, |n| <= n_max by Simpson over periods.
 
-    The dual derivative jumps at period boundaries, so each period is
-    integrated as a closed smooth segment with one-sided boundary values.
-    Periods are summed one at a time, in increasing order, so memory is one
+    The dual derivative jumps at period boundaries, so each period [pT, (p+1)T)
+    is a closed smooth segment with one-sided boundary values, integrated on
+    the same GRAM_PTS_PER_PERIOD + 1 nodes u.  Their integrals differ by one
+    factor: at y = pT + u the primal derivative e^{lambda_m y} gains
+    e^{-(lam + alpha/2) pT}, the dual e_n(y) gains e^{-lam pT} (the
+    2 pi i n / T phases are T-periodic, and the cut is u on every period),
+    and the weights e^{alpha y} e^{-alpha y / 2} gain e^{alpha pT / 2}.
+    Period p is therefore exactly q^p times period 0, q = e^{-2 lam T}, and
+    the Gram is period 0's times sum_{p < n_periods} q^p, with n_periods
+    from `_gram_periods`.  No factor grows with p (e^{alpha y} alone would
+    overflow past alpha y ~ 709), so memory and time are one
     period's (2 n_max + 1, GRAM_PTS_PER_PERIOD + 1) blocks whatever the
     period count.  A tail that needs more than GRAM_MAX_PERIODS periods is a
     ValueError, raised before any quadrature.  Biorthogonality predicts the
@@ -567,12 +575,9 @@ def dual_gram_matrix(params: BasisParams, n_max: int) -> np.ndarray:
     u = np.linspace(0.0, T, GRAM_PTS_PER_PERIOD + 1)
     w = _simpson_weights(GRAM_PTS_PER_PERIOD + 1, T / GRAM_PTS_PER_PERIOD)
     ns = params.n_range(n_max)
-    gram = np.zeros((ns.size, ns.size), dtype=complex)
-    for p in range(n_periods):
-        y = T * p + u
-        # primal derivatives e^{lambda_m y} / sqrt(T), weighted
-        gm = eval_g_n_deriv(params, ns, y) * (w * np.exp(params.alpha * y))
-        # dual derivatives e^{-alpha y / 2} e_n^*(y), period-local cut
-        dual = np.exp(-0.5 * params.alpha * y) * eval_e_n_star(params, ns, y, local=u)
-        gram += gm @ np.conj(dual).T
-    return gram
+    # primal derivatives e^{lambda_m u} / sqrt(T), weighted
+    gm = eval_g_n_deriv(params, ns, u) * (w * np.exp(params.alpha * u))
+    # dual derivatives e^{-alpha u / 2} e_n^*(u); local=u keeps the left limit at u = T
+    dual = np.exp(-0.5 * params.alpha * u) * eval_e_n_star(params, ns, u, local=u)
+    q = np.exp(-2.0 * params.lam * T)
+    return (gm @ np.conj(dual).T) * np.sum(q ** np.arange(n_periods))

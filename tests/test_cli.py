@@ -59,6 +59,18 @@ def test_basis_check_passes_and_writes_csv(tmp_path, capsys):
     assert "PASS biorthogonality_max_dev" in text
 
 
+@pytest.mark.parametrize("lam", [0.1, 0.01, 0.005])
+def test_basis_check_passes_at_small_lambda_horizon(tmp_path, capsys, lam):
+    # lambda * horizon down to 5e-3: 2,535 Gram periods, a lower frame
+    # constant above 1, and power-iteration blocks past e^709
+    cfg = write_cfg(tmp_path, "c.json", {"params": dict(PARAMS, **{"lambda": lam})})
+    out = tmp_path / "out"
+    assert main(["basis-check", "--config", cfg, "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6 and all(line.startswith("PASS ") for line in lines), lines
+    assert all(r[3] == "true" for r in read_rows(out / "basis_check.csv")[1:])
+
+
 def test_missing_config_file_is_config_error(tmp_path):
     rc = main(["basis-check", "--config", str(tmp_path / "nope.json"),
                "--out", str(tmp_path / "o")])

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fwdapprox.basis import (
     BasisParams,
@@ -184,6 +184,16 @@ def test_c_kt_bound_and_monotone_tail():
 def test_power_iteration_matches_projector_norm():
     est = power_iteration_pi_norm(P)
     assert est == pytest.approx(projector_norm_bound(P), rel=1e-4)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(0.2, 3.0), lam_T=st.floats(3.2e-3, 2.0), T=st.floats(0.25, 4.0))
+# the far corner: 2,160 periods, where alpha * y reaches 2.6e4
+@example(alpha=3.0, lam_T=3.2e-3, T=4.0)
+def test_power_iteration_matches_projector_norm_for_random_parameters(alpha, lam_T, T):
+    params = BasisParams(alpha, lam_T / T, T)
+    est = power_iteration_pi_norm(params)
+    assert abs(est - projector_norm_bound(params)) <= 0.01 * projector_norm_bound(params)
 
 
 def test_norm_alpha_span_matches_direct_quadrature():

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.interpolate
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import simpson
 
 from fwdapprox import space
@@ -426,8 +426,10 @@ def test_dual_gram_identity_small():
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(alpha=st.floats(0.2, 3.0), lam_T=st.floats(0.25, 2.0), T=st.floats(0.25, 4.0),
+@given(alpha=st.floats(0.2, 3.0), lam_T=st.floats(3.2e-3, 2.0), T=st.floats(0.25, 4.0),
        k=st.integers(1, 4))
+# the far corner: 4,029 periods, where alpha * y reaches 4.8e4
+@example(alpha=3.0, lam_T=3.2e-3, T=4.0, k=4)
 def test_dual_gram_is_the_identity_for_random_parameters(alpha, lam_T, T, k):
     # biorthogonality <g_m, g_n^*> = delta_mn within test_01's tolerance
     gram = dual_gram_matrix(BasisParams(alpha, lam_T / T, T), k)
@@ -454,8 +456,8 @@ def full_array_gram(params, n_max):
 @pytest.mark.parametrize("n_max", [2, 8])
 @pytest.mark.parametrize("alpha, lam, T", [(1.0, 0.5, 1.0), (0.7, 0.15, 2.0)])
 def test_dual_gram_equals_the_full_array_reference(alpha, lam, T, n_max):
-    # summed a period at a time, the Gram has the full product's nodes,
-    # weights and integrand: only the summation order differs
+    # period p's integral is q^p times period 0's, so period 0 times
+    # sum_p q^p is the full product over every period's nodes up to rounding
     params = BasisParams(alpha, lam, T)
     gram = dual_gram_matrix(params, n_max)
     assert np.max(np.abs(gram - full_array_gram(params, n_max))) <= 1e-14
@@ -477,6 +479,27 @@ def test_dual_gram_memory_is_flat_in_the_period_count():
     finally:
         tracemalloc.stop()
     assert large <= 1.1 * small, (small, large)
+
+
+@pytest.mark.parametrize("lam, n_periods", [(0.5, 23), (0.01, 1234)])
+def test_dual_gram_evaluates_one_period_whatever_the_period_count(monkeypatch, lam, n_periods):
+    # one call each for the primal and the dual on period 0's nodes, however
+    # many periods the tail rule asks for
+    params = BasisParams(1.0, lam, 1.0)
+    assert space._gram_periods(params) == n_periods
+    calls = {"eval_e_n_star": 0, "eval_g_n_deriv": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(space, name, counted(name, getattr(space, name)))
+    gram = dual_gram_matrix(params, 8)
+    assert calls == {"eval_e_n_star": 1, "eval_g_n_deriv": 1}
+    assert np.max(np.abs(gram - np.eye(17))) <= 1e-6
 
 
 def test_dual_gram_refuses_more_than_its_period_cap():
