@@ -2,12 +2,19 @@
 
 Contains the finite-rank noise driver, a fine-grid mild-solution oracle, the
 exact finite-dimensional state-variable simulation, the explicit Euler scheme
-on the coefficient system (`_euler_path`; it and the curve recursion
-`_curve_recursion` step any field ``outputs(t, state) -> [b or None, col_1..]``
-scaled by [dt, dL_j], the linear one ignoring the curve), delivery-period
-forwards and the Monte-Carlo convergence experiment comparing the truncated
-model to the oracle.  The coefficient schemes return `StateVariables` arrays;
-every scheme checks its times and noise by one rule, `_time_grid`.
+on the coefficient system, delivery-period forwards and the Monte-Carlo
+convergence experiment comparing the truncated model to the oracle.  The
+coefficient schemes return `StateVariables` arrays; every scheme checks its
+times and noise by one rule, `_time_grid`.
+
+The Euler loop `_euler_path` and the curve recursion `_curve_recursion` step
+any field on arrays: ``field(x_max, n)`` sets it up on a grid once and returns
+``outputs(t, grid, value, samples) -> [b or None, psi]``, each a `space._Rows`
+scaled by [dt, dL_j]; ``samples()`` builds the state's derivative only for a
+field that reads it.  `_linear_field` is the linear dynamics, which ignores the
+curve; `markovian._masked_field` serves the coefficient fields.  The Euler loop
+folds every output at every step, the loadings too, whose fold inputs it forms
+once: `bench/run.py` counts one FFT per output and step.
 
 Time stepping is left-Riemann throughout: each step adds the drift and noise
 increment evaluated at the left endpoint and then transports by the shift.
@@ -27,10 +34,10 @@ import numpy as np
 
 from .basis import BasisParams, eval_g_n, eval_g_n_deriv, lambda_n
 from .errors import BadWindow, DomainTooShort, UnstableStep
-from .projection import (CoeffState, _fold_curve, _fold_grid, _period_norm,
+from .projection import (CoeffState, _fold_grid, _fold_input, _fold_rows, _period_norm,
                          coefficients_fft, compute_C1, compute_C2)
-from .semigroup import _shift, _shift_factors, shift_curve
-from .space import Curve, _scaled_sum
+from .semigroup import _shift, _shift_factors, _shift_nodes, _shifted_count, shift_curve
+from .space import Curve, _reaches, _rows_on
 
 __all__ = [
     "LevyDriver",
@@ -186,34 +193,69 @@ def _psi_rows(spec: ModelSpec, driver: LevyDriver, times: np.ndarray) -> np.ndar
 def _linear_field(spec: ModelSpec, driver: LevyDriver):
     """The linear dynamics as a field that ignores the curve: beta(t) (None
     without drift) and the raw loadings; the psi weights scale the noise
-    instead (dL * `_psi_rows`), as in `_exact_transport`."""
-    def outputs(t, state):
-        return [None if spec.beta is None else spec.beta(t), *driver.loadings]
+    instead (dL * `_psi_rows`), as in `_exact_transport`.  The loadings are
+    read onto the grid once; beta(t), a new curve at each t, at every step."""
+    def on_grid(x_max: float, n: int):
+        loads = _rows_on(driver.loadings, x_max, n)
 
-    return outputs
+        def outputs(t, grid, value, samples):
+            beta = None if spec.beta is None else _rows_on([spec.beta(t)], *grid)
+            return [beta, loads.head(*grid)]
 
+        return outputs
 
-def _increment(outs, scale_row) -> Curve | None:
-    """sum_i scale_i outs_i (`space._scaled_sum`) over the terms that are not
-    None or scaled by zero; None if no term is left."""
-    terms = [(out, s) for out, s in zip(outs, scale_row) if out is not None and s != 0.0]
-    return _scaled_sum(terms) if terms else None
+    return on_grid
 
 
 def _curve_recursion(f0: Curve, times: np.ndarray, dt: float, noise: np.ndarray,
-                     outputs, reads: Sequence[Curve] | None = None) -> Iterator[Curve]:
+                     field, reads: Sequence[Curve] | None = None) -> Iterator[Curve]:
     """Yield the states f_0..f_L on ``times``, f_{j+1} = shift_dt(f_j + the
-    `_increment` of the field at t_j), which reads f_j, or reads[j] if given.
-    Only the current state is held, so a caller that keeps what it needs of
-    each state as it appears runs in memory independent of L.
+    field's outputs at t_j scaled by [dt, noise_j]); the field reads f_j, or
+    reads[j] if given (DomainTooShort unless it covers f_j's range).
+
+    The state steps as arrays on f0's step.  When dt is a node of that grid
+    (`Curve._node_index`) the shift slices (`semigroup._shift_nodes`) and the
+    field is set up on f0's grid once; otherwise the shift is `shift_curve`'s
+    spline and the field is set up again on each new grid.  Terms scaled by
+    zero are skipped; an output that covers less of the range cuts the state
+    to it.  Only the current state is held, so a caller that keeps what it
+    needs of each state as it appears runs in memory independent of L.
     """
-    f = f0
-    yield f
-    for j, (t, row) in enumerate(zip(times[:-1], noise)):
-        state = f if reads is None else reads[j]
-        inc = _increment(outputs(t, lambda: state), (dt, *row))
-        f = shift_curve(f if inc is None else f + inc, dt)
-        yield f
+    v, d, x_max = f0.value_at_zero, f0.deriv_samples, f0.x_max
+    m = f0._node_index(dt)
+    outputs = field(x_max, d.shape[0])
+    yield f0
+    for j, (t, row) in enumerate(zip(times[:-1], noise.tolist())):
+        n = d.shape[0]
+        if m is None and j:
+            outputs = field(x_max, n)
+        if reads is None:
+            value, samples = v, (lambda: d)
+        else:
+            h = reads[j]
+            if not h._covers(x_max):
+                raise DomainTooShort(f"state {j} read by the field covers [0, {h.x_max}], "
+                                     f"not [0, {x_max}]")
+            value, samples = h.value_at_zero, (lambda: h._deriv_on(x_max, n))
+        inc = None
+        for part, scales in zip(outputs(t, (x_max, n), value, samples), ((dt,), row)):
+            if part is None or not any(scales):
+                continue
+            x_max, n = min(x_max, part.x_max), min(n, part.samples.shape[-1])
+            for vi, di, s in zip(part.values.tolist(), part.samples, scales):
+                if s != 0.0:
+                    inc = ((vi * s, di * s) if inc is None
+                           else (inc[0] + vi * s, inc[1][:n] + di[:n] * s))
+        if inc is not None:
+            v, d = v + inc[0], d[:n] + inc[1][:n]
+        if m is None:
+            f = shift_curve(Curve(v, d, x_max), dt)
+            v, d = f.value_at_zero, f.deriv_samples
+        else:
+            step = x_max / (n - 1)
+            v, d = _shift_nodes(v, d, step, m, _shifted_count(x_max, step, dt, x_max - dt))
+        x_max = x_max - dt
+        yield Curve(v, d, x_max)
 
 
 def oracle_mild_solution(spec: ModelSpec, driver: LevyDriver, times,
@@ -367,14 +409,17 @@ def _euler_intervals(f0: Curve, k: int, params: BasisParams) -> int:
 
 
 def _euler_path(spec: ModelSpec, times: np.ndarray, dt: float, noise: np.ndarray,
-                k: int, outputs) -> StateVariables:
-    """Explicit Euler on the 2k+2 coefficient system fed by a curve field.
+                k: int, field) -> StateVariables:
+    """Explicit Euler on the 2k+2 coefficient system fed by a field.
 
-    The field's outputs at t_j (drift and one noise column per factor) are
-    each folded (`projection._fold_curve`) on f0's nodes over [0, T] and
-    scaled by dt or noise_j; they must cover [0, T] (else DomainTooShort).
-    The field's ``state()`` builds the current span curve f_j, so a field
-    that ignores the state never pays for it; a None output is skipped.
+    The field is set up once on the fold grid, f0's nodes over [0, T]; at t_j
+    its outputs (drift and one noise column per factor) are derivative
+    samples there, each folded (`projection._fold_rows`) and scaled by dt
+    or noise_j.  They must cover [0, T] (else DomainTooShort); a None output
+    and a term scaled by zero are skipped.  The state's span derivative is
+    built only when the field reads it, as the product over all of f0's grid:
+    BLAS rounds a product's last rows apart from the others, so one over the
+    fold nodes alone would move the states' last bits.
     """
     p = spec.params
     limit = euler_stability_limit(p, k)
@@ -383,24 +428,42 @@ def _euler_path(spec: ModelSpec, times: np.ndarray, dt: float, noise: np.ndarray
     A = system_matrix(p, k)
 
     f0 = spec.f0
-    grid = _fold_grid(_euler_intervals(f0, k, p) + 1, p)
+    n = _euler_intervals(f0, k, p) + 1
+    grid = _fold_grid(n, p)
     Gd = eval_g_n_deriv(p, p.n_range(k), f0.grid)
+    outputs = field(p.horizon, n)
 
     init = coefficients_fft(f0, k, p)
     x = np.concatenate(([init.c_star], init.c))
     xs = [x]
-    for t, row in zip(times[:-1], noise):
-        outs = outputs(t, lambda: Curve(complex(x[0]), x[1:] @ Gd, f0.x_max))
+    # per output, the rows last folded and their fold inputs: outputs that
+    # ignore the state (the loadings) return the same rows at every step, so
+    # their inputs are formed once.  They are still folded at every step; the
+    # ROADMAP's fold memo drops those FFTs once the benchmark counts fold
+    # inputs instead of FFT calls
+    formed = [(None,) * 3] * 2
+    for t, row in zip(times[:-1], noise.tolist()):
+        parts = outputs(t, (p.horizon, n), complex(x[0]), lambda: (x[1:] @ Gd)[:n])
         inc = dt * (A @ x)
-        for s, out_curve in zip((dt, *row), outs):
-            if out_curve is None:
+        inc_star, scales, inputs = complex(inc[0]), [], []
+        for i, (part, part_scales) in enumerate(zip(parts, ((dt,), row))):
+            if part is None:
                 continue
-            if not out_curve._covers(p.horizon):
+            if not _reaches(part.x_max, p.horizon):
                 raise DomainTooShort(f"field output at t={t:g} covers "
-                                     f"[0, {out_curve.x_max}], not [0, T]")
-            if s != 0.0:
-                inc[0] += s * complex(out_curve.value_at_zero)
-                inc[1:] += s * _fold_curve(out_curve, k, p, grid)
+                                     f"[0, {part.x_max}], not [0, T]")
+            if part.samples is not formed[i][0] or part.values is not formed[i][1]:
+                formed[i] = (part.samples, part.values,
+                             list(zip(part.values.tolist(), _fold_input(part.samples, grid))))
+            for s, (value, a) in zip(part_scales, formed[i][2]):
+                if s != 0.0:
+                    inc_star += s * value
+                    scales.append(s)
+                    inputs.append(a)
+        inc[0], inc_c = inc_star, inc[1:]
+        if inputs:
+            for term in np.array(scales)[:, None] * _fold_rows(inputs, k, p.horizon):
+                inc_c += term
         x = x + inc
         xs.append(x)
     xs = np.stack(xs)

@@ -8,6 +8,14 @@ derivative zeroed beyond T - t, so dependence on the tail is impossible by
 construction and audits can verify it by perturbation.  The scheme, the oracle
 and the Picard map step one masked field (`_masked_field`) and differ only in
 the state it reads.
+
+Fields are stepped on arrays: on a grid of [0, x_max] a field's outputs are
+values at zero (m,) and derivative samples (m, n) (`space._Rows`).  Registry
+fields define each output once in that form (`_output`) and read their fixed
+curves onto the grid once per path; their `Curve` callables are built from it
+and carry it as ``on_grid``.  Other fields run through one adapter
+(`_masked_field`).  The loadings' fold inputs are formed once per path but
+folded at every step, because `bench/run.py` counts one FFT per output and step.
 """
 from __future__ import annotations
 
@@ -21,7 +29,8 @@ from .basis import (BasisParams, frame_lower_constant, frame_upper_constant,
 from .dynamics import (LevyDriver, ModelSpec, SimPath, StateVariables,
                        _curve_recursion, _euler_intervals, _euler_path, _time_grid)
 from .projection import CoeffState, coefficients_fft, reconstruct, reconstruct_deriv
-from .space import Curve, norm_alpha
+from .space import (Curve, _common_grid, _mask_start, _node_count, _Rows, _rows_on,
+                    norm_alpha)
 from .testcurves import flat_curve
 
 __all__ = [
@@ -76,6 +85,9 @@ def make_field(name: str, driver: LevyDriver, params: BasisParams,
     constant           b = fixed curve (kw b_curve, default zero), psi = loadings
     mean_revert        b(t,f) = kappa (theta - f), psi = loadings
     proportional_vol   b = 0, psi_i(t,f) = sigma0 (1 + tanh(Re f(0)) / 2) loading_i
+
+    Each output is defined once, on arrays (`_output`); its ``b``/``psi``
+    is the `Curve` form of that definition.
     """
     loads = tuple(driver.loadings)
     if name == "constant":
@@ -83,32 +95,78 @@ def make_field(name: str, driver: LevyDriver, params: BasisParams,
         if b_curve is None:
             b_curve = flat_curve(0.0, x_max=driver.loadings[0].x_max)
         return CoefficientField(
-            b=lambda t, f: b_curve,
-            psi=lambda t, f: loads,
+            b=_output((b_curve,), single=True),
+            psi=_output(loads),
             lipschitz_b=max(1e-12, norm_alpha(b_curve, params.alpha)),
             lipschitz_psi=_loads_norm(loads, params))
     if name == "mean_revert":
         kappa = float(kw["kappa"])
         theta = kw["theta"]
+
+        def drift(value, samples, rows):
+            return ((rows.values - value) * kappa,
+                    (rows.samples - samples()[:rows.samples.shape[-1]]) * kappa)
+
         return CoefficientField(
-            b=lambda t, f: (theta - f) * kappa,
-            psi=lambda t, f: loads,
+            b=_output((theta,), drift, single=True),
+            psi=_output(loads),
             lipschitz_b=kappa * (1.0 + norm_alpha(theta, params.alpha)),
             lipschitz_psi=_loads_norm(loads, params))
     if name == "proportional_vol":
         sigma0 = float(kw["sigma0"])
 
-        def psi(t, f):
-            s = sigma0 * (1.0 + 0.5 * np.tanh(complex(f.value_at_zero).real))
-            return tuple(c * s for c in loads)
+        def vol(value, samples, rows):
+            s = sigma0 * (1.0 + 0.5 * np.tanh(complex(value).real))
+            return rows.values * s, rows.samples * s
 
         # |d/dv tanh| <= 1 and |f(0) - g(0)| <= sqrt(1 + 1/alpha) ||f - g||
         lip = sigma0 * (1.5 + 0.5 * np.sqrt(1.0 + 1.0 / params.alpha)
                         * _loads_norm(loads, params))
-        return CoefficientField(b=lambda t, f: flat_curve(0.0, x_max=loads[0].x_max),
-                                psi=psi, lipschitz_b=1e-12,
+        return CoefficientField(b=_output((flat_curve(0.0, x_max=loads[0].x_max),),
+                                          single=True),
+                                psi=_output(loads, vol), lipschitz_b=1e-12,
                                 lipschitz_psi=max(lip, sigma0 * 1.5 * _loads_norm(loads, params)))
     raise ValueError(f"unknown coefficient field {name!r}")
+
+
+def _output(curves: Sequence[Curve], fn=None, single: bool = False):
+    """One field output defined on arrays, as its public `Curve` callable.
+
+    ``fn(value, samples, rows)`` maps the state's value at zero, a callable
+    returning its derivative samples, and ``curves`` read onto the same grid
+    (`space._rows_on`) to the outputs (values (m,), samples (m, n)); without
+    ``fn`` the outputs are ``curves``.  The array form rides on the callable
+    as its ``on_grid`` attribute (so wrappers made with `functools.wraps`
+    keep it): ``on_grid(x_max, n)`` reads ``curves`` onto the grid of
+    [0, x_max] with n nodes once and returns ``step(t, grid, value,
+    samples) -> space._Rows`` for a state on ``grid`` = (x_max_s, n_s), the
+    first n_s of those nodes.  The `Curve` form runs the same step on the
+    common grid of f and ``curves`` (`space._common_grid`, the grid
+    `space._align` puts two curves on), or returns ``curves`` themselves;
+    ``single`` unpacks its one output, as ``b`` returns.
+    """
+    def on_grid(x_max: float, n: int):
+        rows = _rows_on(curves, x_max, n)
+
+        def step(t, grid, value, samples) -> _Rows:
+            head = rows.head(*grid)
+            return head if fn is None else _Rows(*fn(value, samples, head), head.x_max)
+
+        return step
+
+    def curve_form(t: float, f: Curve):
+        if fn is None:
+            outs = tuple(curves)
+        else:
+            x_max, step = _common_grid((f, *curves))
+            n = _node_count(x_max, step)
+            rows = on_grid(x_max, n)(t, (x_max, n), f.value_at_zero,
+                                     lambda: f._deriv_on(x_max, n))
+            outs = tuple(Curve(v, d, x_max) for v, d in zip(rows.values, rows.samples))
+        return outs[0] if single else outs
+
+    curve_form.on_grid = on_grid
+    return curve_form
 
 
 def _loads_norm(loads, params) -> float:
@@ -205,13 +263,41 @@ def contract_audit(cf: CoefficientField, params: BasisParams, rank: int,
 
 
 def _masked_field(cf: CoefficientField, params: BasisParams):
-    """The field as every scheme reads it: outputs(t, state) = [b, psi_1..psi_d]
-    at the curve state() masked beyond T - t (`_masked`)."""
-    def outputs(t, state):
-        fm = _masked(state(), t, params)
-        return [cf.b(t, fm), *cf.psi(t, fm)]
+    """The field as both loops read it, at the state masked beyond T - t.
 
-    return outputs
+    ``on_grid(x_max, n)`` sets the field up on the grid of [0, x_max] with n
+    nodes and returns ``outputs(t, grid, value, samples) -> [b, psi]``, each
+    a `space._Rows`, for a state on ``grid`` = (x_max_s, n_s), the first n_s
+    of those nodes, with value at zero ``value`` and derivative ``samples()``.
+    A field whose ``b`` and ``psi`` carry their array form (`_output`) runs
+    it; any other goes through one adapter, which builds the masked state
+    `Curve`, calls ``b`` and ``psi`` and reads each output on the state's
+    nodes (`Curve._deriv_on`).
+    """
+    forms = [getattr(fn, "on_grid", None) for fn in (cf.b, cf.psi)]
+
+    def on_grid(x_max: float, n: int):
+        if None in forms:
+            def steps(t, grid, value, masked):
+                fm = Curve(value, masked(), grid[0])
+                return [_rows_on([cf.b(t, fm)], *grid), _rows_on(cf.psi(t, fm), *grid)]
+        else:
+            b_step, psi_step = (form(x_max, n) for form in forms)
+
+            def steps(t, grid, value, masked):
+                return [b_step(t, grid, value, masked), psi_step(t, grid, value, masked)]
+
+        def outputs(t, grid, value, samples):
+            def masked():
+                d = samples().copy()
+                d[_mask_start(*grid, _input_cut(t, params)):] = 0.0
+                return d
+
+            return steps(t, grid, value, masked)
+
+        return outputs
+
+    return on_grid
 
 
 def _oracle_states(cf: CoefficientField, spec: ModelSpec, times: np.ndarray,

@@ -11,9 +11,11 @@ modes.  Both directions between a curve and its coefficients are one DFT on
 the uniform grid x_j = jT/N over [0, T]:
 
 - fold (curve -> coefficients, ``_fold_fft``): the weighted derivative samples
-  w_j h'(x_j) e^{(lam + alpha/2) x_j}, with x = T folded onto x = 0, give
-  every mode -k..k at once; ``_fold_curve`` applies it to a curve on the
-  nodes of ``_fold_grid``, for ``coefficients_fft`` and the Euler loop alike;
+  w_j h'(x_j) e^{(lam + alpha/2) x_j}, with x = T folded onto x = 0
+  (``_fold_end``), give every mode -k..k at once by one DFT (``_fold_rows``,
+  one per input).  ``_fold_curve`` applies it to a curve on the nodes of
+  ``_fold_grid``, for ``coefficients_fft``; the Euler loop to field outputs
+  sampled on them, their inputs formed by ``_fold_input``;
 - synthesis (coefficients -> grid derivative, ``_synth_fft``, the adjoint):
   sum_n c_n g_n'(x_j) = e^{-(lam + alpha/2) x_j} T^{-1/2} sum_n c_n
   e^{2 pi i n j / N}, so the span derivative on the grid costs one FFT
@@ -166,19 +168,31 @@ def _fold_fft(a: np.ndarray, k: int, horizon: float) -> np.ndarray:
     """Modes -k..k of h from a_j = w_j h'(x_j) e^{(lam + alpha/2) x_j}.
 
     The samples lie on a uniform grid over [0, T] and w_j are the quadrature
-    weights.  The x = T sample aliases x = 0 for every mode frequency, so it is folded
-    onto index 0 and one DFT of the remaining N points supplies every mode.
-    Modes beyond the DFT's N bins would alias onto kept ones, so 2k + 1 > N
-    raises.
+    weights: `_fold_rows` of ``a`` with its x = T sample folded (`_fold_end`).
     """
-    n = a.shape[-1] - 1
+    return _fold_rows([_fold_end(a)], k, horizon)[0]
+
+
+def _fold_end(a: np.ndarray) -> np.ndarray:
+    """``a`` (rows over the nodes of [0, T]) with the x = T sample added onto
+    x = 0, which it aliases for every mode frequency."""
+    folded = a[..., :-1].copy()
+    folded[..., 0] += a[..., -1]
+    return folded
+
+
+def _fold_rows(inputs, k: int, horizon: float) -> np.ndarray:
+    """Modes -k..k, as rows (len(inputs), 2k+1), of folded inputs on N points
+    each (`_fold_input`), by one DFT per input.  Modes beyond the DFT's N bins
+    would alias onto kept ones, so 2k + 1 > N raises."""
+    n = inputs[0].shape[-1]
     if 2 * k + 1 > n:
         raise ValueError(f"{2 * k + 1} modes alias on a {n}-interval grid; "
                          "use more coefficient points")
-    folded = a[:-1].copy()
-    folded[0] += a[-1]
-    spectrum = np.fft.fft(folded)  # index n holds sum a_j e^{-2 pi i n j / N}
-    return spectrum[_mode_bins(k, n)] / np.sqrt(horizon)
+    spectra = np.empty((len(inputs), n), dtype=np.complex128)
+    for a, spectrum in zip(inputs, spectra):
+        np.fft.fft(a, out=spectrum)  # index n holds sum a_j e^{-2 pi i n j / N}
+    return spectra[:, _mode_bins(k, n)] / np.sqrt(horizon)
 
 
 @lru_cache(maxsize=64)
@@ -194,6 +208,14 @@ def _fold_grid(n_points: int, params: BasisParams):
     T = params.horizon
     x = np.linspace(0.0, T, n_points)
     return x, _simpson_weights(n_points, T / (n_points - 1)), np.exp(params.decay * x)
+
+
+def _fold_input(d: np.ndarray, grid) -> np.ndarray:
+    """The folded input of `_fold_rows` from h' on the nodes of ``grid``
+    (`_fold_grid`): w_j h'(x_j) e^{(lam + alpha/2) x_j} with x = T folded onto
+    x = 0 (`_fold_end`); each row of a 2-D ``d`` is one curve."""
+    _, w, e = grid
+    return _fold_end(w * d * e)
 
 
 def _fold_curve(h: Curve, k: int, params: BasisParams, grid) -> np.ndarray:

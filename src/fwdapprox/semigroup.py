@@ -32,16 +32,31 @@ def shift_curve(f: Curve, t: float, x_max_out: float | None = None) -> Curve:
     if not f._covers(t + x_max_out):
         raise DomainTooShort(
             f"shift by {t} needs the curve on [0, {t + x_max_out}], has [0, {f.x_max}]")
-    n = _node_count(x_max_out, f.grid_step)
-    if n < 2:
-        raise DomainTooShort(f"shift by {t} leaves less than one grid step of "
-                             f"[0, {f.x_max}]")
+    n = _shifted_count(f.x_max, f.grid_step, t, x_max_out)
     m = f._node_index(t)
     if m is not None:
-        head = np.trapezoid(f.deriv_samples[:m + 1], dx=f.grid_step) if m else 0.0
-        return Curve(complex(f.value_at_zero + head), f.deriv_samples[m:m + n], x_max_out)
+        return Curve(*_shift_nodes(f.value_at_zero, f.deriv_samples, f.grid_step, m, n),
+                     x_max_out)
     x = np.linspace(0.0, x_max_out, n)
     return Curve(complex(f.value(t)), f.deriv(t + x), x_max_out)
+
+
+def _shifted_count(x_max: float, step: float, t: float, x_max_out: float) -> int:
+    """The node count of shift_t f on [0, x_max_out] at f's step, for f on
+    [0, x_max]; DomainTooShort below two nodes."""
+    n = _node_count(x_max_out, step)
+    if n < 2:
+        raise DomainTooShort(f"shift by {t} leaves less than one grid step of "
+                             f"[0, {x_max}]")
+    return n
+
+
+def _shift_nodes(value_at_zero, samples: np.ndarray, step: float, m: int, n: int):
+    """(value at zero, n derivative samples) of a curve shifted by m nodes of
+    its grid: the samples sliced and the value at zero plus the trapezoid
+    sum of the skipped ones."""
+    head = np.trapezoid(samples[:m + 1], dx=step) if m else 0.0
+    return complex(value_at_zero + head), samples[m:m + n]
 
 
 def _shift_factors(params: BasisParams, k: int, t):

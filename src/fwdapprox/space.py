@@ -247,9 +247,8 @@ class Curve:
         return sp
 
     def _covers(self, x: float) -> bool:
-        """Whether the curve is stored on [0, x]: x_max reaches x within 1e-9,
-        the margin every spline read (`_in_domain`) allows."""
-        return x <= self.x_max + _RANGE_TOL
+        """Whether the curve is stored on [0, x] (`_reaches`)."""
+        return _reaches(self.x_max, x)
 
     def _node_index(self, t: float) -> int | None:
         """The i with t = i * grid_step, counting in steps (within 1e-9 of
@@ -280,10 +279,13 @@ class Curve:
         return self.value(self.grid)
 
     def _deriv_on(self, x_max: float, n: int) -> np.ndarray:
-        """f' on the n nodes of [0, x_max]: the samples on this curve's step, else the spline."""
+        """f' on the n nodes of [0, x_max] that this curve covers: the samples
+        on this curve's step, else the spline.  All n unless the curve stops
+        short of x_max, then the nodes up to its own x_max."""
         if _same_step(x_max / (n - 1), self.grid_step):
             return self.deriv_samples[:n]
-        return self.deriv(np.linspace(0.0, x_max, n))
+        x = np.linspace(0.0, x_max, n)
+        return self.deriv(x[:_first_node_beyond(x_max, n, self.x_max + _RANGE_TOL)])
 
     def resample(self, grid_step: float, x_max: float | None = None) -> "Curve":
         """f' on the grid of [0, x_max] nearest ``grid_step`` (`_deriv_on`), as a new curve."""
@@ -294,8 +296,8 @@ class Curve:
                      self._deriv_on(x_max, _node_count(x_max, grid_step)), x_max)
 
     def _masked_from(self, x_cut: float) -> int:
-        """The first node `restrict_mask(x_cut)` zeroes: the first beyond x_cut + 1e-12."""
-        return _first_node_beyond(self.x_max, self.deriv_samples.shape[0], x_cut + 1e-12)
+        """The first node `restrict_mask(x_cut)` zeroes (`_mask_start`)."""
+        return _mask_start(self.x_max, self.deriv_samples.shape[0], x_cut)
 
     def restrict_mask(self, x_cut: float) -> "Curve":
         """Zero the derivative beyond x_cut (curve frozen at its x_cut value)."""
@@ -317,6 +319,18 @@ class Curve:
         return Curve(self.value_at_zero * c, self.deriv_samples * c, self.x_max)
 
     __rmul__ = __mul__
+
+
+def _reaches(x_max: float, x: float) -> bool:
+    """Whether a range [0, x_max] covers [0, x]: x_max reaches x within 1e-9,
+    the margin every spline read (`Curve._in_domain`) allows."""
+    return x <= x_max + _RANGE_TOL
+
+
+def _mask_start(x_max: float, n: int, x_cut: float) -> int:
+    """The first node of the grid of [0, x_max] with n nodes that a mask at
+    x_cut zeroes: the first beyond x_cut + 1e-12."""
+    return _first_node_beyond(x_max, n, x_cut + 1e-12)
 
 
 def _same_step(a: float, b: float) -> bool:
@@ -388,12 +402,43 @@ def _scaled_sum(terms) -> Curve:
     return Curve(v, d, x_max)
 
 
+def _common_grid(curves) -> tuple[float, float]:
+    """(x_max, step) of the one grid for ``curves``: the finest step over the
+    shortest range."""
+    return min(c.x_max for c in curves), min(c.grid_step for c in curves)
+
+
 def _align(f: Curve, g: Curve) -> tuple[Curve, Curve]:
-    """Both curves on one grid, the finer step over the shorter range: an
-    operand already on it (`_on_grid`) is kept, the other resampled."""
-    x_max, step = min(f.x_max, g.x_max), min(f.grid_step, g.grid_step)
+    """Both curves on their common grid (`_common_grid`): an operand already
+    on it (`_on_grid`) is kept, the other resampled."""
+    x_max, step = _common_grid((f, g))
     return tuple(c if _on_grid(c, x_max, step) else c.resample(step, x_max)
                  for c in (f, g))
+
+
+class _Rows(NamedTuple):
+    """Curves on one grid of [0, x_max]: values at zero (m,), derivative rows
+    (m, n) and the range [0, x_max] that every row covers."""
+
+    values: np.ndarray
+    samples: np.ndarray
+    x_max: float
+
+    def head(self, x_max: float, n: int) -> "_Rows":
+        """The rows on the first n nodes, covering at most [0, x_max]; these
+        rows themselves when neither cuts them."""
+        if self.samples.shape[-1] <= n and self.x_max <= x_max:
+            return self
+        return _Rows(self.values, self.samples[:, :n], min(self.x_max, x_max))
+
+
+def _rows_on(curves, x_max: float, n: int) -> _Rows:
+    """``curves`` read onto the grid of [0, x_max] with n nodes (`Curve._deriv_on`),
+    every row cut to the nodes that all of them cover."""
+    reads = [c._deriv_on(x_max, n) for c in curves]
+    m = min(r.shape[0] for r in reads)
+    return _Rows(np.array([c.value_at_zero for c in curves], dtype=np.complex128),
+                 np.stack([r[:m] for r in reads]), min(x_max, *(c.x_max for c in curves)))
 
 
 def inner_product_alpha(f: Curve, g: Curve, alpha: float) -> complex:

@@ -1,9 +1,13 @@
+import dataclasses
+import functools
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fwdapprox import markovian, space
+from fwdapprox import dynamics, markovian, space
 from fwdapprox.basis import BasisParams
 from fwdapprox.dynamics import LevyDriver, ModelSpec, euler_coefficient_system
 from fwdapprox.errors import DomainTooShort, UnstableStep
@@ -17,10 +21,10 @@ from fwdapprox.markovian import (
     projected_coefficients,
     simulate_markovian_fk,
 )
-from fwdapprox.projection import reconstruct
+from fwdapprox.projection import CoeffState, reconstruct
 from fwdapprox.semigroup import shift_curve
 from fwdapprox.space import norm_alpha
-from fwdapprox.testcurves import exp_loading, flat_curve, smooth_bump
+from fwdapprox.testcurves import exp_loading, flat_curve, seasonal_curve, smooth_bump
 
 P = BasisParams(alpha=1.0, lam=0.5, horizon=1.0)
 
@@ -294,6 +298,18 @@ def test_oracle_is_exact_fixed_point_of_picard_map():
         np.testing.assert_array_equal(a.deriv_samples, b.deriv_samples)
 
 
+def test_picard_state_short_of_the_recursion_range_raises():
+    # the field reads each given state on the recursion's own nodes, so a
+    # state stored on less of the range says so instead of misaligning
+    drv, spec = make_driver(), make_spec()
+    times = np.linspace(0, 0.5, 9)
+    noise = drv.increments(drv.path_rng(0), times[1], 8)
+    h = [shift_curve(spec.f0, t, 0.5) for t in times]
+    field = make_field("mean_revert", drv, P, kappa=0.5, theta=flat_curve(1.2))
+    with pytest.raises(DomainTooShort, match=r"state 0 read by the field covers \[0, 0\.5\]"):
+        picard_operator_V(h, field, spec, drv, times, noise)
+
+
 def test_off_grid_field_output_is_projected_like_on_grid_one():
     # theta on a twice finer grid makes the drift output land off the
     # initial curve's grid; its projection must use the same quadrature
@@ -353,3 +369,96 @@ def test_initial_grid_must_split_the_horizon_evenly(scheme, n_points):
             simulate_markovian_fk(make_field("constant", drv, P), spec, drv, times, 2)
         else:
             euler_coefficient_system(spec, drv, times, 2)
+
+
+_FIELDS = {   # case: (registry name, keywords)
+    "constant": ("constant", {}),
+    "constant_b": ("constant", {"b_curve": seasonal_curve(0.1)}),
+    "mean_revert": ("mean_revert", {"kappa": 0.5, "theta": seasonal_curve(1.2)}),
+    "mean_revert_0": ("mean_revert", {"kappa": 0.0, "theta": flat_curve(1.2)}),
+    "proportional_vol": ("proportional_vol", {"sigma0": 0.2}),
+    "linear": ("constant", {"b_curve": seasonal_curve(0.1)}),
+}
+
+
+def _curve_form(field):
+    """The field with its b and psi stripped of the array form: the adapter runs it."""
+    return CoefficientField(b=lambda t, f: field.b(t, f), psi=lambda t, f: field.psi(t, f),
+                            lipschitz_b=field.lipschitz_b, lipschitz_psi=field.lipschitz_psi)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(sorted(_FIELDS)), n_points=st.sampled_from([257, 4097]),
+       t=st.sampled_from(markovian.AUDIT_TIMES + (1.0, 1.3)),
+       seed=st.integers(0, 2**32 - 1))
+def test_array_form_equals_curve_form(case, n_points, t, seed):
+    # every registry field and the linear one define their outputs once, on
+    # arrays; the Curve callables and the adapter that feeds them the masked
+    # state must give the same outputs on f0's grid.  The field's curves lie
+    # on a 4097-point grid: on it the two agree bit for bit, on 257 points
+    # the Curve form resamples through splines
+    drv = make_driver()
+    name, kw = _FIELDS[case]
+    field = make_field(name, drv, P, **kw)
+    rng = np.random.default_rng(seed)
+    pk = BasisParams(P.alpha, P.lam, P.horizon, markovian.AUDIT_K_SPAN)
+    c = rng.normal(size=pk.n_range().size) + 1j * rng.normal(size=pk.n_range().size)
+    state = CoeffState(complex(rng.normal()), 0.5 * (c + np.conj(c[::-1])), pk)
+    f = markovian._span_curve(state, 2.0, n_points)
+    grid = (f.x_max, n_points)
+    if case == "linear":
+        b = kw["b_curve"]
+        arrays = dynamics._linear_field(ModelSpec(f0=f, params=P, beta=lambda t: b), drv)
+    else:
+        arrays = markovian._masked_field(field, P)
+    got = arrays(*grid)(t, grid, f.value_at_zero, lambda: f.deriv_samples)
+    want = markovian._masked_field(_curve_form(field), P)(*grid)(
+        t, grid, f.value_at_zero, lambda: f.deriv_samples)
+    tol = 0.0 if n_points == 4097 else 1e-13
+    for a, b in zip(got, want, strict=True):
+        assert a.x_max == b.x_max and a.samples.shape == b.samples.shape
+        assert np.max(np.abs(a.values - b.values)) <= tol * max(1.0, np.max(np.abs(b.values)))
+        assert np.max(np.abs(a.samples - b.samples)) <= tol * max(1.0, np.max(np.abs(b.samples)))
+
+
+def _passthrough(fn):
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_wrapped_field_keeps_the_array_path(monkeypatch):
+    # a field re-wrapped as the benchmark's tracer does it (functools.wraps
+    # through dataclasses.replace) must still run its array form: the same
+    # states, no Curve built per step, and 1 + rank folds per step, each one
+    # np.fft.fft call made from projection.py
+    drv, spec = make_driver(), make_spec()
+    field = make_field("mean_revert", drv, P, kappa=0.5, theta=flat_curve(1.2))
+    wrapped = dataclasses.replace(field, b=_passthrough(field.b), psi=_passthrough(field.psi))
+    counts = {"curves": 0, "ffts": 0}
+    init, fft = space.Curve.__init__, np.fft.fft
+
+    def counting_init(self, *args, **kwargs):
+        counts["curves"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_fft(*args, **kwargs):
+        counts["ffts"] += sys._getframe(1).f_code.co_filename.endswith("projection.py")
+        return fft(*args, **kwargs)
+
+    built = {}
+    for L in (64, 128):
+        times = np.arange(L + 1) / 2048.0
+        noise = drv.increments(drv.path_rng(0), times[1], L)
+        want = simulate_markovian_fk(field, spec, drv, times, 2, noise=noise)
+        with monkeypatch.context() as m:
+            m.setattr(space.Curve, "__init__", counting_init)
+            m.setattr(np.fft, "fft", counting_fft)
+            counts.update(curves=0, ffts=0)
+            got = simulate_markovian_fk(wrapped, spec, drv, times, 2, noise=noise)
+        assert np.array_equal(got.S_k, want.S_k) and np.array_equal(got.U, want.U)
+        assert counts["ffts"] == (1 + drv.rank) * L
+        built[L] = counts["curves"]
+    assert built[64] == built[128]
