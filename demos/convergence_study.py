@@ -48,7 +48,7 @@ mdriver = LevyDriver(rank=3,
                      seed=7)
 field = make_field("mean_revert", mdriver, params, kappa=0.5,
                    theta=flat_curve(1.2))
-audit = contract_audit(field, params, mdriver.rank, n_pairs=40, seed=0)
+audit = contract_audit(field, params, n_pairs=40, seed=0)
 print("contract audit (all ratios must be <= 1, leak must be 0):")
 for key, val in audit.items():
     print(f"  {key}: {val:.3e}")

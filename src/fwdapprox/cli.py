@@ -14,9 +14,10 @@ Exit codes: 0 success, 1 invariant failure, 2 config error, 3 numerical
 failure (instability, domain exhaustion, failed smoothness check).  A config
 value of the wrong type, a non-integral integer, a non-finite number or one
 out of range is a config error.  The ranges: alpha, lambda, horizon,
-time_step, t_eval, law_param > 0; params.k, seed >= 0; rank >= 1;
-x_points in [1, 2^16]; n_paths in [1, 10^6]; n_steps and the step count
-t_eval / time_step in [1, 2^20]; k in [0, 2047]; k_list strictly ascending,
+time_step, t_eval, law_param > 0; params.k, seed >= 0; rank >= 1; x_points
+in [1, 2^16]; n_paths in [1, 10^6]; n_steps in [1, 2^20]; for simulate,
+time_step dividing t_eval into a step count in [1, 2^20] (converge steps
+n_steps and reads no time_step); k in [0, 2047]; k_list strictly ascending,
 entries in [1, 2047] for converge and [1, 511] for truncation-rate; in a
 curve spec n_points in [2, 2^20 + 1], x_max and period > 0, a curve file's
 grid uniform from x = 0 and increasing, each of its rows (a blank line
@@ -425,7 +426,7 @@ def cmd_converge(cfg: dict, base_dir: Path, out: Path, markovian: bool) -> int:
             _euler_intervals(model.f0, max(ks), params)
         except (ValueError, KeyError) as e:
             raise ConfigError(f"bad --markovian setup: {e}") from e
-        audit = contract_audit(field, params, driver.rank, n_pairs=50, seed=seed)
+        audit = contract_audit(field, params, n_pairs=50, seed=seed)
         if audit["structure_leak"] > 0.0 or audit["lipschitz_b_ratio"] > 1.0 \
                 or audit["lipschitz_psi_ratio"] > 1.0:
             print(f"contract audit failed: {audit}")
@@ -435,7 +436,7 @@ def cmd_converge(cfg: dict, base_dir: Path, out: Path, markovian: bool) -> int:
         table = [[r["k"], repr(r["mc_error"]), repr(r["stderr"]), "",
                   r["n_paths"], r["seed"]] for r in rows]
     else:
-        _, t_eval, _ = load_times(cfg)
+        t_eval = _read(cfg, "t_eval", lo=0.0)
         rows = convergence_experiment(model, driver, t_eval, ks, n_paths,
                                       n_steps=n_steps)
         table = [[r["k"], repr(r["mc_error"]), repr(r["stderr"]),

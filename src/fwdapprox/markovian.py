@@ -207,7 +207,7 @@ def projected_coefficients(cf: CoefficientField, k: int, params: BasisParams,
                             lipschitz_psi=cf.lipschitz_psi * bound)
 
 
-def contract_audit(cf: CoefficientField, params: BasisParams, rank: int,
+def contract_audit(cf: CoefficientField, params: BasisParams, *,
                    n_pairs: int = 100, seed: int = 0) -> dict:
     """Empirical check of the declared Lipschitz, growth and structure promises.
 

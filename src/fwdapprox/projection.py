@@ -10,12 +10,11 @@ restriction e^{(lam + alpha/2) x} h'(x) is paired with the plain Fourier
 modes.  Both directions between a curve and its coefficients are one DFT on
 the uniform grid x_j = jT/N over [0, T]:
 
-- fold (curve -> coefficients, ``_fold_fft``): the weighted derivative samples
-  w_j h'(x_j) e^{(lam + alpha/2) x_j}, with x = T folded onto x = 0
-  (``_fold_end``), give every mode -k..k at once by one DFT (``_fold_rows``,
-  one per input).  ``_fold_curve`` applies it to a curve on the nodes of
-  ``_fold_grid``, for ``coefficients_fft``; the Euler loop to field outputs
-  sampled on them, their inputs formed by ``_fold_input``;
+- fold (curve -> coefficients): on the nodes, Simpson weights w_j and damping
+  of ``_fold_grid``, ``_fold_input`` forms w_j h'(x_j) e^{(lam + alpha/2) x_j}
+  with x = T folded onto x = 0, and ``_fold_rows`` gives every mode -k..k of
+  it at once by one DFT per input.  ``coefficients_fft`` and the Euler loop
+  both fold this way;
 - synthesis (coefficients -> grid derivative, ``_synth_fft``, the adjoint):
   sum_n c_n g_n'(x_j) = e^{-(lam + alpha/2) x_j} T^{-1/2} sum_n c_n
   e^{2 pi i n j / N}, so the span derivative on the grid costs one FFT
@@ -164,23 +163,6 @@ def coefficient(h: Curve, n: int, params: BasisParams,
     return prev
 
 
-def _fold_fft(a: np.ndarray, k: int, horizon: float) -> np.ndarray:
-    """Modes -k..k of h from a_j = w_j h'(x_j) e^{(lam + alpha/2) x_j}.
-
-    The samples lie on a uniform grid over [0, T] and w_j are the quadrature
-    weights: `_fold_rows` of ``a`` with its x = T sample folded (`_fold_end`).
-    """
-    return _fold_rows([_fold_end(a)], k, horizon)[0]
-
-
-def _fold_end(a: np.ndarray) -> np.ndarray:
-    """``a`` (rows over the nodes of [0, T]) with the x = T sample added onto
-    x = 0, which it aliases for every mode frequency."""
-    folded = a[..., :-1].copy()
-    folded[..., 0] += a[..., -1]
-    return folded
-
-
 def _fold_rows(inputs, k: int, horizon: float) -> np.ndarray:
     """Modes -k..k, as rows (len(inputs), 2k+1), of folded inputs on N points
     each (`_fold_input`), by one DFT per input.  Modes beyond the DFT's N bins
@@ -212,25 +194,20 @@ def _fold_grid(n_points: int, params: BasisParams):
 
 def _fold_input(d: np.ndarray, grid) -> np.ndarray:
     """The folded input of `_fold_rows` from h' on the nodes of ``grid``
-    (`_fold_grid`): w_j h'(x_j) e^{(lam + alpha/2) x_j} with x = T folded onto
-    x = 0 (`_fold_end`); each row of a 2-D ``d`` is one curve."""
+    (`_fold_grid`): w_j h'(x_j) e^{(lam + alpha/2) x_j} with the x = T sample
+    added onto x = 0, which it aliases for every mode frequency; each row of a
+    2-D ``d`` is one curve."""
     _, w, e = grid
-    return _fold_end(w * d * e)
-
-
-def _fold_curve(h: Curve, k: int, params: BasisParams, grid) -> np.ndarray:
-    """Modes -k..k of h on ``grid`` (`_fold_grid`), reading h' on its nodes
-    (`Curve._deriv_on`: the samples on h's own step, the spline otherwise)."""
-    x, w, e = grid
-    if not h._covers(params.horizon):
-        raise DomainTooShort("coefficient extraction needs the curve on [0, T]")
-    return _fold_fft(w * h._deriv_on(params.horizon, x.size) * e, k, params.horizon)
+    a = w * d * e
+    folded = a[..., :-1].copy()
+    folded[..., 0] += a[..., -1]
+    return folded
 
 
 def _synth_fft(c: np.ndarray, n_points: int, params: BasisParams) -> np.ndarray:
     """Span derivative sum_n c_n g_n'(x_j) on the grid x_j = jT/N, j = 0..N.
 
-    The adjoint of ``_fold_fft``: g_n'(x_j) = e^{-(lam + alpha/2) x_j}
+    The adjoint of the fold: g_n'(x_j) = e^{-(lam + alpha/2) x_j}
     e^{2 pi i n j / N} / sqrt(T), so c_n goes into DFT bin (-n) mod N and one
     DFT supplies every sample.  Modes that share a bin (2k + 1 > N) add there,
     which is exact because they agree on the grid.  The x = T sample equals
@@ -265,7 +242,11 @@ def coefficients_fft(h: Curve, k: int, params: BasisParams,
     key = ("coefficients_fft", k, n_points, params.alpha, params.lam, params.horizon)
     state = h._spline_cache.get(key)
     if state is None:
-        c = _fold_curve(h, k, params, _fold_grid(n_points, params))
+        T = params.horizon
+        if not h._covers(T):
+            raise DomainTooShort("coefficient extraction needs the curve on [0, T]")
+        grid = _fold_grid(n_points, params)
+        c = _fold_rows([_fold_input(h._deriv_on(T, n_points), grid)], k, T)[0]
         c.flags.writeable = False
         p = BasisParams(params.alpha, params.lam, params.horizon, k)
         # h(0) as stored; + 0j gives it the signs of zero of h.value(0.0)

@@ -374,34 +374,6 @@ def _first_node_beyond(x_max: float, n: int, cut: float) -> int:
     return i
 
 
-def _scaled_sum(terms) -> Curve:
-    """sum_i w_i c_i over (c_i, w_i) pairs, in order, as one new curve.
-
-    Bit for bit the chained arithmetic ((c_0 * w_0 + c_1 * w_1) + ...): a
-    term on the running sum's step (`_same_step`) adds its samples; off the
-    sum's grid (`_on_grid`), both are cut to the shorter range as `_align`
-    truncates them.
-    From the first term on another step the chain itself goes on, as such a
-    sum resamples through the splines.
-    """
-    (c0, w0), *rest = terms
-    v, d, step, x_max = c0.value_at_zero * w0, c0.deriv_samples * w0, c0.grid_step, c0.x_max
-    for i, (c, w) in enumerate(rest):
-        if not _same_step(c.grid_step, step):
-            acc = Curve(v, d, x_max)
-            for later, weight in rest[i:]:
-                acc = acc + later * weight
-            return acc
-        cd = c.deriv_samples
-        if not _on_grid(c, x_max, step):
-            x_max = min(x_max, c.x_max)
-            n = _node_count(x_max, min(step, c.grid_step))
-            step, d, cd = x_max / (n - 1), d[:n], cd[:n]
-        v = v + c.value_at_zero * w
-        d = d + cd * w
-    return Curve(v, d, x_max)
-
-
 def _common_grid(curves) -> tuple[float, float]:
     """(x_max, step) of the one grid for ``curves``: the finest step over the
     shortest range."""

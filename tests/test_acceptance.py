@@ -267,7 +267,7 @@ def test_11_markovian_suite():
     spec = ModelSpec(f0=smooth_bump(), params=P)
     field = make_field("mean_revert", driver, P, kappa=0.5,
                        theta=flat_curve(1.2))
-    audit = contract_audit(field, P, driver.rank, n_pairs=60, seed=2)
+    audit = contract_audit(field, P, n_pairs=60, seed=2)
     audit_ok = (audit["lipschitz_b_ratio"] <= 1.0
                 and audit["lipschitz_psi_ratio"] <= 1.0
                 and audit["growth_ratio"] <= 1.0

@@ -105,6 +105,21 @@ def test_non_dividing_time_step_is_config_error(tmp_path):
     assert main(["simulate", "--config", p, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_converge_reads_no_time_step(tmp_path):
+    # converge steps n_steps; simulate's time_step rule does not apply to it
+    config = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+    cfg = json.loads(config.read_text())
+    cfg.update(n_paths=4, f0=str(config.parent / cfg["f0"]))
+    without = {key: v for key, v in cfg.items() if key != "time_step"}
+    outputs = []
+    for name, variant in (("dividing", cfg), ("non-dividing", dict(cfg, time_step=0.3)),
+                          ("absent", without)):
+        p, out = write_cfg(tmp_path, f"{name}.json", variant), tmp_path / name
+        assert main(["converge", "--config", p, "--out", str(out)]) == 0, name
+        outputs.append((out / "converge.csv").read_bytes())
+    assert outputs == [outputs[0]] * 3
+
+
 def test_truncation_rate_outputs_and_bound(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json",
                     {"params": PARAMS, "f0": {"kind": "bump"},

@@ -51,7 +51,7 @@ def test_contract_audit_passes_for_registry_fields():
                      ("mean_revert", {"kappa": 0.0, "theta": theta}),
                      ("proportional_vol", {"sigma0": 0.2})):
         field = make_field(name, drv, P, **kw)
-        audit = contract_audit(field, P, drv.rank, n_pairs=40, seed=3)
+        audit = contract_audit(field, P, n_pairs=40, seed=3)
         assert audit["lipschitz_b_ratio"] <= 1.0, (name, audit)
         assert audit["lipschitz_psi_ratio"] <= 1.0, (name, audit)
         assert audit["growth_ratio"] <= 1.0, (name, audit)
@@ -71,7 +71,7 @@ def test_contract_audit_fits_no_spline_to_rounding_noise(monkeypatch):
     monkeypatch.setattr(space, "CubicSpline", recording)
     field = make_field("mean_revert", make_driver(), P, kappa=0.5,
                        theta=flat_curve(1.2))
-    contract_audit(field, P, 3, n_pairs=5)
+    contract_audit(field, P, n_pairs=5)
     assert built, "the audit resamples its curves onto theta's grid"
     assert sum(m < 1e-12 for m in built) == 0
 
@@ -93,9 +93,9 @@ def test_contract_audit_evaluates_each_field_output_once_per_input():
 
     counted = CoefficientField(b=b, psi=psi, lipschitz_b=base.lipschitz_b,
                                lipschitz_psi=base.lipschitz_psi)
-    audit = contract_audit(counted, P, 3, n_pairs=10)
+    audit = contract_audit(counted, P, n_pairs=10)
     assert calls == {"b": 30, "psi": 30}
-    assert audit == contract_audit(base, P, 3, n_pairs=10)
+    assert audit == contract_audit(base, P, n_pairs=10)
 
 
 def test_proportional_vol_reads_f0_without_building_splines():

@@ -14,7 +14,9 @@ from fwdapprox.basis import (
 from fwdapprox.errors import DomainTooShort, NotSmoothEnough
 from fwdapprox.projection import (
     CoeffState,
-    _fold_fft,
+    _fold_grid,
+    _fold_input,
+    _fold_rows,
     _synth_fft,
     c_kt_norm_sq,
     coefficient,
@@ -28,7 +30,7 @@ from fwdapprox.projection import (
     reconstruct,
     reconstruct_deriv,
 )
-from fwdapprox.space import Curve, _simpson_weights, norm_alpha, read_curve_csv
+from fwdapprox.space import Curve, norm_alpha, read_curve_csv
 from fwdapprox.testcurves import exp_loading, smooth_bump
 
 P = BasisParams(alpha=1.0, lam=0.5, horizon=1.0)
@@ -256,15 +258,16 @@ def test_coefficients_fft_memo_is_read_only_and_skips_failed_calls():
     lambda: exp_loading(0.05, 2.0),
 ], ids=["bump_csv", "smooth_bump", "exp_loading"])
 def test_fold_of_on_grid_samples_matches_coefficients_fft(make, k):
-    # the Markovian scheme folds pre-weighted on-grid samples directly
+    # the one fold of coefficients_fft and the Euler loop, on a curve's own
+    # samples, against the independent Simpson sum of every mode, which keeps
+    # the x = T node rather than folding it onto x = 0
     curve = make()
     n_T = 2048
     assert curve.grid_step == pytest.approx(P.horizon / n_T)
-    x = np.linspace(0.0, P.horizon, n_T + 1)
-    w = _simpson_weights(n_T + 1, P.horizon / n_T) * np.exp(P.decay * x)
-    got = _fold_fft(w * curve.deriv_samples[:n_T + 1], k, P.horizon)
-    want = coefficients_fft(curve, k, P, n_points=n_T + 1).c
-    assert np.max(np.abs(got - want)) <= 1e-14
+    grid = _fold_grid(n_T + 1, P)
+    got = _fold_rows([_fold_input(curve.deriv_samples[:n_T + 1], grid)], k, P.horizon)[0]
+    want = [coefficient(curve, n, P, n_points=n_T + 1) for n in range(-k, k + 1)]
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -116,24 +116,33 @@ def test_cli_import_loads_no_scipy():
 
 def test_fold_helpers_stay_with_their_owners():
     # projection.py owns the curve-to-coefficients fold and every FFT; the
-    # Euler loop of dynamics.py folds field outputs only through its array
+    # Euler loop of dynamics.py folds field outputs only through the shared
     # fold (_fold_input, _fold_rows).  The Simpson weights serve the
     # quadrature of space.py and projection.py.  The schemes read their time
-    # step only through the time-grid rule of dynamics.py; the curve sum
-    # _scaled_sum has no caller outside space.py; the mild sum's kernel and
-    # the path chunk of the convergence experiment stay in dynamics.py
+    # step only through the time-grid rule of dynamics.py; the mild sum's
+    # kernel and the path chunk of the convergence experiment stay in
+    # dynamics.py
     src = Path(fwdapprox.__file__).parent
-    owners = {"np.fft": {"projection.py"}, "_fold_fft": {"projection.py"},
+    owners = {"np.fft": {"projection.py"},
               "_fold_input": {"projection.py", "dynamics.py"},
               "_fold_rows": {"projection.py", "dynamics.py"},
               "_simpson_weights": {"space.py", "projection.py"},
               "_time_grid": {"dynamics.py", "markovian.py"},
-              "_scaled_sum": {"space.py"},
               "_mild_terms": {"dynamics.py"}, "_PATH_CHUNK": {"dynamics.py"}}
     for name, allowed in owners.items():
         users = {p.name for p in src.glob("*.py") if name in p.read_text()}
         assert users <= allowed, f"{name} is referenced outside {sorted(allowed)}: " \
                                  f"{sorted(users - allowed)}"
+
+
+def test_projection_has_one_fold_and_one_synthesis_fft():
+    # every fold runs the DFT of _fold_rows and every synthesis that of
+    # _synth_fft; a second fold path with its own FFT fails here
+    tree = ast.parse((Path(fwdapprox.__file__).parent / "projection.py").read_text())
+    users = {getattr(top, "name", "<module>") for top in tree.body
+             for node in ast.walk(top)
+             if isinstance(node, ast.Attribute) and node.attr == "fft"}
+    assert users == {"_fold_rows", "_synth_fft"}
 
 
 def _step_differences(tree: ast.AST) -> list[int]:

@@ -24,7 +24,7 @@ from fwdapprox.space import (
     write_curve_csv,
 )
 from fwdapprox.semigroup import shift_curve
-from fwdapprox.testcurves import exp_loading, flat_curve, seasonal_curve, smooth_bump
+from fwdapprox.testcurves import flat_curve, smooth_bump
 
 P = BasisParams(alpha=1.0, lam=0.5, horizon=1.0)
 
@@ -321,35 +321,6 @@ def test_restrict_mask_cuts_where_the_grid_does(n, x_max, frac, on_node, nudge):
 def test_restrict_mask_extreme_cuts(x_cut, masked):
     g = Curve(1.0, np.ones(5), 1.0).restrict_mask(x_cut)
     assert np.count_nonzero(g.deriv_samples == 0.0) == masked
-
-
-def _chained(terms):
-    (c0, w0), *rest = terms
-    acc = c0 * w0
-    for c, w in rest:
-        acc = acc + c * w
-    return acc
-
-
-@pytest.mark.parametrize("names", [
-    ("bump", "exp", "exp"),               # one grid
-    ("short", "exp", "exp", "bump"),      # same step, the first term shorter
-    ("exp", "short", "bump"),             # same step, a later term shorter
-    ("short", "fine", "exp"),             # another step: the chain goes on
-    ("exp", "exp", "fine", "short"),
-])
-@pytest.mark.parametrize("n", [4097, 1537])   # at 1537 "short"'s step is one ulp off
-def test_scaled_sum_equals_chained_arithmetic(names, n):
-    step = 2.0 / (n - 1)
-    curves = {"bump": smooth_bump(n_points=n), "exp": exp_loading(0.05, 1.0, n_points=n),
-              "short": shift_curve(seasonal_curve(1.0, 0.3, n_points=n), step),
-              "fine": flat_curve(1.2, n_points=2 * n - 1)}
-    weights = [0.5, -0.013, 0.021, 1e-3]
-    terms = [(curves[name], w) for name, w in zip(names, weights)]
-    got, want = space._scaled_sum(terms), _chained(terms)
-    assert got.value_at_zero == want.value_at_zero
-    assert (got.grid_step, got.x_max) == (want.grid_step, want.x_max)
-    assert np.array_equal(got.deriv_samples, want.deriv_samples)
 
 
 def test_arithmetic():
