@@ -25,16 +25,13 @@ included) holding exactly the three cells x,f,fprime, its f column within
 1e-6 max(1, max|f|) of f(0) plus the integral of fprime, and every curve
 finite, its cubic spline included.
 For basis-check, lambda * horizon must be at least about 3.15e-3, so that
-the dual Gram's neglected tail falls below 1e-9 within 2^12 periods (the
-range the tail rule is tested on; the Gram costs one period's quadrature
-at any period count).
+the dual Gram's tail falls below 1e-9 within 2^12 periods (`_gram_periods`).
 For converge --markovian, f0's grid must split [0, horizon] into an even
 number of intervals, at least 2 max(k_list) + 1 of them.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -44,8 +41,8 @@ import numpy as np
 from .basis import (BasisParams, eval_g_n, eval_g_n_deriv,
                     frame_lower_constant, frame_upper_constant,
                     projector_norm_bound, shift_norm_bound)
-from .dynamics import (LevyDriver, ModelSpec, _euler_intervals,
-                       convergence_experiment, delivery_forward, simulate_fk_state)
+from .dynamics import (LevyDriver, ModelSpec, _euler_intervals, _window_weights,
+                       convergence_experiment, simulate_fk_state)
 from .errors import (ConfigError, DomainTooShort, FwdApproxError,
                      NotSmoothEnough, UnstableStep)
 from .markovian import (contract_audit, make_field,
@@ -183,7 +180,7 @@ def load_k_list(cfg: dict, default, hi: int) -> list[int]:
     return ks
 
 
-def load_times(cfg: dict) -> tuple[float, float, int]:
+def load_times(cfg: dict) -> tuple[float, int]:
     dt, t_eval = _read(cfg, "time_step", lo=0.0), _read(cfg, "t_eval", lo=0.0)
     n = t_eval / dt
     if not n < _MAX_STEPS + 0.5:
@@ -191,7 +188,7 @@ def load_times(cfg: dict) -> tuple[float, float, int]:
                           f"got {n:.6g}")
     if not (round(n) >= 1 and abs(n - round(n)) <= 1e-9):
         raise ConfigError("time_step must divide t_eval")
-    return dt, t_eval, round(n)
+    return t_eval, round(n)
 
 
 def load_windows(cfg: dict, params: BasisParams) -> list[tuple[float, float]]:
@@ -209,11 +206,11 @@ def load_windows(cfg: dict, params: BasisParams) -> list[tuple[float, float]]:
 
 # -- output helpers ----------------------------------------------------------
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def write_csv(path: Path, header: list[str], lines: list[str]) -> None:
+    """Write ``header`` and data ``lines``, each joined by "," and ended by "\\n"."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
 
 
 def write_loglog_svg(path: Path, xs, ys_by_label: dict, title: str) -> None:
@@ -326,7 +323,7 @@ def cmd_basis_check(cfg: dict, base_dir: Path, out: Path) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "basis_check.csv", ["check", "value", "threshold", "pass"],
-              [[n, repr(float(v)), repr(float(th)), str(bool(ok)).lower()]
+              [f"{n},{float(v)!r},{float(th)!r},{str(bool(ok)).lower()}\n"
                for n, v, th, ok in checks])
     ok_all = all(ok for _, _, _, ok in checks)
     for name, v, th, ok in checks:
@@ -350,7 +347,7 @@ def cmd_truncation_rate(cfg: dict, base_dir: Path, out: Path) -> int:
         err = norm_alpha_span(resid) ** 2
         errs.append(err)
         ok_all &= err <= C1 / k
-        rows.append([k, repr(float(err)), repr(float(C1 / k))])
+        rows.append(f"{k},{float(err)!r},{float(C1 / k)!r}\n")
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "truncation_rate.csv", ["k", "error_sq", "C1_over_k"], rows)
     write_loglog_svg(out / "truncation_rate.svg", ks,
@@ -366,7 +363,7 @@ def cmd_simulate(cfg: dict, base_dir: Path, out: Path) -> int:
     seed = _read(cfg, "seed", int, 0, default=0)
     model = load_model(cfg, base_dir, params)
     driver = load_driver(cfg, base_dir, seed)
-    dt, t_eval, n_steps = load_times(cfg)
+    t_eval, n_steps = load_times(cfg)
     n_paths = _read(cfg, "n_paths", int, 1, _MAX_PATHS, default=1)
     k = _read(cfg, "k", int, 0, _K_MAX, default=8)
     times = np.linspace(0.0, t_eval, n_steps + 1)
@@ -376,28 +373,32 @@ def cmd_simulate(cfg: dict, base_dir: Path, out: Path) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     G = eval_g_n(params, params.n_range(k), x)
-    # every path shares the t, x and window cells: format each once
-    t_cells = [(t, repr(t)) for t in times.tolist()]
-    x_cells = [repr(xi) for xi in x.tolist()]
-    w_cells = [(wi, T1, T2, repr(T1), repr(T2)) for wi, (T1, T2) in enumerate(windows)]
-    scen_rows, fwd_rows, slices = [], [], []
+    pk = BasisParams(params.alpha, params.lam, params.horizon, k)
+    # shared by every path: the cells, and each window's weights at its times
+    # t <= T1 (a prefix)
+    t_cells = list(map(repr, times.tolist()))
+    x_cells = list(map(repr, x.tolist()))
+    weights = {f"{wi},{T1!r},{T2!r}": np.stack([_window_weights(pk, t, T1, T2)
+                                                  for t in times[times <= T1].tolist()])
+                 for wi, (T1, T2) in enumerate(windows)}
+    scen, fwd, slices = [], [], []
     for pid in range(n_paths):
         path = simulate_fk_state(model, driver, times, k, path_id=pid)
-        for j, (t, t_cell) in enumerate(t_cells):
-            s = path.state(j)
-            vals = s.c_star + s.c @ G
-            scen_rows.extend([pid, t_cell, x_cell, repr(v)]
-                             for x_cell, v in zip(x_cells, vals.real.tolist()))
-            for wi, T1, T2, T1_cell, T2_cell in w_cells:
-                if t <= T1:
-                    F = delivery_forward(s, t, T1, T2)
-                    fwd_rows.append([pid, t_cell, wi, T1_cell, T2_cell, repr(F.real)])
-            if pid == 0:
-                slices.append(json.loads(s.to_json()))
-    write_csv(out / "scenarios.csv", ["path_id", "t", "x", "f"], scen_rows)
+        S, U = path.S_k, path.U
+        # `delivery_forward` of each state, bit for bit
+        Fs = [(cell, (S[:len(W)] + np.sum(W * U[:len(W)], axis=-1)).real.tolist())
+              for cell, W in weights.items()]
+        for j, t_cell in enumerate(t_cells):
+            head = f"{pid},{t_cell},"
+            scen.extend([f"{head}{x_cell},{v!r}\n"
+                         for x_cell, v in zip(x_cells, (S[j] + U[j] @ G).real.tolist())])
+            fwd.extend([f"{head}{cell},{F[j]!r}\n" for cell, F in Fs if j < len(F)])
+        if pid == 0:
+            slices = [path.state(j)._as_dict() for j in range(times.size)]
+    write_csv(out / "scenarios.csv", ["path_id", "t", "x", "f"], scen)
     if windows:
         write_csv(out / "forwards.csv",
-                  ["path_id", "t", "window", "T1", "T2", "F"], fwd_rows)
+                  ["path_id", "t", "window", "T1", "T2", "F"], fwd)
     (out / "coefficients_path0.json").write_text(
         json.dumps({"times": list(map(float, times)), "states": slices}, indent=1)
         + "\n")
@@ -433,16 +434,14 @@ def cmd_converge(cfg: dict, base_dir: Path, out: Path, markovian: bool) -> int:
             return 1
         rows = markovian_convergence_experiment(
             field, model, driver, ks, n_paths, n_steps=n_steps)
-        table = [[r["k"], repr(r["mc_error"]), repr(r["stderr"]), "",
-                  r["n_paths"], r["seed"]] for r in rows]
     else:
         t_eval = _read(cfg, "t_eval", lo=0.0)
         rows = convergence_experiment(model, driver, t_eval, ks, n_paths,
                                       n_steps=n_steps)
-        table = [[r["k"], repr(r["mc_error"]), repr(r["stderr"]),
-                  repr(r["bound_A_over_k"]), r["n_paths"], r["seed"]] for r in rows]
-    write_csv(out / "converge.csv",
-              ["k", "mc_error", "stderr", "bound", "n_paths", "seed"], table)
+    write_csv(out / "converge.csv", ["k", "mc_error", "stderr", "bound", "n_paths", "seed"],
+              [f"{r['k']},{r['mc_error']!r},{r['stderr']!r},"
+               f"{'' if markovian else repr(r['bound_A_over_k'])},{r['n_paths']},{r['seed']}\n"
+               for r in rows])
     errs = [r["mc_error"] for r in rows]
     curves = {"mc_error": errs}
     if not markovian:

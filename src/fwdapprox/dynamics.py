@@ -12,9 +12,7 @@ any field on arrays: ``field(x_max, n)`` sets it up on a grid once and returns
 ``outputs(t, grid, value, samples) -> [b or None, psi]``, each a `space._Rows`
 scaled by [dt, dL_j]; ``samples()`` builds the state's derivative only for a
 field that reads it.  `_linear_field` is the linear dynamics, which ignores the
-curve; `markovian._masked_field` serves the coefficient fields.  The Euler loop
-folds every output at every step, the loadings too, whose fold inputs it forms
-once: `bench/run.py` counts one FFT per output and step.
+curve; `markovian._masked_field` serves the coefficient fields.
 
 Time stepping is left-Riemann throughout: each step adds the drift and noise
 increment evaluated at the left endpoint and then transports by the shift.
@@ -497,8 +495,7 @@ def delivery_forward(state: CoeffState, t: float, T1: float, T2: float) -> compl
 
     the exact window average of g_n shifted to calendar time t, where
     phi1(z) = (e^z - 1) / z.  This form has no cancellation as the window
-    narrows.  The weights G come from a bounded memo (`_window_weights`), as
-    every simulated path asks for the same (t, window) pairs.
+    narrows.  `simulate` stacks the G_n per window (`_window_weights`).
     """
     p = state.params
     if not (t <= T1 < T2 <= p.horizon + 1e-12):

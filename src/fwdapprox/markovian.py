@@ -14,8 +14,7 @@ values at zero (m,) and derivative samples (m, n) (`space._Rows`).  Registry
 fields define each output once in that form (`_output`) and read their fixed
 curves onto the grid once per path; their `Curve` callables are built from it
 and carry it as ``on_grid``.  Other fields run through one adapter
-(`_masked_field`).  The loadings' fold inputs are formed once per path but
-folded at every step, because `bench/run.py` counts one FFT per output and step.
+(`_masked_field`).
 """
 from __future__ import annotations
 

@@ -91,12 +91,13 @@ class CoeffState:
         return float(max(sym, abs(complex(self.c_star).imag)))
 
     def to_json(self) -> str:
-        p = self.params
-        return json.dumps({
-            "alpha": p.alpha, "lambda": p.lam, "T": p.horizon, "k": p.k,
-            "c_star": [complex(self.c_star).real, complex(self.c_star).imag],
-            "c": [[z.real, z.imag] for z in self.c],
-        })
+        return json.dumps(self._as_dict())
+
+    def _as_dict(self) -> dict:
+        p, c_star = self.params, complex(self.c_star)
+        return {"alpha": p.alpha, "lambda": p.lam, "T": p.horizon, "k": p.k,
+                "c_star": [c_star.real, c_star.imag],
+                "c": [[z.real, z.imag] for z in self.c.tolist()]}
 
     @classmethod
     def from_json(cls, text: str) -> "CoeffState":

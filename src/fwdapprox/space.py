@@ -476,8 +476,12 @@ def _fmt(z: complex) -> str:
     return repr(z.real) if z.imag == 0.0 else repr(z)
 
 
-def _parse(s: str) -> complex:
-    return complex(s.replace(" ", ""))
+def _parse_column(cells, real: bool) -> np.ndarray:
+    """All cells at once, or one by one where numpy refuses one ("1 e5", "1+0j")."""
+    try:
+        return np.array(cells, dtype=float)
+    except ValueError:
+        return np.array([float(c) if real else complex(c.replace(" ", "")) for c in cells])
 
 
 def read_curve_csv(path_or_buf) -> Curve:
@@ -497,9 +501,8 @@ def read_curve_csv(path_or_buf) -> Curve:
     for i, r in enumerate(rows[1:], start=2):
         if len(r) != 3:
             raise ValueError(f"curve CSV row {i} needs the 3 cells x,f,fprime, has {len(r)}")
-    x = np.array([float(r[0]) for r in rows[1:]])
-    vals = np.array([_parse(r[1]) for r in rows[1:]])
-    deriv = np.array([_parse(r[2]) for r in rows[1:]])
+    cols = list(zip(*rows[1:])) or [()] * 3
+    x, vals, deriv = (_parse_column(c, i == 0) for i, c in enumerate(cols))
     if not all(np.all(np.isfinite(a)) for a in (x, vals, deriv)):
         raise ValueError("curve CSV holds a non-finite number")
     steps = np.diff(x)

@@ -1,5 +1,7 @@
 import copy
 import csv
+import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -7,10 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fwdapprox import cli
 from fwdapprox.cli import loglog_slope, main
+from fwdapprox.dynamics import delivery_forward, simulate_fk_state
 
 PARAMS = {"alpha": 1.0, "lambda": 0.5, "horizon": 1.0}
 
@@ -197,6 +200,57 @@ def test_simulate_outputs_are_deterministic(tmp_path):
     fwd = read_rows(out1 / "forwards.csv")
     assert fwd[0] == ["path_id", "t", "window", "T1", "T2", "F"]
     assert all(float(r[1]) <= 0.5 for r in fwd[1:])
+
+
+# sha256 of simulate's three outputs on configs/default.json cut to 20 paths,
+# recorded before its rows were formatted in one pass
+SIMULATE_GOLDEN = {
+    "scenarios.csv": "c21c09c87ef771799cdd4e1bbba910cbfd7711b5fb022ce9a33e632e9d84b3a3",
+    "forwards.csv": "ed485656f3dc224159d57679d0474afaf624b942f067d715fe0aa6fadefa73d1",
+    "coefficients_path0.json":
+        "219d9923943d03eacfeb6d5ea57b499db96262141b63c0f7cc4abd935551fafd",
+}
+
+
+def test_simulate_default_config_golden(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    cfg = json.loads((root / "configs" / "default.json").read_text())
+    cfg.update(n_paths=20, f0=str(root / "data" / "bump_curve.csv"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_cfg(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in SIMULATE_GOLDEN} == SIMULATE_GOLDEN
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(0, 64), n_steps=st.integers(1, 48), t_eval=st.floats(0.01, 1.0),
+       ends=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                     min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_simulate_forwards_equal_delivery_forward(k, n_steps, t_eval, ends, seed):
+    # the batched window forwards, one row per state and time t <= T1, are
+    # `delivery_forward` of that state bit for bit (as repr strings)
+    windows = [[min(a, b), max(a, b)] for a, b in ends if a != b]
+    assume(windows)
+    cfg = dict(FUZZ_CONFIGS[("simulate",)], k=k, n_paths=2, seed=seed, t_eval=t_eval,
+               time_step=t_eval / n_steps, windows=windows)
+    with tempfile.TemporaryDirectory() as d:
+        p = write_cfg(Path(d), "c.json", cfg)
+        assert main(["simulate", "--config", p, "--out", str(Path(d) / "o")]) == 0
+        got = (Path(d) / "o" / "forwards.csv").read_text().splitlines()[1:]
+        params = cli.load_params(cfg)
+        model = cli.load_model(cfg, Path(d), params)
+        driver = cli.load_driver(cfg, Path(d), seed)
+    times = np.linspace(0.0, t_eval, n_steps + 1)
+    want = []
+    for pid in range(2):
+        path = simulate_fk_state(model, driver, times, k, path_id=pid)
+        want += [f"{pid},{t!r},{wi},{T1!r},{T2!r},"
+                 f"{delivery_forward(path.state(j), t, T1, T2).real!r}"
+                 for j, t in enumerate(times.tolist())
+                 for wi, (T1, T2) in enumerate(windows) if t <= T1]
+    assert got == want
 
 
 def test_simulate_folds_each_distinct_input_once(tmp_path, monkeypatch):
@@ -515,3 +569,42 @@ def test_mutated_config_never_raises(case):
 def test_fuzz_base_configs_run(tmp_path, argv):
     p = write_cfg(tmp_path, "c.json", FUZZ_CONFIGS[argv])
     assert main([*argv, "--config", p, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("argv", list(FUZZ_CONFIGS), ids=" ".join)
+def test_cli_csvs_are_the_csv_modules_bytes(tmp_path, argv):
+    # every CSV the CLI writes (scenarios, forwards, converge with and without
+    # its bound, basis_check, truncation_rate) is what csv.writer makes of its
+    # own cells: no cell needs quoting, so joining cells by "," is exact
+    p = write_cfg(tmp_path, "c.json", FUZZ_CONFIGS[argv])
+    out = tmp_path / "o"
+    assert main([*argv, "--config", p, "--out", str(out)]) == 0
+    written = sorted(out.glob("*.csv"))
+    assert written
+    for path in written:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(read_rows(path))
+        assert path.read_text() == buf.getvalue(), path.name
+
+
+# x_points and every curve spec's n_points at their caps (2^16, 2^20 + 1) and
+# one beyond.  At the cap a Markovian run takes 8 to 26 s (most of it in the
+# contract audit), so those take an in-cap 2^12 + 1 instead
+SIZE_CASES = [
+    pytest.param(argv, path, value, id=f"{' '.join(argv)}-{'.'.join(map(str, path))}-{value}")
+    for argv, cfg in FUZZ_CONFIGS.items() for path in key_paths(cfg)
+    if path[-1] in ("x_points", "n_points")
+    for value in ((2**16, 2**16 + 1) if path[-1] == "x_points"
+                  else (2**12 + 1 if argv == MARKOVIAN else 2**20 + 1, 2**20 + 2))]
+
+
+@pytest.mark.parametrize("argv, path, value", SIZE_CASES)
+def test_size_keys_within_and_beyond_their_caps(tmp_path, capsys, argv, path, value):
+    p = write_cfg(tmp_path, "c.json", mutated(FUZZ_CONFIGS[argv], path, value))
+    rc = main([*argv, "--config", p, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    if value <= (2**16 if path[-1] == "x_points" else 2**20 + 1):
+        assert rc == 0 and err == ""
+    else:
+        assert rc == 2 and err.startswith("config error:") and err.count("\n") == 1
+

@@ -145,6 +145,28 @@ def test_projection_has_one_fold_and_one_synthesis_fft():
     assert users == {"_fold_rows", "_synth_fft"}
 
 
+def test_cli_writes_every_csv_through_write_csv():
+    # one CSV formatting path: cli.py imports no csv module, opens files only
+    # in write_csv, and every ".csv" name it holds is the path argument of a
+    # write_csv call, whose data lines the benchmark counts as rows written
+    tree = ast.parse((Path(fwdapprox.__file__).parent / "cli.py").read_text())
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    imported |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert "csv" not in imported
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+             and isinstance(n.func, ast.Name)]
+    writer = next(n for n in tree.body
+                  if isinstance(n, ast.FunctionDef) and n.name == "write_csv")
+    in_writer = {id(n) for n in ast.walk(writer)}
+    assert all(id(c) in in_writer for c in calls if c.func.id == "open")
+    in_writes = {id(node) for c in calls if c.func.id == "write_csv"
+                 for node in ast.walk(c.args[0])}
+    names = [n for n in ast.walk(tree) if isinstance(n, ast.Constant)
+             and isinstance(n.value, str) and n.value.endswith(".csv")]
+    assert names and all(id(n) in in_writes for n in names), \
+        [n.value for n in names if id(n) not in in_writes]
+
+
 def _step_differences(tree: ast.AST) -> list[int]:
     """Lines of comparisons that hold a difference of two grid steps: each
     side a ``.grid_step`` read, a name ending in ``step`` or a quotient (a

@@ -359,6 +359,33 @@ def test_csv_roundtrip():
     assert g.x_max == pytest.approx(f.x_max)
 
 
+def test_csv_column_numpy_refuses_is_parsed_cell_by_cell():
+    # a column numpy reads at once is read as float() reads each cell; one it
+    # refuses (a spaced exponent, "1+0j") is read cell by cell as before, to
+    # the same bits, and a cell no parser reads gives that parser's error
+    buf = io.StringIO()
+    write_curve_csv(smooth_bump(n_points=257), buf)
+    plain = read_curve_csv(io.StringIO(buf.getvalue()))
+    rows = [line.split(",") for line in buf.getvalue().splitlines()]
+    j = next(i for i, r in enumerate(rows[1:], start=1) if float(r[2]) != 0.0)
+    rows[j][2] = f"{float(rows[j][2]):.16e}".replace("e", " e")   # 17 digits: exact
+    rows[3][1] += "+0j"
+
+    def read(rows):
+        return read_curve_csv(io.StringIO("".join(",".join(r) + "\n" for r in rows)))
+
+    g = read(rows)
+    assert complex(g.value_at_zero) == complex(plain.value_at_zero)
+    assert np.array_equal(g.deriv_samples, plain.deriv_samples)
+    for col, message in ((0, "could not convert string to float: 'abc'"),
+                         (1, r"complex\(\) arg is a malformed string"),
+                         (2, r"complex\(\) arg is a malformed string")):
+        bad = [list(r) for r in rows]
+        bad[4][col] = "abc"
+        with pytest.raises(ValueError, match=message):
+            read(bad)
+
+
 def test_csv_rejects_bad_header_and_nonuniform_grid():
     with pytest.raises(ValueError):
         read_curve_csv(io.StringIO("a,b,c\n0,0,0\n"))
