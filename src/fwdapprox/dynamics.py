@@ -10,9 +10,9 @@ times and noise by one rule, `_time_grid`.
 The Euler loop `_euler_path` and the curve recursion `_curve_recursion` step
 any field on arrays: ``field(x_max, n)`` sets it up on a grid once and returns
 ``outputs(t, grid, value, samples) -> [b or None, psi]``, each a `space._Rows`
-scaled by [dt, dL_j]; ``samples()`` builds the state's derivative only for a
-field that reads it.  `_linear_field` is the linear dynamics, which ignores the
-curve; `markovian._masked_field` serves the coefficient fields.
+scaled by [dt, dL_j]; ``samples(m)`` builds the state's derivative on m
+nodes only for a field that reads it.  `_linear_field` is the linear dynamics,
+which ignores the curve; `markovian._masked_field` serves the coefficient fields.
 
 Time stepping is left-Riemann throughout: each step adds the drift and noise
 increment evaluated at the left endpoint and then transports by the shift.
@@ -216,8 +216,9 @@ def _curve_recursion(f0: Curve, times: np.ndarray, dt: float, noise: np.ndarray,
     field is set up on f0's grid once; otherwise the shift is `shift_curve`'s
     spline and the field is set up again on each new grid.  Terms scaled by
     zero are skipped; an output that covers less of the range cuts the state
-    to it.  Only the current state is held, so a caller that keeps what it
-    needs of each state as it appears runs in memory independent of L.
+    to it; the step sums into the array its first term makes.  Only the
+    current state is held, so a caller that keeps what it needs of each
+    state as it appears runs in memory independent of L.
     """
     v, d, x_max = f0.value_at_zero, f0.deriv_samples, f0.x_max
     m = f0._node_index(dt)
@@ -228,13 +229,13 @@ def _curve_recursion(f0: Curve, times: np.ndarray, dt: float, noise: np.ndarray,
         if m is None and j:
             outputs = field(x_max, n)
         if reads is None:
-            value, samples = v, (lambda: d)
+            value, samples = v, (lambda cut: d[:cut])
         else:
             h = reads[j]
             if not h._covers(x_max):
                 raise DomainTooShort(f"state {j} read by the field covers [0, {h.x_max}], "
                                      f"not [0, {x_max}]")
-            value, samples = h.value_at_zero, (lambda: h._deriv_on(x_max, n))
+            value, samples = h.value_at_zero, (lambda cut: h._deriv_on(x_max, n)[:cut])
         inc = None
         for part, scales in zip(outputs(t, (x_max, n), value, samples), ((dt,), row)):
             if part is None or not any(scales):
@@ -243,9 +244,9 @@ def _curve_recursion(f0: Curve, times: np.ndarray, dt: float, noise: np.ndarray,
             for vi, di, s in zip(part.values.tolist(), part.samples, scales):
                 if s != 0.0:
                     inc = ((vi * s, di * s) if inc is None
-                           else (inc[0] + vi * s, inc[1][:n] + di[:n] * s))
+                           else (inc[0] + vi * s, _add_into(inc[1][:n], di[:n] * s)))
         if inc is not None:
-            v, d = v + inc[0], d[:n] + inc[1][:n]
+            v, d = v + inc[0], _add_into(inc[1][:n], d[:n])
         if m is None:
             f = shift_curve(Curve(v, d, x_max), dt)
             v, d = f.value_at_zero, f.deriv_samples
@@ -254,6 +255,14 @@ def _curve_recursion(f0: Curve, times: np.ndarray, dt: float, noise: np.ndarray,
             v, d = _shift_nodes(v, d, step, m, _shifted_count(x_max, step, dt, x_max - dt))
         x_max = x_max - dt
         yield Curve(v, d, x_max)
+
+
+def _add_into(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b, into ``a`` (the caller's own) when its dtype holds the sum."""
+    if a.dtype != np.result_type(a, b):
+        return a + b
+    a += b
+    return a
 
 
 def oracle_mild_solution(spec: ModelSpec, driver: LevyDriver, times,
@@ -415,9 +424,10 @@ def _euler_path(spec: ModelSpec, times: np.ndarray, dt: float, noise: np.ndarray
     samples there, each folded (`projection._fold_rows`) and scaled by dt
     or noise_j.  They must cover [0, T] (else DomainTooShort); a None output
     and a term scaled by zero are skipped.  The state's span derivative is
-    built only when the field reads it, as the product over all of f0's grid:
-    BLAS rounds a product's last rows apart from the others, so one over the
-    fold nodes alone would move the states' last bits.
+    built only when the field reads it, on the nodes it asks for (the masked
+    field's, below T - t_j) by a product over those columns; BLAS may round
+    a column apart from a wider product's, so the states can differ from
+    folding the span `Curve` in their last bits.
     """
     p = spec.params
     limit = euler_stability_limit(p, k)
@@ -428,7 +438,7 @@ def _euler_path(spec: ModelSpec, times: np.ndarray, dt: float, noise: np.ndarray
     f0 = spec.f0
     n = _euler_intervals(f0, k, p) + 1
     grid = _fold_grid(n, p)
-    Gd = eval_g_n_deriv(p, p.n_range(k), f0.grid)
+    Gd = eval_g_n_deriv(p, p.n_range(k), f0.grid[:n])
     outputs = field(p.horizon, n)
 
     init = coefficients_fft(f0, k, p)
@@ -441,7 +451,7 @@ def _euler_path(spec: ModelSpec, times: np.ndarray, dt: float, noise: np.ndarray
     # inputs instead of FFT calls
     formed = [(None,) * 3] * 2
     for t, row in zip(times[:-1], noise.tolist()):
-        parts = outputs(t, (p.horizon, n), complex(x[0]), lambda: (x[1:] @ Gd)[:n])
+        parts = outputs(t, (p.horizon, n), complex(x[0]), lambda m: x[1:] @ Gd[:, :m])
         inc = dt * (A @ x)
         inc_star, scales, inputs = complex(inc[0]), [], []
         for i, (part, part_scales) in enumerate(zip(parts, ((dt,), row))):

@@ -23,11 +23,11 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .basis import (BasisParams, frame_lower_constant, frame_upper_constant,
-                    projector_norm_bound)
+from .basis import (BasisParams, eval_g_n, eval_g_n_deriv, frame_lower_constant,
+                    frame_upper_constant, projector_norm_bound)
 from .dynamics import (LevyDriver, ModelSpec, SimPath, StateVariables,
                        _curve_recursion, _euler_intervals, _euler_path, _time_grid)
-from .projection import CoeffState, coefficients_fft, reconstruct, reconstruct_deriv
+from .projection import CoeffState, coefficients_fft, reconstruct_deriv
 from .space import (Curve, _common_grid, _mask_start, _node_count, _Rows, _rows_on,
                     norm_alpha)
 from .testcurves import flat_curve
@@ -103,8 +103,9 @@ def make_field(name: str, driver: LevyDriver, params: BasisParams,
         theta = kw["theta"]
 
         def drift(value, samples, rows):
-            return ((rows.values - value) * kappa,
-                    (rows.samples - samples()[:rows.samples.shape[-1]]) * kappa)
+            d = rows.samples - samples(rows.samples.shape[-1])
+            d *= kappa
+            return (rows.values - value) * kappa, d
 
         return CoefficientField(
             b=_output((theta,), drift, single=True),
@@ -131,18 +132,17 @@ def make_field(name: str, driver: LevyDriver, params: BasisParams,
 def _output(curves: Sequence[Curve], fn=None, single: bool = False):
     """One field output defined on arrays, as its public `Curve` callable.
 
-    ``fn(value, samples, rows)`` maps the state's value at zero, a callable
-    returning its derivative samples, and ``curves`` read onto the same grid
-    (`space._rows_on`) to the outputs (values (m,), samples (m, n)); without
-    ``fn`` the outputs are ``curves``.  The array form rides on the callable
-    as its ``on_grid`` attribute (so wrappers made with `functools.wraps`
-    keep it): ``on_grid(x_max, n)`` reads ``curves`` onto the grid of
-    [0, x_max] with n nodes once and returns ``step(t, grid, value,
-    samples) -> space._Rows`` for a state on ``grid`` = (x_max_s, n_s), the
-    first n_s of those nodes.  The `Curve` form runs the same step on the
-    common grid of f and ``curves`` (`space._common_grid`, the grid
-    `space._align` puts two curves on), or returns ``curves`` themselves;
-    ``single`` unpacks its one output, as ``b`` returns.
+    ``fn(value, samples, rows)`` maps the state's value at zero, its
+    derivative ``samples(m)`` on the first m nodes, and ``curves`` read onto
+    the grid (`space._rows_on`) to the outputs (values (m,), samples (m, n));
+    without ``fn`` the outputs are ``curves``.  The array form rides on the
+    callable as its ``on_grid`` attribute (so wrappers made with
+    `functools.wraps` keep it): ``on_grid(x_max, n)`` reads ``curves`` onto
+    the grid of [0, x_max] with n nodes once and returns ``step(t, grid,
+    value, samples) -> space._Rows`` for a state on ``grid`` = (x_max_s,
+    n_s), the first n_s of those nodes.  The `Curve` form runs the same step
+    on the common grid of f and ``curves`` (`space._common_grid`), or
+    returns ``curves`` themselves; ``single`` unpacks its one output.
     """
     def on_grid(x_max: float, n: int):
         rows = _rows_on(curves, x_max, n)
@@ -160,7 +160,7 @@ def _output(curves: Sequence[Curve], fn=None, single: bool = False):
             x_max, step = _common_grid((f, *curves))
             n = _node_count(x_max, step)
             rows = on_grid(x_max, n)(t, (x_max, n), f.value_at_zero,
-                                     lambda: f._deriv_on(x_max, n))
+                                     lambda m: f._deriv_on(x_max, n)[:m])
             outs = tuple(Curve(v, d, x_max) for v, d in zip(rows.values, rows.samples))
         return outs[0] if single else outs
 
@@ -216,17 +216,17 @@ def contract_audit(cf: CoefficientField, params: BasisParams, *,
     under tail-only perturbations (must be exactly 0).
     """
     rng = np.random.default_rng(seed)
-    pk = BasisParams(params.alpha, params.lam, params.horizon, AUDIT_K_SPAN)
     x_max = 2.0 * params.horizon
+    # g_n' of level AUDIT_K_SPAN on 513 nodes, built once
+    gd = eval_g_n_deriv(params, params.n_range(AUDIT_K_SPAN), np.linspace(0.0, x_max, 513))
 
     def rand_curve():
         n_c = 2 * AUDIT_K_SPAN + 1
         c = rng.normal(size=n_c) + 1j * rng.normal(size=n_c)
         c = 0.5 * (c + np.conj(c[::-1]))     # hermitian: real curve
-        f = _span_curve(CoeffState(complex(rng.normal()), c, pk), x_max, 513)
         # drop the synthesis' rounding-level imaginary part: a real curve
         # builds one spline when another grid resamples it
-        return Curve(f.value_at_zero, f.deriv_samples.real, x_max)
+        return Curve(complex(rng.normal()), (c @ gd).real, x_max)
 
     worst_lip_b = worst_lip_psi = worst_growth = worst_structure = 0.0
     for _ in range(n_pairs):
@@ -267,18 +267,20 @@ def _masked_field(cf: CoefficientField, params: BasisParams):
     ``on_grid(x_max, n)`` sets the field up on the grid of [0, x_max] with n
     nodes and returns ``outputs(t, grid, value, samples) -> [b, psi]``, each
     a `space._Rows`, for a state on ``grid`` = (x_max_s, n_s), the first n_s
-    of those nodes, with value at zero ``value`` and derivative ``samples()``.
-    A field whose ``b`` and ``psi`` carry their array form (`_output`) runs
-    it; any other goes through one adapter, which builds the masked state
-    `Curve`, calls ``b`` and ``psi`` and reads each output on the state's
-    nodes (`Curve._deriv_on`).
+    of those nodes, with value at zero ``value`` and derivative
+    ``samples(m)`` on its first m nodes.  The field reads ``masked(m)``,
+    ``samples`` of the nodes below T - t alone (the Euler loop builds no
+    others) padded with zeros.  A field whose ``b`` and ``psi`` carry their
+    array form (`_output`) runs it; any other goes through one adapter,
+    which builds the masked state `Curve`, calls ``b`` and ``psi`` and reads
+    each output on the state's nodes (`Curve._deriv_on`).
     """
     forms = [getattr(fn, "on_grid", None) for fn in (cf.b, cf.psi)]
 
     def on_grid(x_max: float, n: int):
         if None in forms:
             def steps(t, grid, value, masked):
-                fm = Curve(value, masked(), grid[0])
+                fm = Curve(value, masked(grid[1]), grid[0])
                 return [_rows_on([cf.b(t, fm)], *grid), _rows_on(cf.psi(t, fm), *grid)]
         else:
             b_step, psi_step = (form(x_max, n) for form in forms)
@@ -287,9 +289,11 @@ def _masked_field(cf: CoefficientField, params: BasisParams):
                 return [b_step(t, grid, value, masked), psi_step(t, grid, value, masked)]
 
         def outputs(t, grid, value, samples):
-            def masked():
-                d = samples().copy()
-                d[_mask_start(*grid, _input_cut(t, params)):] = 0.0
+            def masked(m):
+                cut = min(m, _mask_start(*grid, _input_cut(t, params)))
+                head = samples(cut)
+                d = np.zeros(m, head.dtype)
+                d[:cut] = head
                 return d
 
             return steps(t, grid, value, masked)
@@ -344,12 +348,11 @@ def simulate_markovian_fk(cf: CoefficientField, spec: ModelSpec,
                           noise: np.ndarray | None = None) -> StateVariables:
     """Explicit Euler on the 2k+2 coefficient system with state feedback.
 
-    The coefficients b_k, psi_k are evaluated by reconstructing the current
-    span curve on the initial curve's grid, feeding it through the masked
-    field and re-extracting coefficients; the state therefore stays in the
-    span by construction.  Every field output is folded on the initial
-    curve's nodes over [0, T], read through its spline if on another grid.
-    Without ``noise`` the driver's path 0 supplies the increments.
+    b_k, psi_k are the masked field's outputs at the span derivative on the
+    initial curve's nodes below T - t, folded back into coefficients over
+    [0, T] (`dynamics._euler_path`); the state stays in the span by
+    construction.  Without ``noise`` the driver's path 0 supplies the
+    increments.
     """
     times, dt, dL = _time_grid(times, driver, noise)
     return _euler_path(spec, times, dt, dL, k, _masked_field(cf, spec.params))
@@ -367,7 +370,9 @@ def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
     simulation grid (evenly strided); refining the slice grid must not move
     the estimate beyond MC noise, which the test-suite checks.  The oracle's
     states are streamed (`_oracle_states`) and read at the slices as they
-    appear, so memory does not grow with ``n_steps``.
+    appear, and each level's only at the slices, so memory does not grow
+    with ``n_steps``.  Each slice evaluates the basis once, at the largest
+    level, for every level's rows -k..k.
     f0's grid must suit every k (`dynamics._euler_intervals`), checked first.
     """
     p = spec.params
@@ -380,19 +385,21 @@ def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
     if slice_idx[-1] != times.size - 1:
         slice_idx.append(times.size - 1)
     xs = {j: np.linspace(0.0, max(p.horizon - times[j], 0.0), n_x) for j in slice_idx}
-    errs = {int(k): np.empty(n_paths) for k in k_list}
+    errs = {int(k): np.zeros(n_paths) for k in k_list}
+    km = max(errs)
     for pid in range(n_paths):
         noise = driver.increments(driver.path_rng(pid), dt, n_steps)
         o_vals = {j: f.value(xs[j])
                   for j, f in enumerate(_oracle_states(cf, spec, times, dt, noise)) if j in xs}
-        for k in k_list:
-            path = simulate_markovian_fk(cf, spec, driver, times, int(k),
-                                         noise=noise)
-            worst = 0.0
-            for j in slice_idx:
-                vals = reconstruct(path.state(j), xs[j])
-                worst = max(worst, float(np.max(np.abs(vals - o_vals[j]) ** 2)))
-            errs[int(k)][pid] = worst
+        kept = {}
+        for k in errs:
+            path = simulate_markovian_fk(cf, spec, driver, times, k, noise=noise)
+            kept[k] = (path.S_k[slice_idx], path.U[slice_idx])
+        for i, j in enumerate(slice_idx):
+            g = eval_g_n(p, p.n_range(km), xs[j])
+            for k, (c_star, c) in kept.items():
+                err = np.abs(c_star[i] + c[i] @ g[km - k:km + k + 1] - o_vals[j]) ** 2
+                errs[k][pid] = max(errs[k][pid], float(np.max(err)))
     return [{
         "k": int(k),
         "mc_error": float(np.mean(errs[int(k)])),

@@ -197,12 +197,12 @@ def _fold_input(d: np.ndarray, grid) -> np.ndarray:
     """The folded input of `_fold_rows` from h' on the nodes of ``grid``
     (`_fold_grid`): w_j h'(x_j) e^{(lam + alpha/2) x_j} with the x = T sample
     added onto x = 0, which it aliases for every mode frequency; each row of a
-    2-D ``d`` is one curve."""
+    2-D ``d`` is one curve.  It writes only into the array it makes."""
     _, w, e = grid
-    a = w * d * e
-    folded = a[..., :-1].copy()
-    folded[..., 0] += a[..., -1]
-    return folded
+    a = w * d
+    a *= e
+    a[..., 0] += a[..., -1]
+    return a[..., :-1]
 
 
 def _synth_fft(c: np.ndarray, n_points: int, params: BasisParams) -> np.ndarray:

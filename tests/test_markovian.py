@@ -21,9 +21,9 @@ from fwdapprox.markovian import (
     projected_coefficients,
     simulate_markovian_fk,
 )
-from fwdapprox.projection import CoeffState, reconstruct
+from fwdapprox.projection import CoeffState, coefficients_fft, reconstruct
 from fwdapprox.semigroup import shift_curve
-from fwdapprox.space import norm_alpha
+from fwdapprox.space import Curve, norm_alpha
 from fwdapprox.testcurves import exp_loading, flat_curve, seasonal_curve, smooth_bump
 
 P = BasisParams(alpha=1.0, lam=0.5, horizon=1.0)
@@ -56,6 +56,28 @@ def test_contract_audit_passes_for_registry_fields():
         assert audit["lipschitz_psi_ratio"] <= 1.0, (name, audit)
         assert audit["growth_ratio"] <= 1.0, (name, audit)
         assert audit["structure_leak"] == 0.0, (name, audit)
+
+
+# contract_audit(..., n_pairs=50, seed=7) on make_driver(): the audit's
+# random curves, and the order it draws them in, fix these dicts bit for bit
+_AUDIT_PINNED = {
+    "mean_revert": ({"kappa": 0.5, "theta": flat_curve(1.2)},
+                    {"lipschitz_b_ratio": 0.40168922304328336, "lipschitz_psi_ratio": 0.0,
+                     "growth_ratio": 0.37448398789394666, "structure_leak": 0.0}),
+    "constant": ({"b_curve": seasonal_curve(0.1)},
+                 {"lipschitz_b_ratio": 0.0, "lipschitz_psi_ratio": 0.0,
+                  "growth_ratio": 0.2698115814224893, "structure_leak": 0.0}),
+    "proportional_vol": ({"sigma0": 0.2},
+                         {"lipschitz_b_ratio": 0.0, "lipschitz_psi_ratio": 0.012611477931553759,
+                          "growth_ratio": 0.0, "structure_leak": 0.0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_AUDIT_PINNED))
+def test_contract_audit_is_pinned(name):
+    kw, want = _AUDIT_PINNED[name]
+    assert contract_audit(make_field(name, make_driver(), P, **kw), P,
+                          n_pairs=50, seed=7) == want
 
 
 def test_contract_audit_fits_no_spline_to_rounding_noise(monkeypatch):
@@ -411,9 +433,9 @@ def test_array_form_equals_curve_form(case, n_points, t, seed):
         arrays = dynamics._linear_field(ModelSpec(f0=f, params=P, beta=lambda t: b), drv)
     else:
         arrays = markovian._masked_field(field, P)
-    got = arrays(*grid)(t, grid, f.value_at_zero, lambda: f.deriv_samples)
+    got = arrays(*grid)(t, grid, f.value_at_zero, lambda m: f.deriv_samples[:m])
     want = markovian._masked_field(_curve_form(field), P)(*grid)(
-        t, grid, f.value_at_zero, lambda: f.deriv_samples)
+        t, grid, f.value_at_zero, lambda m: f.deriv_samples[:m])
     tol = 0.0 if n_points == 4097 else 1e-13
     for a, b in zip(got, want, strict=True):
         assert a.x_max == b.x_max and a.samples.shape == b.samples.shape
@@ -462,3 +484,112 @@ def test_wrapped_field_keeps_the_array_path(monkeypatch):
         assert counts["ffts"] == (1 + drv.rank) * L
         built[L] = counts["curves"]
     assert built[64] == built[128]
+
+
+@pytest.mark.parametrize("case", ["constant_b", "mean_revert", "proportional_vol"])
+def test_markovian_scheme_makes_one_fft_per_fold_input(monkeypatch, case):
+    # the benchmark counts 1 + rank FFTs per Euler step (the drift and one
+    # column per factor); with f0's projection memoised, the scheme makes no
+    # other np.fft.fft call, wherever it comes from
+    drv, spec = make_driver(), make_spec()
+    name, kw = _FIELDS[case]
+    field = make_field(name, drv, P, **kw)
+    L, k = 64, 2
+    times = np.arange(L + 1) / 2048.0
+    noise = drv.increments(drv.path_rng(0), times[1], L)
+    coefficients_fft(spec.f0, k, P)
+    calls, fft = [], np.fft.fft
+
+    def counting_fft(*args, **kwargs):
+        calls.append(1)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting_fft)
+    simulate_markovian_fk(field, spec, drv, times, k, noise=noise)
+    assert len(calls) == (1 + drv.rank) * L
+
+
+@pytest.mark.parametrize("case", ["constant", "constant_b", "mean_revert", "proportional_vol"])
+def test_schemes_write_into_no_array_they_are_given(case):
+    # the loops sum in place only into arrays they make: f0, the field's
+    # curves and every state the oracle yields keep their samples through
+    # the scheme, the oracle and the Picard map
+    drv, spec = make_driver(), make_spec()
+    name, kw = _FIELDS[case]
+    field = make_field(name, drv, P, **kw)
+    held = [spec.f0, *drv.loadings, *(c for c in kw.values() if isinstance(c, Curve))]
+    before = [c.deriv_samples.copy() for c in held]
+    L = 64
+    times = np.arange(L + 1) / 2048.0
+    noise = drv.increments(drv.path_rng(0), times[1], L)
+    yielded = [(f, f.deriv_samples.copy())
+               for f in markovian._oracle_states(field, spec, times, times[1], noise)]
+    simulate_markovian_fk(field, spec, drv, times, 2, noise=noise)
+    oracle = oracle_markovian(field, spec, drv, times, noise=noise)
+    picard_operator_V(oracle.states, field, spec, drv, times, noise)
+    simulate_markovian_fk(field, spec, drv, times, 2, noise=noise)
+    for c, d in zip(held, before, strict=True):
+        assert c.deriv_samples.tobytes() == d.tobytes()
+    for (f, d), g in zip(yielded, oracle.states, strict=True):
+        assert f.deriv_samples.tobytes() == d.tobytes() == g.deriv_samples.tobytes()
+
+
+def test_shared_slice_basis_equals_per_level_reconstruct():
+    # the experiment evaluates each slice's basis once, at the largest level,
+    # and reconstructs level k from its rows -k..k; its rows must equal a
+    # loop that reconstructs every level on its own.  A strongly damped basis
+    # (lam + alpha/2 = 25) keeps 64 steps over [0, 1] stable up to k = 4
+    p = BasisParams(alpha=1.0, lam=24.5, horizon=1.0)
+    drv = make_driver()
+    spec = ModelSpec(f0=smooth_bump(), params=p)
+    field = make_field("mean_revert", drv, p, kappa=0.5, theta=seasonal_curve(1.2))
+    L, n_x, ks, n_paths = 64, 17, [1, 2, 4], 2
+    rows = markovian_convergence_experiment(field, spec, drv, ks, n_paths, n_steps=L, n_x=n_x)
+    times = np.linspace(0.0, p.horizon, L + 1)
+    errs = {k: np.empty(n_paths) for k in ks}
+    for pid in range(n_paths):
+        noise = drv.increments(drv.path_rng(pid), times[1], L)
+        oracle = oracle_markovian(field, spec, drv, times, noise=noise)
+        for k in ks:
+            path = simulate_markovian_fk(field, spec, drv, times, k, noise=noise)
+            worst = 0.0
+            for j in range(L + 1):
+                x = np.linspace(0.0, max(p.horizon - times[j], 0.0), n_x)
+                err = np.abs(reconstruct(path.state(j), x) - oracle.states[j].value(x)) ** 2
+                worst = max(worst, float(np.max(err)))
+            errs[k][pid] = worst
+    assert [row["k"] for row in rows] == ks
+    for row in rows:
+        assert row["mc_error"] == float(np.mean(errs[row["k"]]))
+        assert row["stderr"] == float(np.std(errs[row["k"]]) / np.sqrt(n_paths))
+
+
+def _full_width(field):
+    """The array field fed the span derivative on every fold node, cut to the
+    nodes it asks for after the product."""
+    def on_grid(x_max, n):
+        outputs = field(x_max, n)
+        return lambda t, grid, value, samples: outputs(
+            t, grid, value, lambda m: samples(grid[1])[:m])
+
+    return on_grid
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(k=st.sampled_from([1, 2, 4, 8]), seed=st.integers(0, 2**32 - 1))
+def test_span_product_over_the_kept_nodes_moves_states_by_rounding_only(k, seed):
+    # the Euler loop builds the span derivative only on the nodes below
+    # T - t_j; BLAS may round those columns apart from a full-width product's
+    # by a few ulps, which moves the states by no more than 1e-15 of their size
+    drv = make_driver(seed=seed)
+    spec = ModelSpec(f0=smooth_bump(n_points=1025), params=P)
+    field = make_field("mean_revert", drv, P, kappa=0.5, theta=seasonal_curve(1.2))
+    dt = 2.0 ** -np.ceil(np.log2(1.1 / dynamics.euler_stability_limit(P, k)))
+    times = np.arange(round(P.horizon / dt) + 1) * dt
+    noise = drv.increments(drv.path_rng(0), dt, times.size - 1)
+    got = simulate_markovian_fk(field, spec, drv, times, k, noise=noise)
+    want = dynamics._euler_path(spec, times, dt, noise, k,
+                                _full_width(markovian._masked_field(field, P)))
+    x_got = np.column_stack([got.S_k, got.U])
+    x_want = np.column_stack([want.S_k, want.U])
+    assert np.max(np.abs(x_got - x_want)) <= 1e-15 * np.max(np.abs(x_want))

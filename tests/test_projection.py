@@ -295,3 +295,32 @@ def test_commutator_apply_broadcasts_over_t():
     assert isinstance(commutator_apply(h, 4, 0.25, P), complex)
     for t, g in zip(ts, got):
         assert g == commutator_apply(h, 4, float(t), P)
+
+
+def _fold_input_reference(d, grid):
+    """The fold input as three fresh arrays: w * d * e, then x = T onto x = 0."""
+    _, w, e = grid
+    a = w * d * e
+    folded = a[..., :-1].copy()
+    folded[..., 0] += a[..., -1]
+    return folded
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rows=st.sampled_from([None, 1, 4]), half=st.integers(1, 200),
+       is_complex=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_fold_input_writes_only_its_own_array(rows, half, is_complex, seed):
+    # the fold forms its input in place, in the one array it makes; the
+    # caller's samples (a curve's, or a field's rows shared across steps)
+    # stay as they were, and the input is the three-array one bit for bit
+    n = 2 * half + 1
+    grid = _fold_grid(n, P)
+    rng = np.random.default_rng(seed)
+    shape = (n,) if rows is None else (rows, n)
+    d = rng.normal(size=shape) + (1j * rng.normal(size=shape) if is_complex else 0.0)
+    before = d.copy()
+    got = _fold_input(d, grid)
+    assert d.tobytes() == before.tobytes()
+    want = _fold_input_reference(before, grid)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
