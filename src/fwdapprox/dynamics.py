@@ -59,7 +59,7 @@ BOUND_PATHS = 64       # paths whose curvature constants enter the sampled bound
 # differently (its small-matrix kernel); at 256 rows mc_error moved in its
 # last bits on 2,000 paths x 128 steps, at 512 it does not
 _PATH_CHUNK = 512
-_BLOCK_POINTS = 2**16  # points per spline evaluation while `_mild_terms` fills a kernel
+_BLOCK_POINTS = 2**16  # distinct points per `_mild_terms` spline evaluation
 
 
 def splitmix64(x: int) -> int:
@@ -535,6 +535,19 @@ def _drift_curves(spec: ModelSpec, times: np.ndarray):
     return betas, list(distinct.values())
 
 
+def _lagged(times, x, dt, curve_eval):
+    """at(c, j0, j1) = curve_eval(c, y[j0:j1]), y[l] = t - t_l + x, from one evaluation
+    with rows m points apart: dt / x's step if they are exactly one grid's windows, else n_x."""
+    y = (times[-1] - times[:-1])[:, None] + x
+    L, n = y.shape
+    m = max(1, np.searchsorted(x, x[0] + dt))
+    rows = lambda v: np.lib.stride_tricks.sliding_window_view(v, n)[::-m]
+    u = np.concatenate([y[-1], y[-2::-1, -m:].ravel()])
+    if not np.array_equal(rows(u), y):
+        u, m = y[::-1].ravel(), n
+    return lambda c, j0, j1: rows(curve_eval(c, u[(L - j1) * m:(L - 1 - j0) * m + n])), m
+
+
 def _mild_terms(spec: ModelSpec, driver: LevyDriver, times: np.ndarray, betas,
                 x: np.ndarray, curve_eval) -> tuple[np.ndarray, np.ndarray]:
     """The closed-form mild solution at t = times[-1] on x,
@@ -547,20 +560,21 @@ def _mild_terms(spec: ModelSpec, driver: LevyDriver, times: np.ndarray, betas,
     (psi weights times increments, (..., L, d)) are
     ``base + np.tensordot(weighted, kernel, axes=2)``.  ``betas`` are
     beta(t_l) and ``curve_eval(curve, y)`` is `Curve.value`, its real part, or
-    `Curve.deriv`.  The kernel is filled in blocks of about _BLOCK_POINTS
-    points, so the spline evaluation's temporaries stay that small.
+    `Curve.deriv`.  Each loading, or run of one drift, is evaluated on about
+    _BLOCK_POINTS distinct points at a time, those of one grid if the rows are
+    exactly its windows (`_lagged`).
     """
-    dt = float(times[1] - times[0])
-    y = (times[-1] - times[:-1])[:, None] + x          # (L, n_x) lagged points
+    dt, L = float(times[1] - times[0]), times.size - 1
+    at, m = _lagged(times, x, dt, curve_eval)
+    lags = max(1, (_BLOCK_POINTS - x.size) // m + 1)
     base = curve_eval(spec.f0, times[-1] + x)
     if betas:
-        base = base + dt * np.stack([curve_eval(b, y[j])
-                                     for j, b in enumerate(betas)]).sum(axis=0)
-    kernel = np.empty((y.shape[0], driver.rank, x.size), base.dtype)
-    lags = max(1, _BLOCK_POINTS // x.size)
-    for l0 in range(0, y.shape[0], lags):
+        s = [j for j in range(L) if j % lags == 0 or betas[j] is not betas[j - 1]] + [L]
+        base = base + dt * np.concatenate([at(betas[a], a, b) for a, b in zip(s, s[1:])]).sum(0)
+    kernel = np.empty((L, driver.rank, x.size), base.dtype)
+    for l0 in range(0, L, lags):
         for i, c in enumerate(driver.loadings):
-            kernel[l0:l0 + lags, i] = curve_eval(c, y[l0:l0 + lags])
+            kernel[l0:l0 + lags, i] = at(c, l0, min(l0 + lags, L))
     return base, kernel
 
 
@@ -653,7 +667,10 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
         w = weighted(range(chunk.start, chunk.stop))
         oracle = base + np.tensordot(w, kernel, axes=2)
         for err, (final, values) in zip(errs, models):
-            err[chunk] = np.max((values(*final(w)) - oracle) ** 2, axis=1)
+            e = values(*final(w))
+            e -= oracle
+            err[chunk] = np.square(e, out=e).max(1)
+            del e
 
     return [{
         "k": int(k),

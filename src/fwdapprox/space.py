@@ -420,10 +420,17 @@ def inner_product_alpha(f: Curve, g: Curve, alpha: float) -> complex:
     point count gets `_simpson_rule`'s end correction.
     """
     f, g = _align(f, g)
-    x = f.grid
-    integrand = f.deriv_samples * np.conj(g.deriv_samples) * np.exp(alpha * x)
-    return complex(f.value_at_zero * np.conj(g.value_at_zero)
-                   + integrand @ _simpson_rule(x.size, f.grid_step))
+    w, rule = _alpha_rule(len(f.deriv_samples), f.x_max, alpha)
+    integrand = f.deriv_samples * np.conj(g.deriv_samples) * w
+    return complex(f.value_at_zero * np.conj(g.value_at_zero) + integrand @ rule)
+
+
+@lru_cache(maxsize=8)
+def _alpha_rule(n, x_max, alpha):
+    """exp(alpha x) and `_simpson_rule` on n nodes of [0, x_max], read-only."""
+    r = np.exp(alpha * np.linspace(0.0, x_max, n)), _simpson_rule(n, x_max / (n - 1))
+    r[0].flags.writeable = r[1].flags.writeable = False
+    return r
 
 
 def norm_alpha(f: Curve, alpha: float) -> float:

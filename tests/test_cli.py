@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fwdapprox import cli
+from fwdapprox import cli, dynamics
 from fwdapprox.cli import loglog_slope, main
 from fwdapprox.dynamics import delivery_forward, simulate_fk_state
+from fwdapprox.space import Curve
 
 PARAMS = {"alpha": 1.0, "lambda": 0.5, "horizon": 1.0}
 
@@ -185,6 +186,53 @@ def test_converge_default_config_golden(tmp_path):
         assert bound == DEFAULT_BOUND[int(k)]
 
 
+def default_config(tmp_path, **changes):
+    root = Path(__file__).resolve().parent.parent
+    cfg = json.loads((root / "configs" / "default.json").read_text())
+    cfg.update(f0=str(root / "data" / "bump_curve.csv"), **changes)
+    return write_cfg(tmp_path, "c.json", cfg)
+
+
+# sha256 of converge.csv on configs/default.json at t_eval 0.3 and 48 steps,
+# recorded before the bound's kernel evaluated each curve once per distinct
+# lagged point.  There dt is 25.6 steps of the bound's grid, so its lagged
+# rows are no windows of one grid and the kernel takes the per-lag fill
+CONVERGE_FALLBACK_GOLDEN = "0964dcbe6d3d94b0f9f4ffdcf3abe516d2f8d4b8c191e1f6f6f3c3c55e600561"
+
+
+def test_converge_off_grid_step_golden(tmp_path):
+    out = tmp_path / "out"
+    assert main(["converge", "--config", default_config(tmp_path, t_eval=0.3, n_steps=48),
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "converge.csv").read_bytes()).hexdigest() == \
+        CONVERGE_FALLBACK_GOLDEN
+
+
+def test_converge_bound_evaluates_each_curve_once(tmp_path, monkeypatch):
+    # on configs/default.json dt is 32 steps of the bound's grid, so its kernel
+    # evaluates f0, the one flat drift and each of the 3 loadings once (the
+    # per-lag fill made 80 calls: f0, 64 drift rows and 5 blocks per loading)
+    calls, counts = [0], []
+    deriv, mild_terms = Curve.deriv, dynamics._mild_terms
+
+    def counting(c, y):
+        calls[0] += 1
+        return deriv(c, y)
+
+    def spy(*args):
+        before = calls[0]
+        out = mild_terms(*args)
+        if args[-1] is counting:
+            counts.append(calls[0] - before)
+        return out
+
+    monkeypatch.setattr(Curve, "deriv", counting)
+    monkeypatch.setattr(dynamics, "_mild_terms", spy)
+    assert main(["converge", "--config", default_config(tmp_path),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert counts == [5]
+
+
 def test_simulate_outputs_are_deterministic(tmp_path):
     cfg = base_model_cfg(n_paths=2)
     cfg["windows"] = [[0.5, 0.8]]
@@ -213,11 +261,8 @@ SIMULATE_GOLDEN = {
 
 
 def test_simulate_default_config_golden(tmp_path):
-    root = Path(__file__).resolve().parent.parent
-    cfg = json.loads((root / "configs" / "default.json").read_text())
-    cfg.update(n_paths=20, f0=str(root / "data" / "bump_curve.csv"))
     out = tmp_path / "out"
-    assert main(["simulate", "--config", write_cfg(tmp_path, "c.json", cfg),
+    assert main(["simulate", "--config", default_config(tmp_path, n_paths=20),
                  "--out", str(out)]) == 0
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in SIMULATE_GOLDEN} == SIMULATE_GOLDEN

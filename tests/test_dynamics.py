@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -418,6 +419,75 @@ def test_bound_does_not_depend_on_stored_range_of_f0():
         rows = convergence_experiment(spec, drv, 0.5, [4], 16, n_steps=16)
         bounds.append(rows[0]["bound_A_over_k"])
     assert bounds[1] == pytest.approx(bounds[0], rel=1e-12)
+
+
+def _per_lag_mild_terms(spec, driver, times, betas, x, curve_eval):
+    """`_mild_terms` as the lag-blocked fill on every row's own points, each
+    drift evaluated on its own row."""
+    dt = float(times[1] - times[0])
+    y = (times[-1] - times[:-1])[:, None] + x          # (L, n_x) lagged points
+    base = curve_eval(spec.f0, times[-1] + x)
+    if betas:
+        base = base + dt * np.stack([curve_eval(b, y[j])
+                                     for j, b in enumerate(betas)]).sum(axis=0)
+    kernel = np.empty((y.shape[0], driver.rank, x.size), base.dtype)
+    lags = max(1, dynamics._BLOCK_POINTS // x.size)
+    for l0 in range(0, y.shape[0], lags):
+        for i, c in enumerate(driver.loadings):
+            kernel[l0:l0 + lags, i] = curve_eval(c, y[l0:l0 + lags])
+    return base, kernel
+
+
+@pytest.mark.parametrize("grid", ["bound", "error", "off"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(horizon=st.sampled_from([0.5, 1.0, 2.0, 0.7, 1.3]), log_n=st.integers(2, 10),
+       n_int=st.integers(1, 1100), steps=st.integers(0, 47), m_raw=st.integers(0, 63),
+       frac=st.floats(0.01, 1.0), from_t=st.booleans(),
+       drift=st.sampled_from(["none", "flat", "piecewise", "varying"]),
+       block=st.sampled_from([2**16, 1000, 97, 40]), deriv=st.booleans())
+def test_windowed_lag_rows_equal_per_lag_evaluation(grid, horizon, log_n, n_int, steps,
+                                                    m_raw, frac, from_t, drift, block,
+                                                    deriv):
+    # "bound": x the bound's [0, T], dt m of its steps; "error": x the error's
+    # [0, T - t_eval] at t_eval = T / 2, dt m of its steps; "off": any step
+    # count, t_eval and x range, mostly not commensurate.  Each with no drift,
+    # one flat curve, two curves in runs, or a new curve at every step.  base
+    # and kernel equal the per-lag fill bit for bit, and on the commensurate
+    # dyadic grids the rows are taken as windows
+    m = None
+    if grid == "off":
+        t_eval, n_steps = frac * horizon, 1 + steps
+        x_end = horizon - t_eval if from_t else horizon
+    else:
+        horizon = horizon if horizon in (0.5, 1.0, 2.0) else 1.0   # dyadic
+        n_int = 2**log_n
+        if grid == "bound":
+            n_steps = 1 + steps % n_int
+            m = 1 + m_raw % (n_int // n_steps)
+            t_eval, x_end = m * n_steps * horizon / n_int, horizon
+        else:
+            n_steps = 2 ** (steps % (log_n + 1))
+            m, t_eval = n_int // n_steps, 0.5 * horizon
+            x_end = horizon - t_eval
+    x = np.linspace(0.0, x_end, n_int + 1)
+    times = np.linspace(0.0, t_eval, n_steps + 1)
+    curves = dict(x_max=2.0 * horizon, n_points=257)
+    b1, b2 = flat_curve(0.05, **curves), seasonal_curve(0.03, **curves)
+    beta = {"none": None, "flat": lambda t: b1,
+            "piecewise": lambda t: b1 if t < 0.5 * t_eval else b2,
+            "varying": lambda t: seasonal_curve(0.05 + t, damp=1.0 + t, **curves)}[drift]
+    spec = ModelSpec(f0=smooth_bump(**curves), params=BasisParams(1.0, 0.5, horizon),
+                     beta=beta)
+    drv = LevyDriver(rank=3, loadings=[exp_loading(0.1, r, **curves) for r in (0.5, 1.0, 2.0)])
+    betas, _ = dynamics._drift_curves(spec, times)
+    curve_eval = Curve.deriv if deriv else (lambda c, y: c.value(y).real)
+    with mock.patch.object(dynamics, "_BLOCK_POINTS", block):
+        got = dynamics._mild_terms(spec, drv, times, betas, x, curve_eval)
+        want = _per_lag_mild_terms(spec, drv, times, betas, x, curve_eval)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
+    if m is not None:
+        assert dynamics._lagged(times, x, float(times[1] - times[0]), curve_eval)[1] == m
 
 
 def hermitian(rng, shape):

@@ -185,6 +185,25 @@ def test_inner_product_matches_scipy_simpson(n):
         assert abs(inner_product_alpha(a, b, 0.7) - want) <= 1e-14 * abs(want)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 1000, 1001])
+def test_inner_product_memo_is_read_only_and_exact(n):
+    # exp(alpha x) and the Simpson rule are memoised per grid and alpha: every
+    # call, the first and the memoised ones, equals the quadrature that builds
+    # both afresh bit for bit, and no caller can write into them
+    grid = np.linspace(0.0, 1.5, n)
+    f = Curve(0.3 + 0.1j, np.cos(3.0 * grid) + 1j * grid, 1.5)
+    g = Curve(-1.2, np.exp(-grid), 1.5)
+    space._alpha_rule.cache_clear()
+    for a, b in ((f, g), (g, f), (f, g)):
+        integrand = a.deriv_samples * np.conj(b.deriv_samples) * np.exp(0.7 * grid)
+        want = complex(a.value_at_zero * np.conj(b.value_at_zero)
+                       + integrand @ space._simpson_rule(n, a.grid_step))
+        assert inner_product_alpha(a, b, 0.7) == want
+    assert space._alpha_rule.cache_info().misses == 1
+    for arr in space._alpha_rule(n, 1.5, 0.7):
+        assert not arr.flags.writeable
+
+
 @pytest.mark.parametrize("spec", [{"kind": "seasonal", "n_points": 1000},
                                   {"kind": "bump", "n_points": 4096},
                                   {"kind": "flat", "level": 1.2, "n_points": 1000}])
