@@ -34,7 +34,7 @@ from .basis import BasisParams, eval_g_n, eval_g_n_deriv, lambda_n
 from .errors import BadWindow, DomainTooShort, UnstableStep
 from .projection import (CoeffState, _fold_grid, _fold_input, _fold_rows, _period_norm,
                          coefficients_fft, compute_C1, compute_C2)
-from .semigroup import _shift, _shift_factors, _shift_nodes, _shifted_count, shift_curve
+from .semigroup import _shift, _shift_factors, shift_curve
 from .space import Curve, _reaches, _rows_on
 
 __all__ = [
@@ -209,60 +209,43 @@ def _curve_recursion(f0: Curve, times: np.ndarray, dt: float, noise: np.ndarray,
                      field, reads: Sequence[Curve] | None = None) -> Iterator[Curve]:
     """Yield the states f_0..f_L on ``times``, f_{j+1} = shift_dt(f_j + the
     field's outputs at t_j scaled by [dt, noise_j]); the field reads f_j, or
-    reads[j] if given (DomainTooShort unless it covers f_j's range).
+    reads[j] if given, on f_j's nodes (DomainTooShort unless it covers f_j's
+    range).
 
-    The state steps as arrays on f0's step.  When dt is a node of that grid
-    (`Curve._node_index`) the shift slices (`semigroup._shift_nodes`) and the
-    field is set up on f0's grid once; otherwise the shift is `shift_curve`'s
-    spline and the field is set up again on each new grid.  Terms scaled by
-    zero are skipped; an output that covers less of the range cuts the state
-    to it; the step sums into the array its first term makes.  Only the
+    Each state is shifted by `shift_curve`.  When dt is a node of f0's grid
+    it slices, so every state lies on f0's first nodes and the field is set
+    up on f0's grid once; otherwise it runs through the spline onto a new
+    grid, and the field is set up again on each.  Terms scaled by zero are
+    skipped; an output that covers less of the range cuts the state to its
+    last node; the step sums its terms into an array of its own.  Only the
     current state is held, so a caller that keeps what it needs of each
     state as it appears runs in memory independent of L.
     """
-    v, d, x_max = f0.value_at_zero, f0.deriv_samples, f0.x_max
-    m = f0._node_index(dt)
-    outputs = field(x_max, d.shape[0])
+    f, once = f0, f0._node_index(dt) is not None
+    outputs = field(f0.x_max, f0.deriv_samples.shape[0])
     yield f0
     for j, (t, row) in enumerate(zip(times[:-1], noise.tolist())):
-        n = d.shape[0]
-        if m is None and j:
-            outputs = field(x_max, n)
-        if reads is None:
-            value, samples = v, (lambda cut: d[:cut])
-        else:
-            h = reads[j]
-            if not h._covers(x_max):
-                raise DomainTooShort(f"state {j} read by the field covers [0, {h.x_max}], "
-                                     f"not [0, {x_max}]")
-            value, samples = h.value_at_zero, (lambda cut: h._deriv_on(x_max, n)[:cut])
-        inc = None
-        for part, scales in zip(outputs(t, (x_max, n), value, samples), ((dt,), row)):
+        grid = x_max, n = f.x_max, f.deriv_samples.shape[0]
+        if j and not once:
+            outputs = field(*grid)
+        h = f if reads is None else reads[j]
+        if not h._covers(x_max):
+            raise DomainTooShort(f"state {j} read by the field covers [0, {h.x_max}], "
+                                 f"not [0, {x_max}]")
+        parts = outputs(t, grid, h.value_at_zero, lambda cut: h._deriv_on(*grid)[:cut])
+        v, inc = 0.0, np.zeros(n, np.complex128)
+        for part, scales in zip(parts, ((dt,), row)):
             if part is None or not any(scales):
                 continue
             x_max, n = min(x_max, part.x_max), min(n, part.samples.shape[-1])
             for vi, di, s in zip(part.values.tolist(), part.samples, scales):
                 if s != 0.0:
-                    inc = ((vi * s, di * s) if inc is None
-                           else (inc[0] + vi * s, _add_into(inc[1][:n], di[:n] * s)))
-        if inc is not None:
-            v, d = v + inc[0], _add_into(inc[1][:n], d[:n])
-        if m is None:
-            f = shift_curve(Curve(v, d, x_max), dt)
-            v, d = f.value_at_zero, f.deriv_samples
-        else:
-            step = x_max / (n - 1)
-            v, d = _shift_nodes(v, d, step, m, _shifted_count(x_max, step, dt, x_max - dt))
-        x_max = x_max - dt
-        yield Curve(v, d, x_max)
-
-
-def _add_into(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a + b, into ``a`` (the caller's own) when its dtype holds the sum."""
-    if a.dtype != np.result_type(a, b):
-        return a + b
-    a += b
-    return a
+                    v += vi * s
+                    inc[:n] += di[:n] * s
+        inc = inc[:n]
+        inc += f.deriv_samples[:n]
+        f = shift_curve(Curve(f.value_at_zero + v, inc, x_max), dt)
+        yield f
 
 
 def oracle_mild_solution(spec: ModelSpec, driver: LevyDriver, times,
@@ -280,13 +263,22 @@ def oracle_mild_solution(spec: ModelSpec, driver: LevyDriver, times,
     return SimPath(times=times, states=list(states), noise_record=dL)
 
 
-def _projected_inputs(spec: ModelSpec, driver: LevyDriver, times, k: int):
+def _drift_curves(spec: ModelSpec, times: np.ndarray):
+    """beta(t_l) per left endpoint, and the distinct curves as (first t_l, curve)."""
+    betas = [] if spec.beta is None else [spec.beta(t) for t in times[:-1]]
+    distinct = {}
+    for t, b in zip(times, betas):   # the list keeps every id in use
+        distinct.setdefault(id(b), (t, b))
+    return betas, list(distinct.values())
+
+
+def _projected_inputs(spec: ModelSpec, driver: LevyDriver, times, betas, k: int):
     """Project every input of the linear dynamics on one time grid, once.
 
-    Returns the projected f0; the loadings and the drift at each left
-    endpoint times[:-1] (None without drift) as (c_star, c) pairs of shapes
-    ((d,), (d, 2k+1)) and ((L,), (L, 2k+1)); and the (L, d) psi weights at
-    the left endpoints.
+    ``betas`` are the drift curves at the left endpoints times[:-1]
+    (`_drift_curves`).  Returns the projected f0; the loadings and the drift
+    (None without drift) as (c_star, c) pairs of shapes ((d,), (d, 2k+1))
+    and ((L,), (L, 2k+1)); and the (L, d) psi weights at the left endpoints.
     """
     p = spec.params
 
@@ -294,7 +286,7 @@ def _projected_inputs(spec: ModelSpec, driver: LevyDriver, times, k: int):
         states = [coefficients_fft(c, k, p) for c in curves]
         return np.array([s.c_star for s in states]), np.stack([s.c for s in states])
 
-    drift = None if spec.beta is None else stacked(spec.beta(t) for t in times[:-1])
+    drift = stacked(betas) if betas else None
     return (coefficients_fft(spec.f0, k, p), stacked(driver.loadings), drift,
             _psi_rows(spec, driver, times))
 
@@ -376,7 +368,8 @@ def simulate_fk_state(spec: ModelSpec, driver: LevyDriver, times, k: int,
     "spot == curve value at 0" holds identically because g_n(0) = 0.
     """
     times, dt, dL = _time_grid(times, driver, noise, path_id)
-    init, loads, drift, psi = _projected_inputs(spec, driver, times, k)
+    init, loads, drift, psi = _projected_inputs(spec, driver, times,
+                                                _drift_curves(spec, times)[0], k)
     S_k, U = zip((init.c_star, init.c),
                  *_exact_transport(init, loads, drift, psi * dL, dt, k))
     return StateVariables(np.array(S_k), np.stack(U), init.params)
@@ -526,15 +519,6 @@ def _window_weights(params: BasisParams, t: float, T1: float, T2: float) -> np.n
 
 # -- Monte-Carlo convergence experiment --------------------------------------
 
-def _drift_curves(spec: ModelSpec, times: np.ndarray):
-    """beta(t_l) per left endpoint, and the distinct curves as (first t_l, curve)."""
-    betas = [] if spec.beta is None else [spec.beta(t) for t in times[:-1]]
-    distinct = {}
-    for t, b in zip(times, betas):   # the list keeps every id in use
-        distinct.setdefault(id(b), (t, b))
-    return betas, list(distinct.values())
-
-
 def _lagged(times, x, dt, curve_eval):
     """at(c, j0, j1) = curve_eval(c, y[j0:j1]), y[l] = t - t_l + x, from one evaluation
     with rows m points apart: dt / x's step if they are exactly one grid's windows, else n_x."""
@@ -646,7 +630,7 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
     times = np.linspace(0.0, t_eval, n_steps + 1)
     betas, drifts = _drift_curves(spec, times)
     _require_real(spec, driver, drifts)
-    init, loads, drift, psi = _projected_inputs(spec, driver, times,
+    init, loads, drift, psi = _projected_inputs(spec, driver, times, betas,
                                                 int(max(k_list)))
 
     def weighted(ids) -> np.ndarray:

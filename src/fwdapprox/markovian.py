@@ -365,7 +365,8 @@ def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
                                      sup_slices: int = 64) -> list[dict]:
     """MC estimate of E[sup over the (t, x) grid of |fk_hat - f|^2] per k.
 
-    The oracle and every truncation level share each path's noise record.
+    The oracle and every truncation level share each path's noise record,
+    drawn by the time-grid rule (`dynamics._time_grid`).
     The sup is evaluated on at most ``sup_slices`` time slices of the
     simulation grid (evenly strided); refining the slice grid must not move
     the estimate beyond MC noise, which the test-suite checks.  The oracle's
@@ -379,7 +380,6 @@ def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
     for k in k_list:
         _euler_intervals(spec.f0, int(k), p)
     times = np.linspace(0.0, p.horizon, n_steps + 1)
-    dt = float(times[1])
     stride = max(1, n_steps // sup_slices)
     slice_idx = list(range(0, times.size, stride))
     if slice_idx[-1] != times.size - 1:
@@ -388,7 +388,7 @@ def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
     errs = {int(k): np.zeros(n_paths) for k in k_list}
     km = max(errs)
     for pid in range(n_paths):
-        noise = driver.increments(driver.path_rng(pid), dt, n_steps)
+        _, dt, noise = _time_grid(times, driver, path_id=pid)
         o_vals = {j: f.value(xs[j])
                   for j, f in enumerate(_oracle_states(cf, spec, times, dt, noise)) if j in xs}
         kept = {}

@@ -406,11 +406,13 @@ class _Rows(NamedTuple):
 
 def _rows_on(curves, x_max: float, n: int) -> _Rows:
     """``curves`` read onto the grid of [0, x_max] with n nodes (`Curve._deriv_on`),
-    every row cut to the nodes that all of them cover."""
+    every row cut to the m nodes that all of them cover; the rows' range ends
+    at the last of those, so a cut keeps the grid's step."""
     reads = [c._deriv_on(x_max, n) for c in curves]
     m = min(r.shape[0] for r in reads)
     return _Rows(np.array([c.value_at_zero for c in curves], dtype=np.complex128),
-                 np.stack([r[:m] for r in reads]), min(x_max, *(c.x_max for c in curves)))
+                 np.stack([r[:m] for r in reads]),
+                 x_max if m == n else (m - 1) * (x_max / (n - 1)))
 
 
 def inner_product_alpha(f: Curve, g: Curve, alpha: float) -> complex:

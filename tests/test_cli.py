@@ -373,6 +373,24 @@ def test_converge_markovian_runs_small(tmp_path):
     assert float(rows[2][1]) == pytest.approx(8.209095350868012e-06, rel=1e-10)
 
 
+def test_converge_markovian_loadings_that_end_off_the_grid(tmp_path):
+    # configs/markovian.json, small, with every loading on [0, 1.7]: the
+    # oracle cuts its state to f0's last node below 1.7 and so stays on f0's
+    # grid, and k = 4 reads what loadings on [0, 2] give (4.825899721163e-06)
+    # to rounding; states stretched off f0's grid would give 4.6096e-06
+    root = Path(__file__).resolve().parent.parent
+    cfg = json.loads((root / "configs" / "markovian.json").read_text())
+    for load in cfg["driver"]["loadings"]:
+        load["x_max"] = 1.7
+    cfg.update(f0=str(root / "data" / "bump_curve.csv"), n_paths=2, n_steps=1024,
+               k_list=[2, 4])
+    out = tmp_path / "out"
+    assert main(["converge", "--markovian", "--config", write_cfg(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == 0
+    rows = read_rows(out / "converge.csv")
+    assert float(rows[2][1]) == pytest.approx(4.825899721162656e-06, rel=1e-10)
+
+
 def test_curve_file_loading_roundtrip(tmp_path):
     from fwdapprox.space import write_curve_csv
     from fwdapprox.testcurves import smooth_bump

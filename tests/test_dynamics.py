@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -105,6 +106,25 @@ def test_oracle_constant_drift():
     # constant drift integrates exactly: f(t,x) = f0(t+x) + b0 t
     expected = spec.f0.value(0.5 + x) + 0.2 * 0.5
     assert np.allclose(path.states[-1].value(x), expected, atol=1e-7)
+
+
+def test_loading_that_ends_off_the_grid_keeps_the_oracle_on_f0s_grid():
+    # a loading on [0, 1.7] covers f0's nodes up to 1.69970703125 only; the
+    # oracle cuts its state to that last node, so every state keeps f0's step
+    # and the final one matches the closed-form mild sum as well as a loading
+    # on f0's whole range does.  A cut to 1.7 itself on that node count would
+    # stretch the step by 2e-4 and put the final state 7e-5 off
+    spec = make_spec()
+    times = np.linspace(0, 0.5, 17)
+    for x_max in (1.7, 2.0):
+        drv = LevyDriver(rank=1, loadings=[exp_loading(0.1, 1.0, x_max=x_max)], seed=7)
+        path = oracle_mild_solution(spec, drv, times)
+        assert all(f.grid_step == pytest.approx(spec.f0.grid_step, rel=1e-12)
+                   for f in path.states)
+        f = path.states[-1]
+        base, kernel = dynamics._mild_terms(spec, drv, times, [], f.grid, Curve.value)
+        want = base + np.tensordot(path.noise_record, kernel, axes=2)
+        assert np.max(np.abs(f.values_on_grid() - want)) < 1e-7
 
 
 def test_state_sim_zero_noise_closed_form():
@@ -353,6 +373,16 @@ def test_convergence_experiment_structure():
         assert r["mc_error"] <= r["bound_A_over_k"]
         assert r["stderr"] > 0.0
         assert r["n_paths"] == 200
+
+
+def test_convergence_experiment_evaluates_each_drift_curve_once():
+    # one beta(t) per left endpoint, read by the realness check, the bound,
+    # the oracle and the projected model alike
+    calls = []
+    b = flat_curve(0.05)
+    spec = dataclasses.replace(make_spec(), beta=lambda t: calls.append(t) or b)
+    convergence_experiment(spec, make_driver(), 0.5, [4], 8, n_steps=64)
+    assert len(calls) == 64
 
 
 def test_convergence_experiment_memory_does_not_grow_with_paths():

@@ -304,12 +304,15 @@ def test_convergence_experiment_memory_does_not_grow_with_steps():
     assert large <= 1.1 * small, (small, large)
 
 
-def test_oracle_is_exact_fixed_point_of_picard_map():
+@pytest.mark.parametrize("t_end, L", [(1.0, 32), (0.5, 30)], ids=["node", "off-node"])
+def test_oracle_is_exact_fixed_point_of_picard_map(t_end, L):
+    # dt = 1/32 is 64 nodes of f0's grid, so the recursion slices; 1/60 is
+    # no node, so it shifts through the spline and sets the field up again on
+    # every grid, for the oracle and the Picard map alike
     drv = make_driver()
     spec = make_spec()
     field = make_field("mean_revert", drv, P, kappa=0.5, theta=flat_curve(1.2))
-    L = 32
-    times = np.linspace(0, 1.0, L + 1)
+    times = np.linspace(0, t_end, L + 1)
     noise = drv.increments(drv.path_rng(0), times[1], L)
     oracle = oracle_markovian(field, spec, drv, times, noise=noise)
     v = picard_operator_V(oracle.states, field, spec, drv, times, noise)

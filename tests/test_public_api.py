@@ -121,14 +121,17 @@ def test_fold_helpers_stay_with_their_owners():
     # quadrature of space.py and projection.py.  The schemes read their time
     # step only through the time-grid rule of dynamics.py; the mild sum's
     # kernel and the path chunk of the convergence experiment stay in
-    # dynamics.py
+    # dynamics.py, and so does the per-path noise stream, which every scheme
+    # and experiment draws through the time-grid rule or the chunked draw.
+    # The node shift's trapezoid lives in shift_curve alone
     src = Path(fwdapprox.__file__).parent
     owners = {"np.fft": {"projection.py"},
               "_fold_input": {"projection.py", "dynamics.py"},
               "_fold_rows": {"projection.py", "dynamics.py"},
               "_simpson_weights": {"space.py", "projection.py"},
               "_time_grid": {"dynamics.py", "markovian.py"},
-              "_mild_terms": {"dynamics.py"}, "_PATH_CHUNK": {"dynamics.py"}}
+              "_mild_terms": {"dynamics.py"}, "_PATH_CHUNK": {"dynamics.py"},
+              "path_rng": {"dynamics.py"}, "np.trapezoid": {"semigroup.py"}}
     for name, allowed in owners.items():
         users = {p.name for p in src.glob("*.py") if name in p.read_text()}
         assert users <= allowed, f"{name} is referenced outside {sorted(allowed)}: " \
