@@ -14,7 +14,7 @@ Exit codes: 0 success, 1 invariant failure, 2 config error, 3 numerical
 failure (instability, domain exhaustion, failed smoothness check).  A config
 value of the wrong type, a non-integral integer, a non-finite number or one
 out of range is a config error.  The ranges: alpha, lambda, horizon,
-time_step, t_eval, law_param > 0; params.k, seed >= 0; rank >= 1; x_points
+time_step, t_eval, law_param > 0; seed >= 0; rank >= 1; x_points
 in [1, 2^16]; n_paths in [1, 10^6]; n_steps in [1, 2^20]; for simulate,
 time_step dividing t_eval into a step count in [1, 2^20] (converge steps
 n_steps and reads no time_step); k in [0, 2047]; k_list strictly ascending,
@@ -74,7 +74,8 @@ def _read(cfg: dict, key: str, kind=float, lo=-np.inf, hi=np.inf, default=_REQUI
     """Read ``cfg[key]`` as ``kind``: the one place a config value is converted.
 
     A missing key gives ``default`` and is an error without one; a key whose
-    default is None may also be null.  An ``int`` must be integral and lie in
+    default is None may also be null.  An ``int`` or ``float`` must be a JSON
+    number (not a boolean or a string); an ``int`` must be integral and lie in
     ``[lo, hi]``; a ``float`` must be finite and exceed ``lo``; any other kind
     is only type-checked.  Every failure is a ConfigError naming the key.
     """
@@ -85,9 +86,10 @@ def _read(cfg: dict, key: str, kind=float, lo=-np.inf, hi=np.inf, default=_REQUI
     v = cfg[key]
     if v is None and default is None:
         return v
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
     try:
-        x = kind(v) if kind in (int, float) else v
-    except (ValueError, TypeError, OverflowError):
+        x = v if kind not in (int, float) else kind(v) if number else None
+    except (ValueError, OverflowError):
         x = None
     if kind is int:
         ok = x is not None and lo <= x <= hi and not (isinstance(v, float) and x != v)
@@ -105,8 +107,7 @@ def _read(cfg: dict, key: str, kind=float, lo=-np.inf, hi=np.inf, default=_REQUI
 def load_params(cfg: dict) -> BasisParams:
     p = _read(cfg, "params", dict)
     return BasisParams(alpha=_read(p, "alpha", lo=0.0), lam=_read(p, "lambda", lo=0.0),
-                       horizon=_read(p, "horizon", lo=0.0),
-                       k=_read(p, "k", int, 0, default=0))
+                       horizon=_read(p, "horizon", lo=0.0))
 
 
 def load_curve(spec, base_dir: Path) -> Curve:
@@ -205,6 +206,14 @@ def load_windows(cfg: dict, params: BasisParams) -> list[tuple[float, float]]:
 
 
 # -- output helpers ----------------------------------------------------------
+
+def _make_out_dir(out: Path) -> None:
+    """Create the output directory; a path that cannot be one is a config error."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot use {out} as the output directory: {e}") from e
+
 
 def write_csv(path: Path, header: list[str], lines: list[str]) -> None:
     """Write ``header`` and data ``lines``, each joined by "," and ended by "\\n"."""
@@ -321,7 +330,7 @@ def cmd_basis_check(cfg: dict, base_dir: Path, out: Path) -> int:
         worst = max(worst, float(np.max(np.abs(got - expected))))
     checks.append(("commutator_identity_max_dev", worst, 1e-10, worst <= 1e-10))
 
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     write_csv(out / "basis_check.csv", ["check", "value", "threshold", "pass"],
               [f"{n},{float(v)!r},{float(th)!r},{str(bool(ok)).lower()}\n"
                for n, v, th, ok in checks])
@@ -348,7 +357,7 @@ def cmd_truncation_rate(cfg: dict, base_dir: Path, out: Path) -> int:
         errs.append(err)
         ok_all &= err <= C1 / k
         rows.append(f"{k},{float(err)!r},{float(C1 / k)!r}\n")
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     write_csv(out / "truncation_rate.csv", ["k", "error_sq", "C1_over_k"], rows)
     write_loglog_svg(out / "truncation_rate.svg", ks,
                      {"error_sq": errs, "C1_over_k": [C1 / k for k in ks]},
@@ -371,7 +380,7 @@ def cmd_simulate(cfg: dict, base_dir: Path, out: Path) -> int:
     x = np.linspace(0.0, params.horizon, n_x)
     windows = load_windows(cfg, params)
 
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     G = eval_g_n(params, params.n_range(k), x)
     pk = BasisParams(params.alpha, params.lam, params.horizon, k)
     # shared by every path: the cells, and each window's weights at its times
@@ -415,7 +424,7 @@ def cmd_converge(cfg: dict, base_dir: Path, out: Path, markovian: bool) -> int:
     ks = load_k_list(cfg, [4, 8, 16, 32, 64], _K_MAX)
     n_steps = _read(cfg, "n_steps", int, 1, _MAX_STEPS,
                     default=32 if markovian else 64)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     if markovian:
         m = _read(cfg, "markovian", dict, default={})
         name = _read(m, "field", str, default="constant")
@@ -470,6 +479,8 @@ def main(argv=None) -> int:
             cfg = json.loads(cfg_path.read_text())
         except FileNotFoundError as e:
             raise ConfigError(f"config file {cfg_path} not found") from e
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"cannot read config file {cfg_path}: {e}") from e
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}") from e
         if not isinstance(cfg, dict):

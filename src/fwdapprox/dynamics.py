@@ -9,10 +9,11 @@ times and noise by one rule, `_time_grid`.
 
 The Euler loop `_euler_path` and the curve recursion `_curve_recursion` step
 any field on arrays: ``field(x_max, n)`` sets it up on a grid once and returns
-``outputs(t, grid, value, samples) -> [b or None, psi]``, each a `space._Rows`
-scaled by [dt, dL_j]; ``samples(m)`` builds the state's derivative on m
-nodes only for a field that reads it.  `_linear_field` is the linear dynamics,
-which ignores the curve; `markovian._masked_field` serves the coefficient fields.
+``outputs(t, value, samples) -> [b or None, psi]``, each a `space._Rows` on
+that grid scaled by [dt, dL_j], which a state on fewer nodes cuts to its own;
+``samples(m)`` builds the state's derivative on its first m nodes only for a
+field that reads it.  `_linear_field` is the linear dynamics, which ignores
+the curve; `markovian._masked_field` serves the coefficient fields.
 
 Time stepping is left-Riemann throughout: each step adds the drift and noise
 increment evaluated at the left endpoint and then transports by the shift.
@@ -196,9 +197,8 @@ def _linear_field(spec: ModelSpec, driver: LevyDriver):
     def on_grid(x_max: float, n: int):
         loads = _rows_on(driver.loadings, x_max, n)
 
-        def outputs(t, grid, value, samples):
-            beta = None if spec.beta is None else _rows_on([spec.beta(t)], *grid)
-            return [beta, loads.head(*grid)]
+        def outputs(t, value, samples):
+            return [None if spec.beta is None else _rows_on([spec.beta(t)], x_max, n), loads]
 
         return outputs
 
@@ -215,7 +215,8 @@ def _curve_recursion(f0: Curve, times: np.ndarray, dt: float, noise: np.ndarray,
     Each state is shifted by `shift_curve`.  When dt is a node of f0's grid
     it slices, so every state lies on f0's first nodes and the field is set
     up on f0's grid once; otherwise it runs through the spline onto a new
-    grid, and the field is set up again on each.  Terms scaled by zero are
+    grid, and the field is set up again on each.  The outputs lie on the
+    set-up grid and are cut to the state's nodes; terms scaled by zero are
     skipped; an output that covers less of the range cuts the state to its
     last node; the step sums its terms into an array of its own.  Only the
     current state is held, so a caller that keeps what it needs of each
@@ -232,7 +233,7 @@ def _curve_recursion(f0: Curve, times: np.ndarray, dt: float, noise: np.ndarray,
         if not h._covers(x_max):
             raise DomainTooShort(f"state {j} read by the field covers [0, {h.x_max}], "
                                  f"not [0, {x_max}]")
-        parts = outputs(t, grid, h.value_at_zero, lambda cut: h._deriv_on(*grid)[:cut])
+        parts = outputs(t, h.value_at_zero, lambda cut: h._deriv_on(*grid)[:cut])
         v, inc = 0.0, np.zeros(n, np.complex128)
         for part, scales in zip(parts, ((dt,), row)):
             if part is None or not any(scales):
@@ -437,14 +438,14 @@ def _euler_path(spec: ModelSpec, times: np.ndarray, dt: float, noise: np.ndarray
     init = coefficients_fft(f0, k, p)
     x = np.concatenate(([init.c_star], init.c))
     xs = [x]
-    # per output, the rows last folded and their fold inputs: outputs that
-    # ignore the state (the loadings) return the same rows at every step, so
-    # their inputs are formed once.  They are still folded at every step; the
-    # ROADMAP's fold memo drops those FFTs once the benchmark counts fold
-    # inputs instead of FFT calls
-    formed = [(None,) * 3] * 2
+    # per output, the rows last folded and their fold inputs: an output that
+    # ignores the state (the loadings) is the very rows the field set up at
+    # every step, so its inputs are formed once.  They are still folded at
+    # every step; the ROADMAP's fold memo drops those FFTs once the benchmark
+    # counts fold inputs instead of FFT calls
+    folded, formed = [None, None], [None, None]
     for t, row in zip(times[:-1], noise.tolist()):
-        parts = outputs(t, (p.horizon, n), complex(x[0]), lambda m: x[1:] @ Gd[:, :m])
+        parts = outputs(t, complex(x[0]), lambda m: x[1:] @ Gd[:, :m])
         inc = dt * (A @ x)
         inc_star, scales, inputs = complex(inc[0]), [], []
         for i, (part, part_scales) in enumerate(zip(parts, ((dt,), row))):
@@ -453,10 +454,10 @@ def _euler_path(spec: ModelSpec, times: np.ndarray, dt: float, noise: np.ndarray
             if not _reaches(part.x_max, p.horizon):
                 raise DomainTooShort(f"field output at t={t:g} covers "
                                      f"[0, {part.x_max}], not [0, T]")
-            if part.samples is not formed[i][0] or part.values is not formed[i][1]:
-                formed[i] = (part.samples, part.values,
-                             list(zip(part.values.tolist(), _fold_input(part.samples, grid))))
-            for s, (value, a) in zip(part_scales, formed[i][2]):
+            if part is not folded[i]:
+                folded[i] = part
+                formed[i] = list(zip(part.values.tolist(), _fold_input(part.samples, grid)))
+            for s, (value, a) in zip(part_scales, formed[i]):
                 if s != 0.0:
                     inc_star += s * value
                     scales.append(s)

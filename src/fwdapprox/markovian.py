@@ -9,17 +9,18 @@ construction and audits can verify it by perturbation.  The scheme, the oracle
 and the Picard map step one masked field (`_masked_field`) and differ only in
 the state it reads.
 
-Fields are stepped on arrays: on a grid of [0, x_max] a field's outputs are
-values at zero (m,) and derivative samples (m, n) (`space._Rows`).  Registry
-fields define each output once in that form (`_output`) and read their fixed
-curves onto the grid once per path; their `Curve` callables are built from it
-and carry it as ``on_grid``.  Other fields run through one adapter
-(`_masked_field`).
+Fields are stepped on arrays: set up on a grid of [0, x_max], a field's
+outputs are values at zero (m,) and derivative samples (m, n) on that grid
+(`space._Rows`), whatever part of it the state holds.  Registry fields define
+each output once in that form (`_output`) and read their fixed curves onto
+the grid once per set-up; their `Curve` callables are built from it and carry
+it as ``on_grid``.  Other fields run through one adapter (`_masked_field`),
+which builds the masked state `Curve` on the set-up grid.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -138,18 +139,17 @@ def _output(curves: Sequence[Curve], fn=None, single: bool = False):
     without ``fn`` the outputs are ``curves``.  The array form rides on the
     callable as its ``on_grid`` attribute (so wrappers made with
     `functools.wraps` keep it): ``on_grid(x_max, n)`` reads ``curves`` onto
-    the grid of [0, x_max] with n nodes once and returns ``step(t, grid,
-    value, samples) -> space._Rows`` for a state on ``grid`` = (x_max_s,
-    n_s), the first n_s of those nodes.  The `Curve` form runs the same step
-    on the common grid of f and ``curves`` (`space._common_grid`), or
-    returns ``curves`` themselves; ``single`` unpacks its one output.
+    the grid of [0, x_max] with n nodes once and returns ``step(t, value,
+    samples) -> space._Rows`` on that grid; without ``fn`` the rows are the
+    very ones it read.  The `Curve` form runs the same step on the common
+    grid of f and ``curves`` (`space._common_grid`), or returns ``curves``
+    themselves; ``single`` unpacks its one output.
     """
     def on_grid(x_max: float, n: int):
         rows = _rows_on(curves, x_max, n)
 
-        def step(t, grid, value, samples) -> _Rows:
-            head = rows.head(*grid)
-            return head if fn is None else _Rows(*fn(value, samples, head), head.x_max)
+        def step(t, value, samples) -> _Rows:
+            return rows if fn is None else _Rows(*fn(value, samples, rows), rows.x_max)
 
         return step
 
@@ -159,8 +159,7 @@ def _output(curves: Sequence[Curve], fn=None, single: bool = False):
         else:
             x_max, step = _common_grid((f, *curves))
             n = _node_count(x_max, step)
-            rows = on_grid(x_max, n)(t, (x_max, n), f.value_at_zero,
-                                     lambda m: f._deriv_on(x_max, n)[:m])
+            rows = on_grid(x_max, n)(t, f.value_at_zero, lambda m: f._deriv_on(x_max, n)[:m])
             outs = tuple(Curve(v, d, x_max) for v, d in zip(rows.values, rows.samples))
         return outs[0] if single else outs
 
@@ -265,49 +264,43 @@ def _masked_field(cf: CoefficientField, params: BasisParams):
     """The field as both loops read it, at the state masked beyond T - t.
 
     ``on_grid(x_max, n)`` sets the field up on the grid of [0, x_max] with n
-    nodes and returns ``outputs(t, grid, value, samples) -> [b, psi]``, each
-    a `space._Rows`, for a state on ``grid`` = (x_max_s, n_s), the first n_s
-    of those nodes, with value at zero ``value`` and derivative
-    ``samples(m)`` on its first m nodes.  The field reads ``masked(m)``,
-    ``samples`` of the nodes below T - t alone (the Euler loop builds no
-    others) padded with zeros.  A field whose ``b`` and ``psi`` carry their
-    array form (`_output`) runs it; any other goes through one adapter,
-    which builds the masked state `Curve`, calls ``b`` and ``psi`` and reads
-    each output on the state's nodes (`Curve._deriv_on`).
+    nodes and returns ``outputs(t, value, samples) -> [b, psi]``, each a
+    `space._Rows` on that grid, for a state on its first nodes with value at
+    zero ``value`` and derivative ``samples(m)`` on its first m nodes.  The
+    field reads ``masked(m)``: ``samples`` of the nodes below T - t alone (the
+    Euler loop builds no others), padded with zeros to m.  A field whose
+    ``b`` and ``psi`` carry their array form (`_output`) runs it; any other
+    goes through one adapter, which builds the masked state `Curve` on the
+    grid, calls ``b`` and ``psi`` and reads each output on the grid's nodes
+    (`Curve._deriv_on`).
     """
     forms = [getattr(fn, "on_grid", None) for fn in (cf.b, cf.psi)]
 
     def on_grid(x_max: float, n: int):
         if None in forms:
-            def steps(t, grid, value, masked):
-                fm = Curve(value, masked(grid[1]), grid[0])
-                return [_rows_on([cf.b(t, fm)], *grid), _rows_on(cf.psi(t, fm), *grid)]
+            def steps(t, value, masked):
+                fm = Curve(value, masked(n), x_max)
+                return [_rows_on([cf.b(t, fm)], x_max, n), _rows_on(cf.psi(t, fm), x_max, n)]
         else:
             b_step, psi_step = (form(x_max, n) for form in forms)
 
-            def steps(t, grid, value, masked):
-                return [b_step(t, grid, value, masked), psi_step(t, grid, value, masked)]
+            def steps(t, value, masked):
+                return [b_step(t, value, masked), psi_step(t, value, masked)]
 
-        def outputs(t, grid, value, samples):
+        def outputs(t, value, samples):
+            start = _mask_start(x_max, n, _input_cut(t, params))
+
             def masked(m):
-                cut = min(m, _mask_start(*grid, _input_cut(t, params)))
-                head = samples(cut)
+                head = samples(min(m, start))
                 d = np.zeros(m, head.dtype)
-                d[:cut] = head
+                d[:head.shape[0]] = head
                 return d
 
-            return steps(t, grid, value, masked)
+            return steps(t, value, masked)
 
         return outputs
 
     return on_grid
-
-
-def _oracle_states(cf: CoefficientField, spec: ModelSpec, times: np.ndarray,
-                   dt: float, dL: np.ndarray) -> Iterator[Curve]:
-    """Yield the oracle's states f_0..f_L on ``times`` for the increments dL,
-    holding only the current one (`dynamics._curve_recursion`)."""
-    return _curve_recursion(spec.f0, times, dt, dL, _masked_field(cf, spec.params))
 
 
 def oracle_markovian(cf: CoefficientField, spec: ModelSpec, driver: LevyDriver,
@@ -321,8 +314,8 @@ def oracle_markovian(cf: CoefficientField, spec: ModelSpec, driver: LevyDriver,
     streams the same states instead and holds one at a time.
     """
     times, dt, dL = _time_grid(times, driver, noise)
-    return SimPath(times=times, states=list(_oracle_states(cf, spec, times, dt, dL)),
-                   noise_record=dL)
+    states = _curve_recursion(spec.f0, times, dt, dL, _masked_field(cf, spec.params))
+    return SimPath(times=times, states=list(states), noise_record=dL)
 
 
 def picard_operator_V(h_states: Sequence[Curve], cf: CoefficientField,
@@ -370,7 +363,7 @@ def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
     The sup is evaluated on at most ``sup_slices`` time slices of the
     simulation grid (evenly strided); refining the slice grid must not move
     the estimate beyond MC noise, which the test-suite checks.  The oracle's
-    states are streamed (`_oracle_states`) and read at the slices as they
+    states are streamed (`dynamics._curve_recursion`) and read at the slices as they
     appear, and each level's only at the slices, so memory does not grow
     with ``n_steps``.  Each slice evaluates the basis once, at the largest
     level, for every level's rows -k..k.
@@ -389,8 +382,8 @@ def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
     km = max(errs)
     for pid in range(n_paths):
         _, dt, noise = _time_grid(times, driver, path_id=pid)
-        o_vals = {j: f.value(xs[j])
-                  for j, f in enumerate(_oracle_states(cf, spec, times, dt, noise)) if j in xs}
+        o_vals = {j: f.value(xs[j]) for j, f in enumerate(
+            _curve_recursion(spec.f0, times, dt, noise, _masked_field(cf, p))) if j in xs}
         kept = {}
         for k in errs:
             path = simulate_markovian_fk(cf, spec, driver, times, k, noise=noise)

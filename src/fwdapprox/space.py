@@ -396,13 +396,6 @@ class _Rows(NamedTuple):
     samples: np.ndarray
     x_max: float
 
-    def head(self, x_max: float, n: int) -> "_Rows":
-        """The rows on the first n nodes, covering at most [0, x_max]; these
-        rows themselves when neither cuts them."""
-        if self.samples.shape[-1] <= n and self.x_max <= x_max:
-            return self
-        return _Rows(self.values, self.samples[:, :n], min(self.x_max, x_max))
-
 
 def _rows_on(curves, x_max: float, n: int) -> _Rows:
     """``curves`` read onto the grid of [0, x_max] with n nodes (`Curve._deriv_on`),

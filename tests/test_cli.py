@@ -75,10 +75,25 @@ def test_basis_check_passes_at_small_lambda_horizon(tmp_path, capsys, lam):
     assert all(r[3] == "true" for r in read_rows(out / "basis_check.csv")[1:])
 
 
-def test_missing_config_file_is_config_error(tmp_path):
-    rc = main(["basis-check", "--config", str(tmp_path / "nope.json"),
-               "--out", str(tmp_path / "o")])
-    assert rc == 2
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "out-is-a-file",
+                                  "out-below-a-file"])
+def test_missing_config_file_is_config_error(tmp_path, capsys, case):
+    # a config that cannot be read and an --out that cannot be a directory
+    # are config errors (exit 2, one line), not tracebacks
+    cfg, out = write_cfg(tmp_path, "c.json", {"params": PARAMS, "k": 2}), tmp_path / "o"
+    if case == "missing":
+        cfg = str(tmp_path / "nope.json")
+    elif case == "directory":
+        cfg = str(tmp_path)
+    elif case == "not-utf8":
+        Path(cfg).write_bytes(b'{"params": "\xff"}')
+    else:
+        out.write_text("a file")
+        if case == "out-below-a-file":
+            out = out / "o"
+    assert main(["basis-check", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
 
 
 def test_invalid_json_is_config_error(tmp_path):
@@ -499,6 +514,11 @@ FUZZ_CONFIGS = {
                                  k_list=[16], n_steps=8192),
                  id="markovian-modes-alias-on-f0"),
     pytest.param(("simulate",), {"time_step": "abc"}, id="string-time_step"),
+    pytest.param(("simulate",), {"n_paths": "3"}, id="numeric-string-n_paths"),
+    pytest.param(("simulate",), {"n_paths": True}, id="boolean-n_paths"),
+    pytest.param(("simulate",), {"t_eval": "0.5"}, id="numeric-string-t_eval"),
+    pytest.param(("simulate",), {"params": dict(PARAMS, alpha=True)}, id="boolean-alpha"),
+    pytest.param(("converge",), {"k_list": ["4"]}, id="numeric-string-k"),
     pytest.param(("simulate",), {"time_step": float("nan")}, id="nan-time_step"),
     pytest.param(("simulate",), {"t_eval": float("inf")}, id="infinite-t_eval"),
     pytest.param(("simulate",), {"driver": dict(DRIVER, rank=None)}, id="null-rank"),

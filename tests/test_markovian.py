@@ -375,7 +375,7 @@ def test_convergence_experiment_checks_the_grid_before_the_oracle(monkeypatch):
     def oracle(*args, **kwargs):
         raise AssertionError("the oracle ran")
 
-    monkeypatch.setattr(markovian, "_oracle_states", oracle)
+    monkeypatch.setattr(markovian, "_curve_recursion", oracle)
     drv = make_driver()
     spec = ModelSpec(f0=smooth_bump(n_points=65), params=P)
     with pytest.raises(ValueError, match="33 modes alias"):
@@ -436,14 +436,33 @@ def test_array_form_equals_curve_form(case, n_points, t, seed):
         arrays = dynamics._linear_field(ModelSpec(f0=f, params=P, beta=lambda t: b), drv)
     else:
         arrays = markovian._masked_field(field, P)
-    got = arrays(*grid)(t, grid, f.value_at_zero, lambda m: f.deriv_samples[:m])
+    got = arrays(*grid)(t, f.value_at_zero, lambda m: f.deriv_samples[:m])
     want = markovian._masked_field(_curve_form(field), P)(*grid)(
-        t, grid, f.value_at_zero, lambda m: f.deriv_samples[:m])
+        t, f.value_at_zero, lambda m: f.deriv_samples[:m])
     tol = 0.0 if n_points == 4097 else 1e-13
     for a, b in zip(got, want, strict=True):
         assert a.x_max == b.x_max and a.samples.shape == b.samples.shape
         assert np.max(np.abs(a.values - b.values)) <= tol * max(1.0, np.max(np.abs(b.values)))
         assert np.max(np.abs(a.samples - b.samples)) <= tol * max(1.0, np.max(np.abs(b.samples)))
+
+
+@pytest.mark.parametrize("t_end, L", [(1.0, 64), (0.5, 30)], ids=["node", "off-node"])
+@pytest.mark.parametrize("case", sorted(_FIELDS))
+def test_adapter_oracle_equals_array_form_oracle(case, t_end, L):
+    # the adapter builds the masked state `Curve` on the grid the field was
+    # set up on (f0's, when dt = 1/64 is a node; each state's own at dt = 1/60)
+    # and reads the outputs back onto it; for the registry fields, whose
+    # curves share f0's grid, the oracle must not tell the two forms apart
+    drv, spec = make_driver(), make_spec()
+    name, kw = _FIELDS[case]
+    field = make_field(name, drv, P, **kw)
+    times = np.linspace(0, t_end, L + 1)
+    noise = drv.increments(drv.path_rng(0), times[1], L)
+    want = oracle_markovian(field, spec, drv, times, noise=noise).states
+    got = oracle_markovian(_curve_form(field), spec, drv, times, noise=noise).states
+    for a, b in zip(got, want, strict=True):
+        assert (a.value_at_zero, a.x_max) == (b.value_at_zero, b.x_max)
+        assert a.deriv_samples.tobytes() == b.deriv_samples.tobytes()
 
 
 def _passthrough(fn):
@@ -525,8 +544,9 @@ def test_schemes_write_into_no_array_they_are_given(case):
     L = 64
     times = np.arange(L + 1) / 2048.0
     noise = drv.increments(drv.path_rng(0), times[1], L)
-    yielded = [(f, f.deriv_samples.copy())
-               for f in markovian._oracle_states(field, spec, times, times[1], noise)]
+    states = dynamics._curve_recursion(spec.f0, times, times[1], noise,
+                                       markovian._masked_field(field, P))
+    yielded = [(f, f.deriv_samples.copy()) for f in states]
     simulate_markovian_fk(field, spec, drv, times, 2, noise=noise)
     oracle = oracle_markovian(field, spec, drv, times, noise=noise)
     picard_operator_V(oracle.states, field, spec, drv, times, noise)
@@ -572,8 +592,7 @@ def _full_width(field):
     nodes it asks for after the product."""
     def on_grid(x_max, n):
         outputs = field(x_max, n)
-        return lambda t, grid, value, samples: outputs(
-            t, grid, value, lambda m: samples(grid[1])[:m])
+        return lambda t, value, samples: outputs(t, value, lambda m: samples(n)[:m])
 
     return on_grid
 
