@@ -215,11 +215,27 @@ def _make_out_dir(out: Path) -> None:
         raise ConfigError(f"cannot use {out} as the output directory: {e}") from e
 
 
+def _unwritable(path: Path, e: OSError) -> ConfigError:
+    """An output path that cannot be written, such as a directory, is a config error."""
+    return ConfigError(f"cannot write {path}: {e}")
+
+
 def write_csv(path: Path, header: list[str], lines: list[str]) -> None:
     """Write ``header`` and data ``lines``, each joined by "," and ended by "\\n"."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(lines)
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            fh.writelines(lines)
+    except OSError as e:
+        raise _unwritable(path, e) from e
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` (`_unwritable` if it cannot be)."""
+    try:
+        path.write_text(text)
+    except OSError as e:
+        raise _unwritable(path, e) from e
 
 
 def write_loglog_svg(path: Path, xs, ys_by_label: dict, title: str) -> None:
@@ -228,9 +244,9 @@ def write_loglog_svg(path: Path, xs, ys_by_label: dict, title: str) -> None:
     all_y = np.concatenate([np.asarray(v, dtype=float) for v in ys_by_label.values()])
     all_y = all_y[all_y > 0]
     if all_y.size == 0:
-        path.write_text(f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" '
-                        f'height="{H}"><text x="20" y="40">no positive data'
-                        '</text></svg>\n')
+        _write_text(path, f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" '
+                          f'height="{H}"><text x="20" y="40">no positive data'
+                          '</text></svg>\n')
         return
     lx = np.log10(np.asarray(xs, dtype=float))
     ly0, ly1 = np.floor(np.log10(all_y.min())), np.ceil(np.log10(all_y.max()))
@@ -266,7 +282,7 @@ def write_loglog_svg(path: Path, xs, ys_by_label: dict, title: str) -> None:
         parts.append(f'<text x="{W-pad+4}" y="{pad+16*(i+1)}" fill="{col}" '
                      f'font-family="sans-serif" font-size="11">{label}</text>')
     parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n")
+    _write_text(path, "\n".join(parts) + "\n")
 
 
 def loglog_slope(ks, errs) -> float:
@@ -408,9 +424,9 @@ def cmd_simulate(cfg: dict, base_dir: Path, out: Path) -> int:
     if windows:
         write_csv(out / "forwards.csv",
                   ["path_id", "t", "window", "T1", "T2", "F"], fwd)
-    (out / "coefficients_path0.json").write_text(
-        json.dumps({"times": list(map(float, times)), "states": slices}, indent=1)
-        + "\n")
+    _write_text(out / "coefficients_path0.json",
+                json.dumps({"times": list(map(float, times)), "states": slices}, indent=1)
+                + "\n")
     print(f"wrote {n_paths} paths x {times.size} times to {out}")
     return 0
 

@@ -35,7 +35,7 @@ from .basis import BasisParams, eval_g_n, eval_g_n_deriv, lambda_n
 from .errors import BadWindow, DomainTooShort, UnstableStep
 from .projection import (CoeffState, _fold_grid, _fold_input, _fold_rows, _period_norm,
                          coefficients_fft, compute_C1, compute_C2)
-from .semigroup import _shift, _shift_factors, shift_curve
+from .semigroup import _node_shift, _shift, _shift_factors, shift_curve
 from .space import Curve, _reaches, _rows_on
 
 __all__ = [
@@ -212,23 +212,26 @@ def _curve_recursion(f0: Curve, times: np.ndarray, dt: float, noise: np.ndarray,
     reads[j] if given, on f_j's nodes (DomainTooShort unless it covers f_j's
     range).
 
-    Each state is shifted by `shift_curve`.  When dt is a node of f0's grid
-    it slices, so every state lies on f0's first nodes and the field is set
-    up on f0's grid once; otherwise it runs through the spline onto a new
-    grid, and the field is set up again on each.  The outputs lie on the
-    set-up grid and are cut to the state's nodes; terms scaled by zero are
-    skipped; an output that covers less of the range cuts the state to its
-    last node; the step sums its terms into an array of its own.  Only the
-    current state is held, so a caller that keeps what it needs of each
-    state as it appears runs in memory independent of L.
+    Each state is shifted as by `shift_curve`.  When dt is a node of f0's
+    grid it slices (`semigroup._node_shift`), so every state lies on f0's
+    first nodes, the field is set up on f0's grid once and each step builds
+    one `Curve`, the state it yields; otherwise it runs through the spline
+    of the pre-shift curve onto a new grid, and the field is set up again on
+    each.  The outputs lie on the set-up grid and are cut to the state's
+    nodes; terms scaled by zero are skipped; an output that covers less of
+    the range cuts the state to its last node; the step sums its terms, each
+    scaled into one buffer made per set-up, into an array of its own, which
+    the next state's samples view.  Only the current state is held, so a
+    caller that keeps what it needs of each state as it appears runs in
+    memory independent of L.
     """
-    f, once = f0, f0._node_index(dt) is not None
-    outputs = field(f0.x_max, f0.deriv_samples.shape[0])
+    f, m = f0, f0._node_index(dt)
+    outputs, term = field(f0.x_max, f0.deriv_samples.shape[0]), np.empty_like(f0.deriv_samples)
     yield f0
     for j, (t, row) in enumerate(zip(times[:-1], noise.tolist())):
         grid = x_max, n = f.x_max, f.deriv_samples.shape[0]
-        if j and not once:
-            outputs = field(*grid)
+        if j and m is None:
+            outputs, term = field(*grid), np.empty(n, np.complex128)
         h = f if reads is None else reads[j]
         if not h._covers(x_max):
             raise DomainTooShort(f"state {j} read by the field covers [0, {h.x_max}], "
@@ -239,13 +242,17 @@ def _curve_recursion(f0: Curve, times: np.ndarray, dt: float, noise: np.ndarray,
             if part is None or not any(scales):
                 continue
             x_max, n = min(x_max, part.x_max), min(n, part.samples.shape[-1])
+            inc_n, term_n = inc[:n], term[:n]
             for vi, di, s in zip(part.values.tolist(), part.samples, scales):
                 if s != 0.0:
                     v += vi * s
-                    inc[:n] += di[:n] * s
+                    inc_n += np.multiply(di[:n], s, out=term_n)
         inc = inc[:n]
         inc += f.deriv_samples[:n]
-        f = shift_curve(Curve(f.value_at_zero + v, inc, x_max), dt)
+        if m is None:
+            f = shift_curve(Curve(f.value_at_zero + v, inc, x_max), dt)
+        else:
+            f = _node_shift(f.value_at_zero + v, inc, x_max, m, x_max - dt)
         yield f
 
 
@@ -421,7 +428,11 @@ def _euler_path(spec: ModelSpec, times: np.ndarray, dt: float, noise: np.ndarray
     built only when the field reads it, on the nodes it asks for (the masked
     field's, below T - t_j) by a product over those columns; BLAS may round
     a column apart from a wider product's, so the states can differ from
-    folding the span `Curve` in their last bits.
+    folding the span `Curve` in their last bits.  A step makes the FFTs
+    the folds pin and the states' arithmetic: its spectra go into one array
+    made per path, the scaled folds are summed after the transport's
+    increment in their order (one `add.accumulate`), and the next state is
+    written into the path's array.
     """
     p = spec.params
     limit = euler_stability_limit(p, k)
@@ -431,44 +442,52 @@ def _euler_path(spec: ModelSpec, times: np.ndarray, dt: float, noise: np.ndarray
 
     f0 = spec.f0
     n = _euler_intervals(f0, k, p) + 1
-    grid = _fold_grid(n, p)
+    # the fold weights as complex numbers, like the samples they weight: a
+    # real operand would be cast to complex at every step
+    x_fold, w, e = _fold_grid(n, p)
+    grid = x_fold, w + 0j, e + 0j
     Gd = eval_g_n_deriv(p, p.n_range(k), f0.grid[:n])
     outputs = field(p.horizon, n)
 
     init = coefficients_fft(f0, k, p)
-    x = np.concatenate(([init.c_star], init.c))
-    xs = [x]
-    # per output, the rows last folded and their fold inputs: an output that
-    # ignores the state (the loadings) is the very rows the field set up at
-    # every step, so its inputs are formed once.  They are still folded at
-    # every step; the ROADMAP's fold memo drops those FFTs once the benchmark
-    # counts fold inputs instead of FFT calls
+    xs = np.empty((times.size, 2 * k + 2), np.complex128)
+    xs[0, 0], xs[0, 1:] = init.c_star, init.c
+    # per output, the rows last folded, their values and fold inputs: an
+    # output that ignores the state (the loadings) is the very rows the field
+    # set up at every step, so its inputs are formed once.  They are still
+    # folded at every step, into spectra made once per path; the ROADMAP's
+    # fold memo drops those FFTs once the benchmark counts fold inputs
+    # instead of FFT calls
     folded, formed = [None, None], [None, None]
-    for t, row in zip(times[:-1], noise.tolist()):
+    spectra = np.empty((1 + noise.shape[-1], n - 1), np.complex128)
+    for j, (t, row) in enumerate(zip(times[:-1], noise.tolist())):
+        x = xs[j]
         parts = outputs(t, complex(x[0]), lambda m: x[1:] @ Gd[:, :m])
         inc = dt * (A @ x)
         inc_star, scales, inputs = complex(inc[0]), [], []
         for i, (part, part_scales) in enumerate(zip(parts, ((dt,), row))):
             if part is None:
                 continue
-            if not _reaches(part.x_max, p.horizon):
-                raise DomainTooShort(f"field output at t={t:g} covers "
-                                     f"[0, {part.x_max}], not [0, T]")
             if part is not folded[i]:
+                if not _reaches(part.x_max, p.horizon):
+                    raise DomainTooShort(f"field output at t={t:g} covers "
+                                         f"[0, {part.x_max}], not [0, T]")
                 folded[i] = part
-                formed[i] = list(zip(part.values.tolist(), _fold_input(part.samples, grid)))
+                formed[i] = [(value, _fold_input(d, grid))
+                             for value, d in zip(part.values.tolist(), part.samples)]
             for s, (value, a) in zip(part_scales, formed[i]):
                 if s != 0.0:
                     inc_star += s * value
                     scales.append(s)
                     inputs.append(a)
-        inc[0], inc_c = inc_star, inc[1:]
+        inc[0] = inc_star
         if inputs:
-            for term in np.array(scales)[:, None] * _fold_rows(inputs, k, p.horizon):
-                inc_c += term
-        x = x + inc
-        xs.append(x)
-    xs = np.stack(xs)
+            # the scaled folds after the transport, summed in order by one accumulate
+            rows = _fold_rows(inputs, k, p.horizon, spectra)
+            rows *= np.array(scales)[:, None]
+            rows[0] += inc[1:]
+            inc[1:] = np.add.accumulate(rows)[-1]
+        np.add(x, inc, out=xs[j + 1])
     return StateVariables(xs[:, 0], xs[:, 1:], init.params)
 
 

@@ -12,10 +12,11 @@ the state it reads.
 Fields are stepped on arrays: set up on a grid of [0, x_max], a field's
 outputs are values at zero (m,) and derivative samples (m, n) on that grid
 (`space._Rows`), whatever part of it the state holds.  Registry fields define
-each output once in that form (`_output`) and read their fixed curves onto
-the grid once per set-up; their `Curve` callables are built from it and carry
-it as ``on_grid``.  Other fields run through one adapter (`_masked_field`),
-which builds the masked state `Curve` on the set-up grid.
+each output once in that form (`_output`), read their fixed curves onto the
+grid once per set-up and read the state only on the nodes below T - t;
+their `Curve` callables are built from it and carry it as ``on_grid``.
+Other fields run through one adapter (`_masked_field`), which builds the
+masked state `Curve` on the set-up grid.
 """
 from __future__ import annotations
 
@@ -103,10 +104,19 @@ def make_field(name: str, driver: LevyDriver, params: BasisParams,
         kappa = float(kw["kappa"])
         theta = kw["theta"]
 
-        def drift(value, samples, rows):
-            d = rows.samples - samples(rows.samples.shape[-1])
-            d *= kappa
-            return (rows.values - value) * kappa, d
+        def drift(rows):
+            # kappa (theta - 0) where the mask zeroes the state
+            masked, at_zero = rows.samples * kappa, rows.values.tolist()
+
+            def step(t, value, samples, m):
+                d = masked.copy()
+                head = d[:, :m]                    # rows may end before node m
+                np.subtract(rows.samples[:, :head.shape[1]], samples(head.shape[1]), out=head)
+                head *= kappa
+                # Python's complex arithmetic rounds as numpy's does
+                return _Rows(np.array([(v - value) * kappa for v in at_zero]), d, rows.x_max)
+
+            return step
 
         return CoefficientField(
             b=_output((theta,), drift, single=True),
@@ -116,9 +126,12 @@ def make_field(name: str, driver: LevyDriver, params: BasisParams,
     if name == "proportional_vol":
         sigma0 = float(kw["sigma0"])
 
-        def vol(value, samples, rows):
-            s = sigma0 * (1.0 + 0.5 * np.tanh(complex(value).real))
-            return rows.values * s, rows.samples * s
+        def vol(rows):
+            def step(t, value, samples, m):
+                s = sigma0 * (1.0 + 0.5 * np.tanh(complex(value).real))
+                return _Rows(rows.values * s, rows.samples * s, rows.x_max)
+
+            return step
 
         # |d/dv tanh| <= 1 and |f(0) - g(0)| <= sqrt(1 + 1/alpha) ||f - g||
         lip = sigma0 * (1.5 + 0.5 * np.sqrt(1.0 + 1.0 / params.alpha)
@@ -130,36 +143,33 @@ def make_field(name: str, driver: LevyDriver, params: BasisParams,
     raise ValueError(f"unknown coefficient field {name!r}")
 
 
-def _output(curves: Sequence[Curve], fn=None, single: bool = False):
+def _output(curves: Sequence[Curve], setup=None, single: bool = False):
     """One field output defined on arrays, as its public `Curve` callable.
 
-    ``fn(value, samples, rows)`` maps the state's value at zero, its
-    derivative ``samples(m)`` on the first m nodes, and ``curves`` read onto
-    the grid (`space._rows_on`) to the outputs (values (m,), samples (m, n));
-    without ``fn`` the outputs are ``curves``.  The array form rides on the
-    callable as its ``on_grid`` attribute (so wrappers made with
-    `functools.wraps` keep it): ``on_grid(x_max, n)`` reads ``curves`` onto
-    the grid of [0, x_max] with n nodes once and returns ``step(t, value,
-    samples) -> space._Rows`` on that grid; without ``fn`` the rows are the
-    very ones it read.  The `Curve` form runs the same step on the common
-    grid of f and ``curves`` (`space._common_grid`), or returns ``curves``
+    ``setup(rows)`` takes ``curves`` read onto a grid (`space._rows_on`) once
+    and returns ``step(t, value, samples, m) -> space._Rows`` on that grid,
+    for a state with value at zero ``value`` whose derivative is
+    ``samples(m)`` on the grid's first m nodes and zero beyond them; a step
+    that reads no derivative builds none.  Without ``setup`` the
+    outputs are ``curves``.  The array form rides on the callable as its
+    ``on_grid`` attribute (so wrappers made with `functools.wraps` keep it):
+    ``on_grid(x_max, n)`` sets the output up on the grid of [0, x_max] with
+    n nodes and returns its step; without ``setup`` the step returns the very
+    rows it read.  The `Curve` form runs the same step on the common grid of
+    f and ``curves`` (`space._common_grid`), or returns ``curves``
     themselves; ``single`` unpacks its one output.
     """
     def on_grid(x_max: float, n: int):
         rows = _rows_on(curves, x_max, n)
-
-        def step(t, value, samples) -> _Rows:
-            return rows if fn is None else _Rows(*fn(value, samples, rows), rows.x_max)
-
-        return step
+        return (lambda t, value, samples, m: rows) if setup is None else setup(rows)
 
     def curve_form(t: float, f: Curve):
-        if fn is None:
+        if setup is None:
             outs = tuple(curves)
         else:
             x_max, step = _common_grid((f, *curves))
             n = _node_count(x_max, step)
-            rows = on_grid(x_max, n)(t, f.value_at_zero, lambda m: f._deriv_on(x_max, n)[:m])
+            rows = on_grid(x_max, n)(t, f.value_at_zero, lambda m: f._deriv_on(x_max, n)[:m], n)
             outs = tuple(Curve(v, d, x_max) for v, d in zip(rows.values, rows.samples))
         return outs[0] if single else outs
 
@@ -267,36 +277,31 @@ def _masked_field(cf: CoefficientField, params: BasisParams):
     nodes and returns ``outputs(t, value, samples) -> [b, psi]``, each a
     `space._Rows` on that grid, for a state on its first nodes with value at
     zero ``value`` and derivative ``samples(m)`` on its first m nodes.  The
-    field reads ``masked(m)``: ``samples`` of the nodes below T - t alone (the
-    Euler loop builds no others), padded with zeros to m.  A field whose
-    ``b`` and ``psi`` carry their array form (`_output`) runs it; any other
-    goes through one adapter, which builds the masked state `Curve` on the
-    grid, calls ``b`` and ``psi`` and reads each output on the grid's nodes
+    field reads ``samples`` of the nodes below T - t alone (the Euler loop
+    builds no others); the masked state is zero beyond them.  A field whose
+    ``b`` and ``psi`` carry their array form (`_output`) runs it on the count
+    m of those nodes; any other goes through one adapter, which builds the
+    masked state `Curve` on the grid, its samples padded with zeros, calls
+    ``b`` and ``psi`` and reads each output on the grid's nodes
     (`Curve._deriv_on`).
     """
     forms = [getattr(fn, "on_grid", None) for fn in (cf.b, cf.psi)]
 
     def on_grid(x_max: float, n: int):
         if None in forms:
-            def steps(t, value, masked):
-                fm = Curve(value, masked(n), x_max)
+            def outputs(t, value, samples):
+                head = samples(_mask_start(x_max, n, _input_cut(t, params)))
+                d = np.zeros(n, head.dtype)
+                d[:head.shape[0]] = head
+                fm = Curve(value, d, x_max)
                 return [_rows_on([cf.b(t, fm)], x_max, n), _rows_on(cf.psi(t, fm), x_max, n)]
-        else:
-            b_step, psi_step = (form(x_max, n) for form in forms)
 
-            def steps(t, value, masked):
-                return [b_step(t, value, masked), psi_step(t, value, masked)]
+            return outputs
+        b_step, psi_step = (form(x_max, n) for form in forms)
 
         def outputs(t, value, samples):
-            start = _mask_start(x_max, n, _input_cut(t, params))
-
-            def masked(m):
-                head = samples(min(m, start))
-                d = np.zeros(m, head.dtype)
-                d[:head.shape[0]] = head
-                return d
-
-            return steps(t, value, masked)
+            m = _mask_start(x_max, n, _input_cut(t, params))
+            return [b_step(t, value, samples, m), psi_step(t, value, samples, m)]
 
         return outputs
 

@@ -23,6 +23,7 @@ the uniform grid x_j = jT/N over [0, T]:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -164,18 +165,20 @@ def coefficient(h: Curve, n: int, params: BasisParams,
     return prev
 
 
-def _fold_rows(inputs, k: int, horizon: float) -> np.ndarray:
+def _fold_rows(inputs, k: int, horizon: float, spectra: np.ndarray) -> np.ndarray:
     """Modes -k..k, as rows (len(inputs), 2k+1), of folded inputs on N points
-    each (`_fold_input`), by one DFT per input.  Modes beyond the DFT's N bins
-    would alias onto kept ones, so 2k + 1 > N raises."""
+    each (`_fold_input`), by one DFT per input into the first rows of
+    ``spectra`` (complex, N columns), which a caller that folds at every step
+    makes once.  Modes beyond the DFT's N bins would alias onto kept ones, so
+    2k + 1 > N raises."""
     n = inputs[0].shape[-1]
     if 2 * k + 1 > n:
         raise ValueError(f"{2 * k + 1} modes alias on a {n}-interval grid; "
                          "use more coefficient points")
-    spectra = np.empty((len(inputs), n), dtype=np.complex128)
+    spectra = spectra[:len(inputs)]
     for a, spectrum in zip(inputs, spectra):
         np.fft.fft(a, out=spectrum)  # index n holds sum a_j e^{-2 pi i n j / N}
-    return spectra[:, _mode_bins(k, n)] / np.sqrt(horizon)
+    return spectra[:, _mode_bins(k, n)] / math.sqrt(horizon)
 
 
 @lru_cache(maxsize=64)
@@ -196,13 +199,13 @@ def _fold_grid(n_points: int, params: BasisParams):
 def _fold_input(d: np.ndarray, grid) -> np.ndarray:
     """The folded input of `_fold_rows` from h' on the nodes of ``grid``
     (`_fold_grid`): w_j h'(x_j) e^{(lam + alpha/2) x_j} with the x = T sample
-    added onto x = 0, which it aliases for every mode frequency; each row of a
-    2-D ``d`` is one curve.  It writes only into the array it makes."""
+    added onto x = 0, which it aliases for every mode frequency.  It writes
+    only into the array it makes."""
     _, w, e = grid
     a = w * d
     a *= e
-    a[..., 0] += a[..., -1]
-    return a[..., :-1]
+    a[0] += a[-1]
+    return a[:-1]
 
 
 def _synth_fft(c: np.ndarray, n_points: int, params: BasisParams) -> np.ndarray:
@@ -247,7 +250,8 @@ def coefficients_fft(h: Curve, k: int, params: BasisParams,
         if not h._covers(T):
             raise DomainTooShort("coefficient extraction needs the curve on [0, T]")
         grid = _fold_grid(n_points, params)
-        c = _fold_rows([_fold_input(h._deriv_on(T, n_points), grid)], k, T)[0]
+        spectra = np.empty((1, n_points - 1), dtype=np.complex128)
+        c = _fold_rows([_fold_input(h._deriv_on(T, n_points), grid)], k, T, spectra)[0]
         c.flags.writeable = False
         p = BasisParams(params.alpha, params.lam, params.horizon, k)
         # h(0) as stored; + 0j gives it the signs of zero of h.value(0.0)
@@ -304,8 +308,8 @@ def compute_C1(f: Curve, params: BasisParams) -> float:
     npts = max(COEFF_POINTS, f.deriv_samples.shape[0])
     if npts % 2 == 0:
         npts += 1
-    x, w, weight = _fold_grid(npts, params)
-    d = f.deriv(x)
+    _, w, weight = _fold_grid(npts, params)
+    d = f._deriv_on(T, npts)
     h = T / (npts - 1)
     d2 = np.gradient(d, h, edge_order=2)
     integral = float(np.sum(w * np.abs(d2) * weight))

@@ -23,10 +23,10 @@ def shift_curve(f: Curve, t: float, x_max_out: float | None = None) -> Curve:
     f must cover [0, t + x_max_out] (`Curve._covers`) and leave at least one
     step of it, else DomainTooShort.  When t is a node of f's grid
     (`Curve._node_index`), the samples are sliced and the value at zero adds
-    the trapezoid sum of the skipped ones, so the nodes stay f's; off the
-    grid, both come from the spline and its antiderivative on the nodes of
-    [0, x_max_out].  The curve-space recursion (`dynamics._curve_recursion`)
-    shifts every state through here.
+    the trapezoid sum of the skipped ones (`_node_shift`), so the nodes stay
+    f's; off the grid, both come from the spline and its antiderivative on
+    the nodes of [0, x_max_out].  The curve-space recursion
+    (`dynamics._curve_recursion`) shifts every state through here.
     """
     if t < 0.0:
         raise ValueError("shift time must be nonnegative")
@@ -35,17 +35,34 @@ def shift_curve(f: Curve, t: float, x_max_out: float | None = None) -> Curve:
     if not f._covers(t + x_max_out):
         raise DomainTooShort(
             f"shift by {t} needs the curve on [0, {t + x_max_out}], has [0, {f.x_max}]")
-    n = _node_count(x_max_out, f.grid_step)
+    m = f._node_index(t)
+    if m is not None:
+        return _node_shift(f.value_at_zero, f.deriv_samples, f.x_max, m, x_max_out)
+    n = _shifted_nodes(x_max_out, f.grid_step, t, f.x_max)
+    x = np.linspace(0.0, x_max_out, n)
+    return Curve(complex(f.value(t)), f.deriv(t + x), x_max_out)
+
+
+def _node_shift(value_at_zero: complex, d: np.ndarray, x_max: float, m: int,
+                x_max_out: float) -> Curve:
+    """`shift_curve` by m steps of the curve with f(0) = ``value_at_zero`` and
+    f' = ``d`` on the grid of [0, x_max], without building that curve: the
+    samples from node m on, onto [0, x_max_out], whose nodes it must hold."""
+    step = x_max / (d.shape[0] - 1)
+    n = _shifted_nodes(x_max_out, step, m * step, x_max)
+    # np.trapezoid(d[:m + 1], dx=step), term for term, without its set-up
+    head = (step * (d[1:m + 1] + d[:m]) / 2.0).sum() if m else 0.0
+    return Curve(complex(value_at_zero + head), d[m:m + n], x_max_out)
+
+
+def _shifted_nodes(x_max_out: float, step: float, t: float, x_max: float) -> int:
+    """The node count of [0, x_max_out] at ``step`` after a shift by t of [0,
+    x_max]; DomainTooShort below two."""
+    n = _node_count(x_max_out, step)
     if n < 2:
         raise DomainTooShort(f"shift by {t} leaves less than one grid step of "
-                             f"[0, {f.x_max}]")
-    m = f._node_index(t)
-    if m is None:
-        x = np.linspace(0.0, x_max_out, n)
-        return Curve(complex(f.value(t)), f.deriv(t + x), x_max_out)
-    d = f.deriv_samples
-    head = np.trapezoid(d[:m + 1], dx=f.grid_step) if m else 0.0
-    return Curve(complex(f.value_at_zero + head), d[m:m + n], x_max_out)
+                             f"[0, {x_max}]")
+    return n
 
 
 def _shift_factors(params: BasisParams, k: int, t):

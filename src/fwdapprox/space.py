@@ -362,14 +362,10 @@ def _first_node_beyond(x_max: float, n: int, cut: float) -> int:
     if cut < 0.0:                # every node, 0 included, lies beyond
         return 0
     step = x_max / (n - 1)
-
-    def node(i: int) -> float:
-        return x_max if i == n - 1 else i * step
-
     i = min(int(cut // step) + 1, n - 1)
-    while i > 0 and node(i - 1) > cut:
+    while i > 0 and (i - 1) * step > cut:    # node i - 1 lies below the last
         i -= 1
-    while node(i) <= cut:        # ends at n - 1 at the latest: x_max > cut
+    while i < n - 1 and i * step <= cut:     # the last node, x_max, lies beyond
         i += 1
     return i
 

@@ -3,6 +3,8 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -75,23 +77,32 @@ def test_basis_check_passes_at_small_lambda_horizon(tmp_path, capsys, lam):
     assert all(r[3] == "true" for r in read_rows(out / "basis_check.csv")[1:])
 
 
+_OUTPUT_FILES = {"basis_check.csv": "basis-check", "converge.svg": "converge",
+                 "coefficients_path0.json": "simulate"}
+
+
 @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "out-is-a-file",
-                                  "out-below-a-file"])
+                                  "out-below-a-file", *_OUTPUT_FILES])
 def test_missing_config_file_is_config_error(tmp_path, capsys, case):
-    # a config that cannot be read and an --out that cannot be a directory
-    # are config errors (exit 2, one line), not tracebacks
+    # a config that cannot be read, an --out that cannot be a directory and
+    # an output file that is a directory (each writer: CSV, SVG, JSON) are
+    # config errors (exit 2, one line), not tracebacks
     cfg, out = write_cfg(tmp_path, "c.json", {"params": PARAMS, "k": 2}), tmp_path / "o"
+    command = _OUTPUT_FILES.get(case, "basis-check")
     if case == "missing":
         cfg = str(tmp_path / "nope.json")
     elif case == "directory":
         cfg = str(tmp_path)
     elif case == "not-utf8":
         Path(cfg).write_bytes(b'{"params": "\xff"}')
+    elif case in _OUTPUT_FILES:
+        cfg = write_cfg(tmp_path, "c.json", dict(base_model_cfg(n_paths=1), k_list=[2, 4]))
+        (out / case).mkdir(parents=True)
     else:
         out.write_text("a file")
         if case == "out-below-a-file":
             out = out / "o"
-    assert main(["basis-check", "--config", cfg, "--out", str(out)]) == 2
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
 
@@ -221,6 +232,29 @@ def test_converge_off_grid_step_golden(tmp_path):
                  "--out", str(out)]) == 0
     assert hashlib.sha256((out / "converge.csv").read_bytes()).hexdigest() == \
         CONVERGE_FALLBACK_GOLDEN
+
+
+# sha256 of converge.csv for converge --markovian on configs/markovian.json
+# cut to one path, recorded at one BLAS thread before the Euler loop and the
+# oracle step were cut down to the pinned folds.  It runs in a fresh
+# interpreter at one BLAS thread, because the scheme's span product rounds
+# apart between thread counts
+CONVERGE_MARKOVIAN_GOLDEN = "72521203784313dc80e157105e236f14009b35fea84a79c08ab30aeed11a65b6"
+
+
+def test_converge_markovian_one_path_golden(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    cfg = json.loads((root / "configs" / "markovian.json").read_text())
+    cfg.update(f0=str(root / "data" / "bump_curve.csv"), n_paths=1)
+    out = tmp_path / "out"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    subprocess.run([sys.executable, "-m", "fwdapprox.cli", "converge", "--markovian", "--config",
+                    write_cfg(tmp_path, "m.json", cfg), "--out", str(out)],
+                   env=env, capture_output=True, check=True)
+    assert hashlib.sha256((out / "converge.csv").read_bytes()).hexdigest() == \
+        CONVERGE_MARKOVIAN_GOLDEN
 
 
 def test_converge_bound_evaluates_each_curve_once(tmp_path, monkeypatch):

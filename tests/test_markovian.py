@@ -1,7 +1,12 @@
 import dataclasses
 import functools
+import hashlib
+import json
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -463,6 +468,114 @@ def test_adapter_oracle_equals_array_form_oracle(case, t_end, L):
     for a, b in zip(got, want, strict=True):
         assert (a.value_at_zero, a.x_max) == (b.value_at_zero, b.x_max)
         assert a.deriv_samples.tobytes() == b.deriv_samples.tobytes()
+
+
+# sha256 of the states of the Euler loop, the oracle and the Picard map,
+# recorded before their steps were cut down to the pinned folds and one Curve
+# per state, at one BLAS thread: the span product of a state-dependent field
+# rounds apart between thread counts (mean_revert's at k = 2 too).  Euler:
+# k = 2 and 64 steps over [0, 0.5] (64 over [0, 1] break k = 2's stability
+# limit, 1.26e-2); oracle and Picard map: 64 steps over [0, 1], where dt is
+# a node of f0's grid, and 30 over [0, 0.5], where it is not.  A zero drift
+# (mean_revert_0) adds only zeros, so it shares constant's states
+_LOOP_SHA256 = {  # case: (Euler, oracle on the nodes, oracle off them)
+    "constant": ("81b9fed27977a0e60cc755a40dd999300e57178b541dae0948b8f10fbf58e7b5",
+                 "f6ea3963bb1673fc5f94cfd929abeae88264cb4e120282aa4fec37cbb0d3c6e5",
+                 "811673bf6207938c4e7d72e7a1876473287f737e49bdeb1e5aaacc2eea2551b3"),
+    "constant_b": ("f1cab084cf852d3d247ed19adb852ab1824edfb5632bd95e19b0294be4513a39",
+                   "09401a2938a8c9dc48a5e5cb37e85897579e5bee57a9f111fe4fcc7c00a3d290",
+                   "738448bf1daa8450fd575d96293968ec28222be3f720d74a91d7d5946cad4204"),
+    "mean_revert": ("ea9b07ea9fe5aba6c5c0653f95b825ac0c6d86c283a7a17318f2f7b07c261a71",
+                    "3a1283d0ccce9b0f43823417ccc8df4d4f34a1fb61e35cc627f64c42e6f24ae8",
+                    "138bfa4bb6015752e25147d91fb438a41860ed9ff0cdaa00ab0d1e90c364e7f0"),
+    "proportional_vol": ("4891f0dd47ad4b299215aafc3f8a2aa1fd068be3270d62525b6ac79c37a2a6ac",
+                         "029411eae3f0e2b8f1c33bc749e62793ba37584ff0c2d7612b0a437718a638f9",
+                         "667d710fe260027196e8cff77fdd41eb5ccab0da4be6782900a091e727c6c64f"),
+}
+_LOOP_SHA256.update(mean_revert_0=_LOOP_SHA256["constant"], linear=_LOOP_SHA256["constant_b"])
+
+
+def _states_sha256(states) -> str:
+    h = hashlib.sha256()
+    for f in states:
+        h.update(np.array([f.value_at_zero, f.x_max]).tobytes())
+        h.update(f.deriv_samples.tobytes())
+    return h.hexdigest()
+
+
+def _loop_hashes(case: str, form: str) -> list:
+    """(label, want, got) of every state hash of one `_FIELDS` case: the
+    registry field (form "array") or its plain-callable copy ("plain"), and
+    for "linear" also the linear dynamics' scheme and oracle."""
+    drv, spec = make_driver(), make_spec()
+    name, kw = _FIELDS[case]
+    field = make_field(name, drv, P, **kw)
+    if form == "plain":
+        field = _curve_form(field)
+    lin = ModelSpec(f0=spec.f0, params=P, beta=lambda t: kw["b_curve"]) if case == "linear" else None
+    euler, *oracles = _LOOP_SHA256[case]
+    times = np.linspace(0.0, 0.5, 65)
+    noise = drv.increments(drv.path_rng(0), times[1], 64)
+    paths = {"euler": simulate_markovian_fk(field, spec, drv, times, 2, noise=noise)}
+    if lin is not None:
+        paths["linear euler"] = euler_coefficient_system(lin, drv, times, 2, noise=noise)
+    got = [(label, euler, hashlib.sha256(path.S_k.tobytes() + path.U.tobytes()).hexdigest())
+           for label, path in paths.items()]
+    for step, want, (t_end, L) in zip(["node", "off-node"], oracles, [(1.0, 64), (0.5, 30)]):
+        times = np.linspace(0.0, t_end, L + 1)
+        noise = drv.increments(drv.path_rng(0), times[1], L)
+        states = oracle_markovian(field, spec, drv, times, noise=noise).states
+        got.append((f"oracle {step}", want, _states_sha256(states)))
+        got.append((f"picard {step}", want, _states_sha256(
+            picard_operator_V(states, field, spec, drv, times, noise))))
+        if lin is not None:
+            mild = dynamics.oracle_mild_solution(lin, drv, times, noise=noise)
+            got.append((f"linear oracle {step}", want, _states_sha256(mild.states)))
+    return got
+
+
+@pytest.fixture(scope="module")
+def loop_hashes():
+    """`_loop_hashes` of every case and form, from a fresh interpreter at one BLAS thread."""
+    src = str(Path(markovian.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        p for p in (src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")) if p)}
+    code = ("import json, test_markovian as t; print(json.dumps({f'{c} {f}': t._loop_hashes(c, f) "
+            "for c in t._FIELDS for f in ('array', 'plain')}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    if out.returncode:
+        pytest.fail(out.stderr)
+    return json.loads(out.stdout)
+
+
+@pytest.mark.parametrize("form", ["array", "plain"])
+@pytest.mark.parametrize("case", sorted(_FIELDS))
+def test_loops_keep_their_states_bit_for_bit(loop_hashes, case, form):
+    for label, want, got in loop_hashes[f"{case} {form}"]:
+        assert got == want, label
+
+
+def test_oracle_builds_one_curve_per_state(monkeypatch):
+    # on a node step the oracle slices each state out of its step's sum and
+    # builds no Curve but the one it yields
+    drv, spec = make_driver(), make_spec()
+    field = make_field("mean_revert", drv, P, kappa=0.5, theta=seasonal_curve(1.2))
+    built, init = {}, space.Curve.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[L] += 1
+        init(self, *args, **kwargs)
+
+    for L in (64, 128):
+        times = np.arange(L + 1) / 2048.0
+        noise = drv.increments(drv.path_rng(0), times[1], L)
+        built[L] = 0
+        with monkeypatch.context() as m:
+            m.setattr(space.Curve, "__init__", counting_init)
+            states = dynamics._curve_recursion(spec.f0, times, times[1], noise,
+                                               markovian._masked_field(field, P))
+            assert sum(1 for _ in states) == L + 1
+    assert built[128] - built[64] == 128 - 64
 
 
 def _passthrough(fn):

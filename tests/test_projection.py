@@ -265,7 +265,9 @@ def test_fold_of_on_grid_samples_matches_coefficients_fft(make, k):
     n_T = 2048
     assert curve.grid_step == pytest.approx(P.horizon / n_T)
     grid = _fold_grid(n_T + 1, P)
-    got = _fold_rows([_fold_input(curve.deriv_samples[:n_T + 1], grid)], k, P.horizon)[0]
+    spectra = np.empty((1, n_T), dtype=np.complex128)
+    got = _fold_rows([_fold_input(curve.deriv_samples[:n_T + 1], grid)], k, P.horizon,
+                     spectra)[0]
     want = [coefficient(curve, n, P, n_points=n_T + 1) for n in range(-k, k + 1)]
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -307,17 +309,16 @@ def _fold_input_reference(d, grid):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(rows=st.sampled_from([None, 1, 4]), half=st.integers(1, 200),
-       is_complex=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_fold_input_writes_only_its_own_array(rows, half, is_complex, seed):
+@given(half=st.integers(1, 200), is_complex=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_fold_input_writes_only_its_own_array(half, is_complex, seed):
     # the fold forms its input in place, in the one array it makes; the
-    # caller's samples (a curve's, or a field's rows shared across steps)
-    # stay as they were, and the input is the three-array one bit for bit
+    # caller's samples (a curve's, or a row of a field's output shared
+    # across steps) stay as they were, and the input is the three-array one
+    # bit for bit
     n = 2 * half + 1
     grid = _fold_grid(n, P)
     rng = np.random.default_rng(seed)
-    shape = (n,) if rows is None else (rows, n)
-    d = rng.normal(size=shape) + (1j * rng.normal(size=shape) if is_complex else 0.0)
+    d = rng.normal(size=n) + (1j * rng.normal(size=n) if is_complex else 0.0)
     before = d.copy()
     got = _fold_input(d, grid)
     assert d.tobytes() == before.tobytes()

@@ -123,7 +123,7 @@ def test_fold_helpers_stay_with_their_owners():
     # kernel and the path chunk of the convergence experiment stay in
     # dynamics.py, and so does the per-path noise stream, which every scheme
     # and experiment draws through the time-grid rule or the chunked draw.
-    # The node shift's trapezoid lives in shift_curve alone
+    # The node shift's trapezoid lives in semigroup.py alone
     src = Path(fwdapprox.__file__).parent
     owners = {"np.fft": {"projection.py"},
               "_fold_input": {"projection.py", "dynamics.py"},
