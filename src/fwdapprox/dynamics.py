@@ -33,8 +33,8 @@ import numpy as np
 
 from .basis import BasisParams, eval_g_n, eval_g_n_deriv, lambda_n
 from .errors import BadWindow, DomainTooShort, UnstableStep
-from .projection import (CoeffState, _fold_grid, _fold_input, _fold_rows, _period_norm,
-                         coefficients_fft, compute_C1, compute_C2)
+from .projection import (CoeffState, _compute_C1_rows, _fold_grid, _fold_input, _fold_rows,
+                         _period_norm, coefficients_fft, compute_C2)
 from .semigroup import _node_shift, _shift, _shift_factors, shift_curve
 from .space import Curve, _reaches, _rows_on
 
@@ -338,7 +338,8 @@ def _final_state(init: CoeffState, loads, drift, n_steps: int, dt: float, k: int
     because g_n(dt) sum_{m<M} e^{lambda_n m dt} = g_n(M dt).  The f0 and
     drift parts are the same for every path, and the noise part contracts
     ``weighted`` over (l, i) with one kernel of 2k+2 columns, as two real
-    products; both are built here, once, and the function only contracts.
+    products; both, and the kernel's real and imaginary parts as contiguous
+    arrays, are built here, once, and the function only contracts.
     """
     k_max = init.k
     sl = slice(k_max - k, k_max + k + 1)
@@ -356,10 +357,11 @@ def _final_state(init: CoeffState, loads, drift, n_steps: int, dt: float, k: int
     kernel = np.concatenate([(load_star + g_lag @ load_c.T)[..., None],
                              growth_lag[:, None, :] * load_c], axis=-1)
     kernel = kernel.reshape(n_steps * d, 2 * k + 2)
+    real, imag = np.ascontiguousarray(kernel.real), np.ascontiguousarray(kernel.imag)
 
     def final(weighted: np.ndarray):
         w = weighted.reshape(*weighted.shape[:-2], n_steps * d)
-        noise = w @ kernel.real + 1j * (w @ kernel.imag)
+        noise = w @ real + 1j * (w @ imag)
         return c_star + noise[..., 0], c + noise[..., 1:]
 
     return final
@@ -592,15 +594,19 @@ def _half_spectrum(params: BasisParams, k: int, x: np.ndarray):
         Re c_star + [Re c_0, Re c_{1..k}, Im c_{1..k}] @ [g_0; 2 Re g_{1..k}; -2 Im g_{1..k}]
 
     over 2k+1 real columns; ``c`` is (..., 2k+1) on modes -k..k.  The
-    basis rows are built here, once.
+    basis rows are built here, once.  The values go into ``out`` (..., n_x)
+    when it is given, as the product's output, and c_star is added there in
+    place, which rounds as the allocating sum does.
     """
     G = eval_g_n(params, np.arange(k + 1), x)       # (k+1, n_x), g_0 real
     B = 2.0 * np.concatenate([G.real, -G.imag[1:]])
     B[0] = G[0].real
 
-    def values(c_star: np.ndarray, c: np.ndarray) -> np.ndarray:
+    def values(c_star: np.ndarray, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         a = np.concatenate([c[..., k:].real, c[..., k + 1:].imag], axis=-1)
-        return c_star.real[..., None] + a @ B
+        out = np.matmul(a, B, out=out)
+        out += c_star.real[..., None]
+        return out
 
     return values
 
@@ -628,11 +634,17 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
     each path drawing its own stream (`LevyDriver.path_rng`), so memory does
     not grow with n_paths; within each chunk one noise tensor is shared
     across every k (common random numbers), and only the per-path sup-errors
-    (len(k_list), n_paths) are kept.  The sup is taken over CONV_X_POINTS
-    points of [0, T - t_eval].  The reported bound column is the sampled
-    rate constant divided by k, built from the projected initial condition,
-    the drift and noise loads, and pathwise curvature constants of the
-    oracle solution on the first BOUND_PATHS paths, drawn before the chunks.
+    (len(k_list), n_paths) are kept.  The noise and each level's error are
+    written into one (P, L, d) and one (P, CONV_X_POINTS) array made once
+    per run, P = min(_PATH_CHUNK, n_paths), whose first rows a partial last
+    chunk uses, so beside the chunk's oracle no array of the error's size is
+    made per level (`_half_spectrum`'s ``out``).  The sup
+    is taken over CONV_X_POINTS points of [0, T - t_eval].  The reported
+    bound column is the sampled rate constant divided by k, built from the
+    projected initial condition, the drift and noise loads, and pathwise
+    curvature constants of the oracle solution on the first BOUND_PATHS
+    paths, drawn before the chunks; its complex derivative kernel, released
+    before the curvature pass, is the run's largest array.
     A t_eval beyond T raises DomainTooShort before any other work.
 
     The inputs must be real curves, as forward prices are: f0, every
@@ -653,28 +665,36 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
     init, loads, drift, psi = _projected_inputs(spec, driver, times, betas,
                                                 int(max(k_list)))
 
-    def weighted(ids) -> np.ndarray:
-        """psi weights times the increments of paths ``ids``, (len(ids), L, d)."""
-        return np.stack([driver.increments(driver.path_rng(pid), dt, n_steps)
-                         for pid in ids]) * psi
+    def weighted(ids, out: np.ndarray) -> np.ndarray:
+        """psi weights times the increments of paths ``ids``, written into the
+        first len(ids) rows of ``out`` (P, L, d) and returned as that view."""
+        out = out[:len(ids)]
+        for row, pid in zip(out, ids):
+            row[...] = driver.increments(driver.path_rng(pid), dt, n_steps)
+        out *= psi
+        return out
 
-    A_common, C1_mean = _sampled_bound(spec, driver, times, betas, drifts, psi,
-                                       weighted(range(min(BOUND_PATHS, n_paths))))
+    n_bound = min(BOUND_PATHS, n_paths)
+    A_common, C1_mean = _sampled_bound(
+        spec, driver, times, betas, drifts, psi,
+        weighted(range(n_bound), np.empty((n_bound, *psi.shape))))
     x = np.linspace(0.0, T - t_eval, CONV_X_POINTS)
     base, kernel = _mild_terms(spec, driver, times, betas, x,
                                lambda c, y: c.value(y).real)
     models = [(_final_state(init, loads, drift, n_steps, dt, k), _half_spectrum(p, k, x))
               for k in k_list]
     errs = np.empty((len(k_list), n_paths))
+    rows = min(_PATH_CHUNK, n_paths)
+    noise, buf = np.empty((rows, *psi.shape)), np.empty((rows, x.size))
     for start in range(0, n_paths, _PATH_CHUNK):
         chunk = slice(start, min(start + _PATH_CHUNK, n_paths))
-        w = weighted(range(chunk.start, chunk.stop))
-        oracle = base + np.tensordot(w, kernel, axes=2)
+        w = weighted(range(chunk.start, chunk.stop), noise)
+        oracle = np.tensordot(w, kernel, axes=2)
+        oracle += base
         for err, (final, values) in zip(errs, models):
-            e = values(*final(w))
+            e = values(*final(w), out=buf[:len(w)])
             e -= oracle
             err[chunk] = np.square(e, out=e).max(1)
-            del e
 
     return [{
         "k": int(k),
@@ -694,6 +714,8 @@ def _sampled_bound(spec: ModelSpec, driver: LevyDriver, times: np.ndarray, betas
     + squared integrated drift norm); pathwise part: mean of the curvature
     constant of the oracle curve at times[-1] over the paths of ``weighted``
     (psi weights times increments, (n_sample, L, d)); ``betas``, ``drifts``: `_drift_curves`.
+    The constants come from one row-wise pass over the paths' derivatives
+    (`projection._compute_C1_rows`), bit for bit `compute_C1` of each.
     """
     p = spec.params
     dt = float(times[1] - times[0])
@@ -713,6 +735,7 @@ def _sampled_bound(spec: ModelSpec, driver: LevyDriver, times: np.ndarray, betas
     n_pts = spec.f0.deriv_samples.shape[0]
     xg = np.linspace(0.0, p.horizon, min(n_pts, 2**12 + 1))
     base, kernel = _mild_terms(spec, driver, times, betas, xg, Curve.deriv)
-    derivs = base + np.tensordot(weighted, kernel, axes=2)
-    c1s = [compute_C1(Curve(0.0, d, p.horizon), p) for d in derivs]
-    return A_common, float(np.mean(c1s))
+    derivs = np.tensordot(weighted, kernel, axes=2)
+    derivs += base
+    del kernel                              # the run's largest array
+    return A_common, float(np.mean(_compute_C1_rows(derivs, p)))

@@ -38,7 +38,7 @@ from .basis import (
     lambda_n,
 )
 from .errors import DomainTooShort, NotSmoothEnough
-from .space import Curve, _node_count, _simpson_weights
+from .space import Curve, _node_count, _simpson_rule, _simpson_weights
 
 __all__ = [
     "CoeffState",
@@ -300,30 +300,61 @@ def compute_C1(f: Curve, params: BasisParams) -> float:
              / (pi^2 (1 - e^{-2 lam T}))
 
     and ||f - Pi_k f||^2 <= C1 / k.  f'' is obtained by centred differences of
-    the stored derivative samples (one-sided second order at the boundary).
+    f' on the max(4097, n) nodes of [0, T], made odd, where f stores n
+    samples (one-sided second order at the boundary): the one-curve case of
+    `_compute_C1_rows`.
     """
     T = params.horizon
     if not f._covers(T):
         raise DomainTooShort("curve must cover [0, T]")
-    npts = max(COEFF_POINTS, f.deriv_samples.shape[0])
-    if npts % 2 == 0:
-        npts += 1
+    return _compute_C1_rows(f._deriv_on(T, _c1_points(f.deriv_samples.shape[0]))[None],
+                            params)[0]
+
+
+def _c1_points(n: int) -> int:
+    """The node count of `compute_C1`'s quadrature for f' stored on n nodes:
+    at least COEFF_POINTS, and odd."""
+    npts = max(COEFF_POINTS, n)
+    return npts + 1 - npts % 2
+
+
+def _compute_C1_rows(d: np.ndarray, params: BasisParams) -> list[float]:
+    """`compute_C1` of Curve(0, row, T) for each row of ``d`` (m, n), f' on
+    the n nodes of [0, T], bit for bit, in one pass over the rows.
+
+    Rows on fewer than 4097 nodes, or on an even count, are first resampled
+    to `_c1_points(n)` nodes through each curve's spline, as `compute_C1`
+    reads them.  The differences and
+    quadratures then run on the whole block (each sum reduces one contiguous
+    row, as for one curve) and the closing scalars are formed per row in
+    `compute_C1`'s arithmetic.  One rough row raises NotSmoothEnough.  The
+    half-resolution check runs on (npts + 1) / 2 nodes, an even count when
+    npts is 3 mod 4, which takes `space._simpson_rule`'s end correction.
+    """
+    T = params.horizon
+    d = np.asarray(d, dtype=np.complex128)
+    npts = _c1_points(d.shape[-1])
+    if npts != d.shape[-1]:
+        d = np.stack([Curve(0.0, row, T)._deriv_on(T, npts) for row in d])
     _, w, weight = _fold_grid(npts, params)
-    d = f._deriv_on(T, npts)
     h = T / (npts - 1)
-    d2 = np.gradient(d, h, edge_order=2)
-    integral = float(np.sum(w * np.abs(d2) * weight))
+    d2 = np.gradient(d, h, axis=-1, edge_order=2)
+    integrals = np.sum(w * np.abs(d2) * weight, axis=-1).tolist()
     # refinement sanity check: recompute the curvature at half resolution;
     # for genuinely twice-differentiable data the two quadratures agree
     half = slice(None, None, 2)
-    d2_half = np.gradient(d[half], 2 * h, edge_order=2)
-    w_half = _simpson_weights((npts - 1) // 2 + 1, 2 * h)
-    integral_half = float(np.sum(w_half * np.abs(d2_half) * weight[half]))
-    if integral > 1e-8 and abs(integral - integral_half) > 0.25 * integral:
-        raise NotSmoothEnough("second-derivative quadrature did not stabilise")
-    boundary = abs(d[-1] * np.exp(T * params.decay) - d[0]) ** 2
+    d2_half = np.gradient(d[:, half], 2 * h, axis=-1, edge_order=2)
+    w_half = _simpson_rule((npts - 1) // 2 + 1, 2 * h)   # end-corrected if even
+    halves = np.sum(w_half * np.abs(d2_half) * weight[half], axis=-1).tolist()
+    growth = np.exp(T * params.decay)
     denom = np.pi**2 * params.damping_factor
-    return float(T * (boundary + integral**2) / denom)
+    c1s = []
+    for row, integral, integral_half in zip(d, integrals, halves):
+        if integral > 1e-8 and abs(integral - integral_half) > 0.25 * integral:
+            raise NotSmoothEnough("second-derivative quadrature did not stabilise")
+        boundary = abs(row[-1] * growth - row[0]) ** 2
+        c1s.append(float(T * (boundary + integral**2) / denom))
+    return c1s
 
 
 def compute_C2(params: BasisParams) -> float:

@@ -234,6 +234,24 @@ def test_converge_off_grid_step_golden(tmp_path):
         CONVERGE_FALLBACK_GOLDEN
 
 
+def converge_sha_at_one_thread(tmp_path, config, changes, *flags):
+    """sha256 of converge.csv for configs/<config> with f0 read from
+    data/bump_curve.csv and ``changes`` applied, run in a fresh interpreter
+    at one BLAS thread."""
+    root = Path(__file__).resolve().parent.parent
+    cfg = json.loads((root / "configs" / config).read_text())
+    cfg["f0"] = str(root / "data" / "bump_curve.csv")
+    cfg.update(changes)
+    out = tmp_path / "out"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    subprocess.run([sys.executable, "-m", "fwdapprox.cli", "converge", *flags, "--config",
+                    write_cfg(tmp_path, "c.json", cfg), "--out", str(out)],
+                   env=env, capture_output=True, check=True)
+    return hashlib.sha256((out / "converge.csv").read_bytes()).hexdigest()
+
+
 # sha256 of converge.csv for converge --markovian on configs/markovian.json
 # cut to one path, recorded at one BLAS thread before the Euler loop and the
 # oracle step were cut down to the pinned folds.  It runs in a fresh
@@ -243,18 +261,29 @@ CONVERGE_MARKOVIAN_GOLDEN = "72521203784313dc80e157105e236f14009b35fea84a79c08ab
 
 
 def test_converge_markovian_one_path_golden(tmp_path):
-    root = Path(__file__).resolve().parent.parent
-    cfg = json.loads((root / "configs" / "markovian.json").read_text())
-    cfg.update(f0=str(root / "data" / "bump_curve.csv"), n_paths=1)
-    out = tmp_path / "out"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    subprocess.run([sys.executable, "-m", "fwdapprox.cli", "converge", "--markovian", "--config",
-                    write_cfg(tmp_path, "m.json", cfg), "--out", str(out)],
-                   env=env, capture_output=True, check=True)
-    assert hashlib.sha256((out / "converge.csv").read_bytes()).hexdigest() == \
-        CONVERGE_MARKOVIAN_GOLDEN
+    assert converge_sha_at_one_thread(tmp_path, "markovian.json", {"n_paths": 1},
+                                      "--markovian") == CONVERGE_MARKOVIAN_GOLDEN
+
+
+# sha256 of converge.csv on configs/default.json at seed 0, recorded at one
+# BLAS thread before the chunk loop wrote into one error buffer and the bound
+# took its curvature constants in one pass.  "mc-rate" is the benchmark's
+# shape, 2,000 paths x 128 steps, whose last chunk has 464 rows; "bump-257"
+# puts f0 on 257 nodes, so the bound's rows are resampled to the quadrature's
+# 4,097 nodes before their curvature is taken
+CONVERGE_SEED0_GOLDEN = {
+    "mc-rate": ({"n_paths": 2000, "n_steps": 128},
+                "aa8158ce9947300a9afc807e70d0d132c1dda79cbc831e638b99533474b67fdb"),
+    "bump-257": ({"n_paths": 100, "f0": {"kind": "bump", "n_points": 257}},
+                 "2a5971ae0b3d0d29fc863681c26d2b58e580ef4dbf2b30a30f856503c97c15a9"),
+}
+
+
+@pytest.mark.parametrize("case", list(CONVERGE_SEED0_GOLDEN))
+def test_converge_seed0_golden(tmp_path, case):
+    changes, sha = CONVERGE_SEED0_GOLDEN[case]
+    assert converge_sha_at_one_thread(tmp_path, "default.json",
+                                      {"seed": 0, **changes}) == sha
 
 
 def test_converge_bound_evaluates_each_curve_once(tmp_path, monkeypatch):

@@ -406,6 +406,32 @@ def test_convergence_experiment_memory_does_not_grow_with_paths():
     assert large <= 1.1 * small, (small, large)
 
 
+# tracemalloc peak of the run below, measured with one error buffer per run
+# and the bound's kernel released before its curvature pass; the test allows
+# 1 MB above it
+CONVERGENCE_PEAK_MB = 30.34
+
+
+def test_convergence_experiment_peak_memory():
+    # 512 paths x 128 steps, k = 4..64: the peak is the bound's complex
+    # derivative kernel (128 x 3 x 4097, 25 MB) and the sum it contracts to
+    spec, drv = make_spec(beta_level=0.05), make_driver()
+
+    def peak():
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        convergence_experiment(spec, drv, 0.5, [4, 8, 16, 32, 64], 512, n_steps=128)
+        return tracemalloc.get_traced_memory()[1] - start
+
+    tracemalloc.start()
+    try:
+        peak()                              # fills the projection memos under tracing
+        got = peak()
+    finally:
+        tracemalloc.stop()
+    assert got <= (CONVERGENCE_PEAK_MB + 1.0) * 1e6, got
+
+
 def test_convergence_experiment_rows_do_not_depend_on_the_chunk(monkeypatch):
     # two full chunks and a partial one, against the smallest chunk the bound
     # allows and one chunk of every path; BLAS may round rows of products of
@@ -578,6 +604,27 @@ def test_half_spectrum_value_equals_full_spectrum(alpha, lam, T, k, n_paths, see
     scale = np.abs(c_star) + np.sum(np.abs(c), axis=-1)
     assert half.dtype == np.float64
     assert np.all(np.max(np.abs(half - full), axis=-1) <= 1e-12 * scale)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(0, 64), n_paths=st.integers(1, 6), spare=st.integers(0, 3),
+       n_x=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_half_spectrum_writes_into_a_given_buffer(k, n_paths, spare, n_x, seed):
+    # the values go into ``out``, a prefix of the run's error buffer when the
+    # last chunk is partial, bit for bit as the allocating call makes them;
+    # the state and the rest of the buffer stay as they were
+    rows = n_paths + spare
+    rng = np.random.default_rng(seed)
+    values = _half_spectrum(P, k, np.linspace(0.0, 0.5, n_x))
+    c_star = rng.normal(size=n_paths) + 0j
+    c = hermitian(rng, (n_paths, 2 * k + 1))
+    inputs = c_star.copy(), c.copy()
+    buf = np.full((rows, n_x), 7.0)
+    got = values(c_star, c, out=buf[:n_paths])
+    assert np.shares_memory(got, buf) and got.shape == (n_paths, n_x)
+    assert np.array_equal(got, values(c_star, c))
+    assert np.array_equal(buf[:n_paths], got) and np.all(buf[n_paths:] == 7.0)
+    assert np.array_equal(c_star, inputs[0]) and np.array_equal(c, inputs[1])
 
 
 @pytest.mark.parametrize("which", ["f0", "f0-value", "loading", "drift"])

@@ -14,6 +14,7 @@ from fwdapprox.basis import (
 from fwdapprox.errors import DomainTooShort, NotSmoothEnough
 from fwdapprox.projection import (
     CoeffState,
+    _compute_C1_rows,
     _fold_grid,
     _fold_input,
     _fold_rows,
@@ -164,6 +165,49 @@ def test_compute_C1_rejects_rough_data():
     f = Curve(0.0, rng.normal(size=2**12 + 1), 1.0)
     with pytest.raises(NotSmoothEnough):
         compute_C1(f, P)
+
+
+@pytest.mark.parametrize("n", [4098, 4099, 8195])
+def test_compute_C1_where_the_half_grid_has_an_even_count(n):
+    # quadratures on 4099 and 8195 nodes check against 2050 and 4098 nodes,
+    # an even count, on which composite Simpson needs the end correction
+    ref = compute_C1(smooth_bump(x_max=1.0, n_points=4097), P)
+    assert compute_C1(smooth_bump(x_max=1.0, n_points=n), P) == pytest.approx(ref, rel=1e-5)
+
+
+def smooth_rows(rng, m, n, T):
+    """m smooth derivative rows on the n nodes of [0, T]: random damped waves."""
+    x = np.linspace(0.0, T, n)
+    a, w, r, phase = (rng.uniform(lo, hi, size=(m, 1)) for lo, hi in
+                      ((-1.0, 1.0), (0.5, 12.0), (-2.0, 2.0), (0.0, 6.3)))
+    return a * np.exp(r * x) * np.cos(w * x + phase)
+
+
+@pytest.mark.parametrize("n", [256, 257, 4096, 4097, 4098, 4099, 5001])
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(1, 5), alpha=st.floats(0.2, 3.0), lam=st.floats(0.1, 2.0),
+       T=st.floats(0.5, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_compute_C1_rows_equal_compute_C1_row_by_row(n, m, alpha, lam, T, seed):
+    # node counts below, at and above the quadrature's 4097, odd and even: the
+    # rows off it are resampled through each curve's spline first
+    rng = np.random.default_rng(seed)
+    p = BasisParams(alpha, lam, T)
+    rows = smooth_rows(rng, m, n, T)
+    assert _compute_C1_rows(rows, p) == [compute_C1(Curve(0.0, d, T), p) for d in rows]
+
+
+@pytest.mark.parametrize("n", [4096, 4097, 4098, 5001])
+@pytest.mark.parametrize("rough", [0, 2])
+def test_compute_C1_rows_reject_one_rough_row(n, rough):
+    # noise among smooth rows fails the half-resolution check.  On far fewer
+    # nodes than the quadrature's, the spline smooths noise out, as it does
+    # for compute_C1
+    rng = np.random.default_rng(n)
+    rows = smooth_rows(rng, 3, n, 1.0)
+    _compute_C1_rows(rows, P)
+    rows[rough] = rng.normal(size=n)
+    with pytest.raises(NotSmoothEnough):
+        _compute_C1_rows(rows, P)
 
 
 def test_compute_C2_frozen_value():
