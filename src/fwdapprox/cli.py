@@ -10,10 +10,11 @@ Every subcommand takes --config <json file> and --out <directory>.  Outputs
 are deterministic for a fixed config (no timestamps); CSV is the normative
 format, SVG plots are advisory.
 
-Exit codes: 0 success, 1 invariant failure, 2 config error, 3 numerical
-failure (instability, domain exhaustion, failed smoothness check).  A config
-value of the wrong type, a non-integral integer, a non-finite number or one
-out of range is a config error.  The ranges: alpha, lambda, horizon,
+Exit codes: 0 success, 1 invariant failure, 2 config error (a run out of
+memory included: its one line names the sizes to lower), 3 numerical failure
+(instability, domain exhaustion, failed smoothness check).  A config value of
+the wrong type, a non-integral integer, a non-finite number or one out of
+range is a config error.  The ranges: alpha, lambda, horizon,
 time_step, t_eval, law_param > 0; seed >= 0; rank >= 1; x_points
 in [1, 2^16]; n_paths in [1, 10^6]; n_steps in [1, 2^20]; for simulate,
 time_step dividing t_eval into a step count in [1, 2^20] (converge steps
@@ -512,6 +513,10 @@ def main(argv=None) -> int:
         return cmd_converge(cfg, base_dir, out, args.markovian)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("config error: out of memory; lower n_steps (or t_eval / time_step), n_paths, "
+              "x_points or a curve's n_points", file=sys.stderr)
         return 2
     except (UnstableStep, DomainTooShort, NotSmoothEnough) as e:
         print(f"numerical failure: {e}", file=sys.stderr)

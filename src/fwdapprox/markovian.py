@@ -15,8 +15,8 @@ outputs are values at zero (m,) and derivative samples (m, n) on that grid
 each output once in that form (`_output`), read their fixed curves onto the
 grid once per set-up and read the state only on the nodes below T - t;
 their `Curve` callables are built from it and carry it as ``on_grid``.
-Other fields run through one adapter (`_masked_field`), which builds the
-masked state `Curve` on the set-up grid.
+Other fields run through one adapter (`_masked_field`).  In both, a field
+output lies on its input's grid.
 """
 from __future__ import annotations
 
@@ -30,8 +30,7 @@ from .basis import (BasisParams, eval_g_n, eval_g_n_deriv, frame_lower_constant,
 from .dynamics import (LevyDriver, ModelSpec, SimPath, StateVariables,
                        _curve_recursion, _euler_intervals, _euler_path, _time_grid)
 from .projection import CoeffState, coefficients_fft, reconstruct_deriv
-from .space import (Curve, _common_grid, _mask_start, _node_count, _Rows, _rows_on,
-                    norm_alpha)
+from .space import Curve, _mask_start, _Rows, _rows_on, norm_alpha
 from .testcurves import flat_curve
 
 __all__ = [
@@ -155,9 +154,9 @@ def _output(curves: Sequence[Curve], setup=None, single: bool = False):
     ``on_grid`` attribute (so wrappers made with `functools.wraps` keep it):
     ``on_grid(x_max, n)`` sets the output up on the grid of [0, x_max] with
     n nodes and returns its step; without ``setup`` the step returns the very
-    rows it read.  The `Curve` form runs the same step on the common grid of
-    f and ``curves`` (`space._common_grid`), or returns ``curves``
-    themselves; ``single`` unpacks its one output.
+    rows it read.  The `Curve` form runs the same step on f's own grid, its
+    outputs on the rows' range, or returns ``curves`` themselves; ``single``
+    unpacks its one output.
     """
     def on_grid(x_max: float, n: int):
         rows = _rows_on(curves, x_max, n)
@@ -167,10 +166,9 @@ def _output(curves: Sequence[Curve], setup=None, single: bool = False):
         if setup is None:
             outs = tuple(curves)
         else:
-            x_max, step = _common_grid((f, *curves))
-            n = _node_count(x_max, step)
-            rows = on_grid(x_max, n)(t, f.value_at_zero, lambda m: f._deriv_on(x_max, n)[:m], n)
-            outs = tuple(Curve(v, d, x_max) for v, d in zip(rows.values, rows.samples))
+            n = f.deriv_samples.shape[0]
+            rows = on_grid(f.x_max, n)(t, f.value_at_zero, lambda m: f.deriv_samples[:m], n)
+            outs = tuple(Curve(v, d, rows.x_max) for v, d in zip(rows.values, rows.samples))
         return outs[0] if single else outs
 
     curve_form.on_grid = on_grid
@@ -219,10 +217,11 @@ def contract_audit(cf: CoefficientField, params: BasisParams, *,
                    n_pairs: int = 100, seed: int = 0) -> dict:
     """Empirical check of the declared Lipschitz, growth and structure promises.
 
-    Random real span curves of level AUDIT_K_SPAN are fed through the masked
-    inputs at times drawn from AUDIT_TIMES; reported are the worst observed
-    ratios (must be <= 1 for a honest field) and the largest output change
-    under tail-only perturbations (must be exactly 0).
+    Random real span curves of level AUDIT_K_SPAN on 513 nodes are fed
+    through the masked inputs at times drawn from AUDIT_TIMES; reported are
+    the worst observed ratios (must be <= 1 for a honest field) and the
+    largest output change under tail-only perturbations (must be exactly 0).
+    A registry field answers on its input's grid, as the schemes read it.
     """
     rng = np.random.default_rng(seed)
     x_max = 2.0 * params.horizon
@@ -233,8 +232,7 @@ def contract_audit(cf: CoefficientField, params: BasisParams, *,
         n_c = 2 * AUDIT_K_SPAN + 1
         c = rng.normal(size=n_c) + 1j * rng.normal(size=n_c)
         c = 0.5 * (c + np.conj(c[::-1]))     # hermitian: real curve
-        # drop the synthesis' rounding-level imaginary part: a real curve
-        # builds one spline when another grid resamples it
+        # drop the synthesis' rounding-level imaginary part
         return Curve(complex(rng.normal()), (c @ gd).real, x_max)
 
     worst_lip_b = worst_lip_psi = worst_growth = worst_structure = 0.0
@@ -283,7 +281,7 @@ def _masked_field(cf: CoefficientField, params: BasisParams):
     m of those nodes; any other goes through one adapter, which builds the
     masked state `Curve` on the grid, its samples padded with zeros, calls
     ``b`` and ``psi`` and reads each output on the grid's nodes
-    (`Curve._deriv_on`).
+    (`space._rows_on`): for a registry field, its array form's bit for bit.
     """
     forms = [getattr(fn, "on_grid", None) for fn in (cf.b, cf.psi)]
 

@@ -370,16 +370,10 @@ def _first_node_beyond(x_max: float, n: int, cut: float) -> int:
     return i
 
 
-def _common_grid(curves) -> tuple[float, float]:
-    """(x_max, step) of the one grid for ``curves``: the finest step over the
-    shortest range."""
-    return min(c.x_max for c in curves), min(c.grid_step for c in curves)
-
-
 def _align(f: Curve, g: Curve) -> tuple[Curve, Curve]:
-    """Both curves on their common grid (`_common_grid`): an operand already
-    on it (`_on_grid`) is kept, the other resampled."""
-    x_max, step = _common_grid((f, g))
+    """Both curves on their common grid, the finer step over the shorter
+    range: an operand already on it (`_on_grid`) is kept, the other resampled."""
+    x_max, step = min(f.x_max, g.x_max), min(f.grid_step, g.grid_step)
     return tuple(c if _on_grid(c, x_max, step) else c.resample(step, x_max)
                  for c in (f, g))
 

@@ -243,13 +243,34 @@ def converge_sha_at_one_thread(tmp_path, config, changes, *flags):
     cfg["f0"] = str(root / "data" / "bump_curve.csv")
     cfg.update(changes)
     out = tmp_path / "out"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     subprocess.run([sys.executable, "-m", "fwdapprox.cli", "converge", *flags, "--config",
                     write_cfg(tmp_path, "c.json", cfg), "--out", str(out)],
-                   env=env, capture_output=True, check=True)
+                   env=one_thread_env(), capture_output=True, check=True)
     return hashlib.sha256((out / "converge.csv").read_bytes()).hexdigest()
+
+
+def one_thread_env():
+    """The environment of a fresh interpreter that imports this fwdapprox at one BLAS thread."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def test_run_out_of_memory_is_a_config_error(tmp_path):
+    # configs/default.json at 2^14 steps needs a 512 MiB array.  A child
+    # that caps its own address space at 512 MiB runs out of memory there
+    # and must exit 2 with one config error line, not a traceback
+    pytest.importorskip("resource")
+    root = Path(__file__).resolve().parent.parent
+    cfg = json.loads((root / "configs" / "default.json").read_text())
+    cfg.update(f0=str(root / "data" / "bump_curve.csv"), n_steps=2**14, n_paths=64, k_list=[4])
+    code = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({2**29}, {2**29})); "
+            "from fwdapprox.cli import main; sys.exit(main(sys.argv[1:]))")
+    run = subprocess.run([sys.executable, "-c", code, "converge", "--config",
+                          write_cfg(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")],
+                         env=one_thread_env(), capture_output=True, text=True)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("config error: out of memory") and run.stderr.count("\n") == 1
 
 
 # sha256 of converge.csv for converge --markovian on configs/markovian.json
@@ -734,14 +755,15 @@ def test_cli_csvs_are_the_csv_modules_bytes(tmp_path, argv):
 
 
 # x_points and every curve spec's n_points at their caps (2^16, 2^20 + 1) and
-# one beyond.  At the cap a Markovian run takes 8 to 26 s (most of it in the
-# contract audit), so those take an in-cap 2^12 + 1 instead
+# one beyond.  A Markovian run's Euler folds run on f0's nodes and take about
+# 9 s with f0 at the cap, so f0 there takes an in-cap 2^12 + 1 instead
 SIZE_CASES = [
     pytest.param(argv, path, value, id=f"{' '.join(argv)}-{'.'.join(map(str, path))}-{value}")
     for argv, cfg in FUZZ_CONFIGS.items() for path in key_paths(cfg)
     if path[-1] in ("x_points", "n_points")
     for value in ((2**16, 2**16 + 1) if path[-1] == "x_points"
-                  else (2**12 + 1 if argv == MARKOVIAN else 2**20 + 1, 2**20 + 2))]
+                  else (2**12 + 1 if (argv, path[0]) == (MARKOVIAN, "f0") else 2**20 + 1,
+                        2**20 + 2))]
 
 
 @pytest.mark.parametrize("argv, path, value", SIZE_CASES)

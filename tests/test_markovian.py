@@ -64,16 +64,17 @@ def test_contract_audit_passes_for_registry_fields():
 
 
 # contract_audit(..., n_pairs=50, seed=7) on make_driver(): the audit's
-# random curves, and the order it draws them in, fix these dicts bit for bit
+# random curves, and the order it draws them in, fix these dicts bit for bit.
+# The fields answer on the random curves' own 513 nodes
 _AUDIT_PINNED = {
     "mean_revert": ({"kappa": 0.5, "theta": flat_curve(1.2)},
-                    {"lipschitz_b_ratio": 0.40168922304328336, "lipschitz_psi_ratio": 0.0,
-                     "growth_ratio": 0.37448398789394666, "structure_leak": 0.0}),
+                    {"lipschitz_b_ratio": 0.4016651641014532, "lipschitz_psi_ratio": 0.0,
+                     "growth_ratio": 0.3743807589632313, "structure_leak": 0.0}),
     "constant": ({"b_curve": seasonal_curve(0.1)},
                  {"lipschitz_b_ratio": 0.0, "lipschitz_psi_ratio": 0.0,
                   "growth_ratio": 0.2698115814224893, "structure_leak": 0.0}),
     "proportional_vol": ({"sigma0": 0.2},
-                         {"lipschitz_b_ratio": 0.0, "lipschitz_psi_ratio": 0.012611477931553759,
+                         {"lipschitz_b_ratio": 0.0, "lipschitz_psi_ratio": 0.01261147793170926,
                           "growth_ratio": 0.0, "structure_leak": 0.0}),
 }
 
@@ -85,22 +86,50 @@ def test_contract_audit_is_pinned(name):
                           n_pairs=50, seed=7) == want
 
 
-def test_contract_audit_fits_no_spline_to_rounding_noise(monkeypatch):
-    # the audit's random curves are real; resampling one for theta - f must
-    # not fit a spline to a rounding-level imaginary part of its synthesis
-    built = []
-    spline = space.CubicSpline
+def _built_curves(monkeypatch, field) -> list:
+    """The node counts of the curves `contract_audit` builds and of the
+    splines it fits, for ``field``, as ([curves], [splines])."""
+    curves, splines = [], []
+    post_init, spline = Curve.__post_init__, space.CubicSpline
 
-    def recording(x, y, *args, **kwargs):
-        built.append(float(np.max(np.abs(y))))
+    def recording_curve(self):
+        post_init(self)
+        curves.append(self.deriv_samples.shape[0])
+
+    def recording_spline(x, y, *args, **kwargs):
+        splines.append(len(x))
         return spline(x, y, *args, **kwargs)
 
-    monkeypatch.setattr(space, "CubicSpline", recording)
-    field = make_field("mean_revert", make_driver(), P, kappa=0.5,
-                       theta=flat_curve(1.2))
+    monkeypatch.setattr(Curve, "__post_init__", recording_curve)
+    monkeypatch.setattr(space, "CubicSpline", recording_spline)
     contract_audit(field, P, n_pairs=5)
-    assert built, "the audit resamples its curves onto theta's grid"
-    assert sum(m < 1e-12 for m in built) == 0
+    monkeypatch.undo()
+    return curves, splines
+
+
+def test_contract_audit_fits_no_spline_to_rounding_noise(monkeypatch):
+    # a field answers on its input's grid: the audit's random curves, the
+    # only ones on its 513 nodes, are never read through a spline, so none
+    # is fit to a rounding-level imaginary part of their synthesis either
+    # (the field's own 4097-node curves are, once each)
+    for name, kw in (("mean_revert", {"kappa": 0.5, "theta": flat_curve(1.2)}),
+                     ("proportional_vol", {"sigma0": 0.2})):
+        curves, splines = _built_curves(monkeypatch, make_field(name, make_driver(), P, **kw))
+        assert 513 in curves, name
+        assert 513 not in splines, name
+
+
+def test_contract_audit_builds_no_curve_finer_than_its_own(monkeypatch):
+    # the audit's cost does not follow theta's resolution: at 2^20 + 1
+    # points every curve it builds lies on its own 513 nodes or the
+    # loadings' 257 (theta's spline is built once, for the read)
+    loads = [exp_loading(0.05, r, n_points=257) for r in (0.5, 1.0, 2.0)]
+    drv = LevyDriver(rank=3, loadings=loads, seed=11)
+    field = make_field("mean_revert", drv, P, kappa=0.5,
+                       theta=seasonal_curve(1.2, n_points=2**20 + 1))
+    curves, splines = _built_curves(monkeypatch, field)
+    assert max(curves) == 513
+    assert splines == [2**20 + 1]
 
 
 def test_contract_audit_evaluates_each_field_output_once_per_input():
@@ -408,6 +437,8 @@ _FIELDS = {   # case: (registry name, keywords)
     "mean_revert_0": ("mean_revert", {"kappa": 0.0, "theta": flat_curve(1.2)}),
     "proportional_vol": ("proportional_vol", {"sigma0": 0.2}),
     "linear": ("constant", {"b_curve": seasonal_curve(0.1)}),
+    # theta ends at 1.7, off f0's grid: the drift's rows stop short of f0's range
+    "mean_revert_short": ("mean_revert", {"kappa": 0.5, "theta": seasonal_curve(1.2, x_max=1.7)}),
 }
 
 
@@ -424,9 +455,8 @@ def _curve_form(field):
 def test_array_form_equals_curve_form(case, n_points, t, seed):
     # every registry field and the linear one define their outputs once, on
     # arrays; the Curve callables and the adapter that feeds them the masked
-    # state must give the same outputs on f0's grid.  The field's curves lie
-    # on a 4097-point grid: on it the two agree bit for bit, on 257 points
-    # the Curve form resamples through splines
+    # state must give the same outputs bit for bit, on any grid of f0: the
+    # Curve form answers on its input's grid, as the array form does
     drv = make_driver()
     name, kw = _FIELDS[case]
     field = make_field(name, drv, P, **kw)
@@ -444,11 +474,10 @@ def test_array_form_equals_curve_form(case, n_points, t, seed):
     got = arrays(*grid)(t, f.value_at_zero, lambda m: f.deriv_samples[:m])
     want = markovian._masked_field(_curve_form(field), P)(*grid)(
         t, f.value_at_zero, lambda m: f.deriv_samples[:m])
-    tol = 0.0 if n_points == 4097 else 1e-13
     for a, b in zip(got, want, strict=True):
         assert a.x_max == b.x_max and a.samples.shape == b.samples.shape
-        assert np.max(np.abs(a.values - b.values)) <= tol * max(1.0, np.max(np.abs(b.values)))
-        assert np.max(np.abs(a.samples - b.samples)) <= tol * max(1.0, np.max(np.abs(b.samples)))
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.samples.tobytes() == b.samples.tobytes()
 
 
 @pytest.mark.parametrize("t_end, L", [(1.0, 64), (0.5, 30)], ids=["node", "off-node"])
@@ -456,8 +485,8 @@ def test_array_form_equals_curve_form(case, n_points, t, seed):
 def test_adapter_oracle_equals_array_form_oracle(case, t_end, L):
     # the adapter builds the masked state `Curve` on the grid the field was
     # set up on (f0's, when dt = 1/64 is a node; each state's own at dt = 1/60)
-    # and reads the outputs back onto it; for the registry fields, whose
-    # curves share f0's grid, the oracle must not tell the two forms apart
+    # and reads the outputs back onto it; for every registry field, its
+    # curves on f0's grid or not, the oracle must not tell the two forms apart
     drv, spec = make_driver(), make_spec()
     name, kw = _FIELDS[case]
     field = make_field(name, drv, P, **kw)
@@ -477,7 +506,9 @@ def test_adapter_oracle_equals_array_form_oracle(case, t_end, L):
 # k = 2 and 64 steps over [0, 0.5] (64 over [0, 1] break k = 2's stability
 # limit, 1.26e-2); oracle and Picard map: 64 steps over [0, 1], where dt is
 # a node of f0's grid, and 30 over [0, 0.5], where it is not.  A zero drift
-# (mean_revert_0) adds only zeros, so it shares constant's states
+# (mean_revert_0) adds only zeros, so it shares constant's states.
+# mean_revert_short's came later, from the registry form before a field's
+# Curve form answered on its input's grid (its plain copy differed then)
 _LOOP_SHA256 = {  # case: (Euler, oracle on the nodes, oracle off them)
     "constant": ("81b9fed27977a0e60cc755a40dd999300e57178b541dae0948b8f10fbf58e7b5",
                  "f6ea3963bb1673fc5f94cfd929abeae88264cb4e120282aa4fec37cbb0d3c6e5",
@@ -491,6 +522,9 @@ _LOOP_SHA256 = {  # case: (Euler, oracle on the nodes, oracle off them)
     "proportional_vol": ("4891f0dd47ad4b299215aafc3f8a2aa1fd068be3270d62525b6ac79c37a2a6ac",
                          "029411eae3f0e2b8f1c33bc749e62793ba37584ff0c2d7612b0a437718a638f9",
                          "667d710fe260027196e8cff77fdd41eb5ccab0da4be6782900a091e727c6c64f"),
+    "mean_revert_short": ("4d14d014f6fa2019ba7b74048188722e62e0f7058a78d0eaa265a4a5179e6b07",
+                          "704b5da57e6248c94cacb2f4b553267107987c293b7bca03fb074aa0ee3786ed",
+                          "7d0d6c96df3c38e8bc6960004e45e1f739b3e24fe8e75c31bdc12d7aa2fb1b39"),
 }
 _LOOP_SHA256.update(mean_revert_0=_LOOP_SHA256["constant"], linear=_LOOP_SHA256["constant_b"])
 

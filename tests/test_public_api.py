@@ -138,6 +138,14 @@ def test_fold_helpers_stay_with_their_owners():
                                  f"{sorted(users - allowed)}"
 
 
+def test_fields_read_their_input_on_its_own_nodes():
+    # a field output lies on its input's grid: markovian.py reads the state
+    # off its own nodes, never through a common grid, a resample or a spline read
+    text = (Path(fwdapprox.__file__).parent / "markovian.py").read_text()
+    for name in ("_common_grid", "_align", "resample", "_deriv_on"):
+        assert name not in text, f"markovian.py names {name}"
+
+
 def test_projection_has_one_fold_and_one_synthesis_fft():
     # every fold runs the DFT of _fold_rows and every synthesis that of
     # _synth_fft; a second fold path with its own FFT fails here
