@@ -142,14 +142,13 @@ def _read_curve(spec, base_dir: Path) -> Curve:
     if kind not in factory:
         raise ConfigError(f"unknown curve kind {kind!r}")
     try:
-        # an overflow is reported by the finiteness check below, not as a warning
+        # an overflow gives non-finite values, which `Curve` rejects, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            curve = factory[kind](**kw)
+            return factory[kind](**kw)
     except TypeError as e:
         raise ConfigError(f"bad arguments for curve kind {kind!r}: {e}") from e
-    if not (np.isfinite(curve.deriv_samples).all() and np.isfinite(curve.value_at_zero)):
-        raise ConfigError(f"curve kind {kind!r} with {kw} gives non-finite values")
-    return curve
+    except ValueError as e:
+        raise ConfigError(f"curve kind {kind!r} with {kw}: {e}") from e
 
 
 def load_driver(cfg: dict, base_dir: Path, seed: int) -> LevyDriver:

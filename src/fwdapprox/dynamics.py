@@ -61,6 +61,12 @@ BOUND_PATHS = 64       # paths whose curvature constants enter the sampled bound
 # last bits on 2,000 paths x 128 steps, at 512 it does not
 _PATH_CHUNK = 512
 _BLOCK_POINTS = 2**16  # distinct points per `_mild_terms` spline evaluation
+_MASK64, _MASK128 = 2**64 - 1, 2**128 - 1
+# numpy's SeedSequence hash (start and step of its two multipliers, its mix)
+# and PCG64's LCG multiplier, which `LevyDriver._path_rngs` runs for path_rng
+_HASH_A, _MULT_A, _HASH_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def splitmix64(x: int) -> int:
@@ -78,7 +84,9 @@ class LevyDriver:
     Each of the ``rank`` factors carries a loading curve; an increment over dt
     adds sum_i loadings[i] * dL_i with dL_i mean zero and variance dt.  The
     subordinated laws time-change a standard normal, which keeps the mean at
-    zero and the variance at the subordinator mean dt.
+    zero and the variance at the subordinator mean dt.  Path i draws from
+    `path_rng(i)`; `_path_rngs` seeds the same streams for many paths in one
+    pass.
     """
 
     rank: int
@@ -98,8 +106,46 @@ class LevyDriver:
                 raise ValueError(f"{self.increment_law} needs a positive law parameter")
 
     def path_rng(self, path_id: int) -> np.random.Generator:
-        return np.random.default_rng((self.seed & 0xFFFFFFFFFFFFFFFF)
-                                     ^ splitmix64(path_id))
+        return np.random.default_rng((self.seed & _MASK64) ^ splitmix64(path_id))
+
+    def _path_rngs(self, ids) -> Iterator[np.random.Generator]:
+        """Yield `path_rng(pid)` for each pid of ``ids``, equal draw for draw.
+
+        The streams are seeded in one pass: numpy's `SeedSequence` hash of
+        each path's seed and its `generate_state(4, uint64)` run on uint32
+        arrays over all ids, PCG64's seeding on Python ints.  One generator
+        is reused, so each one yielded is valid until the next is drawn.
+        """
+        seeds = np.array([(self.seed & _MASK64) ^ splitmix64(pid) for pid in ids], np.uint64)
+        h, zero = _HASH_A, np.zeros(seeds.shape, np.uint32)
+
+        def hashmix(v, mult):            # SeedSequence's hashmix; h advances per call
+            nonlocal h
+            v = v ^ h
+            h = h * mult & 0xFFFFFFFF
+            v = v * h
+            return v ^ (v >> 16)
+
+        pool = [hashmix(w, _MULT_A) for w in (seeds.astype(np.uint32),
+                                              (seeds >> 32).astype(np.uint32), zero, zero)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    r = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src], _MULT_A)
+                    pool[dst] = r ^ (r >> 16)
+        h = _HASH_B
+        w = [hashmix(pool[i % 4], _MULT_B).astype(np.uint64) for i in range(8)]
+        words = [(w[i] | w[i + 1] << 32).tolist() for i in range(0, 8, 2)]
+        bits = np.random.PCG64(0)
+        rng = np.random.Generator(bits)
+        for s_hi, s_lo, i_hi, i_lo in zip(*words):
+            # PCG64's srandom: inc = 2 seq + 1, then two LCG steps from state 0
+            # with the seed added between them
+            inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+            state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            yield rng
 
     def increments(self, rng: np.random.Generator, dt: float,
                    n_steps: int) -> np.ndarray:
@@ -325,9 +371,13 @@ def _exact_transport(init: CoeffState, loads, drift, weighted: np.ndarray,
         yield c_star, c
 
 
-def _final_state(init: CoeffState, loads, drift, n_steps: int, dt: float, k: int):
+def _final_state(init: CoeffState, loads, drift, dt: float, k: int, lag):
     """The last (c_star, c) of `_exact_transport` in closed form, as a function
     of ``weighted`` (..., n_steps, d).
+
+    ``lag`` is `semigroup._shift_factors` at init's level for the lags
+    n_steps dt, ..., dt; this takes modes -k..k of it, so that one evaluation
+    serves every level.
 
     The recursion is linear, so at t = L dt, with lag_l = t - t_l and inc_l
     the increment added at step l,
@@ -345,8 +395,8 @@ def _final_state(init: CoeffState, loads, drift, n_steps: int, dt: float, k: int
     sl = slice(k_max - k, k_max + k + 1)
     load_star, load_c = loads[0], loads[1][:, sl]
     d = load_star.shape[0]
-    g_lag, growth_lag = _shift_factors(init.params, k, dt * np.arange(n_steps, 0, -1))
-    g_t, growth_t = _shift_factors(init.params, k, n_steps * dt)
+    g_lag, growth_lag = (np.ascontiguousarray(f[:, sl]) for f in lag)
+    n_steps, g_t, growth_t = g_lag.shape[0], g_lag[0], growth_lag[0]
     c0 = init.c[sl]
     c_star, c = init.c_star + c0 @ g_t, growth_t * c0
     if drift is not None:
@@ -584,9 +634,10 @@ def _mild_terms(spec: ModelSpec, driver: LevyDriver, times: np.ndarray, betas,
     return base, kernel
 
 
-def _half_spectrum(params: BasisParams, k: int, x: np.ndarray):
+def _half_spectrum(G: np.ndarray):
     """Re(c_star + c @ G) on x for Hermitian states of level k, from modes
-    0..k only, as a function of (c_star, c).
+    0..k only, as a function of (c_star, c); ``G`` is (k+1, n_x), the rows
+    g_0..g_k on x (`eval_g_n`), g_0 real.
 
     With c_{-n} = conj(c_n) and g_{-n} = conj(g_n) the two modes +-n add up
     to 2 Re(c_n g_n), so the value is one real product
@@ -598,7 +649,7 @@ def _half_spectrum(params: BasisParams, k: int, x: np.ndarray):
     when it is given, as the product's output, and c_star is added there in
     place, which rounds as the allocating sum does.
     """
-    G = eval_g_n(params, np.arange(k + 1), x)       # (k+1, n_x), g_0 real
+    k = G.shape[0] - 1
     B = 2.0 * np.concatenate([G.real, -G.imag[1:]])
     B[0] = G[0].real
 
@@ -631,8 +682,10 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
     the oracle at time t_eval is evaluated directly from the mild-solution
     sum and the truncated model by the closed-form coefficient mild sum of
     the exact transport.  The paths are stepped in chunks of _PATH_CHUNK,
-    each path drawing its own stream (`LevyDriver.path_rng`), so memory does
-    not grow with n_paths; within each chunk one noise tensor is shared
+    each path drawing its own stream (`LevyDriver.path_rng`, seeded for the
+    whole chunk in one pass by `LevyDriver._path_rngs`, each generator valid
+    until the next is drawn), so memory does not grow with n_paths; within
+    each chunk one noise tensor is shared
     across every k (common random numbers), and only the per-path sup-errors
     (len(k_list), n_paths) are kept.  The noise and each level's error are
     written into one (P, L, d) and one (P, CONV_X_POINTS) array made once
@@ -651,7 +704,8 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
     loading and every drift curve, else ValueError.  Their states are then
     Hermitian (c_{-n} = conj(c_n)), so both solutions are real and the error
     is taken in real arithmetic, the model value from the half spectrum
-    (modes 0..k, `_half_spectrum`).
+    (modes 0..k, `_half_spectrum`).  The basis is evaluated once, at the
+    largest level, and each level takes its modes.
     """
     p = spec.params
     T = p.horizon
@@ -662,15 +716,15 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
     times = np.linspace(0.0, t_eval, n_steps + 1)
     betas, drifts = _drift_curves(spec, times)
     _require_real(spec, driver, drifts)
-    init, loads, drift, psi = _projected_inputs(spec, driver, times, betas,
-                                                int(max(k_list)))
+    k_max = int(max(k_list))
+    init, loads, drift, psi = _projected_inputs(spec, driver, times, betas, k_max)
 
     def weighted(ids, out: np.ndarray) -> np.ndarray:
         """psi weights times the increments of paths ``ids``, written into the
         first len(ids) rows of ``out`` (P, L, d) and returned as that view."""
         out = out[:len(ids)]
-        for row, pid in zip(out, ids):
-            row[...] = driver.increments(driver.path_rng(pid), dt, n_steps)
+        for row, rng in zip(out, driver._path_rngs(ids)):
+            row[...] = driver.increments(rng, dt, n_steps)
         out *= psi
         return out
 
@@ -681,7 +735,10 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
     x = np.linspace(0.0, T - t_eval, CONV_X_POINTS)
     base, kernel = _mild_terms(spec, driver, times, betas, x,
                                lambda c, y: c.value(y).real)
-    models = [(_final_state(init, loads, drift, n_steps, dt, k), _half_spectrum(p, k, x))
+    # the basis factors once, at the largest level; each level takes its modes
+    lag = _shift_factors(p, k_max, dt * np.arange(n_steps, 0, -1))
+    G = eval_g_n(p, np.arange(k_max + 1), x)
+    models = [(_final_state(init, loads, drift, dt, k, lag), _half_spectrum(G[:k + 1]))
               for k in k_list]
     errs = np.empty((len(k_list), n_paths))
     rows = min(_PATH_CHUNK, n_paths)

@@ -189,10 +189,11 @@ class Curve:
     """A curve represented by f(0) and samples of f' on the grid of [0, x_max].
 
     The nodes are np.linspace(0, x_max, n), n >= 2, with x_max finite and
-    positive (else ValueError): the grid starts at 0, and its step
-    ``grid_step`` is derived, x_max / (n - 1).  Values and derivatives
-    between the nodes come from one cubic spline and its antiderivative, real
-    when every sample's imaginary part is zero (as for forward prices).
+    positive, and f(0) and every sample are finite (else ValueError): the
+    grid starts at 0, and its step ``grid_step`` is derived, x_max / (n - 1).
+    Values and derivatives between the nodes come from one cubic spline and
+    its antiderivative, real when every sample's imaginary part is zero (as
+    for forward prices).
 
     A curve must not be mutated after construction, its samples included:
     the spline and every projection (`projection.coefficients_fft`) are
@@ -212,6 +213,8 @@ class Curve:
         if not 0.0 < self.x_max < np.inf:
             raise ValueError(f"a curve's nodes must increase from 0 to a finite "
                              f"x_max > 0, not to {self.x_max}")
+        if not (np.isfinite(self.value_at_zero) and np.isfinite(d).all()):
+            raise ValueError("a curve's value at zero and derivative samples must be finite")
 
     @property
     def grid_step(self) -> float:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import tracemalloc
 from unittest import mock
 
@@ -31,7 +32,7 @@ from fwdapprox.errors import BadWindow, DomainTooShort, UnstableStep
 from fwdapprox.markovian import (make_field, oracle_markovian, picard_operator_V,
                                  simulate_markovian_fk)
 from fwdapprox.projection import CoeffState, coefficients_fft, reconstruct, reconstruct_deriv
-from fwdapprox.semigroup import shift_curve
+from fwdapprox.semigroup import _shift_factors, shift_curve
 from fwdapprox.space import Curve, _simpson_weights
 from fwdapprox.testcurves import exp_loading, flat_curve, seasonal_curve, smooth_bump
 
@@ -85,6 +86,47 @@ def test_path_streams_reproducible_and_distinct():
     c = drv.increments(drv.path_rng(4), 0.1, 4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# sha256 of path 513's increments (64 steps of 0.01, make_driver's three
+# loadings) at seed 2015 under each law, recorded with numpy 2.4.6: a numpy
+# whose SeedSequence, PCG64 seeding or samplers draw another stream fails here
+STREAM_SHA256 = {
+    "gaussian": "21cb3dd61932621c1006a4dfc37088dc9d1590e0a192b6d904c952ec1f52a2d2",
+    "variance_gamma": "8fade161d74b6bcef9dfc71546f469e6efbea0246fb0249cc13da09552be4a92",
+    "nig": "307f393bb7631f15ea3286fc0cbd17c285458a8dfcf77658f0ba0b5f11c91f9a",
+}
+_LAW_PARAMS = {"gaussian": None, "variance_gamma": 0.2, "nig": 0.5}
+
+
+@pytest.mark.parametrize("law", sorted(STREAM_SHA256))
+def test_path_stream_golden(law):
+    drv = make_driver(law, _LAW_PARAMS[law], seed=2015)
+    inc = drv.increments(drv.path_rng(513), 0.01, 64)
+    assert hashlib.sha256(inc.tobytes()).hexdigest() == STREAM_SHA256[law]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(law=st.sampled_from(sorted(_LAW_PARAMS)),
+       seed=st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+       chunk=st.integers(0, 2**11), back=st.integers(0, 16), n_ids=st.integers(0, 40),
+       n_steps=st.integers(1, 9))
+def test_path_rngs_equal_path_rng_draw_for_draw(law, seed, chunk, back, n_ids, n_steps):
+    # the one-pass seeding gives each path the stream of path_rng: its state,
+    # every draw and the state after them, for ids up to 2^20 that run across
+    # a multiple of the path chunk when n_ids > back
+    drv = make_driver(law, _LAW_PARAMS[law], seed=seed)
+    start = max(dynamics._PATH_CHUNK * chunk - back, 0)
+    ids = range(start, start + n_ids)
+    got = 0
+    for pid, rng in zip(ids, drv._path_rngs(ids)):
+        want = drv.path_rng(pid)
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert drv.increments(rng, 0.01, n_steps).tobytes() == \
+            drv.increments(want, 0.01, n_steps).tobytes()
+        assert rng.bit_generator.state == want.bit_generator.state
+        got += 1
+    assert got == n_ids
 
 
 def test_oracle_pure_transport():
@@ -574,7 +616,8 @@ def test_final_state_equals_last_transport_step(alpha, lam, T, frac, k, extra, L
     dt = frac * T / L
 
     *_, (c_star, c) = _exact_transport(init, loads, drift, weighted, dt, k)
-    got_star, got = _final_state(init, loads, drift, L, dt, k)(weighted)
+    lag = _shift_factors(pk, kk, dt * np.arange(L, 0, -1))
+    got_star, got = _final_state(init, loads, drift, dt, k, lag)(weighted)
 
     sl = slice(extra, extra + 2 * k + 1)
     inc_star, inc = weighted @ loads[0], weighted @ loads[1][:, sl]
@@ -600,7 +643,7 @@ def test_half_spectrum_value_equals_full_spectrum(alpha, lam, T, k, n_paths, see
     c = hermitian(rng, (n_paths, 2 * k + 1))
     x = np.concatenate([[0.0, T], rng.uniform(0.0, T, size=31)])
     full = (c_star[:, None] + c @ eval_g_n(pk, pk.n_range(k), x)).real
-    half = _half_spectrum(pk, k, x)(c_star, c)
+    half = _half_spectrum(eval_g_n(pk, np.arange(k + 1), x))(c_star, c)
     scale = np.abs(c_star) + np.sum(np.abs(c), axis=-1)
     assert half.dtype == np.float64
     assert np.all(np.max(np.abs(half - full), axis=-1) <= 1e-12 * scale)
@@ -615,7 +658,7 @@ def test_half_spectrum_writes_into_a_given_buffer(k, n_paths, spare, n_x, seed):
     # the state and the rest of the buffer stay as they were
     rows = n_paths + spare
     rng = np.random.default_rng(seed)
-    values = _half_spectrum(P, k, np.linspace(0.0, 0.5, n_x))
+    values = _half_spectrum(eval_g_n(P, np.arange(k + 1), np.linspace(0.0, 0.5, n_x)))
     c_star = rng.normal(size=n_paths) + 0j
     c = hermitian(rng, (n_paths, 2 * k + 1))
     inputs = c_star.copy(), c.copy()
@@ -625,6 +668,50 @@ def test_half_spectrum_writes_into_a_given_buffer(k, n_paths, spare, n_x, seed):
     assert np.array_equal(got, values(c_star, c))
     assert np.array_equal(buf[:n_paths], got) and np.all(buf[n_paths:] == 7.0)
     assert np.array_equal(c_star, inputs[0]) and np.array_equal(c, inputs[1])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(0.2, 3.0), lam=st.floats(0.1, 2.0), T=st.floats(0.5, 2.0),
+       k=st.integers(0, 64), extra=st.integers(0, 64), L=st.integers(1, 160),
+       frac=st.floats(0.0, 1.0, exclude_min=True), n_x=st.integers(1, 1100))
+def test_each_level_slices_the_largest_levels_basis_bit_for_bit(alpha, lam, T, k, extra, L,
+                                                                frac, n_x):
+    # convergence_experiment evaluates g_n(lag) and e^{lambda_n lag} once, at
+    # its largest level, and g_0..g_k on the sup grid once; each level's modes
+    # of those are bit for bit what the level evaluates alone, so its kernel,
+    # basis rows and outputs are too
+    k_max = k + extra
+    p = BasisParams(alpha, lam, T)
+    dt = frac * T / L
+    lags = dt * np.arange(L, 0, -1)
+    sl = slice(k_max - k, k_max + k + 1)
+    for whole, own in zip(_shift_factors(p, k_max, lags), _shift_factors(p, k, lags)):
+        assert whole[:, sl].tobytes() == own.tobytes()
+    for whole, own in zip(_shift_factors(p, k_max, lags), _shift_factors(p, k, L * dt)):
+        assert whole[0, sl].tobytes() == own.tobytes()      # lag_0 = t
+    x = np.linspace(0.0, T, n_x)
+    G = eval_g_n(p, np.arange(k_max + 1), x)
+    assert G[:k + 1].tobytes() == eval_g_n(p, np.arange(k + 1), x).tobytes()
+
+
+def test_convergence_experiment_evaluates_the_basis_once_per_run(monkeypatch):
+    # the largest level's basis serves every level: one evaluation on the sup
+    # grid and one of the lag factors, whatever the number of levels
+    calls = []
+
+    def counted(fn):
+        def call(*args):
+            out = fn(*args)
+            calls.append((fn.__name__, np.shape(out)))
+            return out
+        return call
+
+    for name in ("eval_g_n", "_shift_factors"):
+        monkeypatch.setattr(dynamics, name, counted(getattr(dynamics, name)))
+    convergence_experiment(make_spec(), make_driver(), 0.5, [2, 4, 8, 16], 4, n_steps=8)
+    # _shift_factors returns (g, growth), each (n_steps, 2 k_max + 1)
+    assert sorted(calls) == [("_shift_factors", (2, 8, 33)),
+                             ("eval_g_n", (17, dynamics.CONV_X_POINTS))]
 
 
 @pytest.mark.parametrize("which", ["f0", "f0-value", "loading", "drift"])

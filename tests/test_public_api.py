@@ -122,7 +122,8 @@ def test_fold_helpers_stay_with_their_owners():
     # step only through the time-grid rule of dynamics.py; the mild sum's
     # kernel and the path chunk of the convergence experiment stay in
     # dynamics.py, and so does the per-path noise stream, which every scheme
-    # and experiment draws through the time-grid rule or the chunked draw.
+    # and experiment draws through the time-grid rule or the chunked draw,
+    # with the one-pass seeding that re-implements numpy's beside it.
     # The node shift's trapezoid lives in semigroup.py alone
     src = Path(fwdapprox.__file__).parent
     owners = {"np.fft": {"projection.py"},
@@ -131,7 +132,8 @@ def test_fold_helpers_stay_with_their_owners():
               "_simpson_weights": {"space.py", "projection.py"},
               "_time_grid": {"dynamics.py", "markovian.py"},
               "_mild_terms": {"dynamics.py"}, "_PATH_CHUNK": {"dynamics.py"},
-              "path_rng": {"dynamics.py"}, "np.trapezoid": {"semigroup.py"}}
+              "path_rng": {"dynamics.py"}, "_path_rngs": {"dynamics.py"},
+              "np.trapezoid": {"semigroup.py"}}
     for name, allowed in owners.items():
         users = {p.name for p in src.glob("*.py") if name in p.read_text()}
         assert users <= allowed, f"{name} is referenced outside {sorted(allowed)}: " \

@@ -157,13 +157,14 @@ def test_spline_rejects_non_finite_samples(bad):
     y[4] = bad
     with pytest.raises(ValueError, match="finite"):
         space.CubicSpline(grid, y)
-    f = Curve(0.0, y, 1.0)
-    with pytest.raises(ValueError, match="finite"):
-        f.deriv(0.5)
+    # a curve holding such a sample, or a non-finite imaginary part only, is
+    # refused when it is built, as is a non-finite value at zero
     d = np.cos(grid).astype(complex)
-    d.imag = y  # a non-finite imaginary part only
-    with pytest.raises(ValueError, match="finite"):
-        Curve(0.0, d, 1.0).value(0.5)
+    d.imag = y
+    for value, samples in ((0.0, y), (0.0, d), (complex(bad, 0.0), np.cos(grid)),
+                           (complex(1.0, bad), np.cos(grid))):
+        with pytest.raises(ValueError, match="must be finite"):
+            Curve(value, samples, 1.0)
 
 
 def test_spline_rejects_a_grid_that_does_not_increase():
