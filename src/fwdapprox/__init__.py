@@ -41,6 +41,7 @@ from .errors import (
     ConfigError,
     DomainTooShort,
     FwdApproxError,
+    NonFinite,
     NotSmoothEnough,
     UnstableStep,
 )

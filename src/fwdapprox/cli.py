@@ -12,10 +12,10 @@ format, SVG plots are advisory.
 
 Exit codes: 0 success, 1 invariant failure, 2 config error (a run out of
 memory included: its one line names the sizes to lower), 3 numerical failure
-(instability, domain exhaustion, failed smoothness check).  A config value of
-the wrong type, a non-integral integer, a non-finite number or one out of
-range is a config error.  The ranges: alpha, lambda, horizon,
-time_step, t_eval, law_param > 0; seed >= 0; rank >= 1; x_points
+(instability, domain exhaustion, failed smoothness check, an overflow).
+A config value of the wrong type, a non-integral integer, a non-finite
+number or one out of range is a config error.  The ranges: alpha, lambda,
+horizon, time_step, t_eval, law_param > 0; seed >= 0; rank >= 1; x_points
 in [1, 2^16]; n_paths in [1, 10^6]; n_steps in [1, 2^20]; for simulate,
 time_step dividing t_eval into a step count in [1, 2^20] (converge steps
 n_steps and reads no time_step); k in [0, 2047]; k_list strictly ascending,
@@ -44,7 +44,7 @@ from .basis import (BasisParams, eval_g_n, eval_g_n_deriv,
                     projector_norm_bound, shift_norm_bound)
 from .dynamics import (LevyDriver, ModelSpec, _euler_intervals, _window_weights,
                        convergence_experiment, simulate_fk_state)
-from .errors import (ConfigError, DomainTooShort, FwdApproxError,
+from .errors import (ConfigError, DomainTooShort, FwdApproxError, NonFinite,
                      NotSmoothEnough, UnstableStep)
 from .markovian import (contract_audit, make_field,
                         markovian_convergence_experiment)
@@ -242,7 +242,7 @@ def write_loglog_svg(path: Path, xs, ys_by_label: dict, title: str) -> None:
     """Minimal log-log polyline plot; advisory output only."""
     W, H, pad = 640, 480, 60
     all_y = np.concatenate([np.asarray(v, dtype=float) for v in ys_by_label.values()])
-    all_y = all_y[all_y > 0]
+    all_y = all_y[(all_y > 0) & (all_y < np.inf)]
     if all_y.size == 0:
         _write_text(path, f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" '
                           f'height="{H}"><text x="20" y="40">no positive data'
@@ -275,7 +275,7 @@ def write_loglog_svg(path: Path, xs, ys_by_label: dict, title: str) -> None:
     for i, (label, ys) in enumerate(ys_by_label.items()):
         ys = np.asarray(ys, dtype=float)
         pts = " ".join(f"{px(a):.1f},{py(np.log10(b)):.1f}"
-                       for a, b in zip(lx, ys) if b > 0)
+                       for a, b in zip(lx, ys) if 0 < b < np.inf)
         col = colors[i % len(colors)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{col}" '
                      'stroke-width="2"/>')
@@ -463,16 +463,17 @@ def cmd_converge(cfg: dict, base_dir: Path, out: Path, markovian: bool) -> int:
         t_eval = _read(cfg, "t_eval", lo=0.0)
         rows = convergence_experiment(model, driver, t_eval, ks, n_paths,
                                       n_steps=n_steps)
+    errs = [r["mc_error"] for r in rows]
+    if not np.isfinite(errs).all():
+        raise NonFinite(f"mc_error {errs} over k={ks} is not finite: the model overflowed")
     write_csv(out / "converge.csv", ["k", "mc_error", "stderr", "bound", "n_paths", "seed"],
               [f"{r['k']},{r['mc_error']!r},{r['stderr']!r},"
                f"{'' if markovian else repr(r['bound_A_over_k'])},{r['n_paths']},{r['seed']}\n"
                for r in rows])
-    errs = [r["mc_error"] for r in rows]
     curves = {"mc_error": errs}
     if not markovian:
         curves["bound"] = [r["bound_A_over_k"] for r in rows]
-    write_loglog_svg(out / "converge.svg", ks, curves,
-                     "MC sup-error vs truncation level")
+    write_loglog_svg(out / "converge.svg", ks, curves, "MC sup-error vs truncation level")
     print(f"slope {loglog_slope(ks, errs):.3f} over k={ks}")
     return 0
 
@@ -517,7 +518,7 @@ def main(argv=None) -> int:
         print("config error: out of memory; lower n_steps (or t_eval / time_step), n_paths, "
               "x_points or a curve's n_points", file=sys.stderr)
         return 2
-    except (UnstableStep, DomainTooShort, NotSmoothEnough) as e:
+    except (UnstableStep, DomainTooShort, NotSmoothEnough, NonFinite) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
     except FwdApproxError as e:

@@ -56,9 +56,8 @@ _LAWS = ("gaussian", "variance_gamma", "nig")
 CONV_X_POINTS = 1024   # points of [0, T - t_eval] the convergence sup runs over
 BOUND_PATHS = 64       # paths whose curvature constants enter the sampled bound
 # paths convergence_experiment steps together, so that its memory is one
-# chunk's.  Not fewer: OpenBLAS rounds some rows of a small product
-# differently (its small-matrix kernel); at 256 rows mc_error moved in its
-# last bits on 2,000 paths x 128 steps, at 512 it does not
+# chunk's.  At 2,000 paths x 128 steps, 128 or 256 rows give the same bytes
+# (one final-state product serves every level) but run no faster
 _PATH_CHUNK = 512
 _BLOCK_POINTS = 2**16  # distinct points per `_mild_terms` spline evaluation
 _MASK64, _MASK128 = 2**64 - 1, 2**128 - 1
@@ -371,13 +370,12 @@ def _exact_transport(init: CoeffState, loads, drift, weighted: np.ndarray,
         yield c_star, c
 
 
-def _final_state(init: CoeffState, loads, drift, dt: float, k: int, lag):
-    """The last (c_star, c) of `_exact_transport` in closed form, as a function
-    of ``weighted`` (..., n_steps, d).
-
-    ``lag`` is `semigroup._shift_factors` at init's level for the lags
-    n_steps dt, ..., dt; this takes modes -k..k of it, so that one evaluation
-    serves every level.
+def _final_state(init: CoeffState, loads, drift, dt: float, k_list, lag):
+    """The last state of `_exact_transport` at each level of ``k_list`` in
+    closed form: a function of ``weighted`` (..., n_steps, d) that yields per
+    level (Re c_star, [Re c_0..c_k, Im c_1..c_k]), the real coordinates that
+    `_half_spectrum` reads.  ``lag`` is `semigroup._shift_factors` at init's
+    level for the lags n_steps dt, ..., dt.
 
     The recursion is linear, so at t = L dt, with lag_l = t - t_l and inc_l
     the increment added at step l,
@@ -386,33 +384,33 @@ def _final_state(init: CoeffState, loads, drift, dt: float, k: int, lag):
         c_star(t) = c_star_0 + g(t).c_0 + sum_l (inc_star_l + g(lag_l).inc_l),
 
     because g_n(dt) sum_{m<M} e^{lambda_n m dt} = g_n(M dt).  The f0 and
-    drift parts are the same for every path, and the noise part contracts
-    ``weighted`` over (l, i) with one kernel of 2k+2 columns, as two real
-    products; both, and the kernel's real and imaginary parts as contiguous
-    arrays, are built here, once, and the function only contracts.
+    drift parts are one constant per level.  Mode n's noise part is the same
+    at every level k >= |n|; only c_star's sums over the level's modes, so one
+    real kernel on rows (l, i), built here once, serves all levels: a column
+    Re(load_star_i + g(lag_l).load_c_i) per level, then Re and Im of
+    e^{lambda_n lag_l} load_c_i for modes 0..K and 1..K, K = max(k_list).
+    A call makes one product with it, and each level gathers its columns.
     """
-    k_max = init.k
-    sl = slice(k_max - k, k_max + k + 1)
-    load_star, load_c = loads[0], loads[1][:, sl]
-    d = load_star.shape[0]
-    g_lag, growth_lag = (np.ascontiguousarray(f[:, sl]) for f in lag)
-    n_steps, g_t, growth_t = g_lag.shape[0], g_lag[0], growth_lag[0]
-    c0 = init.c[sl]
-    c_star, c = init.c_star + c0 @ g_t, growth_t * c0
-    if drift is not None:
-        drift_c = dt * drift[1][:, sl]
-        c_star = c_star + dt * np.sum(drift[0]) + np.sum(g_lag * drift_c)
-        c = c + np.sum(growth_lag * drift_c, axis=0)
-    # row (l, i): (load_star_i + g(lag_l).load_c_i, e^{lambda lag_l} load_c_i)
-    kernel = np.concatenate([(load_star + g_lag @ load_c.T)[..., None],
-                             growth_lag[:, None, :] * load_c], axis=-1)
-    kernel = kernel.reshape(n_steps * d, 2 * k + 2)
-    real, imag = np.ascontiguousarray(kernel.real), np.ascontiguousarray(kernel.imag)
+    (load_star, load_c), k0, km, n_lev = loads, init.k, max(k_list), len(k_list)
+    stars, levels = [], []
+    for i, k in enumerate(k_list):
+        sl = slice(k0 - k, k0 + k + 1)
+        g_lag, growth_lag = (np.ascontiguousarray(f[:, sl]) for f in lag)
+        c_star, c = init.c_star + init.c[sl] @ g_lag[0], growth_lag[0] * init.c[sl]
+        if drift is not None:
+            drift_c = dt * drift[1][:, sl]
+            c_star = c_star + dt * np.sum(drift[0]) + np.sum(g_lag * drift_c)
+            c = c + np.sum(growth_lag * drift_c, axis=0)
+        stars.append((load_star + g_lag @ load_c[:, sl].T).real)
+        cols = np.r_[n_lev:n_lev + k + 1, n_lev + km + 1:n_lev + km + k + 1]
+        levels.append((c_star.real, cols, np.concatenate([c[k:].real, c[k + 1:].imag])))
+    modes = lag[1][:, None, k0:k0 + km + 1] * load_c[:, k0:k0 + km + 1]
+    kernel = np.dstack([*stars, modes.real, modes.imag[..., 1:]]).reshape(-1, n_lev + 2 * km + 1)
 
     def final(weighted: np.ndarray):
-        w = weighted.reshape(*weighted.shape[:-2], n_steps * d)
-        noise = w @ real + 1j * (w @ imag)
-        return c_star + noise[..., 0], c + noise[..., 1:]
+        noise = weighted.reshape(*weighted.shape[:-2], kernel.shape[0]) @ kernel
+        for i, (star, cols, a) in enumerate(levels):
+            yield star + noise[..., i], noise[..., cols] + a
 
     return final
 
@@ -636,27 +634,25 @@ def _mild_terms(spec: ModelSpec, driver: LevyDriver, times: np.ndarray, betas,
 
 def _half_spectrum(G: np.ndarray):
     """Re(c_star + c @ G) on x for Hermitian states of level k, from modes
-    0..k only, as a function of (c_star, c); ``G`` is (k+1, n_x), the rows
-    g_0..g_k on x (`eval_g_n`), g_0 real.
+    0..k only, as a function of (Re c_star, a), a the real coordinates
+    [Re c_0, Re c_{1..k}, Im c_{1..k}] (..., 2k+1) that `_final_state`
+    yields; ``G`` is (k+1, n_x), the rows g_0..g_k on x (`eval_g_n`), g_0 real.
 
     With c_{-n} = conj(c_n) and g_{-n} = conj(g_n) the two modes +-n add up
     to 2 Re(c_n g_n), so the value is one real product
 
-        Re c_star + [Re c_0, Re c_{1..k}, Im c_{1..k}] @ [g_0; 2 Re g_{1..k}; -2 Im g_{1..k}]
+        Re c_star + a @ [g_0; 2 Re g_{1..k}; -2 Im g_{1..k}]
 
-    over 2k+1 real columns; ``c`` is (..., 2k+1) on modes -k..k.  The
-    basis rows are built here, once.  The values go into ``out`` (..., n_x)
-    when it is given, as the product's output, and c_star is added there in
-    place, which rounds as the allocating sum does.
+    over 2k+1 real columns, its basis rows built here once.  The values go
+    into ``out`` (..., n_x) when given, as the product's output, and c_star
+    is added there in place, which rounds as the allocating sum does.
     """
-    k = G.shape[0] - 1
     B = 2.0 * np.concatenate([G.real, -G.imag[1:]])
     B[0] = G[0].real
 
-    def values(c_star: np.ndarray, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        a = np.concatenate([c[..., k:].real, c[..., k + 1:].imag], axis=-1)
+    def values(c_star: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = np.matmul(a, B, out=out)
-        out += c_star.real[..., None]
+        out += c_star[..., None]
         return out
 
     return values
@@ -679,32 +675,30 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
     """Mean squared sup-error of the truncated model against the oracle.
 
     Both solutions are linear in the noise (deterministic coefficients), so
-    the oracle at time t_eval is evaluated directly from the mild-solution
-    sum and the truncated model by the closed-form coefficient mild sum of
-    the exact transport.  The paths are stepped in chunks of _PATH_CHUNK,
-    each path drawing its own stream (`LevyDriver.path_rng`, seeded for the
-    whole chunk in one pass by `LevyDriver._path_rngs`, each generator valid
-    until the next is drawn), so memory does not grow with n_paths; within
-    each chunk one noise tensor is shared
-    across every k (common random numbers), and only the per-path sup-errors
-    (len(k_list), n_paths) are kept.  The noise and each level's error are
-    written into one (P, L, d) and one (P, CONV_X_POINTS) array made once
-    per run, P = min(_PATH_CHUNK, n_paths), whose first rows a partial last
-    chunk uses, so beside the chunk's oracle no array of the error's size is
-    made per level (`_half_spectrum`'s ``out``).  The sup
-    is taken over CONV_X_POINTS points of [0, T - t_eval].  The reported
-    bound column is the sampled rate constant divided by k, built from the
-    projected initial condition, the drift and noise loads, and pathwise
-    curvature constants of the oracle solution on the first BOUND_PATHS
-    paths, drawn before the chunks; its complex derivative kernel, released
-    before the curvature pass, is the run's largest array.
-    A t_eval beyond T raises DomainTooShort before any other work.
+    the oracle at t_eval is the mild-solution sum and the model the closed
+    form of the exact transport.  The paths are stepped in chunks of
+    _PATH_CHUNK, each path on its own stream (`LevyDriver.path_rng`, seeded
+    for the chunk in one pass by `LevyDriver._path_rngs`, each generator
+    valid until the next is drawn), so memory does not grow with n_paths;
+    every k reads the chunk's noise (common random numbers), and only the
+    per-path sup-errors (len(k_list), n_paths) are kept.  The noise and each
+    level's error go into one (P, L, d) and one (P, CONV_X_POINTS) array
+    made once per run, P = min(_PATH_CHUNK, n_paths), a partial last chunk
+    using their first rows.  A chunk makes one product for the oracle and
+    one for every level's final state (`_final_state`), then per level one
+    value product into the error array (`_half_spectrum`'s ``out``).  The
+    sup is taken over CONV_X_POINTS points of [0, T - t_eval].  The bound
+    column is the sampled rate constant divided by k, from the projected
+    initial condition, the drift and noise loads and pathwise curvature
+    constants of the oracle on the first BOUND_PATHS paths, drawn before the
+    chunks; its complex derivative kernel, released before the curvature
+    pass, is the run's largest array.  A t_eval beyond T raises
+    DomainTooShort before any other work.
 
     The inputs must be real curves, as forward prices are: f0, every
     loading and every drift curve, else ValueError.  Their states are then
-    Hermitian (c_{-n} = conj(c_n)), so both solutions are real and the error
-    is taken in real arithmetic, the model value from the half spectrum
-    (modes 0..k, `_half_spectrum`).  The basis is evaluated once, at the
+    Hermitian (c_{-n} = conj(c_n)), so the error is taken in real
+    arithmetic, from modes 0..k.  The basis is evaluated once, at the
     largest level, and each level takes its modes.
     """
     p = spec.params
@@ -738,8 +732,8 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
     # the basis factors once, at the largest level; each level takes its modes
     lag = _shift_factors(p, k_max, dt * np.arange(n_steps, 0, -1))
     G = eval_g_n(p, np.arange(k_max + 1), x)
-    models = [(_final_state(init, loads, drift, dt, k, lag), _half_spectrum(G[:k + 1]))
-              for k in k_list]
+    final = _final_state(init, loads, drift, dt, k_list, lag)
+    spectra = [_half_spectrum(G[:k + 1]) for k in k_list]
     errs = np.empty((len(k_list), n_paths))
     rows = min(_PATH_CHUNK, n_paths)
     noise, buf = np.empty((rows, *psi.shape)), np.empty((rows, x.size))
@@ -748,8 +742,8 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
         w = weighted(range(chunk.start, chunk.stop), noise)
         oracle = np.tensordot(w, kernel, axes=2)
         oracle += base
-        for err, (final, values) in zip(errs, models):
-            e = values(*final(w), out=buf[:len(w)])
+        for err, values, state in zip(errs, spectra, final(w)):
+            e = values(*state, out=buf[:len(w)])
             e -= oracle
             err[chunk] = np.square(e, out=e).max(1)
 

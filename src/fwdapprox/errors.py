@@ -1,7 +1,7 @@
 """Exception types shared across the library."""
 
 __all__ = ["FwdApproxError", "DomainTooShort", "NotSmoothEnough", "UnstableStep",
-           "BadWindow", "ConfigError"]
+           "NonFinite", "BadWindow", "ConfigError"]
 
 
 class FwdApproxError(Exception):
@@ -18,6 +18,10 @@ class NotSmoothEnough(FwdApproxError):
 
 class UnstableStep(FwdApproxError):
     """The explicit Euler step size violates the linear stability bound."""
+
+
+class NonFinite(FwdApproxError, ValueError):
+    """A curve or a result would hold a NaN or inf, as after an overflow."""
 
 
 class BadWindow(FwdApproxError):

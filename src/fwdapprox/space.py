@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .basis import BasisParams, eval_e_n_star, eval_g_n_deriv
-from .errors import DomainTooShort
+from .errors import DomainTooShort, NonFinite
 
 __all__ = [
     "Curve",
@@ -189,8 +189,8 @@ class Curve:
     """A curve represented by f(0) and samples of f' on the grid of [0, x_max].
 
     The nodes are np.linspace(0, x_max, n), n >= 2, with x_max finite and
-    positive, and f(0) and every sample are finite (else ValueError): the
-    grid starts at 0, and its step ``grid_step`` is derived, x_max / (n - 1).
+    positive, and f(0) and every sample are finite (else `NonFinite`, a
+    ValueError): the grid starts at 0, its step ``grid_step`` x_max / (n - 1).
     Values and derivatives between the nodes come from one cubic spline and
     its antiderivative, real when every sample's imaginary part is zero (as
     for forward prices).
@@ -214,7 +214,7 @@ class Curve:
             raise ValueError(f"a curve's nodes must increase from 0 to a finite "
                              f"x_max > 0, not to {self.x_max}")
         if not (np.isfinite(self.value_at_zero) and np.isfinite(d).all()):
-            raise ValueError("a curve's value at zero and derivative samples must be finite")
+            raise NonFinite("a curve's value at zero and derivative samples must be finite")
 
     @property
     def grid_step(self) -> float:

@@ -54,6 +54,20 @@ def test_loglog_slope_edge_cases():
     assert loglog_slope([4, 8, 16], [1.0, 0.5, 0.25]) == pytest.approx(-1.0)
 
 
+def test_loglog_svg_skips_non_finite_points(tmp_path):
+    # the plot is advisory: an inf or nan point is left out, never raised on
+    path = tmp_path / "p.svg"
+    cli.write_loglog_svg(path, [2, 4, 8, 16], {"a": [1e-3, np.inf, np.nan, 1e-5],
+                                               "b": [np.nan, -np.inf, np.inf, 0.0]}, "t")
+    text = path.read_text()
+    assert "nan" not in text and "inf" not in text
+    lines = [line for line in text.splitlines() if line.startswith("<polyline")]
+    assert [line.split('"')[1].count(",") for line in lines] == [2, 0]
+    assert [f">1e{d}<" in text for d in (-6, -5, -4, -3, -2)] == [False, True, True, True, False]
+    cli.write_loglog_svg(path, [2, 4], {"a": [np.inf, np.nan]}, "t")
+    assert "no positive data" in path.read_text()
+
+
 def test_basis_check_passes_and_writes_csv(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json", {"params": PARAMS, "k": 4, "seed": 1})
     out = tmp_path / "out"
@@ -442,6 +456,28 @@ def test_converge_markovian_unstable_step_exits_3(tmp_path):
     p = write_cfg(tmp_path, "c.json", cfg)
     assert main(["converge", "--config", p, "--out", str(tmp_path / "o"),
                  "--markovian"]) == 3
+
+
+@pytest.mark.parametrize("field", [
+    {"field": "mean_revert", "kappa": 1e300, "theta": {"kind": "flat", "level": 1e300}},
+    {"field": "proportional_vol", "sigma0": 1e200},
+], ids=["mean_revert", "proportional_vol"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_converge_markovian_overflow_exits_3(tmp_path, capsys, field):
+    # a field that overflows is a numerical failure: one line, no traceback
+    # and no converge.csv row with a non-finite mc_error.  The first
+    # overflows a curve (in the contract audit), the second only mc_error
+    root = Path(__file__).resolve().parent.parent
+    cfg = json.loads((root / "configs" / "markovian.json").read_text())
+    cfg.update(f0=str(root / "data" / "bump_curve.csv"), n_paths=1, n_steps=256, k_list=[2],
+               markovian=field)
+    out = tmp_path / "o"
+    assert main(["converge", "--markovian", "--config", write_cfg(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+    assert not (out / "converge.csv").exists()
 
 
 def test_converge_markovian_bad_field_is_config_error(tmp_path):

@@ -594,18 +594,26 @@ def hermitian(rng, shape):
     return 0.5 * (c + np.conj(c[..., ::-1]))
 
 
+def half(c):
+    """The real coordinates [Re c_0..c_k, Im c_1..c_k] of states c on modes -k..k."""
+    k = c.shape[-1] // 2
+    return np.concatenate([c[..., k:].real, c[..., k + 1:].imag], axis=-1)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(alpha=st.floats(0.2, 3.0), lam=st.floats(0.1, 2.0),
        T=st.floats(0.5, 2.0), frac=st.floats(0.0, 1.0, exclude_min=True),
-       k=st.integers(0, 32), extra=st.integers(0, 3), L=st.integers(1, 64),
+       k_list=st.lists(st.integers(0, 32), min_size=1, max_size=5, unique=True).map(sorted),
+       extra=st.integers(0, 3), L=st.integers(1, 64),
        n_paths=st.integers(1, 4), d=st.integers(1, 3), with_drift=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
-def test_final_state_equals_last_transport_step(alpha, lam, T, frac, k, extra, L,
+def test_final_state_equals_last_transport_step(alpha, lam, T, frac, k_list, extra, L,
                                                 n_paths, d, with_drift, seed):
-    # the closed-form state at t = L dt against L steps of the exact
-    # transport, from a projection at level k + extra (modes -k..k kept)
+    # the closed-form state at t = L dt, every level of an ascending k_list
+    # from one product, against L steps of the exact transport at that
+    # level, from a projection at level max(k_list) + extra (modes -k..k kept)
     rng = np.random.default_rng(seed)
-    kk = k + extra
+    kk = max(k_list) + extra
     pk = BasisParams(alpha, lam, T, kk)
     init = CoeffState(complex(rng.normal()), hermitian(rng, 2 * kk + 1), pk)
     loads = rng.normal(size=d) + 0j, hermitian(rng, (d, 2 * kk + 1))
@@ -615,21 +623,97 @@ def test_final_state_equals_last_transport_step(alpha, lam, T, frac, k, extra, L
     weighted = rng.normal(size=(n_paths, L, d))
     dt = frac * T / L
 
-    *_, (c_star, c) = _exact_transport(init, loads, drift, weighted, dt, k)
     lag = _shift_factors(pk, kk, dt * np.arange(L, 0, -1))
-    got_star, got = _final_state(init, loads, drift, dt, k, lag)(weighted)
+    states = list(_final_state(init, loads, drift, dt, k_list, lag)(weighted))
+    assert len(states) == len(k_list)
+    for k, (got_star, got) in zip(k_list, states):
+        *_, (c_star, c) = _exact_transport(init, loads, drift, weighted, dt, k)
+        sl = slice(kk - k, kk + k + 1)
+        inc_star, inc = weighted @ loads[0], weighted @ loads[1][:, sl]
+        if with_drift:
+            inc_star, inc = inc_star + dt * drift[0], inc + dt * drift[1][:, sl]
+        scale = (abs(init.c_star) + np.sum(np.abs(init.c[sl]))
+                 + np.sum(np.abs(inc_star), axis=-1) + np.sum(np.abs(inc), axis=(-2, -1)))
+        assert got_star.dtype == got.dtype == np.float64 and got.shape == (n_paths, 2 * k + 1)
+        assert np.all(np.abs(got_star - c_star.real) <= 1e-12 * scale)
+        # a real curve stays real: c_star real, and the modes -k..k that the
+        # half spectrum gives with c_{-n} = conj(c_n) are the transport's
+        pos = got[:, :k + 1] + 1j * np.pad(got[:, k + 1:], ((0, 0), (1, 0)))
+        full = np.concatenate([np.conj(pos[:, :0:-1]), pos], axis=-1)
+        assert np.all(np.max(np.abs(full - c), axis=-1) <= 1e-12 * scale)
+        assert np.all(np.abs(c_star.imag) <= 1e-12 * scale)
 
-    sl = slice(extra, extra + 2 * k + 1)
-    inc_star, inc = weighted @ loads[0], weighted @ loads[1][:, sl]
-    if with_drift:
-        inc_star, inc = inc_star + dt * drift[0], inc + dt * drift[1][:, sl]
-    scale = (abs(init.c_star) + np.sum(np.abs(init.c[sl]))
-             + np.sum(np.abs(inc_star), axis=-1) + np.sum(np.abs(inc), axis=(-2, -1)))
-    assert np.all(np.abs(got_star - c_star) <= 1e-12 * scale)
-    assert np.all(np.max(np.abs(got - c), axis=-1) <= 1e-12 * scale)
-    # a real curve stays real: c_{-n} = conj(c_n) and c_star real
-    assert np.all(np.max(np.abs(got - np.conj(got[:, ::-1])), axis=-1) <= 1e-12 * scale)
-    assert np.all(np.abs(got_star.imag) <= 1e-12 * scale)
+
+def _per_level_final_state(init, loads, drift, dt, k, lag, weighted):
+    """Level k's final state as the closed form made it one level at a time:
+    its own complex kernel of 2k+2 columns, contracted as two real products."""
+    k_max = init.k
+    sl = slice(k_max - k, k_max + k + 1)
+    load_star, load_c = loads[0], loads[1][:, sl]
+    d = load_star.shape[0]
+    g_lag, growth_lag = (np.ascontiguousarray(f[:, sl]) for f in lag)
+    n_steps, c0 = g_lag.shape[0], init.c[sl]
+    c_star, c = init.c_star + c0 @ g_lag[0], growth_lag[0] * c0
+    if drift is not None:
+        drift_c = dt * drift[1][:, sl]
+        c_star = c_star + dt * np.sum(drift[0]) + np.sum(g_lag * drift_c)
+        c = c + np.sum(growth_lag * drift_c, axis=0)
+    kernel = np.concatenate([(load_star + g_lag @ load_c.T)[..., None],
+                             growth_lag[:, None, :] * load_c], axis=-1)
+    kernel = kernel.reshape(n_steps * d, 2 * k + 2)
+    real, imag = np.ascontiguousarray(kernel.real), np.ascontiguousarray(kernel.imag)
+    w = weighted.reshape(*weighted.shape[:-2], n_steps * d)
+    noise = w @ real + 1j * (w @ imag)
+    return (c_star + noise[..., 0]).real, half(c + noise[..., 1:])
+
+
+@pytest.mark.parametrize("rows", [512, 464])
+def test_one_final_state_product_equals_the_per_level_products_bit_for_bit(rows):
+    # the benchmark's converge shape: chunks of 512 and 464 rows (2,000
+    # paths), 128 steps of a rank-3 driver with drift, k = 4..64.  One
+    # product for every level gives each level's per-level bytes
+    spec, drv = make_spec(beta_level=0.05), make_driver()
+    t_eval, n_steps, k_list = 0.5, 128, [4, 8, 16, 32, 64]
+    times, dt = np.linspace(0.0, t_eval, n_steps + 1), t_eval / n_steps
+    betas, _ = dynamics._drift_curves(spec, times)
+    init, loads, drift, psi = dynamics._projected_inputs(spec, drv, times, betas, max(k_list))
+    lag = _shift_factors(P, max(k_list), dt * np.arange(n_steps, 0, -1))
+    weighted = np.random.default_rng(rows).normal(0.0, np.sqrt(dt), (rows, n_steps, 3)) * psi
+    states = _final_state(init, loads, drift, dt, k_list, lag)(weighted)
+    for k, (c_star, a) in zip(k_list, states):
+        want_star, want = _per_level_final_state(init, loads, drift, dt, k, lag, weighted)
+        assert c_star.tobytes() == want_star.tobytes(), k
+        assert a.shape == want.shape and a.tobytes() == want.tobytes(), k
+
+
+@pytest.mark.parametrize("k_list", [[4], [2, 4, 8, 16, 32]], ids=["1-level", "5-levels"])
+def test_convergence_experiment_contracts_each_chunk_once_for_the_model(monkeypatch, k_list):
+    # every level's final state comes from one product of the chunk's noise:
+    # the noise handed to the final state records each numpy operation on it,
+    # so a product per level, or per real and imaginary part, fails the count
+    used = []
+
+    class Recorded(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            used.append(ufunc.__name__)
+            return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+        def __array_function__(self, func, types, args, kwargs):
+            used.append(func.__name__)
+            return func(*(np.asarray(x) if isinstance(x, Recorded) else x for x in args),
+                        **kwargs)
+
+    def spied(*args):
+        final = real_final_state(*args)
+        return lambda weighted: final(weighted.view(Recorded))
+
+    spec, drv, n_paths = make_spec(beta_level=0.05), make_driver(), dynamics._PATH_CHUNK + 37
+    want = convergence_experiment(spec, drv, 0.5, k_list, n_paths, n_steps=8)
+    real_final_state = dynamics._final_state
+    monkeypatch.setattr(dynamics, "_final_state", spied)
+    got = convergence_experiment(spec, drv, 0.5, k_list, n_paths, n_steps=8)
+    assert used == ["matmul", "matmul"]         # one per chunk of the two
+    assert got == want
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -643,10 +727,10 @@ def test_half_spectrum_value_equals_full_spectrum(alpha, lam, T, k, n_paths, see
     c = hermitian(rng, (n_paths, 2 * k + 1))
     x = np.concatenate([[0.0, T], rng.uniform(0.0, T, size=31)])
     full = (c_star[:, None] + c @ eval_g_n(pk, pk.n_range(k), x)).real
-    half = _half_spectrum(eval_g_n(pk, np.arange(k + 1), x))(c_star, c)
+    got = _half_spectrum(eval_g_n(pk, np.arange(k + 1), x))(c_star.real, half(c))
     scale = np.abs(c_star) + np.sum(np.abs(c), axis=-1)
-    assert half.dtype == np.float64
-    assert np.all(np.max(np.abs(half - full), axis=-1) <= 1e-12 * scale)
+    assert got.dtype == np.float64
+    assert np.all(np.max(np.abs(got - full), axis=-1) <= 1e-12 * scale)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -659,8 +743,8 @@ def test_half_spectrum_writes_into_a_given_buffer(k, n_paths, spare, n_x, seed):
     rows = n_paths + spare
     rng = np.random.default_rng(seed)
     values = _half_spectrum(eval_g_n(P, np.arange(k + 1), np.linspace(0.0, 0.5, n_x)))
-    c_star = rng.normal(size=n_paths) + 0j
-    c = hermitian(rng, (n_paths, 2 * k + 1))
+    c_star = rng.normal(size=n_paths)
+    c = half(hermitian(rng, (n_paths, 2 * k + 1)))
     inputs = c_star.copy(), c.copy()
     buf = np.full((rows, n_x), 7.0)
     got = values(c_star, c, out=buf[:n_paths])

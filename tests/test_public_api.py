@@ -120,7 +120,8 @@ def test_fold_helpers_stay_with_their_owners():
     # fold (_fold_input, _fold_rows).  The Simpson weights serve the
     # quadrature of space.py and projection.py.  The schemes read their time
     # step only through the time-grid rule of dynamics.py; the mild sum's
-    # kernel and the path chunk of the convergence experiment stay in
+    # kernel, the path chunk and the one product of every level's final
+    # state of the convergence experiment stay in
     # dynamics.py, and so does the per-path noise stream, which every scheme
     # and experiment draws through the time-grid rule or the chunked draw,
     # with the one-pass seeding that re-implements numpy's beside it.
@@ -132,6 +133,7 @@ def test_fold_helpers_stay_with_their_owners():
               "_simpson_weights": {"space.py", "projection.py"},
               "_time_grid": {"dynamics.py", "markovian.py"},
               "_mild_terms": {"dynamics.py"}, "_PATH_CHUNK": {"dynamics.py"},
+              "_final_state": {"dynamics.py"},
               "path_rng": {"dynamics.py"}, "_path_rngs": {"dynamics.py"},
               "np.trapezoid": {"semigroup.py"}}
     for name, allowed in owners.items():
