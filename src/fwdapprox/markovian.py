@@ -66,6 +66,9 @@ class CoefficientField:
 
 AUDIT_K_SPAN = 8                 # truncation level of the audit's random curves
 AUDIT_TIMES = (0.0, 0.3, 0.7)    # times at which the audit evaluates the field
+# f0's nodes past T the experiment's oracle keeps: the not-a-knot spline's end
+# condition moves a slope this far away by about (2 - sqrt(3))^64 ~ 2e-37 relative
+_ORACLE_MARGIN = 64
 
 
 def _input_cut(t: float, params: BasisParams) -> float:
@@ -156,18 +159,25 @@ def _output(curves: Sequence[Curve], setup=None, single: bool = False):
     n nodes and returns its step; without ``setup`` the step returns the very
     rows it read.  The `Curve` form runs the same step on f's own grid, its
     outputs on the rows' range, or returns ``curves`` themselves; ``single``
-    unpacks its one output.
+    unpacks its one output.  The `Curve` form keeps the set-up of its last
+    grid, keyed by the input's (x_max, n), so calls on one grid read
+    ``curves`` once and memory holds one set-up.
     """
     def on_grid(x_max: float, n: int):
         rows = _rows_on(curves, x_max, n)
         return (lambda t, value, samples, m: rows) if setup is None else setup(rows)
 
+    last = {}
+
     def curve_form(t: float, f: Curve):
         if setup is None:
             outs = tuple(curves)
         else:
-            n = f.deriv_samples.shape[0]
-            rows = on_grid(f.x_max, n)(t, f.value_at_zero, lambda m: f.deriv_samples[:m], n)
+            grid = x_max, n = f.x_max, f.deriv_samples.shape[0]
+            if grid not in last:
+                last.clear()
+                last[grid] = on_grid(x_max, n)
+            rows = last[grid](t, f.value_at_zero, lambda m: f.deriv_samples[:m], n)
             outs = tuple(Curve(v, d, rows.x_max) for v, d in zip(rows.values, rows.samples))
         return outs[0] if single else outs
 
@@ -222,6 +232,8 @@ def contract_audit(cf: CoefficientField, params: BasisParams, *,
     the worst observed ratios (must be <= 1 for a honest field) and the
     largest output change under tail-only perturbations (must be exactly 0).
     A registry field answers on its input's grid, as the schemes read it.
+    The distance between one output object and itself (a loading or a
+    fixed drift a field returns as it is) is 0.0, without a difference curve.
     """
     rng = np.random.default_rng(seed)
     x_max = 2.0 * params.horizon
@@ -235,17 +247,19 @@ def contract_audit(cf: CoefficientField, params: BasisParams, *,
         # drop the synthesis' rounding-level imaginary part
         return Curve(complex(rng.normal()), (c @ gd).real, x_max)
 
+    def gap(a: Curve, b: Curve) -> float:
+        return 0.0 if a is b else norm_alpha(a - b, params.alpha)
+
     worst_lip_b = worst_lip_psi = worst_growth = worst_structure = 0.0
     for _ in range(n_pairs):
         f, g = rand_curve(), rand_curve()
         t = float(rng.choice(AUDIT_TIMES))
         fm, gm = _masked(f, t, params), _masked(g, t, params)
-        dist = norm_alpha(f - g, params.alpha)
+        dist = gap(f, g)
         bf, pf = cf.b(t, fm), cf.psi(t, fm)
-        nb = norm_alpha(bf - cf.b(t, gm), params.alpha)
+        nb = gap(bf, cf.b(t, gm))
         worst_lip_b = max(worst_lip_b, nb / (cf.lipschitz_b * dist + 1e-300))
-        npsi = np.sqrt(sum(norm_alpha(a - b, params.alpha) ** 2
-                           for a, b in zip(pf, cf.psi(t, gm))))
+        npsi = np.sqrt(sum(gap(a, b) ** 2 for a, b in zip(pf, cf.psi(t, gm))))
         worst_lip_psi = max(worst_lip_psi, npsi / (cf.lipschitz_psi * dist + 1e-300))
         gb = norm_alpha(bf, params.alpha)
         worst_growth = max(worst_growth,
@@ -256,9 +270,8 @@ def contract_audit(cf: CoefficientField, params: BasisParams, *,
         tail = f.deriv_samples.copy()
         tail[f._masked_from(_input_cut(t, params)):] += rng.normal()
         f_pert = _masked(Curve(f.value_at_zero, tail, f.x_max), t, params)
-        db = norm_alpha(bf - cf.b(t, f_pert), params.alpha)
-        dpsi = max(norm_alpha(a - b, params.alpha)
-                   for a, b in zip(pf, cf.psi(t, f_pert)))
+        db = gap(bf, cf.b(t, f_pert))
+        dpsi = max(gap(a, b) for a, b in zip(pf, cf.psi(t, f_pert)))
         worst_structure = max(worst_structure, db, dpsi)
     return {
         "lipschitz_b_ratio": float(worst_lip_b),
@@ -371,10 +384,21 @@ def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
     with ``n_steps``.  Each slice evaluates the basis once, at the largest
     level, for every level's rows -k..k.
     f0's grid must suit every k (`dynamics._euler_intervals`), checked first.
+    A field whose ``b`` and ``psi`` carry their array form reads below T - t,
+    and the slices read [0, T - t_j], so the oracle steps f0 cut to its
+    nodes up to T and _ORACLE_MARGIN beyond: at a node dt on a grid whose
+    step is a power of two the sup values keep their bits, elsewhere they
+    move by rounding or, off the nodes, by the spline shifts' resampling.
+    Any other field may read its input anywhere and keeps f0's whole range.
     """
     p = spec.params
     for k in k_list:
-        _euler_intervals(spec.f0, int(k), p)
+        n_T = _euler_intervals(spec.f0, int(k), p)
+    f0 = spec.f0
+    if k_list and all(hasattr(fn, "on_grid") for fn in (cf.b, cf.psi)):
+        n = n_T + 1 + _ORACLE_MARGIN
+        if n < f0.deriv_samples.shape[0]:
+            f0 = Curve(f0.value_at_zero, f0.deriv_samples[:n], (n - 1) * f0.grid_step)
     times = np.linspace(0.0, p.horizon, n_steps + 1)
     stride = max(1, n_steps // sup_slices)
     slice_idx = list(range(0, times.size, stride))
@@ -386,7 +410,7 @@ def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
     for pid in range(n_paths):
         _, dt, noise = _time_grid(times, driver, path_id=pid)
         o_vals = {j: f.value(xs[j]) for j, f in enumerate(
-            _curve_recursion(spec.f0, times, dt, noise, _masked_field(cf, p))) if j in xs}
+            _curve_recursion(f0, times, dt, noise, _masked_field(cf, p))) if j in xs}
         kept = {}
         for k in errs:
             path = simulate_markovian_fk(cf, spec, driver, times, k, noise=noise)

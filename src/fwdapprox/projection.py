@@ -37,7 +37,7 @@ from .basis import (
     frame_upper_constant,
     lambda_n,
 )
-from .errors import DomainTooShort, NotSmoothEnough
+from .errors import DomainTooShort, NonFinite, NotSmoothEnough
 from .space import Curve, _node_count, _simpson_rule, _simpson_weights
 
 __all__ = [
@@ -385,13 +385,19 @@ def _period_norm(value_at_zero: complex, deriv, params: BasisParams) -> float:
     Their weighted derivative energy over [mT, (m+1)T] is e^{-2 lam m T} times
     that over [0, T], so the full integral is the one-period quadrature (on
     PERIOD_POINTS nodes) divided by (1 - e^{-2 lam T}).  ``deriv`` maps
-    points of [0, T] to h'.
+    points of [0, T] to h'.  A norm beyond the float range is `NonFinite`.
     """
     x = np.linspace(0.0, params.horizon, PERIOD_POINTS)
     d = deriv(x)
     w = _simpson_weights(PERIOD_POINTS, params.horizon / (PERIOD_POINTS - 1))
     energy = float(np.sum(w * np.abs(d) ** 2 * np.exp(params.alpha * x)))
-    return float(np.sqrt(abs(value_at_zero) ** 2 + energy / params.damping_factor))
+    try:
+        norm = float(np.sqrt(abs(value_at_zero) ** 2 + energy / params.damping_factor))
+    except OverflowError:        # Python's float ** 2 raises where numpy's gives inf
+        norm = math.inf
+    if not math.isfinite(norm):
+        raise NonFinite(f"a curve's norm over one period overflowed ({norm})")
+    return norm
 
 
 def norm_alpha_span(s: CoeffState) -> float:

@@ -480,6 +480,22 @@ def test_converge_markovian_overflow_exits_3(tmp_path, capsys, field):
     assert not (out / "converge.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_converge_loading_that_overflows_the_bound_exits_3(tmp_path, capsys):
+    # the bound's norm of a loading scaled to 1e200 overflows: one line, no
+    # traceback and no converge.csv
+    root = Path(__file__).resolve().parent.parent
+    cfg = json.loads((root / "configs" / "default.json").read_text())
+    cfg.update(f0=str(root / "data" / "bump_curve.csv"), n_paths=4, n_steps=8, k_list=[2, 4])
+    cfg["driver"]["loadings"][0]["scale"] = 1e200
+    out = tmp_path / "o"
+    assert main(["converge", "--config", write_cfg(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+    assert not (out / "converge.csv").exists()
+
+
 def test_converge_markovian_bad_field_is_config_error(tmp_path):
     cfg = base_model_cfg(n_paths=1)
     cfg["markovian"] = {"field": "does_not_exist"}
@@ -791,8 +807,10 @@ def test_cli_csvs_are_the_csv_modules_bytes(tmp_path, argv):
 
 
 # x_points and every curve spec's n_points at their caps (2^16, 2^20 + 1) and
-# one beyond.  A Markovian run's Euler folds run on f0's nodes and take about
-# 9 s with f0 at the cap, so f0 there takes an in-cap 2^12 + 1 instead
+# one beyond.  A Markovian run's Euler folds run on f0's nodes: with f0 at the
+# cap the run takes about 3 s, so f0 there takes an in-cap 2^12 + 1 instead.
+# The loading and theta cases at the cap take about 0.25 s each (in process,
+# one BLAS thread, 2-core host)
 SIZE_CASES = [
     pytest.param(argv, path, value, id=f"{' '.join(argv)}-{'.'.join(map(str, path))}-{value}")
     for argv, cfg in FUZZ_CONFIGS.items() for path in key_paths(cfg)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -154,6 +155,42 @@ def test_contract_audit_evaluates_each_field_output_once_per_input():
     assert audit == contract_audit(base, P, n_pairs=10)
 
 
+def test_contract_audit_sets_each_output_up_once_per_grid(monkeypatch):
+    # the audit calls each output 150 times on its one 513-node grid: the
+    # Curve form keeps that grid's set-up, so it reads the field's curves once
+    calls = collections.Counter()
+
+    def counted(curves, x_max, n):
+        calls[tuple(map(id, curves)), x_max, n] += 1
+        return space._rows_on(curves, x_max, n)
+
+    monkeypatch.setattr(markovian, "_rows_on", counted)
+    for name, (kw, _) in sorted(_AUDIT_PINNED.items()):
+        calls.clear()
+        contract_audit(make_field(name, make_driver(), P, **kw), P, n_pairs=50, seed=7)
+        assert set(calls.values()) <= {1}, (name, calls)
+        # mean_revert's drift and proportional_vol's psi are set up on the grid
+        assert len(calls) == (name != "constant"), (name, calls)
+
+
+def test_contract_audit_takes_no_norm_finer_than_its_own(monkeypatch):
+    # with a loading at 2^20 + 1 nodes, a loading a field returns as it is is
+    # at distance 0.0 from itself, with no difference curve on its nodes
+    drv = LevyDriver(rank=1, loadings=[exp_loading(0.05, 1.0, n_points=2**20 + 1)], seed=11)
+    fields = [make_field("mean_revert", drv, P, kappa=0.5, theta=flat_curve(1.2)),
+              make_field("constant", drv, P, b_curve=seasonal_curve(0.1, n_points=257))]
+    sizes, rule = [], space._alpha_rule
+
+    def counted(n, x_max, alpha):
+        sizes.append(n)
+        return rule(n, x_max, alpha)
+
+    monkeypatch.setattr(space, "_alpha_rule", counted)
+    for field in fields:
+        contract_audit(field, P, n_pairs=5)
+    assert sizes and max(sizes) <= 513
+
+
 def test_proportional_vol_reads_f0_without_building_splines():
     drv = make_driver()
     field = make_field("proportional_vol", drv, P, sigma0=0.2)
@@ -294,6 +331,27 @@ def test_convergence_experiment_decreasing_and_slice_stable():
     assert fine[0]["mc_error"] <= errs[1] * 1.05 + 3 * rows[1]["stderr"]
 
 
+def _full_range_errors(field, spec, drv, k_list, L, n_x):
+    """The one-path experiment's mc_error per k, read off the whole trajectory
+    of `oracle_markovian`, which steps f0's full range, at the experiment's
+    slices (every L // 64-th time and the last)."""
+    p = spec.params
+    times = np.linspace(0.0, p.horizon, L + 1)
+    noise = drv.increments(drv.path_rng(0), times[1], L)
+    oracle = oracle_markovian(field, spec, drv, times, noise=noise)
+    slices = sorted({*range(0, L + 1, max(1, L // 64)), L})
+    errors = []
+    for k in k_list:
+        path = simulate_markovian_fk(field, spec, drv, times, k, noise=noise)
+        worst = 0.0
+        for j in slices:
+            x = np.linspace(0.0, max(p.horizon - times[j], 0.0), n_x)
+            err = np.abs(reconstruct(path.state(j), x) - oracle.states[j].value(x)) ** 2
+            worst = max(worst, float(np.max(err)))
+        errors.append(worst)
+    return errors
+
+
 def test_convergence_experiment_row_equals_the_materialised_oracle():
     # the experiment streams the oracle; its sup must be bit for bit the one
     # read off the whole trajectory at the same slices
@@ -303,17 +361,7 @@ def test_convergence_experiment_row_equals_the_materialised_oracle():
     L, n_x = 128, 33
     rows = markovian_convergence_experiment(field, spec, drv, [1, 2], 1,
                                             n_steps=L, n_x=n_x)
-    times = np.linspace(0.0, P.horizon, L + 1)
-    noise = drv.increments(drv.path_rng(0), times[1], L)
-    oracle = oracle_markovian(field, spec, drv, times, noise=noise)
-    for row in rows:
-        path = simulate_markovian_fk(field, spec, drv, times, row["k"], noise=noise)
-        worst = 0.0
-        for j in range(0, L + 1, L // 64):
-            x = np.linspace(0.0, max(P.horizon - times[j], 0.0), n_x)
-            err = np.abs(reconstruct(path.state(j), x) - oracle.states[j].value(x)) ** 2
-            worst = max(worst, float(np.max(err)))
-        assert row["mc_error"] == worst
+    assert [r["mc_error"] for r in rows] == _full_range_errors(field, spec, drv, [1, 2], L, n_x)
 
 
 def test_convergence_experiment_memory_does_not_grow_with_steps():
@@ -497,6 +545,84 @@ def test_adapter_oracle_equals_array_form_oracle(case, t_end, L):
     for a, b in zip(got, want, strict=True):
         assert (a.value_at_zero, a.x_max) == (b.value_at_zero, b.x_max)
         assert a.deriv_samples.tobytes() == b.deriv_samples.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 4, 16])
+@pytest.mark.parametrize("case", sorted(_FIELDS))
+def test_convergence_experiment_rows_equal_the_full_range_oracle(case, m):
+    # a registry field reads below T - t and the slices read [0, T - t_j], so
+    # the experiment's oracle steps f0 only up to T and _ORACLE_MARGIN nodes
+    # beyond; on a grid of step 2^-9, with dt m nodes, its rows must be the
+    # full-range oracle's bit for bit
+    drv = make_driver()
+    spec = ModelSpec(f0=smooth_bump(n_points=1025), params=P)
+    name, kw = _FIELDS[case]
+    field = make_field(name, drv, P, **kw)
+    rows = markovian_convergence_experiment(field, spec, drv, [1], 1, n_steps=512 // m, n_x=33)
+    assert [r["mc_error"] for r in rows] == _full_range_errors(field, spec, drv, [1], 512 // m, 33)
+
+
+def test_convergence_experiment_rows_near_the_full_range_oracle_off_a_binary_step():
+    # on f0's 3,001 nodes over [0, 2.3] (horizon 1.15) the cut grid's nodes
+    # and steps round apart from the full grid's, and the rows may move by
+    # rounding only
+    p = BasisParams(alpha=1.0, lam=0.5, horizon=1.15)
+    drv = make_driver()
+    spec = ModelSpec(f0=smooth_bump(x_max=2.3, n_points=3001), params=p)
+    field = make_field("mean_revert", drv, p, kappa=0.5, theta=seasonal_curve(1.2))
+    rows = markovian_convergence_experiment(field, spec, drv, [2, 4], 1, n_steps=300, n_x=33)
+    want = _full_range_errors(field, spec, drv, [2, 4], 300, 33)
+    np.testing.assert_allclose([r["mc_error"] for r in rows], want, rtol=1e-9, atol=0.0)
+
+
+def test_experiment_oracle_keeps_every_slice_value_bit_for_bit(monkeypatch):
+    # the cut's end condition reaches 64 nodes in by about 2e-37 relative, so
+    # every value a slice can read is the full-range oracle's; a margin of 8
+    # nodes moves some by about 1e-14, one of 4 by 4e-10
+    drv, spec = make_driver(), make_spec()
+    field = make_field("mean_revert", drv, P, kappa=0.5, theta=seasonal_curve(1.2))
+    L, n_x = 128, 256
+    times = np.linspace(0.0, P.horizon, L + 1)
+    xs = [np.linspace(0.0, P.horizon - t, n_x) for t in times]
+    got, recursion = [], dynamics._curve_recursion
+
+    def read(*args, **kwargs):
+        for j, f in enumerate(recursion(*args, **kwargs)):
+            got.append(f.value(xs[j]))
+            yield f
+
+    monkeypatch.setattr(markovian, "_curve_recursion", read)
+    markovian_convergence_experiment(field, spec, drv, [1], 1, n_steps=L, n_x=n_x)
+    monkeypatch.undo()
+    noise = drv.increments(drv.path_rng(0), times[1], L)
+    oracle = oracle_markovian(field, spec, drv, times, noise=noise)
+    for a, f, x in zip(got, oracle.states, xs, strict=True):
+        assert a.tobytes() == f.value(x).tobytes()
+
+
+def _oracle_state_sizes(monkeypatch, field, spec, drv) -> list:
+    """The node counts of the states the experiment's oracle streams."""
+    sizes, recursion = [], dynamics._curve_recursion
+
+    def counted(*args, **kwargs):
+        for f in recursion(*args, **kwargs):
+            sizes.append(f.deriv_samples.shape[0])
+            yield f
+
+    monkeypatch.setattr(markovian, "_curve_recursion", counted)
+    markovian_convergence_experiment(field, spec, drv, [1], 1, n_steps=64, n_x=17)
+    monkeypatch.undo()
+    return sizes
+
+
+def test_experiment_oracle_holds_f0_up_to_its_margin_past_the_horizon(monkeypatch):
+    # the oracle of a registry field holds f0's nodes up to T (n_T = 2048)
+    # and 64 beyond; the adapter of a plain callable keeps f0's whole range
+    drv, spec = make_driver(), make_spec()
+    n_T = spec.f0._node_index(P.horizon)
+    field = make_field("mean_revert", drv, P, kappa=0.5, theta=seasonal_curve(1.2))
+    assert max(_oracle_state_sizes(monkeypatch, field, spec, drv)) == n_T + 65
+    assert max(_oracle_state_sizes(monkeypatch, _curve_form(field), spec, drv)) == 4097
 
 
 # sha256 of the states of the Euler loop, the oracle and the Picard map,

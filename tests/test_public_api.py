@@ -125,7 +125,8 @@ def test_fold_helpers_stay_with_their_owners():
     # dynamics.py, and so does the per-path noise stream, which every scheme
     # and experiment draws through the time-grid rule or the chunked draw,
     # with the one-pass seeding that re-implements numpy's beside it.
-    # The node shift's trapezoid lives in semigroup.py alone
+    # The node shift's trapezoid lives in semigroup.py alone, and the margin
+    # past T that the Markovian experiment's oracle keeps in markovian.py
     src = Path(fwdapprox.__file__).parent
     owners = {"np.fft": {"projection.py"},
               "_fold_input": {"projection.py", "dynamics.py"},
@@ -135,7 +136,7 @@ def test_fold_helpers_stay_with_their_owners():
               "_mild_terms": {"dynamics.py"}, "_PATH_CHUNK": {"dynamics.py"},
               "_final_state": {"dynamics.py"},
               "path_rng": {"dynamics.py"}, "_path_rngs": {"dynamics.py"},
-              "np.trapezoid": {"semigroup.py"}}
+              "np.trapezoid": {"semigroup.py"}, "_ORACLE_MARGIN": {"markovian.py"}}
     for name, allowed in owners.items():
         users = {p.name for p in src.glob("*.py") if name in p.read_text()}
         assert users <= allowed, f"{name} is referenced outside {sorted(allowed)}: " \
