@@ -59,7 +59,7 @@ BOUND_PATHS = 64       # paths whose curvature constants enter the sampled bound
 # chunk's.  At 2,000 paths x 128 steps, 128 or 256 rows give the same bytes
 # (one final-state product serves every level) but run no faster
 _PATH_CHUNK = 512
-_BLOCK_POINTS = 2**16  # distinct points per `_mild_terms` spline evaluation
+_BLOCK_POINTS = 2**16  # points per `_mild_terms` spline evaluation, entries per kernel block
 _MASK64, _MASK128 = 2**64 - 1, 2**128 - 1
 # numpy's SeedSequence hash (start and step of its two multipliers, its mix)
 # and PCG64's LCG multiplier, which `LevyDriver._path_rngs` runs for path_rng
@@ -590,45 +590,63 @@ def _window_weights(params: BasisParams, t: float, T1: float, T2: float) -> np.n
 # -- Monte-Carlo convergence experiment --------------------------------------
 
 def _lagged(times, x, dt, curve_eval):
-    """at(c, j0, j1) = curve_eval(c, y[j0:j1]), y[l] = t - t_l + x, from one evaluation
-    with rows m points apart: dt / x's step if they are exactly one grid's windows, else n_x."""
-    y = (times[-1] - times[:-1])[:, None] + x
-    L, n = y.shape
-    m = max(1, np.searchsorted(x, x[0] + dt))
-    rows = lambda v: np.lib.stride_tricks.sliding_window_view(v, n)[::-m]
-    u = np.concatenate([y[-1], y[-2::-1, -m:].ravel()])
-    if not np.array_equal(rows(u), y):
-        u, m = y[::-1].ravel(), n
-    return lambda c, j0, j1: rows(curve_eval(c, u[(L - j1) * m:(L - 1 - j0) * m + n])), m
+    """(at, m): at(c, j0, j1) = curve_eval(c, y[j0:j1]), y[l] = t - t_l + x.  If the
+    rows are exactly one grid's windows, m = dt / x's step apart (row l's first
+    n_x - m points are row l+1's last), it evaluates the rows' distinct points
+    and views them; else m = n_x and at(c, j0, j1, cols) evaluates y[j0:j1, cols]
+    alone.  The windows are tested about _BLOCK_POINTS entries of y at a time."""
+    lag, n = times[-1] - times[:-1], x.size
+    L, m, r = lag.size, max(1, np.searchsorted(x, x[0] + dt)), max(1, _BLOCK_POINTS // n)
+    head, tail = lag[:-1, None], lag[1:, None]
+    if m < n and all(np.array_equal(head[j:j + r] + x[:n - m], tail[j:j + r] + x[m:])
+                     for j in range(0, L - 1, r)):
+        u = np.concatenate([lag[-1] + x, (lag[-2::-1, None] + x[-m:]).ravel()])
+        rows = lambda v: np.lib.stride_tricks.sliding_window_view(v, n)[::-m]
+        return lambda c, j0, j1: rows(curve_eval(c, u[(L - j1) * m:(L - 1 - j0) * m + n])), m
+    return lambda c, j0, j1, cols=slice(None): curve_eval(c, lag[j0:j1, None] + x[cols]), n
 
 
 def _mild_terms(spec: ModelSpec, driver: LevyDriver, times: np.ndarray, betas,
-                x: np.ndarray, curve_eval) -> tuple[np.ndarray, np.ndarray]:
+                x: np.ndarray, curve_eval) -> tuple[np.ndarray, Callable]:
     """The closed-form mild solution at t = times[-1] on x,
 
     f(t, x) = f0(t + x) + dt sum_l beta(t_l)(t - t_l + x)
               + sum_{l, i} weighted[..., l, i] loading_i(t - t_l + x),
 
-    as its noise-free part ``base`` (n_x,) and its loading kernel (L, d, n_x),
-    kernel[l, i] = loading_i(t - t_l + x), so that the paths of ``weighted``
-    (psi weights times increments, (..., L, d)) are
-    ``base + np.tensordot(weighted, kernel, axes=2)``.  ``betas`` are
-    beta(t_l) and ``curve_eval(curve, y)`` is `Curve.value`, its real part, or
-    `Curve.deriv`.  Each loading, or run of one drift, is evaluated on about
-    _BLOCK_POINTS distinct points at a time, those of one grid if the rows are
-    exactly its windows (`_lagged`).
+    as its noise-free part ``base`` (n_x,) and ``kernel(c0, c1)``, columns
+    c0..c1 of its loading kernel K (L, d, n_x), K[l, i] = loading_i(t - t_l + x):
+    the paths of ``weighted`` (psi weights times increments, (..., L, d)) are
+    ``base + np.tensordot(weighted, K, axes=2)``.  ``betas`` are beta(t_l) and
+    ``curve_eval(curve, y)`` is `Curve.value`, its real part, or `Curve.deriv`.
+    Each loading, or run of one drift, is evaluated on about _BLOCK_POINTS
+    distinct points at a time: those of one grid, here, for every block to
+    view, if the rows are exactly its windows (`_lagged`), else a block's own.
+    The drift rows are summed in order, about _BLOCK_POINTS entries at a time.
     """
-    dt, L = float(times[1] - times[0]), times.size - 1
+    dt, L, n = float(times[1] - times[0]), times.size - 1, x.size
     at, m = _lagged(times, x, dt, curve_eval)
-    lags = max(1, (_BLOCK_POINTS - x.size) // m + 1)
+    lags = max(1, (_BLOCK_POINTS - n) // m + 1)
     base = curve_eval(spec.f0, times[-1] + x)
     if betas:
         s = [j for j in range(L) if j % lags == 0 or betas[j] is not betas[j - 1]] + [L]
-        base = base + dt * np.concatenate([at(betas[a], a, b) for a, b in zip(s, s[1:])]).sum(0)
-    kernel = np.empty((L, driver.rank, x.size), base.dtype)
-    for l0 in range(0, L, lags):
+        total, r = [], max(1, _BLOCK_POINTS // n)
+        for a, b in zip(s, s[1:]):
+            rows = at(betas[a], a, b)
+            for j in range(0, b - a, r):   # the partial sum heads each block
+                total = [np.add.reduce(np.concatenate([*total, rows[j:j + r]]), keepdims=True)]
+        base = base + dt * total[0][0]
+    held = [[at(c, l0, min(l0 + lags, L)) for l0 in range(0, L, lags)]
+            for c in driver.loadings] if m < n else None
+
+    def kernel(c0: int, c1: int) -> np.ndarray:
+        out = np.empty((L, driver.rank, c1 - c0), base.dtype)
+        step = lags if held else max(1, _BLOCK_POINTS // (c1 - c0))
         for i, c in enumerate(driver.loadings):
-            kernel[l0:l0 + lags, i] = at(c, l0, min(l0 + lags, L))
+            for b, l0 in enumerate(range(0, L, step)):
+                l1 = min(l0 + step, L)
+                out[l0:l1, i] = held[i][b][:, c0:c1] if held else at(c, l0, l1, slice(c0, c1))
+        return out
+
     return base, kernel
 
 
@@ -681,18 +699,19 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
     for the chunk in one pass by `LevyDriver._path_rngs`, each generator
     valid until the next is drawn), so memory does not grow with n_paths;
     every k reads the chunk's noise (common random numbers), and only the
-    per-path sup-errors (len(k_list), n_paths) are kept.  The noise and each
-    level's error go into one (P, L, d) and one (P, CONV_X_POINTS) array
-    made once per run, P = min(_PATH_CHUNK, n_paths), a partial last chunk
-    using their first rows.  A chunk makes one product for the oracle and
-    one for every level's final state (`_final_state`), then per level one
-    value product into the error array (`_half_spectrum`'s ``out``).  The
-    sup is taken over CONV_X_POINTS points of [0, T - t_eval].  The bound
-    column is the sampled rate constant divided by k, from the projected
-    initial condition, the drift and noise loads and pathwise curvature
-    constants of the oracle on the first BOUND_PATHS paths, drawn before the
-    chunks; its complex derivative kernel, released before the curvature
-    pass, is the run's largest array.  A t_eval beyond T raises
+    per-path sup-errors (len(k_list), n_paths) are kept.  The noise, the
+    oracle and each level's error go into one (P, L, d) and two
+    (P, CONV_X_POINTS) arrays made once per run, P = min(_PATH_CHUNK,
+    n_paths), a partial last chunk using their first rows.  A chunk makes
+    one product for the oracle with its whole (L, d, CONV_X_POINTS) kernel,
+    built first, and one for every level's final state (`_final_state`),
+    then per level one value product into the error array
+    (`_half_spectrum`'s ``out``).  The sup is taken over CONV_X_POINTS points
+    of [0, T - t_eval].  The bound column is the sampled rate constant
+    divided by k, from the projected initial condition, the drift and noise
+    loads and pathwise curvature constants of the oracle on the first
+    BOUND_PATHS paths, drawn before the chunks (`_sampled_bound`, whose
+    arrays do not grow with L x its grid).  A t_eval beyond T raises
     DomainTooShort before any other work.
 
     The inputs must be real curves, as forward prices are: f0, every
@@ -722,13 +741,15 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
         out *= psi
         return out
 
+    x = np.linspace(0.0, T - t_eval, CONV_X_POINTS)
+    base, kernel = _mild_terms(spec, driver, times, betas, x,
+                               lambda c, y: c.value(y).real)
+    # whole, as every chunk reads it, and first, so a run too large for it stops at once
+    kernel = kernel(0, x.size).reshape(-1, x.size)
     n_bound = min(BOUND_PATHS, n_paths)
     A_common, C1_mean = _sampled_bound(
         spec, driver, times, betas, drifts, psi,
         weighted(range(n_bound), np.empty((n_bound, *psi.shape))))
-    x = np.linspace(0.0, T - t_eval, CONV_X_POINTS)
-    base, kernel = _mild_terms(spec, driver, times, betas, x,
-                               lambda c, y: c.value(y).real)
     # the basis factors once, at the largest level; each level takes its modes
     lag = _shift_factors(p, k_max, dt * np.arange(n_steps, 0, -1))
     G = eval_g_n(p, np.arange(k_max + 1), x)
@@ -736,11 +757,11 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
     spectra = [_half_spectrum(G[:k + 1]) for k in k_list]
     errs = np.empty((len(k_list), n_paths))
     rows = min(_PATH_CHUNK, n_paths)
-    noise, buf = np.empty((rows, *psi.shape)), np.empty((rows, x.size))
+    noise, buf, oracles = np.empty((rows, *psi.shape)), *np.empty((2, rows, x.size))
     for start in range(0, n_paths, _PATH_CHUNK):
         chunk = slice(start, min(start + _PATH_CHUNK, n_paths))
         w = weighted(range(chunk.start, chunk.stop), noise)
-        oracle = np.tensordot(w, kernel, axes=2)
+        oracle = np.dot(w.reshape(len(w), -1), kernel, out=oracles[:len(w)])
         oracle += base
         for err, values, state in zip(errs, spectra, final(w)):
             e = values(*state, out=buf[:len(w)])
@@ -765,8 +786,10 @@ def _sampled_bound(spec: ModelSpec, driver: LevyDriver, times: np.ndarray, betas
     + squared integrated drift norm); pathwise part: mean of the curvature
     constant of the oracle curve at times[-1] over the paths of ``weighted``
     (psi weights times increments, (n_sample, L, d)); ``betas``, ``drifts``: `_drift_curves`.
-    The constants come from one row-wise pass over the paths' derivatives
-    (`projection._compute_C1_rows`), bit for bit `compute_C1` of each.
+    The paths' derivatives are contracted a block of about _BLOCK_POINTS
+    kernel entries at a time, bit for bit the whole product, so no array
+    holds L x n_x entries; the constants come from one row-wise pass over
+    them (`projection._compute_C1_rows`), bit for bit `compute_C1` of each.
     """
     p = spec.params
     dt = float(times[1] - times[0])
@@ -786,7 +809,15 @@ def _sampled_bound(spec: ModelSpec, driver: LevyDriver, times: np.ndarray, betas
     n_pts = spec.f0.deriv_samples.shape[0]
     xg = np.linspace(0.0, p.horizon, min(n_pts, 2**12 + 1))
     base, kernel = _mild_terms(spec, driver, times, betas, xg, Curve.deriv)
-    derivs = np.tensordot(weighted, kernel, axes=2)
+    # blocks a multiple of 4 columns wide, the last at least 2: a one-column
+    # product, or a one-path product's block that starts off a multiple of 4,
+    # runs another BLAS path or tail and rounds apart from the whole product
+    n_x, (P, L, d) = xg.size, weighted.shape
+    derivs = np.empty((P, n_x), np.result_type(weighted, base))
+    w = weighted.reshape(P, L * d).astype(derivs.dtype)      # cast once, not per block
+    edges = [*range(0, n_x - 1, 4 * max(1, _BLOCK_POINTS // (4 * L * d))), n_x]
+    for c0, c1 in zip(edges, edges[1:]):
+        derivs[:, c0:c1] = np.dot(w, kernel(c0, c1).reshape(L * d, c1 - c0))
+    del w
     derivs += base
-    del kernel                              # the run's largest array
     return A_common, float(np.mean(_compute_C1_rows(derivs, p)))

@@ -390,7 +390,8 @@ def _period_norm(value_at_zero: complex, deriv, params: BasisParams) -> float:
     x = np.linspace(0.0, params.horizon, PERIOD_POINTS)
     d = deriv(x)
     w = _simpson_weights(PERIOD_POINTS, params.horizon / (PERIOD_POINTS - 1))
-    energy = float(np.sum(w * np.abs(d) ** 2 * np.exp(params.alpha * x)))
+    with np.errstate(over="ignore", invalid="ignore"):    # an overflow is checked below
+        energy = float(np.sum(w * np.abs(d) ** 2 * np.exp(params.alpha * x)))
     try:
         norm = float(np.sqrt(abs(value_at_zero) ** 2 + energy / params.damping_factor))
     except OverflowError:        # Python's float ** 2 raises where numpy's gives inf

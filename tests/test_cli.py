@@ -271,9 +271,10 @@ def one_thread_env():
 
 
 def test_run_out_of_memory_is_a_config_error(tmp_path):
-    # configs/default.json at 2^14 steps needs a 512 MiB array.  A child
-    # that caps its own address space at 512 MiB runs out of memory there
-    # and must exit 2 with one config error line, not a traceback
+    # configs/default.json at 2^14 steps needs a 400 MB oracle kernel
+    # (16384 x 3 x 1024).  A child that caps its own address space at 512 MiB
+    # runs out of memory there and must exit 2 with one config error line,
+    # not a traceback
     pytest.importorskip("resource")
     root = Path(__file__).resolve().parent.parent
     cfg = json.loads((root / "configs" / "default.json").read_text())
@@ -285,6 +286,24 @@ def test_run_out_of_memory_is_a_config_error(tmp_path):
                          env=one_thread_env(), capture_output=True, text=True)
     assert run.returncode == 2, run.stderr
     assert run.stderr.startswith("config error: out of memory") and run.stderr.count("\n") == 1
+
+
+def test_converge_bound_memory_is_flat_in_steps(tmp_path):
+    # configs/default.json at 2,048 steps: the bound's derivative kernel
+    # (2048 x 3 x 4097 complex, 400 MB) is contracted in column blocks, so
+    # a child capped at 512 MiB of address space finishes the run
+    pytest.importorskip("resource")
+    root = Path(__file__).resolve().parent.parent
+    cfg = json.loads((root / "configs" / "default.json").read_text())
+    cfg.update(f0=str(root / "data" / "bump_curve.csv"), n_steps=2048, n_paths=64, k_list=[4])
+    code = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({2**29}, {2**29})); "
+            "from fwdapprox.cli import main; sys.exit(main(sys.argv[1:]))")
+    out = tmp_path / "o"
+    run = subprocess.run([sys.executable, "-c", code, "converge", "--config",
+                          write_cfg(tmp_path, "c.json", cfg), "--out", str(out)],
+                         env=one_thread_env(), capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    assert len(read_rows(out / "converge.csv")) == 2
 
 
 # sha256 of converge.csv for converge --markovian on configs/markovian.json
@@ -480,10 +499,9 @@ def test_converge_markovian_overflow_exits_3(tmp_path, capsys, field):
     assert not (out / "converge.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_converge_loading_that_overflows_the_bound_exits_3(tmp_path, capsys):
+def test_converge_loading_that_overflows_the_bound_exits_3(tmp_path, capsys, recwarn):
     # the bound's norm of a loading scaled to 1e200 overflows: one line, no
-    # traceback and no converge.csv
+    # traceback, no numpy overflow warning and no converge.csv
     root = Path(__file__).resolve().parent.parent
     cfg = json.loads((root / "configs" / "default.json").read_text())
     cfg.update(f0=str(root / "data" / "bump_curve.csv"), n_paths=4, n_steps=8, k_list=[2, 4])
@@ -494,6 +512,7 @@ def test_converge_loading_that_overflows_the_bound_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and err.count("\n") == 1
     assert not (out / "converge.csv").exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_converge_markovian_bad_field_is_config_error(tmp_path):

@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -165,7 +169,7 @@ def test_loading_that_ends_off_the_grid_keeps_the_oracle_on_f0s_grid():
                    for f in path.states)
         f = path.states[-1]
         base, kernel = dynamics._mild_terms(spec, drv, times, [], f.grid, Curve.value)
-        want = base + np.tensordot(path.noise_record, kernel, axes=2)
+        want = base + np.tensordot(path.noise_record, kernel(0, f.grid.size), axes=2)
         assert np.max(np.abs(f.values_on_grid() - want)) < 1e-7
 
 
@@ -448,15 +452,17 @@ def test_convergence_experiment_memory_does_not_grow_with_paths():
     assert large <= 1.1 * small, (small, large)
 
 
-# tracemalloc peak of the run below, measured with one error buffer per run
-# and the bound's kernel released before its curvature pass; the test allows
-# 1 MB above it
-CONVERGENCE_PEAK_MB = 30.34
+# tracemalloc peak of the run below, measured with one error buffer and one
+# oracle buffer per run and the bound contracted in column blocks; the test
+# allows 1 MB above it
+CONVERGENCE_PEAK_MB = 19.46
 
 
 def test_convergence_experiment_peak_memory():
-    # 512 paths x 128 steps, k = 4..64: the peak is the bound's complex
-    # derivative kernel (128 x 3 x 4097, 25 MB) and the sum it contracts to
+    # 512 paths x 128 steps, k = 4..64: the peak is the chunk loop's, its
+    # noise, oracle and error buffers, the oracle's (128, 3, 1024) kernel and
+    # the final states; the bound's complex derivative kernel (128 x 3 x 4097,
+    # 25 MB) is never held whole
     spec, drv = make_spec(beta_level=0.05), make_driver()
 
     def peak():
@@ -472,6 +478,32 @@ def test_convergence_experiment_peak_memory():
     finally:
         tracemalloc.stop()
     assert got <= (CONVERGENCE_PEAK_MB + 1.0) * 1e6, got
+
+
+def test_sampled_bound_memory_does_not_grow_with_steps():
+    # the bound's kernel is built and contracted a block of columns at a time
+    # and its window test and drift sum run a block of lags at a time, so its
+    # peak at 64 paths stays flat from 256 to 1,024 steps; a whole kernel or
+    # lag grid grows it about fourfold
+    spec, drv = make_spec(beta_level=0.05), make_driver()
+
+    def peak(n_steps):
+        times = np.linspace(0.0, 0.5, n_steps + 1)
+        betas, drifts = dynamics._drift_curves(spec, times)
+        psi = dynamics._psi_rows(spec, drv, times)
+        w = np.random.default_rng(0).normal(0.0, np.sqrt(0.5 / n_steps), (64, n_steps, 3))
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        dynamics._sampled_bound(spec, drv, times, betas, drifts, psi, w)
+        return tracemalloc.get_traced_memory()[1] - start
+
+    tracemalloc.start()
+    try:
+        peak(256)                           # fills the projection memos under tracing
+        small, large = peak(256), peak(1024)
+    finally:
+        tracemalloc.stop()
+    assert large <= 1.2 * small, (small, large)
 
 
 def test_convergence_experiment_rows_do_not_depend_on_the_chunk(monkeypatch):
@@ -550,8 +582,8 @@ def test_windowed_lag_rows_equal_per_lag_evaluation(grid, horizon, log_n, n_int,
     # [0, T - t_eval] at t_eval = T / 2, dt m of its steps; "off": any step
     # count, t_eval and x range, mostly not commensurate.  Each with no drift,
     # one flat curve, two curves in runs, or a new curve at every step.  base
-    # and kernel equal the per-lag fill bit for bit, and on the commensurate
-    # dyadic grids the rows are taken as windows
+    # and kernel, whole and in column blocks, equal the per-lag fill bit for
+    # bit, and on the commensurate dyadic grids the rows are taken as windows
     m = None
     if grid == "off":
         t_eval, n_steps = frac * horizon, 1 + steps
@@ -580,12 +612,78 @@ def test_windowed_lag_rows_equal_per_lag_evaluation(grid, horizon, log_n, n_int,
     betas, _ = dynamics._drift_curves(spec, times)
     curve_eval = Curve.deriv if deriv else (lambda c, y: c.value(y).real)
     with mock.patch.object(dynamics, "_BLOCK_POINTS", block):
-        got = dynamics._mild_terms(spec, drv, times, betas, x, curve_eval)
+        base, kernel = dynamics._mild_terms(spec, drv, times, betas, x, curve_eval)
         want = _per_lag_mild_terms(spec, drv, times, betas, x, curve_eval)
+        cols = [(0, x.size), (0, 1), (x.size // 3, x.size - 1), (x.size - 2, x.size)]
+        got = [base, *(kernel(c0, c1) for c0, c1 in cols)]
+        want = [want[0], *(want[1][..., c0:c1] for c0, c1 in cols)]
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
     if m is not None:
         assert dynamics._lagged(times, x, float(times[1] - times[0]), curve_eval)[1] == m
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(paths=st.integers(1, 6), steps=st.integers(1, 40), rank=st.integers(1, 3),
+       width=st.sampled_from([1, 2, 4, 8, 3, 5, 17, 64]), extra=st.integers(0, 3),
+       windowed=st.booleans(),
+       log_n=st.integers(2, 12), aligned=st.booleans(), n_blocks=st.integers(0, 40),
+       tail=st.integers(0, 5), m_raw=st.integers(0, 63), frac=st.floats(0.01, 1.0),
+       drift=st.sampled_from(["none", "fixed", "varying"]))
+def blocked_bound_equals_whole_product(paths, steps, rank, width, extra, windowed, log_n,
+                                       aligned, n_blocks, tail, m_raw, frac, drift):
+    """The bound's derivatives, contracted in column blocks 4 x ``width``
+    wide (_BLOCK_POINTS is 4 x width + extra kernel rows), and its base equal
+    the whole kernel's np.tensordot and the drift rows' sum at once, bit for
+    bit.  Windowed: dyadic lags, m steps of x's grid apart; else any step
+    count and t_eval, and often n_x one above a multiple of the block width."""
+    if windowed:
+        n_int = 2**log_n
+        n_steps = 2 ** (steps % (log_n + 1))
+        t_eval = (1 + m_raw % (n_int // n_steps)) * n_steps / n_int
+    else:
+        n_steps, t_eval = steps, frac
+        n_int = 4 * width * n_blocks + tail if aligned else 4 * n_blocks + tail + 1
+    assume(1 <= n_int <= 4096)
+    times = np.linspace(0.0, t_eval, n_steps + 1)
+    curves = dict(x_max=2.0, n_points=257)
+    b1 = seasonal_curve(0.03, **curves)
+    beta = {"none": None, "fixed": lambda t: b1,
+            "varying": lambda t: seasonal_curve(0.05 + t, damp=1.0 + t, **curves)}[drift]
+    spec = ModelSpec(f0=smooth_bump(x_max=2.0, n_points=n_int + 1), params=P, beta=beta)
+    drv = LevyDriver(rank=rank, loadings=[exp_loading(0.1, r, **curves)
+                                          for r in (0.5, 1.0, 2.0)[:rank]])
+    betas, drifts = dynamics._drift_curves(spec, times)
+    w = np.random.default_rng(steps).normal(size=(paths, n_steps, rank))
+    x = np.linspace(0.0, 1.0, n_int + 1)
+    seen = []
+    with mock.patch.object(dynamics, "_BLOCK_POINTS", (4 * width + extra) * n_steps * rank), \
+            mock.patch.object(dynamics, "_compute_C1_rows",
+                              lambda d, p: seen.append(d.copy()) or [0.0] * len(d)):
+        dynamics._sampled_bound(spec, drv, times, betas, drifts,
+                                dynamics._psi_rows(spec, drv, times), w)
+        base = dynamics._mild_terms(spec, drv, times, betas, x, Curve.deriv)[0]
+        want_base, kernel = _per_lag_mild_terms(spec, drv, times, betas, x, Curve.deriv)
+    want = np.tensordot(w, kernel, axes=2)
+    want += want_base
+    assert (base == want_base).all()
+    assert seen[0].dtype == want.dtype and (seen[0] == want).all()
+    if windowed:
+        assert dynamics._lagged(times, x, float(times[1] - times[0]), Curve.deriv)[1] < x.size
+
+
+def test_bound_column_blocks_equal_the_whole_product():
+    # at one BLAS thread, in a fresh interpreter: a one-path product is a
+    # gemv, which splits its columns over the threads, so at two threads
+    # blocks and the whole product can round the split's columns apart
+    tests = Path(__file__).resolve().parent
+    src = Path(dynamics.__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        str(p) for p in (src, tests, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run([sys.executable, "-c", "import test_dynamics as t; "
+                          "t.blocked_bound_equals_whole_product()"],
+                         env=env, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr[-4000:]
 
 
 def hermitian(rng, shape):

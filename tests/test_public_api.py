@@ -122,9 +122,10 @@ def test_fold_helpers_stay_with_their_owners():
     # step only through the time-grid rule of dynamics.py; the mild sum's
     # kernel, the path chunk and the one product of every level's final
     # state of the convergence experiment stay in
-    # dynamics.py, and so does the per-path noise stream, which every scheme
-    # and experiment draws through the time-grid rule or the chunked draw,
-    # with the one-pass seeding that re-implements numpy's beside it.
+    # dynamics.py, and so do the lag kernels' window test and block rule and
+    # the bound that contracts them, and the per-path noise stream, which
+    # every scheme and experiment draws through the time-grid rule or the
+    # chunked draw, with the one-pass seeding that re-implements numpy's beside it.
     # The node shift's trapezoid lives in semigroup.py alone, and the margin
     # past T that the Markovian experiment's oracle keeps in markovian.py
     src = Path(fwdapprox.__file__).parent
@@ -134,13 +135,25 @@ def test_fold_helpers_stay_with_their_owners():
               "_simpson_weights": {"space.py", "projection.py"},
               "_time_grid": {"dynamics.py", "markovian.py"},
               "_mild_terms": {"dynamics.py"}, "_PATH_CHUNK": {"dynamics.py"},
-              "_final_state": {"dynamics.py"},
+              "_final_state": {"dynamics.py"}, "_lagged": {"dynamics.py"},
+              "_BLOCK_POINTS": {"dynamics.py"}, "_sampled_bound": {"dynamics.py"},
               "path_rng": {"dynamics.py"}, "_path_rngs": {"dynamics.py"},
               "np.trapezoid": {"semigroup.py"}, "_ORACLE_MARGIN": {"markovian.py"}}
     for name, allowed in owners.items():
         users = {p.name for p in src.glob("*.py") if name in p.read_text()}
         assert users <= allowed, f"{name} is referenced outside {sorted(allowed)}: " \
                                  f"{sorted(users - allowed)}"
+
+
+def test_bound_contracts_no_whole_lag_kernel():
+    # the bound's derivative kernel is built and contracted a block of
+    # columns at a time; a tensordot in _sampled_bound means a whole
+    # (L, d, n_x) kernel is back
+    tree = ast.parse((Path(fwdapprox.__file__).parent / "dynamics.py").read_text())
+    bound = next(n for n in tree.body
+                 if isinstance(n, ast.FunctionDef) and n.name == "_sampled_bound")
+    assert not [n.lineno for n in ast.walk(bound)
+                if isinstance(n, ast.Attribute) and n.attr == "tensordot"]
 
 
 def test_fields_read_their_input_on_its_own_nodes():
