@@ -60,7 +60,7 @@ __all__ = ["main"]
 # -- config loading ----------------------------------------------------------
 
 _REQUIRED = object()
-_K_MAX = (COEFF_POINTS - 2) // 2     # 2k + 1 modes must not alias on the FFT grid
+_K_MAX = (COEFF_POINTS - 2) // 2     # 2k + 1 modes fit the grid projections request
 # size limits: a larger run would exhaust memory or never finish
 _MAX_PATHS = 10**6
 _MAX_STEPS = 2**20
@@ -453,8 +453,8 @@ def cmd_converge(cfg: dict, base_dir: Path, out: Path, markovian: bool) -> int:
         except (ValueError, KeyError) as e:
             raise ConfigError(f"bad --markovian setup: {e}") from e
         audit = contract_audit(field, params, n_pairs=50, seed=seed)
-        if audit["structure_leak"] > 0.0 or audit["lipschitz_b_ratio"] > 1.0 \
-                or audit["lipschitz_psi_ratio"] > 1.0:
+        if audit["structure_leak"] > 0.0 or any(audit[r] > 1.0 for r in (
+                "lipschitz_b_ratio", "lipschitz_psi_ratio", "growth_ratio")):
             print(f"contract audit failed: {audit}")
             return 1
         rows = markovian_convergence_experiment(

@@ -699,17 +699,17 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
     for the chunk in one pass by `LevyDriver._path_rngs`, each generator
     valid until the next is drawn), so memory does not grow with n_paths;
     every k reads the chunk's noise (common random numbers), and only the
-    per-path sup-errors (len(k_list), n_paths) are kept.  The noise, the
-    oracle and each level's error go into one (P, L, d) and two
-    (P, CONV_X_POINTS) arrays made once per run, P = min(_PATH_CHUNK,
-    n_paths), a partial last chunk using their first rows.  A chunk makes
-    one product for the oracle with its whole (L, d, CONV_X_POINTS) kernel,
-    built first, and one for every level's final state (`_final_state`),
-    then per level one value product into the error array
-    (`_half_spectrum`'s ``out``).  The sup is taken over CONV_X_POINTS points
-    of [0, T - t_eval].  The bound column is the sampled rate constant
-    divided by k, from the projected initial condition, the drift and noise
-    loads and pathwise curvature constants of the oracle on the first
+    per-path sup-errors (len(k_list), n_paths) are kept, which `_mc_rows`
+    summarises.  The noise, the oracle and each level's error go into one
+    (P, L, d) and two (P, CONV_X_POINTS) arrays made once per run,
+    P = min(_PATH_CHUNK, n_paths), a partial last chunk using their first
+    rows.  A chunk makes one product for the oracle with its whole
+    (L, d, CONV_X_POINTS) kernel, built first, and one for every level's
+    final state (`_final_state`), then per level one value product into the
+    error array (`_half_spectrum`'s ``out``).  The sup is taken over CONV_X_POINTS points
+    of [0, T - t_eval].  Each row adds bound_A_over_k, the sampled rate
+    constant over k, from the projected initial condition, the drift and
+    noise loads and pathwise curvature constants of the oracle on the first
     BOUND_PATHS paths, drawn before the chunks (`_sampled_bound`, whose
     arrays do not grow with L x its grid).  A t_eval beyond T raises
     DomainTooShort before any other work.
@@ -768,14 +768,17 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
             e -= oracle
             err[chunk] = np.square(e, out=e).max(1)
 
-    return [{
-        "k": int(k),
-        "mc_error": float(np.mean(err)),
-        "stderr": float(np.std(err) / np.sqrt(n_paths)),
-        "bound_A_over_k": float((A_common + 3.0 * (1.0 + 1.0 / p.alpha) * C1_mean) / k),
-        "n_paths": int(n_paths),
-        "seed": int(driver.seed),
-    } for err, k in zip(errs, k_list)]
+    A = A_common + 3.0 * (1.0 + 1.0 / p.alpha) * C1_mean
+    return [dict(row, bound_A_over_k=float(A / row["k"]))
+            for row in _mc_rows(errs, k_list, driver.seed)]
+
+
+def _mc_rows(errs: np.ndarray, k_list: Sequence[int], seed: int) -> list[dict]:
+    """The rows of both convergence experiments: per k, the mean of its per-path
+    sup-errors ``errs`` (len(k_list), n_paths), std / sqrt(n_paths), n_paths and seed."""
+    n = errs.shape[1]
+    return [{"k": int(k), "mc_error": float(np.mean(e)), "stderr": float(np.std(e) / np.sqrt(n)),
+             "n_paths": int(n), "seed": int(seed)} for e, k in zip(errs, k_list)]
 
 
 def _sampled_bound(spec: ModelSpec, driver: LevyDriver, times: np.ndarray, betas, drifts,

@@ -21,14 +21,15 @@ output lies on its input's grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .basis import (BasisParams, eval_g_n, eval_g_n_deriv, frame_lower_constant,
                     frame_upper_constant, projector_norm_bound)
-from .dynamics import (LevyDriver, ModelSpec, SimPath, StateVariables,
-                       _curve_recursion, _euler_intervals, _euler_path, _time_grid)
+from .dynamics import (LevyDriver, ModelSpec, SimPath, StateVariables, _curve_recursion,
+                       _euler_intervals, _euler_path, _mc_rows, _time_grid)
 from .projection import CoeffState, coefficients_fft, reconstruct_deriv
 from .space import Curve, _mask_start, _Rows, _rows_on, norm_alpha
 from .testcurves import flat_curve
@@ -93,10 +94,10 @@ def make_field(name: str, driver: LevyDriver, params: BasisParams,
     is the `Curve` form of that definition.
     """
     loads = tuple(driver.loadings)
+    # the zero drift: two nodes over the loadings' range, so no norm of it is finer
+    zero = flat_curve(0.0, x_max=loads[0].x_max, n_points=2)
     if name == "constant":
-        b_curve = kw.get("b_curve")
-        if b_curve is None:
-            b_curve = flat_curve(0.0, x_max=driver.loadings[0].x_max)
+        b_curve = zero if kw.get("b_curve") is None else kw["b_curve"]
         return CoefficientField(
             b=_output((b_curve,), single=True),
             psi=_output(loads),
@@ -138,8 +139,7 @@ def make_field(name: str, driver: LevyDriver, params: BasisParams,
         # |d/dv tanh| <= 1 and |f(0) - g(0)| <= sqrt(1 + 1/alpha) ||f - g||
         lip = sigma0 * (1.5 + 0.5 * np.sqrt(1.0 + 1.0 / params.alpha)
                         * _loads_norm(loads, params))
-        return CoefficientField(b=_output((flat_curve(0.0, x_max=loads[0].x_max),),
-                                          single=True),
+        return CoefficientField(b=_output((zero,), single=True),
                                 psi=_output(loads, vol), lipschitz_b=1e-12,
                                 lipschitz_psi=max(lip, sigma0 * 1.5 * _loads_norm(loads, params)))
     raise ValueError(f"unknown coefficient field {name!r}")
@@ -209,16 +209,11 @@ def projected_coefficients(cf: CoefficientField, k: int, params: BasisParams,
     """Pass every field output through the localise-and-truncate projection."""
     bound = truncation_norm_bound(params)
 
-    def bk(t, f):
-        out = cf.b(t, f)
-        return _span_curve(coefficients_fft(out, k, params), out.x_max, n_points)
+    def project(c: Curve) -> Curve:
+        return _span_curve(coefficients_fft(c, k, params), c.x_max, n_points)
 
-    def psik(t, f):
-        outs = cf.psi(t, f)
-        return tuple(_span_curve(coefficients_fft(c, k, params), c.x_max, n_points)
-                     for c in outs)
-
-    return CoefficientField(b=bk, psi=psik,
+    return CoefficientField(b=lambda t, f: project(cf.b(t, f)),
+                            psi=lambda t, f: tuple(map(project, cf.psi(t, f))),
                             lipschitz_b=cf.lipschitz_b * bound,
                             lipschitz_psi=cf.lipschitz_psi * bound)
 
@@ -376,12 +371,13 @@ def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
 
     The oracle and every truncation level share each path's noise record,
     drawn by the time-grid rule (`dynamics._time_grid`).
-    The sup is evaluated on at most ``sup_slices`` time slices of the
-    simulation grid (evenly strided); refining the slice grid must not move
-    the estimate beyond MC noise, which the test-suite checks.  The oracle's
-    states are streamed (`dynamics._curve_recursion`) and read at the slices as they
-    appear, and each level's only at the slices, so memory does not grow
-    with ``n_steps``.  Each slice evaluates the basis once, at the largest
+    The sup runs over n_x points of [0, T - t_j] at every
+    max(1, n_steps // sup_slices)-th step and the last; refining the slices
+    must not move the estimate beyond MC noise, which the test-suite checks.  The oracle's
+    states are streamed (`dynamics._curve_recursion`) and read at the slices
+    as they appear, each level's only at the slices, and of the paths only
+    the sup-errors (len(k_list), n_paths) are kept, summarised by
+    `dynamics._mc_rows`.  Each slice evaluates the basis once, at the largest
     level, for every level's rows -k..k.
     f0's grid must suit every k (`dynamics._euler_intervals`), checked first.
     A field whose ``b`` and ``psi`` carry their array form reads below T - t,
@@ -400,31 +396,20 @@ def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
         if n < f0.deriv_samples.shape[0]:
             f0 = Curve(f0.value_at_zero, f0.deriv_samples[:n], (n - 1) * f0.grid_step)
     times = np.linspace(0.0, p.horizon, n_steps + 1)
-    stride = max(1, n_steps // sup_slices)
-    slice_idx = list(range(0, times.size, stride))
-    if slice_idx[-1] != times.size - 1:
-        slice_idx.append(times.size - 1)
-    xs = {j: np.linspace(0.0, max(p.horizon - times[j], 0.0), n_x) for j in slice_idx}
-    errs = {int(k): np.zeros(n_paths) for k in k_list}
-    km = max(errs)
+    slices = sorted({*range(0, n_steps + 1, max(1, n_steps // sup_slices)), n_steps})
+    on_slice = np.isin(np.arange(n_steps + 1), slices)
+    xs = [np.linspace(0.0, max(p.horizon - times[j], 0.0), n_x) for j in slices]
+    km = max(k_list)
+    errs = np.zeros((len(k_list), n_paths))
     for pid in range(n_paths):
         _, dt, noise = _time_grid(times, driver, path_id=pid)
-        o_vals = {j: f.value(xs[j]) for j, f in enumerate(
-            _curve_recursion(f0, times, dt, noise, _masked_field(cf, p))) if j in xs}
-        kept = {}
-        for k in errs:
-            path = simulate_markovian_fk(cf, spec, driver, times, k, noise=noise)
-            kept[k] = (path.S_k[slice_idx], path.U[slice_idx])
-        for i, j in enumerate(slice_idx):
-            g = eval_g_n(p, p.n_range(km), xs[j])
-            for k, (c_star, c) in kept.items():
-                err = np.abs(c_star[i] + c[i] @ g[km - k:km + k + 1] - o_vals[j]) ** 2
-                errs[k][pid] = max(errs[k][pid], float(np.max(err)))
-    return [{
-        "k": int(k),
-        "mc_error": float(np.mean(errs[int(k)])),
-        "stderr": float(np.std(errs[int(k)]) / np.sqrt(n_paths)),
-        "n_paths": int(n_paths),
-        "seed": int(driver.seed),
-    } for k in k_list]
-
+        oracle = compress(_curve_recursion(f0, times, dt, noise, _masked_field(cf, p)), on_slice)
+        o_vals = [f.value(x) for f, x in zip(oracle, xs)]
+        paths = (simulate_markovian_fk(cf, spec, driver, times, k, noise=noise) for k in k_list)
+        levels = [(path.S_k[slices], path.U[slices]) for path in paths]
+        for i, (x, o) in enumerate(zip(xs, o_vals)):
+            g = eval_g_n(p, p.n_range(km), x)
+            errs[:, pid] = np.maximum(errs[:, pid], [
+                np.max(np.abs(c_star[i] + c[i] @ g[km - k:km + k + 1] - o) ** 2)
+                for k, (c_star, c) in zip(k_list, levels)])
+    return _mc_rows(errs, k_list, driver.seed)

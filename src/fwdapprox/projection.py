@@ -236,6 +236,9 @@ def coefficients_fft(h: Curve, k: int, params: BasisParams,
     curve is built.  All modes come from one weighted FFT that matches the
     scalar quadrature exactly (same Simpson weights): the n-independent factor
     h'(x) e^{(lam + alpha/2) x} is formed once and the DFT supplies every mode.
+    The N = n_points - 1 intervals bound k (2k + 1 > N raises ValueError); the
+    fold runs on at least 8k of them, rounded up to a power of two, because
+    Simpson's alternating weights make mode n read a third of bin n +- N/2.
 
     The result is memoised on ``h`` (in ``Curve._spline_cache``, beside its
     spline; curves are immutable) under every input it depends on, (k,
@@ -249,6 +252,8 @@ def coefficients_fft(h: Curve, k: int, params: BasisParams,
         T = params.horizon
         if not h._covers(T):
             raise DomainTooShort("coefficient extraction needs the curve on [0, T]")
+        if 2 * k + 1 <= n_points - 1 < 8 * k:     # `_fold_rows` refuses more modes
+            n_points = 2 ** (8 * k - 1).bit_length() + 1
         grid = _fold_grid(n_points, params)
         spectra = np.empty((1, n_points - 1), dtype=np.complex128)
         c = _fold_rows([_fold_input(h._deriv_on(T, n_points), grid)], k, T, spectra)[0]

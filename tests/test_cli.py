@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from fwdapprox import cli, dynamics
 from fwdapprox.cli import loglog_slope, main
 from fwdapprox.dynamics import delivery_forward, simulate_fk_state
-from fwdapprox.space import Curve
+from fwdapprox.space import Curve, read_curve_csv
 
 PARAMS = {"alpha": 1.0, "lambda": 0.5, "horizon": 1.0}
 
@@ -451,6 +451,21 @@ def test_simulate_folds_each_distinct_input_once(tmp_path, monkeypatch):
     assert counts == [4, 4]
 
 
+def test_simulate_at_the_largest_k_reconstructs_f0(tmp_path):
+    # at k = 2,047 the fold runs on 8k intervals: on the 4,096 that the
+    # coefficient grid has, mode n also reads the spectrum at n +- 2,048
+    root = Path(__file__).resolve().parent.parent
+    out = tmp_path / "out"
+    cfg = default_config(tmp_path, k=cli._K_MAX, n_paths=1, t_eval=0.0078125,
+                         x_points=257, windows=[])
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    rows = np.array([[float(v) for v in r[1:]] for r in read_rows(out / "scenarios.csv")[1:]])
+    t0 = rows[rows[:, 0] == 0.0]
+    assert cli._K_MAX == 2047 and t0.shape == (257, 3)
+    f0 = read_curve_csv(str(root / "data" / "bump_curve.csv"))
+    assert np.max(np.abs(t0[:, 2] - f0.value(t0[:, 1]).real)) <= 1e-11
+
+
 def test_converge_writes_bound_column(tmp_path, capsys):
     cfg = base_model_cfg(n_paths=40)
     cfg["k_list"] = [4, 8, 16]
@@ -747,6 +762,28 @@ def test_markovian_grid_error_comes_before_the_contract_audit(tmp_path, monkeypa
     cfg = dict(FUZZ_CONFIGS[MARKOVIAN], f0={"kind": "bump", "n_points": 65}, k_list=[16])
     p = write_cfg(tmp_path, "c.json", cfg)
     assert main([*MARKOVIAN, "--config", p, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("verdict", [{"lipschitz_b_ratio": 1.5}, {"lipschitz_psi_ratio": 1.5},
+                                     {"growth_ratio": 1.5}, {"structure_leak": 1e-3}],
+                         ids=lambda v: next(iter(v)))
+def test_converge_markovian_failed_contract_audit_exits_1(tmp_path, monkeypatch, capsys,
+                                                           verdict):
+    # every promise the audit checks gates the run: one ratio above 1 or a
+    # leak above 0 exits 1 with one line, before the experiment runs
+    def audit(*args, **kwargs):
+        return {"lipschitz_b_ratio": 0.5, "lipschitz_psi_ratio": 0.5,
+                "growth_ratio": 0.5, "structure_leak": 0.0, **verdict}
+
+    def experiment(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli, "contract_audit", audit)
+    monkeypatch.setattr(cli, "markovian_convergence_experiment", experiment)
+    p = write_cfg(tmp_path, "c.json", FUZZ_CONFIGS[MARKOVIAN])
+    assert main([*MARKOVIAN, "--config", p, "--out", str(tmp_path / "o")]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("contract audit failed:") and out.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, change", [

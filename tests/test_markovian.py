@@ -178,7 +178,9 @@ def test_contract_audit_takes_no_norm_finer_than_its_own(monkeypatch):
     # at distance 0.0 from itself, with no difference curve on its nodes
     drv = LevyDriver(rank=1, loadings=[exp_loading(0.05, 1.0, n_points=2**20 + 1)], seed=11)
     fields = [make_field("mean_revert", drv, P, kappa=0.5, theta=flat_curve(1.2)),
-              make_field("constant", drv, P, b_curve=seasonal_curve(0.1, n_points=257))]
+              make_field("constant", drv, P, b_curve=seasonal_curve(0.1, n_points=257)),
+              make_field("proportional_vol", drv, P, sigma0=0.2),
+              make_field("constant", drv, P)]
     sizes, rule = [], space._alpha_rule
 
     def counted(n, x_max, alpha):
@@ -384,6 +386,50 @@ def test_convergence_experiment_memory_does_not_grow_with_steps():
     finally:
         tracemalloc.stop()
     assert large <= 1.1 * small, (small, large)
+
+
+def test_convergence_experiment_memory_does_not_grow_with_paths():
+    # the paths are stepped one at a time: of them only the per-path
+    # sup-errors, (len(k_list), n_paths), are kept
+    drv = make_driver()
+    spec = make_spec()
+    field = make_field("mean_revert", drv, P, kappa=0.5, theta=flat_curve(1.2))
+
+    def peak(n_paths):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        markovian_convergence_experiment(field, spec, drv, [1, 2], n_paths,
+                                         n_steps=128, n_x=65)
+        return tracemalloc.get_traced_memory()[1] - start
+
+    tracemalloc.start()
+    try:
+        peak(1)             # refills the spline LU memo under tracing
+        small, large = peak(2), peak(8)
+    finally:
+        tracemalloc.stop()
+    assert large <= 1.1 * small, (small, large)
+
+
+def test_both_experiments_build_their_rows_through_one_summary(monkeypatch):
+    # the linear and the Markovian experiment summarise their per-path
+    # sup-errors (len(k_list), n_paths) by one rule, dynamics._mc_rows
+    calls, rows = [], dynamics._mc_rows
+
+    def spy(errs, k_list, seed):
+        calls.append((errs.shape, list(k_list), seed))
+        return rows(errs, k_list, seed)
+
+    monkeypatch.setattr(dynamics, "_mc_rows", spy)
+    monkeypatch.setattr(markovian, "_mc_rows", spy)
+    drv, spec = make_driver(), make_spec()
+    linear = dynamics.convergence_experiment(spec, drv, 0.5, [2, 4], 3, n_steps=8)
+    field = make_field("constant", drv, P)
+    markov = markovian_convergence_experiment(field, spec, drv, [1, 2], 2, n_steps=128, n_x=9)
+    assert calls == [((2, 3), [2, 4], 11), ((2, 2), [1, 2], 11)]
+    assert [sorted(r) for r in linear] == [["bound_A_over_k", "k", "mc_error", "n_paths",
+                                            "seed", "stderr"]] * 2
+    assert [sorted(r) for r in markov] == [["k", "mc_error", "n_paths", "seed", "stderr"]] * 2
 
 
 @pytest.mark.parametrize("t_end, L", [(1.0, 32), (0.5, 30)], ids=["node", "off-node"])

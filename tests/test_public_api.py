@@ -126,8 +126,9 @@ def test_fold_helpers_stay_with_their_owners():
     # the bound that contracts them, and the per-path noise stream, which
     # every scheme and experiment draws through the time-grid rule or the
     # chunked draw, with the one-pass seeding that re-implements numpy's beside it.
-    # The node shift's trapezoid lives in semigroup.py alone, and the margin
-    # past T that the Markovian experiment's oracle keeps in markovian.py
+    # The node shift's trapezoid lives in semigroup.py alone, the margin
+    # past T that the Markovian experiment's oracle keeps in markovian.py,
+    # and the row summary both experiments share in dynamics.py, read by markovian.py
     src = Path(fwdapprox.__file__).parent
     owners = {"np.fft": {"projection.py"},
               "_fold_input": {"projection.py", "dynamics.py"},
@@ -138,7 +139,8 @@ def test_fold_helpers_stay_with_their_owners():
               "_final_state": {"dynamics.py"}, "_lagged": {"dynamics.py"},
               "_BLOCK_POINTS": {"dynamics.py"}, "_sampled_bound": {"dynamics.py"},
               "path_rng": {"dynamics.py"}, "_path_rngs": {"dynamics.py"},
-              "np.trapezoid": {"semigroup.py"}, "_ORACLE_MARGIN": {"markovian.py"}}
+              "np.trapezoid": {"semigroup.py"}, "_ORACLE_MARGIN": {"markovian.py"},
+              "_mc_rows": {"dynamics.py", "markovian.py"}}
     for name, allowed in owners.items():
         users = {p.name for p in src.glob("*.py") if name in p.read_text()}
         assert users <= allowed, f"{name} is referenced outside {sorted(allowed)}: " \
