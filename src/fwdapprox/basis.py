@@ -1,8 +1,8 @@
 """Damped complex-exponential Riesz basis and its biorthogonal system.
 
 All functions are closed-form and vectorised over ``x`` (and, where it makes
-sense, over the mode index ``n``).  Everything here is pure and allocation
-free apart from the returned arrays, so concurrent use is safe.
+sense, over the mode index ``n``: g_n, g_n' and e_n share `_modes`, `cut` and
+g_n^* share `_period_split`).  All are pure, so concurrent use is safe.
 """
 from __future__ import annotations
 
@@ -76,19 +76,20 @@ def lambda_n(params: BasisParams, n) -> np.ndarray | complex:
     return complex(val) if val.ndim == 0 else val
 
 
-def cut(x, horizon: float):
-    """Reduce x >= 0 modulo the horizon into [0, T).
-
-    Uses floor with a relative guard so that exact multiples of T map to 0
-    rather than to a value just below T.
-    """
+def _period_split(x, horizon: float):
+    """Period m = floor(x/T) of each x and offset x - mT >= 0 in it; a ratio
+    within 1e-12 below an integer belongs to that period, so multiples of T
+    map to offset 0 rather than to a value just below T."""
     x = np.asarray(x, dtype=float)
     ratio = x / horizon
     m = np.floor(ratio)
-    # guard: ratio within half an ulp below an integer belongs to that period
     m = np.where(ratio - m > 1.0 - 1e-12, m + 1.0, m)
-    out = x - m * horizon
-    out = np.clip(out, 0.0, None)
+    return m, np.clip(x - m * horizon, 0.0, None)
+
+
+def cut(x, horizon: float):
+    """Reduce x >= 0 modulo the horizon into [0, T) (`_period_split`)."""
+    out = _period_split(x, horizon)[1]
     return float(out) if out.ndim == 0 else out
 
 
@@ -99,41 +100,36 @@ def eval_g_star(x):
     return float(out) if out.ndim == 0 else out
 
 
+def _modes(a, x, f, divisor):
+    """f(a x) / divisor(a) for mode exponents ``a`` at points ``x``: over modes
+    x points when both are arrays, broadcast otherwise; a 0-d result is a
+    complex.  The division runs in place, so no third array is held."""
+    a = np.asarray(a)
+    x = np.asarray(x, dtype=float)
+    if a.ndim and x.ndim:
+        a, x = a[..., None], x[None, ...]
+    out = f(a * x)
+    out /= divisor(a)
+    return out if out.ndim else complex(out)
+
+
 def eval_g_n(params: BasisParams, n, x):
     """Basis element (exp(lambda_n x) - 1) / (lambda_n sqrt(T)).
 
     Broadcasts over ``n`` and ``x``.
     """
-    ln = np.asarray(lambda_n(params, n))
-    x = np.asarray(x, dtype=float)
-    if ln.ndim and x.ndim:
-        out = np.expm1(ln[..., None] * x[None, ...]) / (ln[..., None] * np.sqrt(params.horizon))
-    else:
-        out = np.expm1(ln * x) / (ln * np.sqrt(params.horizon))
-    return out if (ln.ndim or x.ndim) else complex(out)
+    return _modes(lambda_n(params, n), x, np.expm1, lambda a: a * np.sqrt(params.horizon))
 
 
 def eval_g_n_deriv(params: BasisParams, n, x):
     """Derivative exp(lambda_n x) / sqrt(T) of the basis element."""
-    ln = np.asarray(lambda_n(params, n))
-    x = np.asarray(x, dtype=float)
-    if ln.ndim and x.ndim:
-        out = np.exp(ln[..., None] * x[None, ...]) / np.sqrt(params.horizon)
-    else:
-        out = np.exp(ln * x) / np.sqrt(params.horizon)
-    return out if (ln.ndim or x.ndim) else complex(out)
+    return _modes(lambda_n(params, n), x, np.exp, lambda a: np.sqrt(params.horizon))
 
 
 def eval_e_n(params: BasisParams, n, x):
     """Underlying L2 Riesz basis element exp((2*pi*i*n/T - lambda) x)/sqrt(T)."""
-    n = np.asarray(n)
-    x = np.asarray(x, dtype=float)
-    expo = 2.0j * np.pi * n / params.horizon - params.lam
-    if n.ndim and x.ndim:
-        out = np.exp(expo[..., None] * x[None, ...]) / np.sqrt(params.horizon)
-    else:
-        out = np.exp(expo * x) / np.sqrt(params.horizon)
-    return out if (n.ndim or x.ndim) else complex(out)
+    expo = 2.0j * np.pi * np.asarray(n) / params.horizon - params.lam
+    return _modes(expo, x, np.exp, lambda a: np.sqrt(params.horizon))
 
 
 def eval_e_n_star(params: BasisParams, n, x, local=None):
@@ -156,10 +152,7 @@ def eval_g_n_star(params: BasisParams, n: int, x):
     per-period factors are summed in closed form.
     """
     T = params.horizon
-    x = np.asarray(x, dtype=float)
-    m = np.floor_divide(x, T)
-    m = np.where(x / T - m > 1.0 - 1e-12, m + 1.0, m)
-    u = np.clip(x - m * T, 0.0, None)
+    m, u = _period_split(x, T)
 
     mu = lambda_n(params, n) + 2.0 * params.lam  # exponent of the integrand
     scale = params.damping_factor / np.sqrt(T)

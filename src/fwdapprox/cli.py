@@ -24,7 +24,7 @@ curve spec n_points in [2, 2^20 + 1], x_max and period > 0, a curve file's
 grid uniform from x = 0 and increasing, each of its rows (a blank line
 included) holding exactly the three cells x,f,fprime, its f column within
 1e-6 max(1, max|f|) of f(0) plus the integral of fprime, and every curve
-finite, its cubic spline included.
+real and finite, its cubic spline included.
 For basis-check, lambda * horizon must be at least about 3.15e-3, so that
 the dual Gram's tail falls below 1e-9 within 2^12 periods (`_gram_periods`).
 For converge --markovian, f0's grid must split [0, horizon] into an even
@@ -113,6 +113,8 @@ def load_params(cfg: dict) -> BasisParams:
 
 def load_curve(spec, base_dir: Path) -> Curve:
     curve = _read_curve(spec, base_dir)
+    if curve.deriv_samples.imag.any() or complex(curve.value_at_zero).imag != 0.0:
+        raise ConfigError(f"curve {spec!r} has an imaginary part: forward curves are real")
     # finite samples can be steep and large enough that the spline's segments
     # (divided twice by the grid step) overflow, and every value read through
     # it would be nan; the spline is memoised on the curve for later reads

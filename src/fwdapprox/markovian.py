@@ -30,6 +30,7 @@ from .basis import (BasisParams, eval_g_n, eval_g_n_deriv, frame_lower_constant,
                     frame_upper_constant, projector_norm_bound)
 from .dynamics import (LevyDriver, ModelSpec, SimPath, StateVariables, _curve_recursion,
                        _euler_intervals, _euler_path, _mc_rows, _time_grid)
+from .errors import DomainTooShort
 from .projection import CoeffState, coefficients_fft, reconstruct_deriv
 from .space import Curve, _mask_start, _Rows, _rows_on, norm_alpha
 from .testcurves import flat_curve
@@ -91,9 +92,15 @@ def make_field(name: str, driver: LevyDriver, params: BasisParams,
     proportional_vol   b = 0, psi_i(t,f) = sigma0 (1 + tanh(Re f(0)) / 2) loading_i
 
     Each output is defined once, on arrays (`_output`); its ``b``/``psi``
-    is the `Curve` form of that definition.
+    is the `Curve` form of that definition.  Every loading, ``theta`` and
+    ``b_curve`` must cover [0, T], else DomainTooShort.
     """
     loads = tuple(driver.loadings)
+    named = {f"loading {i}": c for i, c in enumerate(loads)}
+    named.update((key, kw[key]) for key in ("theta", "b_curve") if kw.get(key) is not None)
+    for what, c in named.items():
+        if not c._covers(params.horizon):
+            raise DomainTooShort(f"{what} covers [0, {c.x_max}], not [0, T]")
     # the zero drift: two nodes over the loadings' range, so no norm of it is finer
     zero = flat_curve(0.0, x_max=loads[0].x_max, n_points=2)
     if name == "constant":
@@ -379,7 +386,8 @@ def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
     the sup-errors (len(k_list), n_paths) are kept, summarised by
     `dynamics._mc_rows`.  Each slice evaluates the basis once, at the largest
     level, for every level's rows -k..k.
-    f0's grid must suit every k (`dynamics._euler_intervals`), checked first.
+    f0's grid must suit every k, checked first at max(k_list): the rule
+    (`dynamics._euler_intervals`) only tightens as k grows.
     A field whose ``b`` and ``psi`` carry their array form reads below T - t,
     and the slices read [0, T - t_j], so the oracle steps f0 cut to its
     nodes up to T and _ORACLE_MARGIN beyond: at a node dt on a grid whose
@@ -387,11 +395,10 @@ def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
     move by rounding or, off the nodes, by the spline shifts' resampling.
     Any other field may read its input anywhere and keeps f0's whole range.
     """
-    p = spec.params
-    for k in k_list:
-        n_T = _euler_intervals(spec.f0, int(k), p)
+    p, km = spec.params, max(k_list)
+    n_T = _euler_intervals(spec.f0, int(km), p)
     f0 = spec.f0
-    if k_list and all(hasattr(fn, "on_grid") for fn in (cf.b, cf.psi)):
+    if all(hasattr(fn, "on_grid") for fn in (cf.b, cf.psi)):
         n = n_T + 1 + _ORACLE_MARGIN
         if n < f0.deriv_samples.shape[0]:
             f0 = Curve(f0.value_at_zero, f0.deriv_samples[:n], (n - 1) * f0.grid_step)
@@ -399,7 +406,6 @@ def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
     slices = sorted({*range(0, n_steps + 1, max(1, n_steps // sup_slices)), n_steps})
     on_slice = np.isin(np.arange(n_steps + 1), slices)
     xs = [np.linspace(0.0, max(p.horizon - times[j], 0.0), n_x) for j in slices]
-    km = max(k_list)
     errs = np.zeros((len(k_list), n_paths))
     for pid in range(n_paths):
         _, dt, noise = _time_grid(times, driver, path_id=pid)

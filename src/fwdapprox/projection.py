@@ -12,9 +12,9 @@ the uniform grid x_j = jT/N over [0, T]:
 
 - fold (curve -> coefficients): on the nodes, Simpson weights w_j and damping
   of ``_fold_grid``, ``_fold_input`` forms w_j h'(x_j) e^{(lam + alpha/2) x_j}
-  with x = T folded onto x = 0, and ``_fold_rows`` gives every mode -k..k of
-  it at once by one DFT per input.  ``coefficients_fft`` and the Euler loop
-  both fold this way;
+  with x = T folded onto x = 0, and ``_fold_rows`` gives every mode -k..k at
+  once by one DFT per input, as ``coefficients_fft`` and the Euler loop fold
+  (``coefficient`` is one mode's Simpson sum on the default grid's nodes);
 - synthesis (coefficients -> grid derivative, ``_synth_fft``, the adjoint):
   sum_n c_n g_n'(x_j) = e^{-(lam + alpha/2) x_j} T^{-1/2} sum_n c_n
   e^{2 pi i n j / N}, so the span derivative on the grid costs one FFT
@@ -38,7 +38,7 @@ from .basis import (
     lambda_n,
 )
 from .errors import DomainTooShort, NonFinite, NotSmoothEnough
-from .space import Curve, _node_count, _simpson_rule, _simpson_weights
+from .space import Curve, _simpson_rule, _simpson_weights
 
 __all__ = [
     "CoeffState",
@@ -59,7 +59,6 @@ __all__ = [
 
 N_MAX = 512  # series truncation horizon; tails certified by the 1/n^2 bound
 COEFF_POINTS = 2**12 + 1
-COEFF_POINTS_CAP = 2**16 + 1
 PERIOD_POINTS = 2**13 + 1  # Simpson nodes of the one-period norm quadrature
 
 
@@ -118,51 +117,32 @@ class CommutatorElement:
     norm_sq_bound: float
 
 
-def project_pi(h: Curve, params: BasisParams, x_max: float | None = None) -> Curve:
+def project_pi(h: Curve, params: BasisParams) -> Curve:
     """Localisation projector: identity on [0, T], damped periodic replication
-    of the derivative beyond T.
+    of the derivative beyond T, on h's own grid.
 
     The output derivative at y is e^{-(lam + alpha/2)(y - cut(y))} h'(cut(y)),
     which has jumps at multiples of T; downstream quadrature of projected
     curves should be period-aware when high accuracy is needed.
     """
-    T = params.horizon
-    if not h._covers(T):
+    if not h._covers(params.horizon):
         raise DomainTooShort("curve must cover [0, T] to be localised")
-    x_max = h.x_max if x_max is None else x_max
-    y = np.linspace(0.0, x_max, _node_count(x_max, h.grid_step))
-    u = cut(y, T)
+    y = h.grid
+    u = cut(y, params.horizon)
     d = np.exp(-params.decay * (y - u)) * h.deriv(u)
-    return Curve(h.value_at_zero, d, x_max)
+    return Curve(h.value_at_zero, d, h.x_max)
 
 
 def coefficient(h: Curve, n: int, params: BasisParams,
-                n_points: int | None = None) -> complex:
-    """Single-mode coefficient by composite Simpson over [0, T].
-
-    Without an explicit point count the grid is refined (doubled) until two
-    successive estimates agree to 1e-10 absolute or the cap is reached.
-    """
+                n_points: int = COEFF_POINTS) -> complex:
+    """Single-mode coefficient by composite Simpson on ``n_points`` nodes of
+    [0, T], by default those of `coefficients_fft`'s default grid."""
     T = params.horizon
     xi = params.lam + 0.5 * params.alpha - 2.0j * np.pi * n / T
     scale = 1.0 / np.sqrt(T)
-
-    def estimate(npts: int) -> complex:
-        x = np.linspace(0.0, T, npts)
-        w = _simpson_weights(npts, T / (npts - 1))
-        return complex(scale * np.sum(w * h.deriv(x) * np.exp(xi * x)))
-
-    if n_points is not None:
-        return estimate(n_points)
-    npts = COEFF_POINTS
-    prev = estimate(npts)
-    while npts < COEFF_POINTS_CAP:
-        npts = 2 * (npts - 1) + 1
-        cur = estimate(npts)
-        if abs(cur - prev) < 1e-10:
-            return cur
-        prev = cur
-    return prev
+    x = np.linspace(0.0, T, n_points)
+    w = _simpson_weights(n_points, T / (n_points - 1))
+    return complex(scale * np.sum(w * h.deriv(x) * np.exp(xi * x)))
 
 
 def _fold_rows(inputs, k: int, horizon: float, spectra: np.ndarray) -> np.ndarray:

@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fwdapprox.basis import (
     BasisParams,
@@ -132,3 +135,124 @@ def test_frame_and_norm_constants():
     assert shift_norm_bound(P) == pytest.approx(np.sqrt(2.0))
     p2 = BasisParams(alpha=4.0, lam=0.5, horizon=1.0)
     assert shift_norm_bound(p2) == pytest.approx(np.sqrt(0.5))
+
+
+# -- the shared kernels against the formulas they replaced --------------------
+# Each reference is the earlier per-function body, kept verbatim: the mode
+# kernel and the period split must give its bytes, shape and return type.
+
+def _ref_cut(x, horizon):
+    x = np.asarray(x, dtype=float)
+    ratio = x / horizon
+    m = np.floor(ratio)
+    m = np.where(ratio - m > 1.0 - 1e-12, m + 1.0, m)
+    out = x - m * horizon
+    out = np.clip(out, 0.0, None)
+    return float(out) if out.ndim == 0 else out
+
+
+def _ref_g_n(params, n, x):
+    ln = np.asarray(lambda_n(params, n))
+    x = np.asarray(x, dtype=float)
+    if ln.ndim and x.ndim:
+        out = np.expm1(ln[..., None] * x[None, ...]) / (ln[..., None] * np.sqrt(params.horizon))
+    else:
+        out = np.expm1(ln * x) / (ln * np.sqrt(params.horizon))
+    return out if (ln.ndim or x.ndim) else complex(out)
+
+
+def _ref_g_n_deriv(params, n, x):
+    ln = np.asarray(lambda_n(params, n))
+    x = np.asarray(x, dtype=float)
+    if ln.ndim and x.ndim:
+        out = np.exp(ln[..., None] * x[None, ...]) / np.sqrt(params.horizon)
+    else:
+        out = np.exp(ln * x) / np.sqrt(params.horizon)
+    return out if (ln.ndim or x.ndim) else complex(out)
+
+
+def _ref_e_n(params, n, x):
+    n = np.asarray(n)
+    x = np.asarray(x, dtype=float)
+    expo = 2.0j * np.pi * n / params.horizon - params.lam
+    if n.ndim and x.ndim:
+        out = np.exp(expo[..., None] * x[None, ...]) / np.sqrt(params.horizon)
+    else:
+        out = np.exp(expo * x) / np.sqrt(params.horizon)
+    return out if (n.ndim or x.ndim) else complex(out)
+
+
+def _ref_g_n_star(params, n, x):
+    T = params.horizon
+    x = np.asarray(x, dtype=float)
+    m = np.floor_divide(x, T)
+    m = np.where(x / T - m > 1.0 - 1e-12, m + 1.0, m)
+    u = np.clip(x - m * T, 0.0, None)
+    mu = lambda_n(params, n) + 2.0 * params.lam
+    scale = params.damping_factor / np.sqrt(T)
+    r = np.exp(-params.decay * T)
+    if abs(mu) < 1e-14:
+        seg_full = T
+        seg_part = u.astype(complex)
+    else:
+        seg_full = np.expm1(mu * T) / mu
+        seg_part = np.expm1(mu * u) / mu
+    geom = (1.0 - r**m) / (1.0 - r)
+    out = scale * (geom * seg_full + r**m * seg_part)
+    return out if out.ndim else complex(out)
+
+
+def _same(fn, ref, *args):
+    """fn(*args) and ref(*args) give the same bytes, shape and type, or
+    raise the same error (a 2-d x broadcasts against the modes only where
+    its leading size matches theirs)."""
+    try:
+        want = ref(*args)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            fn(*args)
+        return
+    got = fn(*args)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@st.composite
+def _points(draw, horizon):
+    """Points of [0, 6T]: random ones, multiples of T and one ulp either side."""
+    multiples = [m * horizon for m in range(7)]
+    edges = multiples + [np.nextafter(v, np.inf) for v in multiples] \
+        + [np.nextafter(v, -np.inf) for v in multiples[1:]]
+    pick = st.one_of(st.sampled_from(edges),
+                     st.floats(0.0, 6.0 * horizon, allow_nan=False))
+    return np.array(draw(st.lists(pick, min_size=1, max_size=40)))
+
+
+def _shaped(draw, values, dtype):
+    """``values`` as a scalar, a 0-d array, a 1-d array or a 2-d column."""
+    form = draw(st.sampled_from(["scalar", "0-d", "1-d", "column"]))
+    if form == "scalar":
+        return dtype(values[0])
+    if form == "0-d":
+        return np.asarray(values[0], dtype=dtype)
+    return np.asarray(values, dtype=dtype).reshape((-1, 1) if form == "column" else -1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(),
+       horizon=st.one_of(st.sampled_from([1.0, 0.1, 1.0 / 3.0, 0.7, 2.5, 12.0]),
+                         st.floats(0.01, 20.0)),
+       rates=st.sampled_from([(1.0, 0.5), (0.7, 0.3), (2.0, 0.05), (0.4, 1.5)]))
+def test_mode_kernel_and_period_split_equal_the_per_function_formulas(data, horizon, rates):
+    params = BasisParams(alpha=rates[0], lam=rates[1], horizon=horizon)
+    x = _shaped(data.draw, data.draw(_points(horizon)), float)
+    ns = data.draw(st.lists(st.integers(-64, 64), min_size=1, max_size=9))
+    n = _shaped(data.draw, ns, int)
+    for fn, ref in ((eval_g_n, _ref_g_n), (eval_g_n_deriv, _ref_g_n_deriv),
+                    (eval_e_n, _ref_e_n)):
+        _same(fn, ref, params, n, x)
+    _same(cut, _ref_cut, x, horizon)
+    # g_n^* takes one mode; n = 0 at alpha = 2 lam runs its mu = 0 branch
+    n0 = data.draw(st.sampled_from([ns[0], 0, np.int64(ns[0]), np.asarray(ns[0])]))
+    _same(eval_g_n_star, _ref_g_n_star, params, n0, x)

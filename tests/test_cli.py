@@ -840,6 +840,60 @@ def test_mutated_config_never_raises(case):
         assert main([*argv, "--config", str(p), "--out", str(Path(d) / "o")]) in range(4)
 
 
+def write_complex_curve(path):
+    """A curve file on [0, 2] whose f and fprime cells have imaginary parts."""
+    path.write_text("x,f,fprime\n" + "".join(
+        f"{x!r},{complex(1 + 0.1 * x, 0.01 + 0.01 * x)!r},{complex(0.1, 0.01)!r}\n"
+        for x in np.linspace(0.0, 2.0, 257).tolist()))
+
+
+def curve_specs(cfg):
+    """Every curve spec (an object with a "kind") in a config, with its path."""
+    for path in key_paths(cfg):
+        node = cfg
+        for key in path:
+            node = node[key]
+        if isinstance(node, dict) and "kind" in node:
+            yield path, node
+
+
+CURVE_CASES = [
+    pytest.param(argv, path, value, id=f"{' '.join(argv)}-{'.'.join(map(str, path))}-{label}")
+    for argv, cfg in FUZZ_CONFIGS.items() for path, spec in curve_specs(cfg)
+    for label, value in (("short", dict(spec, x_max=0.5)), ("complex", "complex.csv"))]
+
+
+@pytest.mark.parametrize("argv, path, value", CURVE_CASES)
+def test_short_or_complex_curves_exit_cleanly(tmp_path, capsys, argv, path, value):
+    # every curve of every fuzz config, stored on [0, 0.5] only (T = 1) or
+    # read from a file with complex cells: an exit code and at most one line,
+    # never a traceback.  A complex curve is a config error in every
+    # subcommand that reads one: forward curves are real
+    write_complex_curve(tmp_path / "complex.csv")
+    p = write_cfg(tmp_path, "c.json", mutated(FUZZ_CONFIGS[argv], path, value))
+    rc = main([*argv, "--config", p, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc in range(4) and err.count("\n") <= 1
+    if value == "complex.csv":
+        assert rc == 2 and err.startswith("config error:") and "imaginary part" in err
+
+
+@pytest.mark.parametrize("short", ["theta", "loading"])
+def test_converge_markovian_curve_short_of_the_horizon_exits_3(tmp_path, capsys, short):
+    # configs/markovian.json, small, with theta or one loading stored on
+    # [0, 0.5] only: one line naming the curve's range, no traceback
+    root = Path(__file__).resolve().parent.parent
+    cfg = json.loads((root / "configs" / "markovian.json").read_text())
+    cfg.update(f0=str(root / "data" / "bump_curve.csv"), n_paths=1, n_steps=256, k_list=[2])
+    (cfg["markovian"]["theta"] if short == "theta" else cfg["driver"]["loadings"][1])["x_max"] = 0.5
+    out = tmp_path / "o"
+    assert main([*MARKOVIAN, "--config", write_cfg(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+    assert "covers [0, 0.5]" in err and not (out / "converge.csv").exists()
+
+
 @pytest.mark.parametrize("argv", list(FUZZ_CONFIGS), ids=" ".join)
 def test_fuzz_base_configs_run(tmp_path, argv):
     p = write_cfg(tmp_path, "c.json", FUZZ_CONFIGS[argv])

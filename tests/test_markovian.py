@@ -497,6 +497,31 @@ def test_field_output_short_of_the_horizon_raises(scheme, short):
                                                beta=lambda t: b), drv, times, 2)
 
 
+@pytest.mark.parametrize("form", ["array", "plain"])
+@pytest.mark.parametrize("short", ["theta", "loading", "b_curve"])
+def test_registry_curve_short_of_the_horizon_is_refused(short, form):
+    # a registry field whose curve stops at 0.5 < T = 1 would make the array
+    # oracle's mean_revert step broadcast 1,025 rows against the state's
+    # nodes, and the plain form step a state shorter than [0, T - t] until a
+    # shift runs out of grid; make_field refuses the curve and names its range
+    def curve(make, *args, cut):
+        return make(*args, **(dict(x_max=0.5, n_points=1025) if cut else {}))
+
+    loads = [curve(exp_loading, 0.05, r, cut=short == "loading" and r == 1.0)
+             for r in (0.5, 1.0, 2.0)]
+    drv = LevyDriver(rank=3, loadings=loads, seed=11)
+    if short == "b_curve":
+        name, kw = "constant", {"b_curve": curve(flat_curve, 0.1, cut=True)}
+    else:
+        name, kw = "mean_revert", {"kappa": 0.5,
+                                   "theta": curve(flat_curve, 1.2, cut=short == "theta")}
+    times = np.linspace(0.0, 1.0, 257)
+    with pytest.raises(DomainTooShort, match=r"covers \[0, 0\.5\]"):
+        field = make_field(name, drv, P, **kw)
+        oracle_markovian(field if form == "array" else _curve_form(field),
+                         make_spec(), drv, times)
+
+
 def test_convergence_experiment_checks_the_grid_before_the_oracle(monkeypatch):
     # 33 modes do not fit on f0's 32 intervals over [0, T]; the experiment
     # says so before it runs a single oracle path

@@ -11,8 +11,10 @@ from fwdapprox.basis import (
     eval_g_n_deriv,
     projector_norm_bound,
 )
+from fwdapprox.cli import _K_MAX
 from fwdapprox.errors import DomainTooShort, NotSmoothEnough
 from fwdapprox.projection import (
+    COEFF_POINTS,
     CoeffState,
     _compute_C1_rows,
     _fold_grid,
@@ -32,7 +34,7 @@ from fwdapprox.projection import (
     reconstruct_deriv,
 )
 from fwdapprox.space import Curve, norm_alpha, read_curve_csv
-from fwdapprox.testcurves import exp_loading, smooth_bump
+from fwdapprox.testcurves import exp_loading, flat_curve, seasonal_curve, smooth_bump
 
 P = BasisParams(alpha=1.0, lam=0.5, horizon=1.0)
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -262,6 +264,34 @@ def test_coefficients_fft_refuses_aliased_modes():
         coefficients_fft(f, 2048, P)
     s = coefficients_fft(f, 2047, P)
     assert s.c.shape == (4095,)
+
+
+# curves smooth on the fold's grid, their parameters drawn at random
+SMOOTH_CURVES = st.one_of(
+    st.builds(smooth_bump, st.floats(-1.0, 2.0), st.floats(0.0, 1.5), st.floats(0.05, 0.6)),
+    st.builds(exp_loading, st.floats(0.01, 1.0), st.floats(0.1, 5.0)),
+    st.builds(seasonal_curve, st.floats(-1.0, 2.0), st.floats(0.01, 1.0), st.floats(0.1, 2.0),
+              st.floats(0.0, 3.0)),
+    st.builds(flat_curve, st.floats(-1.0, 2.0)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(h=SMOOTH_CURVES, k=st.integers(1, _K_MAX))
+def test_coefficients_up_to_the_largest_k_match_a_fold_on_16x_the_intervals(h, k):
+    # Simpson's alternating weights make mode n read a third of the spectrum
+    # at n +- N/2, an error that grows with k/N.  The default grid holds
+    # N = 8k intervals at k = 512 and the fold keeps N >= 8k above it, so at
+    # every k, and at _K_MAX, each coefficient lies within twice the default
+    # grid's largest error at k = 512 of the same fold on 16 x 4,096
+    # intervals (plus 1e-14 of the integrand's size, for rounding).  A fold
+    # on fewer intervals above k = 512 (N >= 4k or 2k) misses this bound
+    ref = coefficients_fft(h, _K_MAX, P, n_points=16 * (COEFF_POINTS - 1) + 1).c
+    scale = np.max(np.abs(h.deriv(np.linspace(0.0, P.horizon, COEFF_POINTS)))) * np.exp(P.decay)
+    default = np.max(np.abs(coefficients_fft(h, 512, P).c - ref[_K_MAX - 512:_K_MAX + 513]))
+    tol = 2.0 * default + 1e-14 * scale
+    for kk in (k, _K_MAX):
+        err = np.abs(coefficients_fft(h, kk, P).c - ref[_K_MAX - kk:_K_MAX + kk + 1])
+        assert np.max(err) <= tol, (kk, np.max(err), tol)
 
 
 def test_coefficients_fft_memo_key_covers_every_input():

@@ -77,7 +77,6 @@ DEFAULTED_PARAMETERS = {
     "markovian.oracle_markovian(noise)", "markovian.projected_coefficients(n_points)",
     "markovian.simulate_markovian_fk(noise)",
     "projection.coefficient(n_points)", "projection.coefficients_fft(n_points)",
-    "projection.project_pi(x_max)",
     "semigroup.shift_curve(x_max_out)",
     "space.Curve.from_deriv_fn(n_points)", "space.Curve.from_deriv_fn(value_at_zero)",
     "space.Curve.from_deriv_fn(x_max)", "space.Curve.resample(x_max)",
