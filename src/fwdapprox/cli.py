@@ -11,8 +11,10 @@ are deterministic for a fixed config (no timestamps); CSV is the normative
 format, SVG plots are advisory.
 
 Exit codes: 0 success, 1 invariant failure, 2 config error (a run out of
-memory included: its one line names the sizes to lower), 3 numerical failure
-(instability, domain exhaustion, failed smoothness check, an overflow).
+memory included: its one line names the sizes to lower; so is an
+operating-system error on any path a run reads or writes: the config, a curve
+file, --out or an output file, its one line the OS message), 3 numerical
+failure (instability, domain exhaustion, failed smoothness check, an overflow).
 A config value of the wrong type, a non-integral integer, a non-finite
 number or one out of range is a config error.  The ranges: alpha, lambda,
 horizon, time_step, t_eval, law_param > 0; seed >= 0; rank >= 1; x_points
@@ -48,7 +50,7 @@ from .errors import (ConfigError, DomainTooShort, FwdApproxError, NonFinite,
                      NotSmoothEnough, UnstableStep)
 from .markovian import (contract_audit, make_field,
                         markovian_convergence_experiment)
-from .projection import (COEFF_POINTS, CoeffState, coefficients_fft,
+from .projection import (COEFF_POINTS, N_MAX, CoeffState, coefficients_fft,
                          commutator_apply, compute_C1, norm_alpha_span,
                          power_iteration_pi_norm)
 from .space import Curve, dual_gram_matrix, read_curve_csv
@@ -128,10 +130,8 @@ def load_curve(spec, base_dir: Path) -> Curve:
 def _read_curve(spec, base_dir: Path) -> Curve:
     if isinstance(spec, str):
         path = base_dir / spec
-        if not path.is_file():
-            raise ConfigError(f"curve file {path} does not exist")
         try:
-            return read_curve_csv(str(path))
+            return read_curve_csv(path)
         except ValueError as e:
             raise ConfigError(f"bad curve file {path}: {e}") from e
     if not isinstance(spec, dict):
@@ -209,35 +209,11 @@ def load_windows(cfg: dict, params: BasisParams) -> list[tuple[float, float]]:
 
 # -- output helpers ----------------------------------------------------------
 
-def _make_out_dir(out: Path) -> None:
-    """Create the output directory; a path that cannot be one is a config error."""
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise ConfigError(f"cannot use {out} as the output directory: {e}") from e
-
-
-def _unwritable(path: Path, e: OSError) -> ConfigError:
-    """An output path that cannot be written, such as a directory, is a config error."""
-    return ConfigError(f"cannot write {path}: {e}")
-
-
 def write_csv(path: Path, header: list[str], lines: list[str]) -> None:
     """Write ``header`` and data ``lines``, each joined by "," and ended by "\\n"."""
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            fh.writelines(lines)
-    except OSError as e:
-        raise _unwritable(path, e) from e
-
-
-def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` (`_unwritable` if it cannot be)."""
-    try:
-        path.write_text(text)
-    except OSError as e:
-        raise _unwritable(path, e) from e
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
 
 
 def write_loglog_svg(path: Path, xs, ys_by_label: dict, title: str) -> None:
@@ -246,9 +222,9 @@ def write_loglog_svg(path: Path, xs, ys_by_label: dict, title: str) -> None:
     all_y = np.concatenate([np.asarray(v, dtype=float) for v in ys_by_label.values()])
     all_y = all_y[(all_y > 0) & (all_y < np.inf)]
     if all_y.size == 0:
-        _write_text(path, f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" '
-                          f'height="{H}"><text x="20" y="40">no positive data'
-                          '</text></svg>\n')
+        path.write_text(f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" '
+                        f'height="{H}"><text x="20" y="40">no positive data'
+                        '</text></svg>\n')
         return
     lx = np.log10(np.asarray(xs, dtype=float))
     ly0, ly1 = np.floor(np.log10(all_y.min())), np.ceil(np.log10(all_y.max()))
@@ -284,7 +260,7 @@ def write_loglog_svg(path: Path, xs, ys_by_label: dict, title: str) -> None:
         parts.append(f'<text x="{W-pad+4}" y="{pad+16*(i+1)}" fill="{col}" '
                      f'font-family="sans-serif" font-size="11">{label}</text>')
     parts.append("</svg>")
-    _write_text(path, "\n".join(parts) + "\n")
+    path.write_text("\n".join(parts) + "\n")
 
 
 def loglog_slope(ks, errs) -> float:
@@ -305,7 +281,7 @@ def cmd_basis_check(cfg: dict, base_dir: Path, out: Path) -> int:
     checks = []
 
     try:  # refuses a tail beyond its period cap before any quadrature
-        gram = dual_gram_matrix(params, min(k, 8) if k > 0 else 0)
+        gram = dual_gram_matrix(params, min(k, 8))
     except ValueError as e:
         raise ConfigError(str(e)) from e
     dev = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
@@ -335,11 +311,13 @@ def cmd_basis_check(cfg: dict, base_dir: Path, out: Path) -> int:
     checks.append(("projector_norm_rel_err", rel, 0.01, rel <= 0.01))
     checks.append(("shift_norm_bound", shift_norm_bound(params), np.inf, True))
 
-    # commutator identity: series evaluation vs closed form g_n(t) 1_{|n|>k}
+    # commutator identity: series evaluation vs closed form g_n(t) 1_{|n|>k},
+    # with the test curves on the nodes commutator_apply projects on and the
+    # modes +-2 k_c inside its series of N_MAX modes
     t_grid = np.linspace(0.0, params.horizon, 5)
-    x = np.linspace(0.0, params.horizon, 2**12 + 1)
+    x = np.linspace(0.0, params.horizon, 2**14 + 1)
     worst = 0.0
-    k_c = max(k, 2)
+    k_c = min(max(k, 2), N_MAX // 2)
     for n in (-2 * k_c, -k_c // 2, 0, k_c // 2, 2 * k_c):
         d = eval_g_n_deriv(params, n, x)
         h = Curve(0.0, d, params.horizon)
@@ -348,7 +326,7 @@ def cmd_basis_check(cfg: dict, base_dir: Path, out: Path) -> int:
         worst = max(worst, float(np.max(np.abs(got - expected))))
     checks.append(("commutator_identity_max_dev", worst, 1e-10, worst <= 1e-10))
 
-    _make_out_dir(out)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "basis_check.csv", ["check", "value", "threshold", "pass"],
               [f"{n},{float(v)!r},{float(th)!r},{str(bool(ok)).lower()}\n"
                for n, v, th, ok in checks])
@@ -375,7 +353,7 @@ def cmd_truncation_rate(cfg: dict, base_dir: Path, out: Path) -> int:
         errs.append(err)
         ok_all &= err <= C1 / k
         rows.append(f"{k},{float(err)!r},{float(C1 / k)!r}\n")
-    _make_out_dir(out)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "truncation_rate.csv", ["k", "error_sq", "C1_over_k"], rows)
     write_loglog_svg(out / "truncation_rate.svg", ks,
                      {"error_sq": errs, "C1_over_k": [C1 / k for k in ks]},
@@ -398,7 +376,7 @@ def cmd_simulate(cfg: dict, base_dir: Path, out: Path) -> int:
     x = np.linspace(0.0, params.horizon, n_x)
     windows = load_windows(cfg, params)
 
-    _make_out_dir(out)
+    out.mkdir(parents=True, exist_ok=True)
     G = eval_g_n(params, params.n_range(k), x)
     pk = BasisParams(params.alpha, params.lam, params.horizon, k)
     # shared by every path: the cells, and each window's weights at its times
@@ -426,9 +404,8 @@ def cmd_simulate(cfg: dict, base_dir: Path, out: Path) -> int:
     if windows:
         write_csv(out / "forwards.csv",
                   ["path_id", "t", "window", "T1", "T2", "F"], fwd)
-    _write_text(out / "coefficients_path0.json",
-                json.dumps({"times": list(map(float, times)), "states": slices}, indent=1)
-                + "\n")
+    (out / "coefficients_path0.json").write_text(
+        json.dumps({"times": list(map(float, times)), "states": slices}, indent=1) + "\n")
     print(f"wrote {n_paths} paths x {times.size} times to {out}")
     return 0
 
@@ -442,7 +419,7 @@ def cmd_converge(cfg: dict, base_dir: Path, out: Path, markovian: bool) -> int:
     ks = load_k_list(cfg, [4, 8, 16, 32, 64], _K_MAX)
     n_steps = _read(cfg, "n_steps", int, 1, _MAX_STEPS,
                     default=32 if markovian else 64)
-    _make_out_dir(out)
+    out.mkdir(parents=True, exist_ok=True)
     if markovian:
         m = _read(cfg, "markovian", dict, default={})
         name = _read(m, "field", str, default="constant")
@@ -496,12 +473,8 @@ def main(argv=None) -> int:
         cfg_path = Path(args.config)
         try:
             cfg = json.loads(cfg_path.read_text())
-        except FileNotFoundError as e:
-            raise ConfigError(f"config file {cfg_path} not found") from e
-        except (OSError, UnicodeDecodeError) as e:
-            raise ConfigError(f"cannot read config file {cfg_path}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config is not valid JSON: {e}") from e
+        except ValueError as e:
+            raise ConfigError(f"config file {cfg_path} is not UTF-8 JSON: {e}") from e
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
         base_dir = cfg_path.parent
@@ -513,7 +486,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg, base_dir, out)
         return cmd_converge(cfg, base_dir, out, args.markovian)
-    except ConfigError as e:
+    except (ConfigError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except MemoryError:

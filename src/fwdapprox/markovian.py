@@ -161,7 +161,9 @@ def _output(curves: Sequence[Curve], setup=None, single: bool = False):
     ``samples(m)`` on the grid's first m nodes and zero beyond them; a step
     that reads no derivative builds none.  Without ``setup`` the
     outputs are ``curves``.  The array form rides on the callable as its
-    ``on_grid`` attribute (so wrappers made with `functools.wraps` keep it):
+    ``on_grid`` attribute (so wrappers made with `functools.wraps` keep it,
+    and the schemes run the wrapped output, never the wrapper's body: such a
+    wrapper must return the wrapped outputs unchanged):
     ``on_grid(x_max, n)`` sets the output up on the grid of [0, x_max] with
     n nodes and returns its step; without ``setup`` the step returns the very
     rows it read.  The `Curve` form runs the same step on f's own grid, its

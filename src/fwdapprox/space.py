@@ -13,7 +13,8 @@ noise.
 from __future__ import annotations
 
 import csv
-import io
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -451,19 +452,22 @@ def theta_inv(z: complex, h: np.ndarray, alpha: float, x_max: float) -> Curve:
 
 # -- CSV interchange ---------------------------------------------------------
 
+def _opened(path_or_buf, mode: str):
+    """A path (str, bytes or os.PathLike) opened in `mode` and closed on exit,
+    or the caller's buffer, left open."""
+    if isinstance(path_or_buf, (str, bytes, os.PathLike)):
+        return open(path_or_buf, mode, newline="")
+    return nullcontext(path_or_buf)
+
+
 def write_curve_csv(f: Curve, path_or_buf) -> None:
     """Write `x,f,fprime` rows (values recovered from the spline integral)."""
-    own = isinstance(path_or_buf, (str, bytes))
-    handle = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
+    with _opened(path_or_buf, "w") as handle:
         w = csv.writer(handle, lineterminator="\n")
         w.writerow(["x", "f", "fprime"])
         vals = f.values_on_grid()
         for x, v, d in zip(f.grid, vals, f.deriv_samples):
             w.writerow([repr(float(x)), _fmt(v), _fmt(d)])
-    finally:
-        if own:
-            handle.close()
 
 
 def _fmt(z: complex) -> str:
@@ -484,13 +488,8 @@ def read_curve_csv(path_or_buf) -> Curve:
     increases (`Curve`'s x_max > 0), every row must hold exactly the three
     cells, and the f column must be f(0) plus the integral of fprime (the
     curve's `value`) within 1e-6 max(1, max|f|)."""
-    own = isinstance(path_or_buf, (str, bytes))
-    handle = open(path_or_buf, "r", newline="") if own else path_or_buf
-    try:
+    with _opened(path_or_buf, "r") as handle:
         rows = list(csv.reader(handle))
-    finally:
-        if own:
-            handle.close()
     if not rows or [c.strip() for c in rows[0]] != ["x", "f", "fprime"]:
         raise ValueError("expected header 'x,f,fprime'")
     for i, r in enumerate(rows[1:], start=2):

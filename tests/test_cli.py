@@ -91,6 +91,16 @@ def test_basis_check_passes_at_small_lambda_horizon(tmp_path, capsys, lam):
     assert all(r[3] == "true" for r in read_rows(out / "basis_check.csv")[1:])
 
 
+@pytest.mark.parametrize("k", [8, 32, 300, 2047])
+def test_basis_check_passes_at_every_admitted_k(tmp_path, capsys, k):
+    # the commutator identity is checked on curves sampled on the nodes it
+    # projects on, at modes inside its series, for every k up to _K_MAX
+    cfg = write_cfg(tmp_path, "c.json", {"params": PARAMS, "k": k})
+    assert main(["basis-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6 and all(line.startswith("PASS ") for line in lines), lines
+
+
 _OUTPUT_FILES = {"basis_check.csv": "basis-check", "converge.svg": "converge",
                  "coefficients_path0.json": "simulate"}
 
@@ -752,6 +762,29 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, argv, change):
     assert main([*argv, "--config", p, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+CURVE_PATHS = {"long-name": "a" * 296 + ".csv", "below-a-file": "bump_curve.csv/inner.csv",
+               "directory": "d"}
+
+
+@pytest.mark.parametrize("argv, path, case", [
+    pytest.param(argv, path, case, id=f"{' '.join(argv)}-{path[-1]}-{case}")
+    for argv in FUZZ_CONFIGS if argv != ("basis-check",)
+    for path, cases in ((("f0",), CURVE_PATHS),
+                        *(((("markovian", "theta"), ["long-name"]),) if argv == MARKOVIAN else ()))
+    for case in cases])
+def test_curve_path_the_os_refuses_is_one_config_error(tmp_path, capsys, argv, path, case):
+    # a curve file name too long, a path below a regular file and a directory:
+    # the operating system's error is one config error line naming the path
+    root = Path(__file__).resolve().parent.parent
+    (tmp_path / "bump_curve.csv").write_bytes((root / "data" / "bump_curve.csv").read_bytes())
+    (tmp_path / "d").mkdir()
+    p = write_cfg(tmp_path, "c.json", mutated(FUZZ_CONFIGS[argv], path, CURVE_PATHS[case]))
+    assert main([*argv, "--config", p, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert CURVE_PATHS[case] in err
 
 
 def test_markovian_grid_error_comes_before_the_contract_audit(tmp_path, monkeypatch):

@@ -146,6 +146,24 @@ def test_fold_helpers_stay_with_their_owners():
                                  f"{sorted(users - allowed)}"
 
 
+def test_os_errors_and_curve_file_opens_have_one_home():
+    # cli.main turns every OSError into one config error, so no other code of
+    # cli.py catches or names one; space.py opens a curve file in _opened alone
+    src = Path(fwdapprox.__file__).parent
+
+    def outside(module, owner, hit):
+        tree = ast.parse((src / module).read_text())
+        home = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == owner)
+        inside = {id(n) for n in ast.walk(home)}
+        return [n.lineno for n in ast.walk(tree) if hit(n) and id(n) not in inside]
+
+    assert not outside("cli.py", "main",
+                       lambda n: isinstance(n, ast.Name) and n.id == "OSError")
+    assert not outside("space.py", "_opened",
+                       lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                       and n.func.id == "open")
+
+
 def test_bound_contracts_no_whole_lag_kernel():
     # the bound's derivative kernel is built and contracted a block of
     # columns at a time; a tensordot in _sampled_bound means a whole

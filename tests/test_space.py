@@ -379,6 +379,23 @@ def test_csv_roundtrip():
     assert g.x_max == pytest.approx(f.x_max)
 
 
+@pytest.mark.parametrize("kind", ["str", "path", "buffer"])
+def test_csv_roundtrip_through_a_path_or_a_buffer(tmp_path, kind):
+    # a str or any os.PathLike is opened and closed; a buffer is the
+    # caller's and is left open
+    f = smooth_bump(n_points=257)
+    target = {"str": str(tmp_path / "f.csv"), "path": tmp_path / "f.csv",
+              "buffer": io.StringIO()}[kind]
+    write_curve_csv(f, target)
+    if kind == "buffer":
+        assert not target.closed
+        target.seek(0)
+    g = read_curve_csv(target)
+    assert kind != "buffer" or not target.closed
+    assert g.deriv_samples.tobytes() == f.deriv_samples.tobytes()
+    assert g.value_at_zero == f.value_at_zero and g.x_max == f.x_max
+
+
 def test_csv_column_numpy_refuses_is_parsed_cell_by_cell():
     # a column numpy reads at once is read as float() reads each cell; one it
     # refuses (a spaced exponent, "1+0j") is read cell by cell as before, to
