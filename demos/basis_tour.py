@@ -40,7 +40,7 @@ print()
 lo, hi = frame_lower_constant(params), frame_upper_constant(params)
 rng = np.random.default_rng(0)
 c = rng.normal(size=17) + 1j * rng.normal(size=17)
-s = CoeffState(1.0 + 0j, c, BasisParams(1.0, 0.5, 1.0, 8))
+s = CoeffState(1.0 + 0j, c, params)
 nsq = norm_alpha_span(s) ** 2
 csq = abs(s.c_star) ** 2 + float(np.sum(np.abs(c) ** 2))
 print("== frame bounds ==")
@@ -52,12 +52,12 @@ print()
 f = smooth_bump()
 C1 = compute_C1(f, params)
 big = coefficients_fft(f, 256, params, n_points=2**14 + 1)
-ns = big.params.n_range()
+ns = params.n_range(big.k)
 print("== truncation rate on the bump curve ==")
 print(f"rate constant C1 = {C1:.4f}")
 print(f"{'k':>4} {'residual^2':>12} {'C1/k':>10}")
 for k in (4, 8, 16, 32, 64):
-    resid = CoeffState(0.0, np.where(np.abs(ns) > k, big.c, 0.0), big.params)
+    resid = CoeffState(0.0, np.where(np.abs(ns) > k, big.c, 0.0), params)
     print(f"{k:>4} {norm_alpha_span(resid) ** 2:>12.3e} {C1 / k:>10.3e}")
 print()
 

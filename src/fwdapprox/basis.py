@@ -30,18 +30,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BasisParams:
-    """Parameters (alpha, lambda, T) of the basis plus the truncation level k.
+    """The parameters (alpha, lambda, T) that alone fix the basis.
 
     alpha : exponential weight rate of the curve space (1/time, > 0)
     lam : damping rate of the basis exponentials (1/time, > 0)
     horizon : localisation horizon T (time, > 0)
-    k : truncation level, modes n = -k..k are kept (>= 0)
     """
 
     alpha: float
     lam: float
     horizon: float
-    k: int = 0
 
     def __post_init__(self) -> None:
         if not (self.alpha > 0.0):
@@ -50,8 +48,6 @@ class BasisParams:
             raise ValueError(f"lambda must be positive, got {self.lam}")
         if not (self.horizon > 0.0):
             raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.k < 0:
-            raise ValueError(f"k must be nonnegative, got {self.k}")
 
     @property
     def decay(self) -> float:
@@ -63,10 +59,9 @@ class BasisParams:
         """1 - exp(-2*lambda*T), the constant behind every frame bound."""
         return -np.expm1(-2.0 * self.lam * self.horizon)
 
-    def n_range(self, k: int | None = None) -> np.ndarray:
+    def n_range(self, k: int) -> np.ndarray:
         """Mode indices -k..k as an integer array."""
-        kk = self.k if k is None else k
-        return np.arange(-kk, kk + 1)
+        return np.arange(-k, k + 1)
 
 
 def lambda_n(params: BasisParams, n) -> np.ndarray | complex:

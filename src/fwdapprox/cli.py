@@ -30,7 +30,9 @@ real and finite, its cubic spline included.
 For basis-check, lambda * horizon must be at least about 3.15e-3, so that
 the dual Gram's tail falls below 1e-9 within 2^12 periods (`_gram_periods`).
 For converge --markovian, f0's grid must split [0, horizon] into an even
-number of intervals, at least 2 max(k_list) + 1 of them.
+number of intervals, at least 2 max(k_list) + 1 of them.  Exit 3 also marks
+a converge --markovian f0 with no node past the horizon, and a converge f0,
+loading or beta stored on less than [0, t_eval + horizon], which it reads.
 """
 from __future__ import annotations
 
@@ -290,14 +292,13 @@ def cmd_basis_check(cfg: dict, base_dir: Path, out: Path) -> int:
     # frame bounds on random span elements
     rng = np.random.default_rng(seed)
     k_frame = max(k, 1)
-    pf = BasisParams(params.alpha, params.lam, params.horizon, k_frame)
     # the g_* coordinate enters with constant 1, so the span's lower bound is
     # min(1, lo); hi = 1 / (1 - e^{-2 lam T}) is at least 1 already
     lo, hi = min(1.0, frame_lower_constant(params)), frame_upper_constant(params)
     worst_lo, worst_hi = np.inf, 0.0
     for _ in range(20):
         c = rng.normal(size=2 * k_frame + 1) + 1j * rng.normal(size=2 * k_frame + 1)
-        s = CoeffState(complex(rng.normal()), c, pf)
+        s = CoeffState(complex(rng.normal()), c, params)
         nsq = norm_alpha_span(s) ** 2
         csq = abs(s.c_star) ** 2 + float(np.sum(np.abs(c) ** 2))
         worst_lo = min(worst_lo, nsq / csq)
@@ -343,12 +344,11 @@ def cmd_truncation_rate(cfg: dict, base_dir: Path, out: Path) -> int:
     ks = load_k_list(cfg, [4, 8, 16, 32, 64, 128], n_big - 1)
     C1 = compute_C1(f0, params)
     big = coefficients_fft(f0, n_big, params, n_points=2**15 + 1)
-    pb = BasisParams(params.alpha, params.lam, params.horizon, n_big)
-    ns = pb.n_range()
+    ns = params.n_range(n_big)
     rows, errs = [], []
     ok_all = True
     for k in ks:
-        resid = CoeffState(0.0, np.where(np.abs(ns) > k, big.c, 0.0), pb)
+        resid = CoeffState(0.0, np.where(np.abs(ns) > k, big.c, 0.0), params)
         err = norm_alpha_span(resid) ** 2
         errs.append(err)
         ok_all &= err <= C1 / k
@@ -378,12 +378,11 @@ def cmd_simulate(cfg: dict, base_dir: Path, out: Path) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     G = eval_g_n(params, params.n_range(k), x)
-    pk = BasisParams(params.alpha, params.lam, params.horizon, k)
     # shared by every path: the cells, and each window's weights at its times
     # t <= T1 (a prefix)
     t_cells = list(map(repr, times.tolist()))
     x_cells = list(map(repr, x.tolist()))
-    weights = {f"{wi},{T1!r},{T2!r}": np.stack([_window_weights(pk, t, T1, T2)
+    weights = {f"{wi},{T1!r},{T2!r}": np.stack([_window_weights(params, k, t, T1, T2)
                                                   for t in times[times <= T1].tolist()])
                  for wi, (T1, T2) in enumerate(windows)}
     scen, fwd, slices = [], [], []

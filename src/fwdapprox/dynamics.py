@@ -344,28 +344,23 @@ def _projected_inputs(spec: ModelSpec, driver: LevyDriver, times, betas, k: int)
             _psi_rows(spec, driver, times))
 
 
-def _exact_transport(init: CoeffState, loads, drift, weighted: np.ndarray,
-                     dt: float, k: int):
+def _exact_transport(init: CoeffState, loads, drift, weighted: np.ndarray, dt: float):
     """Yield (c_star, c) after each step of the truncated linear dynamics.
 
     A step adds the left-endpoint increment (``weighted`` row times the
     loadings, plus dt times the drift) and then shifts exactly by dt.
-    ``loads`` and ``drift`` are as returned by `_projected_inputs`;
-    ``weighted`` is (..., L, d), psi weights times driver increments, and its
-    leading axes are independent paths.  Modes -k..k of the projection are
-    kept, so ``k`` may lie below its level.
+    ``loads`` and ``drift`` are as returned by `_projected_inputs`, at init's
+    level; ``weighted`` is (..., L, d), psi weights times driver increments,
+    and its leading axes are independent paths.
     """
-    k_max = init.k
-    sl = slice(k_max - k, k_max + k + 1)
-    load_star, load_c = loads[0], loads[1][:, sl]
-    g_dt, growth = _shift_factors(init.params, k, dt)
-    c_star, c = init.c_star, init.c[sl]
+    (load_star, load_c), c_star, c = loads, init.c_star, init.c
+    g_dt, growth = _shift_factors(init.params, init.k, dt)
     for j in range(weighted.shape[-2]):
         w = weighted[..., j, :]
         inc_star, inc_c = w @ load_star, w @ load_c
         if drift is not None:
             inc_star = inc_star + dt * drift[0][j]
-            inc_c = inc_c + dt * drift[1][j, sl]
+            inc_c = inc_c + dt * drift[1][j]
         c_star, c = _shift(c_star + inc_star, c + inc_c, g_dt, growth)
         yield c_star, c
 
@@ -429,7 +424,7 @@ def simulate_fk_state(spec: ModelSpec, driver: LevyDriver, times, k: int,
     init, loads, drift, psi = _projected_inputs(spec, driver, times,
                                                 _drift_curves(spec, times)[0], k)
     S_k, U = zip((init.c_star, init.c),
-                 *_exact_transport(init, loads, drift, psi * dL, dt, k))
+                 *_exact_transport(init, loads, drift, psi * dL, dt))
     return StateVariables(np.array(S_k), np.stack(U), init.params)
 
 
@@ -573,14 +568,14 @@ def delivery_forward(state: CoeffState, t: float, T1: float, T2: float) -> compl
     p = state.params
     if not (t <= T1 < T2 <= p.horizon + 1e-12):
         raise BadWindow(f"need t <= T1 < T2 <= {p.horizon}, got ({t}, {T1}, {T2})")
-    return complex(state.c_star + np.sum(_window_weights(p, t, T1, T2) * state.c))
+    return complex(state.c_star + np.sum(_window_weights(p, state.k, t, T1, T2) * state.c))
 
 
 @lru_cache(maxsize=512)
-def _window_weights(params: BasisParams, t: float, T1: float, T2: float) -> np.ndarray:
-    """The read-only weights G_n, n = -k..k, of `delivery_forward` at level params.k;
+def _window_weights(params: BasisParams, k: int, t: float, T1: float, T2: float) -> np.ndarray:
+    """The read-only weights G_n, n = -k..k, of `delivery_forward` at level k;
     the memo holds at most 512 of them."""
-    lams = lambda_n(params, params.n_range())
+    lams = lambda_n(params, params.n_range(k))
     G = (np.exp(lams * (T1 - t)) * _phi1(lams * (T2 - T1)) - 1.0) \
         / (lams * np.sqrt(params.horizon))
     G.flags.writeable = False
@@ -676,15 +671,20 @@ def _half_spectrum(G: np.ndarray):
     return values
 
 
-def _require_real(spec: ModelSpec, driver: LevyDriver, drifts) -> None:
-    """Raise ValueError unless f0, every loading and every distinct drift is real."""
-    named = [("f0", spec.f0)]
-    named += [(f"loading {i}", c) for i, c in enumerate(driver.loadings)]
-    named += [(f"drift at t={float(t):g}", b) for t, b in drifts]
-    for name, c in named:
+def _require_inputs(spec: ModelSpec, driver: LevyDriver, times: np.ndarray, drifts) -> None:
+    """ValueError unless f0, every loading and every distinct drift is real; DomainTooShort
+    unless each covers what the bound reads, [0, t_eval - t + T] for one first used at t."""
+    named = [("f0", 0.0, spec.f0)]
+    named += [(f"loading {i}", 0.0, c) for i, c in enumerate(driver.loadings)]
+    named += [(f"drift at t={float(t):g}", t, b) for t, b in drifts]
+    for name, t, c in named:
         if c.deriv_samples.imag.any() or complex(c.value_at_zero).imag != 0.0:
             raise ValueError(f"convergence_experiment needs real curves; {name} "
                              "has an imaginary part")
+        reach = float(times[-1] - t) + spec.params.horizon     # the lag's last read
+        if not c._covers(reach):
+            raise DomainTooShort(f"{name} covers [0, {c.x_max}], short of [0, t_eval "
+                                 f"{'- t ' if t else ''}+ T] = [0, {reach}]")
 
 
 def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
@@ -715,7 +715,8 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
     DomainTooShort before any other work.
 
     The inputs must be real curves, as forward prices are: f0, every
-    loading and every drift curve, else ValueError.  Their states are then
+    loading and every drift curve, else ValueError, on [0, t_eval + T] or
+    DomainTooShort (`_require_inputs`).  Their states are then
     Hermitian (c_{-n} = conj(c_n)), so the error is taken in real
     arithmetic, from modes 0..k.  The basis is evaluated once, at the
     largest level, and each level takes its modes.
@@ -728,7 +729,7 @@ def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,
     dt = t_eval / n_steps
     times = np.linspace(0.0, t_eval, n_steps + 1)
     betas, drifts = _drift_curves(spec, times)
-    _require_real(spec, driver, drifts)
+    _require_inputs(spec, driver, times, drifts)
     k_max = int(max(k_list))
     init, loads, drift, psi = _projected_inputs(spec, driver, times, betas, k_max)
 

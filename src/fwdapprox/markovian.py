@@ -389,7 +389,8 @@ def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
     `dynamics._mc_rows`.  Each slice evaluates the basis once, at the largest
     level, for every level's rows -k..k.
     f0's grid must suit every k, checked first at max(k_list): the rule
-    (`dynamics._euler_intervals`) only tightens as k grows.
+    (`dynamics._euler_intervals`) only tightens as k grows; and it must hold
+    a node past T, else DomainTooShort: the oracle's last state keeps one.
     A field whose ``b`` and ``psi`` carry their array form reads below T - t,
     and the slices read [0, T - t_j], so the oracle steps f0 cut to its
     nodes up to T and _ORACLE_MARGIN beyond: at a node dt on a grid whose
@@ -397,9 +398,11 @@ def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
     move by rounding or, off the nodes, by the spline shifts' resampling.
     Any other field may read its input anywhere and keeps f0's whole range.
     """
-    p, km = spec.params, max(k_list)
-    n_T = _euler_intervals(spec.f0, int(km), p)
-    f0 = spec.f0
+    p, km, f0 = spec.params, max(k_list), spec.f0
+    n_T = _euler_intervals(f0, int(km), p)
+    if f0.deriv_samples.shape[0] <= n_T + 1:
+        raise DomainTooShort(f"f0 covers [0, {f0.x_max}] and needs a node past T = "
+                             f"{p.horizon}: the oracle's last state keeps one grid step")
     if all(hasattr(fn, "on_grid") for fn in (cf.b, cf.psi)):
         n = n_T + 1 + _ORACLE_MARGIN
         if n < f0.deriv_samples.shape[0]:

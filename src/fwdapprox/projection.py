@@ -73,12 +73,12 @@ class CoeffState:
     def __post_init__(self) -> None:
         c = np.asarray(self.c, dtype=np.complex128)
         object.__setattr__(self, "c", c)
-        if c.shape != (2 * self.params.k + 1,):
-            raise ValueError(f"need {2 * self.params.k + 1} coefficients, got {c.shape}")
+        if c.ndim != 1 or c.size % 2 != 1:
+            raise ValueError(f"need 2k + 1 coefficients in one row, got shape {c.shape}")
 
     @property
     def k(self) -> int:
-        return self.params.k
+        return (self.c.size - 1) // 2
 
     def coeff(self, n: int) -> complex:
         if abs(n) > self.k:
@@ -95,17 +95,19 @@ class CoeffState:
 
     def _as_dict(self) -> dict:
         p, c_star = self.params, complex(self.c_star)
-        return {"alpha": p.alpha, "lambda": p.lam, "T": p.horizon, "k": p.k,
+        return {"alpha": p.alpha, "lambda": p.lam, "T": p.horizon, "k": self.k,
                 "c_star": [c_star.real, c_star.imag],
                 "c": [[z.real, z.imag] for z in self.c.tolist()]}
 
     @classmethod
     def from_json(cls, text: str) -> "CoeffState":
+        """The state `to_json` wrote; ValueError if its "k" is not its level."""
         d = json.loads(text)
-        params = BasisParams(alpha=d["alpha"], lam=d["lambda"],
-                             horizon=d["T"], k=int(d["k"]))
-        c = np.array([complex(re, im) for re, im in d["c"]])
-        return cls(complex(*d["c_star"]), c, params)
+        params = BasisParams(alpha=d["alpha"], lam=d["lambda"], horizon=d["T"])
+        s = cls(complex(*d["c_star"]), [complex(re, im) for re, im in d["c"]], params)
+        if d["k"] != s.k:
+            raise ValueError(f"\"k\" is {d['k']!r} but c holds {s.c.size} coefficients")
+        return s
 
 
 @dataclass(frozen=True)
@@ -238,9 +240,8 @@ def coefficients_fft(h: Curve, k: int, params: BasisParams,
         spectra = np.empty((1, n_points - 1), dtype=np.complex128)
         c = _fold_rows([_fold_input(h._deriv_on(T, n_points), grid)], k, T, spectra)[0]
         c.flags.writeable = False
-        p = BasisParams(params.alpha, params.lam, params.horizon, k)
         # h(0) as stored; + 0j gives it the signs of zero of h.value(0.0)
-        state = h._spline_cache[key] = CoeffState(complex(h.value_at_zero) + 0j, c, p)
+        state = h._spline_cache[key] = CoeffState(complex(h.value_at_zero) + 0j, c, params)
     return state
 
 

@@ -60,12 +60,11 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
 
 
 def random_state(k: int, seed: int, real: bool = True) -> CoeffState:
-    pk = BasisParams(P.alpha, P.lam, P.horizon, k)
     rng = np.random.default_rng(seed)
     c = rng.normal(size=2 * k + 1) + 1j * rng.normal(size=2 * k + 1)
     if real:
         c = 0.5 * (c + np.conj(c[::-1]))
-    return CoeffState(complex(rng.normal()), c, pk)
+    return CoeffState(complex(rng.normal()), c, P)
 
 
 def standard_driver(scale=0.1, seed=77):
@@ -119,8 +118,7 @@ def test_03_operator_norms():
 
 def test_04_commutator_identity():
     n_big = 512
-    pb = BasisParams(P.alpha, P.lam, P.horizon, n_big)
-    ms = pb.n_range()
+    ms = P.n_range(n_big)
     t_grid = np.linspace(0.0, P.horizon, 32)
     G = eval_g_n(P, ms, t_grid)                       # (2*n_big+1, 32)
     n_pts = 2**14 + 1
@@ -149,12 +147,11 @@ def test_05_truncation_rate_bound_and_slope():
     C1 = compute_C1(f, P)
     n_big = 512
     big = coefficients_fft(f, n_big, P, n_points=2**15 + 1)
-    pb = BasisParams(P.alpha, P.lam, P.horizon, n_big)
-    ns = pb.n_range()
+    ns = P.n_range(n_big)
     ks = [4, 8, 16, 32, 64, 128]
     errs, bound_ok = [], True
     for k in ks:
-        resid = CoeffState(0.0, np.where(np.abs(ns) > k, big.c, 0.0), pb)
+        resid = CoeffState(0.0, np.where(np.abs(ns) > k, big.c, 0.0), P)
         err = norm_alpha_span(resid) ** 2
         errs.append(err)
         bound_ok &= err <= C1 / k

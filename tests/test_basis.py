@@ -20,6 +20,7 @@ from fwdapprox.basis import (
     projector_norm_bound,
     shift_norm_bound,
 )
+from fwdapprox.projection import CoeffState
 
 P = BasisParams(alpha=1.0, lam=0.5, horizon=1.0)
 
@@ -29,8 +30,8 @@ def test_params_validation():
         BasisParams(alpha=-1.0, lam=0.5, horizon=1.0)
     with pytest.raises(ValueError):
         BasisParams(alpha=1.0, lam=0.0, horizon=1.0)
-    with pytest.raises(ValueError):
-        BasisParams(alpha=1.0, lam=0.5, horizon=1.0, k=-1)
+    with pytest.raises(ValueError):   # a level is 2k + 1 coefficients, never even
+        CoeffState(0.0, np.zeros(2), P)
 
 
 def test_lambda_n_values():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fwdapprox import cli, dynamics
+from fwdapprox import cli, dynamics, markovian
 from fwdapprox.cli import loglog_slope, main
 from fwdapprox.dynamics import delivery_forward, simulate_fk_state
 from fwdapprox.space import Curve, read_curve_csv
@@ -925,6 +925,55 @@ def test_converge_markovian_curve_short_of_the_horizon_exits_3(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and err.count("\n") == 1
     assert "covers [0, 0.5]" in err and not (out / "converge.csv").exists()
+
+
+def never(*args, **kwargs):
+    raise AssertionError("the run went past its input checks")
+
+
+@pytest.mark.parametrize("short, needs", [
+    ("f0", "f0 covers [0, 2.0], short of [0, t_eval + T] = [0, 2.5]"),
+    ("loading", "loading 1 covers [0, 1.25], short of [0, t_eval + T] = [0, 1.5]"),
+    ("beta", "drift at t=0 covers [0, 1.25], short of [0, t_eval + T] = [0, 1.5]")],
+    ids=["f0", "loading", "beta"])
+def test_converge_input_short_of_the_bound_range_exits_3(tmp_path, capsys, monkeypatch,
+                                                          short, needs):
+    # configs/default.json with horizon 2.0 (f0 is stored on [0, 2]), or with
+    # loading 1 or beta on [0, 1.25]: the bound reads each on [0, t_eval + T],
+    # so one line names the curve and that range before any input is
+    # projected and any kernel built
+    monkeypatch.setattr(dynamics, "_projected_inputs", never)
+    monkeypatch.setattr(dynamics, "_mild_terms", never)
+    root = Path(__file__).resolve().parent.parent
+    cfg = json.loads((root / "configs" / "default.json").read_text())
+    cfg["f0"] = str(root / "data" / "bump_curve.csv")
+    if short == "f0":
+        cfg["params"]["horizon"] = 2.0
+    else:
+        (cfg["beta"] if short == "beta" else cfg["driver"]["loadings"][1])["x_max"] = 1.25
+    out = tmp_path / "o"
+    assert main(["converge", "--config", write_cfg(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"numerical failure: {needs}\n"
+    assert not (out / "converge.csv").exists()
+
+
+def test_converge_markovian_f0_that_ends_at_the_horizon_exits_3(tmp_path, capsys,
+                                                                monkeypatch):
+    # configs/markovian.json with f0 on [0, T] alone: the oracle's last state
+    # keeps f0's range past T, at least one grid step, so one line asks for a
+    # node past T before any path is stepped
+    monkeypatch.setattr(markovian, "_curve_recursion", never)
+    monkeypatch.setattr(markovian, "simulate_markovian_fk", never)
+    root = Path(__file__).resolve().parent.parent
+    cfg = json.loads((root / "configs" / "markovian.json").read_text())
+    cfg["f0"] = {"kind": "bump", "x_max": 1.0, "n_points": 2049}
+    out = tmp_path / "o"
+    assert main([*MARKOVIAN, "--config", write_cfg(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: f0 covers [0, 1.0] and needs a node past T")
+    assert err.count("\n") == 1 and not (out / "converge.csv").exists()
 
 
 @pytest.mark.parametrize("argv", list(FUZZ_CONFIGS), ids=" ".join)

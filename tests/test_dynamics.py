@@ -309,11 +309,10 @@ def test_euler_tracks_exact_state_sim_under_shared_noise():
 
 
 def test_delivery_forward_matches_quadrature():
-    pk = BasisParams(1.0, 0.5, 1.0, 8)
     rng = np.random.default_rng(9)
     c = rng.normal(size=17) + 1j * rng.normal(size=17)
     c = 0.5 * (c + np.conj(c[::-1]))
-    s = CoeffState(1.2 + 0j, c, pk)
+    s = CoeffState(1.2 + 0j, c, P)
     t, T1, T2 = 0.2, 0.45, 0.8
     F = delivery_forward(s, t, T1, T2)
     xs = np.linspace(T1 - t, T2 - t, 4001)
@@ -332,7 +331,7 @@ def test_delivery_forward_matches_quadrature_for_random_parameters(
         alpha, lam, T, k, start, end, width, seed):
     # closed-form window average against Simpson quadrature of reconstruct
     # over x in [T1 - t, T2 - t], for any t <= T1 < T2 <= T
-    pk = BasisParams(alpha, lam, T, k)
+    pk = BasisParams(alpha, lam, T)
     rng = np.random.default_rng(seed)
     c = rng.normal(size=2 * k + 1) + 1j * rng.normal(size=2 * k + 1)
     s = CoeffState(complex(rng.normal()), c, pk)
@@ -354,37 +353,34 @@ def test_delivery_forward_matches_quadrature_for_random_parameters(
 def test_delivery_forward_memo_is_read_only_and_exact():
     # memoised window weights give the unmemoised closed form bit for bit,
     # on the first call and on repeats; the shared weights are read-only
-    pk = BasisParams(1.0, 0.5, 1.0, 6)
     rng = np.random.default_rng(4)
-    lams = lambda_n(pk, pk.n_range())
+    lams = lambda_n(P, P.n_range(6))
     for t, T1, T2 in [(0.0, 0.6, 0.9), (0.25, 0.5, 0.75), (0.0, 0.6, 0.9)]:
         c = rng.normal(size=13) + 1j * rng.normal(size=13)
-        s = CoeffState(complex(rng.normal()), c, pk)
+        s = CoeffState(complex(rng.normal()), c, P)
         G = (np.exp(lams * (T1 - t)) * _phi1(lams * (T2 - T1)) - 1.0) \
-            / (lams * np.sqrt(pk.horizon))
+            / (lams * np.sqrt(P.horizon))
         assert delivery_forward(s, t, T1, T2) == complex(s.c_star + np.sum(G * c))
-    G = _window_weights(pk, 0.0, 0.6, 0.9)
-    assert G is _window_weights(pk, 0.0, 0.6, 0.9)
+    G = _window_weights(P, 6, 0.0, 0.6, 0.9)
+    assert G is _window_weights(P, 6, 0.0, 0.6, 0.9)
     with pytest.raises(ValueError):
         G[0] = 0.0
 
 
 def test_delivery_forward_window_limit_and_constant():
-    pk = BasisParams(1.0, 0.5, 1.0, 4)
     rng = np.random.default_rng(2)
     c = rng.normal(size=9) + 0j
-    s = CoeffState(0.9 + 0j, c, pk)
+    s = CoeffState(0.9 + 0j, c, P)
     # T2 -> T1: the average collapses to the point value f_k(t, T1 - t)
     F = delivery_forward(s, 0.1, 0.6, 0.6 + 1e-6)
     assert abs(F - complex(reconstruct(s, 0.5))) < 1e-5
     # pure constant state: any window returns the constant
-    const = CoeffState(2.5 + 0j, np.zeros(9), pk)
+    const = CoeffState(2.5 + 0j, np.zeros(9), P)
     assert delivery_forward(const, 0.0, 0.2, 0.9) == pytest.approx(2.5)
 
 
 def test_delivery_forward_bad_windows():
-    pk = BasisParams(1.0, 0.5, 1.0, 1)
-    s = CoeffState(1.0, np.zeros(3), pk)
+    s = CoeffState(1.0, np.zeros(3), P)
     with pytest.raises(BadWindow):
         delivery_forward(s, 0.5, 0.4, 0.8)   # t > T1
     with pytest.raises(BadWindow):
@@ -528,11 +524,10 @@ def test_convergence_experiment_rows_do_not_depend_on_the_chunk(monkeypatch):
 
 @pytest.mark.parametrize("width", [1e-8, 1e-10])
 def test_delivery_forward_narrow_window_has_no_cancellation(width):
-    pk = BasisParams(1.0, 0.5, 1.0, 8)
     rng = np.random.default_rng(9)
     c = rng.normal(size=17) + 1j * rng.normal(size=17)
     c = 0.5 * (c + np.conj(c[::-1]))
-    s = CoeffState(1.2 + 0j, c, pk)
+    s = CoeffState(1.2 + 0j, c, P)
     t, T1 = 0.1, 0.6
     F = delivery_forward(s, t, T1, T1 + width)
     assert abs(F - complex(reconstruct(s, T1 - t + 0.5 * width))) < 1e-12
@@ -712,7 +707,7 @@ def test_final_state_equals_last_transport_step(alpha, lam, T, frac, k_list, ext
     # level, from a projection at level max(k_list) + extra (modes -k..k kept)
     rng = np.random.default_rng(seed)
     kk = max(k_list) + extra
-    pk = BasisParams(alpha, lam, T, kk)
+    pk = BasisParams(alpha, lam, T)
     init = CoeffState(complex(rng.normal()), hermitian(rng, 2 * kk + 1), pk)
     loads = rng.normal(size=d) + 0j, hermitian(rng, (d, 2 * kk + 1))
     drift = None
@@ -725,8 +720,11 @@ def test_final_state_equals_last_transport_step(alpha, lam, T, frac, k_list, ext
     states = list(_final_state(init, loads, drift, dt, k_list, lag)(weighted))
     assert len(states) == len(k_list)
     for k, (got_star, got) in zip(k_list, states):
-        *_, (c_star, c) = _exact_transport(init, loads, drift, weighted, dt, k)
         sl = slice(kk - k, kk + k + 1)
+        level_loads = loads[0], loads[1][:, sl]
+        level_drift = None if drift is None else (drift[0], drift[1][:, sl])
+        *_, (c_star, c) = _exact_transport(CoeffState(init.c_star, init.c[sl], pk),
+                                           level_loads, level_drift, weighted, dt)
         inc_star, inc = weighted @ loads[0], weighted @ loads[1][:, sl]
         if with_drift:
             inc_star, inc = inc_star + dt * drift[0], inc + dt * drift[1][:, sl]
@@ -920,6 +918,21 @@ def test_convergence_experiment_names_t_eval_beyond_the_horizon():
     spec = ModelSpec(f0=smooth_bump(**grid), params=P)
     with pytest.raises(DomainTooShort, match=r"t_eval=1\.5 lies beyond the horizon T=1\.0"):
         convergence_experiment(spec, drv, 1.5, [4], 2, n_steps=4)
+
+
+@pytest.mark.parametrize("x_max", [1.25, 1.2])
+def test_convergence_experiment_names_a_drift_short_of_the_bound_range(x_max):
+    # the bound reads a drift first used at t on [0, t_eval - t + T]: from
+    # t = 0.25 on, with t_eval = 0.5 and T = 1, [0, 1.25] is enough and
+    # [0, 1.2] is refused by name before any input is projected
+    b1, b2 = flat_curve(0.05), flat_curve(0.03, x_max=x_max)
+    spec = ModelSpec(f0=smooth_bump(), params=P, beta=lambda t: b1 if t < 0.25 else b2)
+    if x_max == 1.25:
+        assert len(convergence_experiment(spec, make_driver(), 0.5, [4], 2, n_steps=4)) == 1
+        return
+    with pytest.raises(DomainTooShort, match=r"^drift at t=0\.25 covers \[0, 1\.2\], short "
+                       r"of \[0, t_eval - t \+ T\] = \[0, 1\.25\]$"):
+        convergence_experiment(spec, make_driver(), 0.5, [4], 2, n_steps=4)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

@@ -580,9 +580,9 @@ def test_array_form_equals_curve_form(case, n_points, t, seed):
     name, kw = _FIELDS[case]
     field = make_field(name, drv, P, **kw)
     rng = np.random.default_rng(seed)
-    pk = BasisParams(P.alpha, P.lam, P.horizon, markovian.AUDIT_K_SPAN)
-    c = rng.normal(size=pk.n_range().size) + 1j * rng.normal(size=pk.n_range().size)
-    state = CoeffState(complex(rng.normal()), 0.5 * (c + np.conj(c[::-1])), pk)
+    n_c = 2 * markovian.AUDIT_K_SPAN + 1
+    c = rng.normal(size=n_c) + 1j * rng.normal(size=n_c)
+    state = CoeffState(complex(rng.normal()), 0.5 * (c + np.conj(c[::-1])), P)
     f = markovian._span_curve(state, 2.0, n_points)
     grid = (f.x_max, n_points)
     if case == "linear":

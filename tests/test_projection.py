@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -46,29 +47,50 @@ def basis_curve(n, x_max=1.0, n_points=2**12 + 1):
 
 
 def test_coeff_state_validation_and_access():
-    p2 = BasisParams(1.0, 0.5, 1.0, 2)
-    s = CoeffState(1.0, np.arange(5, dtype=complex), p2)
+    s = CoeffState(1.0, np.arange(5, dtype=complex), P)
     assert s.coeff(-2) == 0.0 + 0j
     assert s.coeff(2) == 4.0 + 0j
     assert s.coeff(7) == 0.0
-    with pytest.raises(ValueError):
-        CoeffState(0.0, np.zeros(3), p2)
+    with pytest.raises(ValueError):   # the level is read off c: 2k + 1 entries
+        CoeffState(0.0, np.zeros(4), P)
 
 
 def test_coeff_state_json_roundtrip():
-    p2 = BasisParams(1.0, 0.5, 1.0, 2)
-    s = CoeffState(1.5 + 0.0j, np.exp(1j * np.arange(5)), p2)
+    s = CoeffState(1.5 + 0.0j, np.exp(1j * np.arange(5)), P)
     t = CoeffState.from_json(s.to_json())
     assert t.params == s.params
     assert np.allclose(t.c, s.c)
     assert complex(t.c_star) == pytest.approx(complex(s.c_star))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(0.2, 3.0), lam=st.floats(0.1, 2.0), T=st.floats(0.5, 2.0),
+       k=st.integers(0, 2048), seed=st.integers(0, 2**32 - 1))
+@example(alpha=1.0, lam=0.5, T=1.0, k=0, seed=0)
+@example(alpha=1.0, lam=0.5, T=1.0, k=2048, seed=0)    # 4,097 coefficients
+def test_coeff_state_level_is_read_off_its_coefficients(alpha, lam, T, k, seed):
+    # the level of 2k + 1 coefficients is k, and the JSON text, whose "k" is
+    # that level, reads back to the same text; an even count, a 2-D array and
+    # a "k" that disagrees with c are each refused
+    params = BasisParams(alpha, lam, T)
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=2 * k + 1) + 1j * rng.normal(size=2 * k + 1)
+    s = CoeffState(complex(rng.normal(), rng.normal()), c, params)
+    assert s.k == (len(c) - 1) // 2 == k
+    text = s.to_json()
+    assert CoeffState.from_json(text).to_json() == text
+    for bad in (c[1:], c[None, :]):
+        with pytest.raises(ValueError):
+            CoeffState(s.c_star, bad, params)
+    d = json.loads(text)
+    with pytest.raises(ValueError):
+        CoeffState.from_json(json.dumps(dict(d, k=k + 1)))
+
+
 def test_hermitian_defect():
-    p1 = BasisParams(1.0, 0.5, 1.0, 1)
-    real_state = CoeffState(1.0, np.array([1 - 1j, 0.5, 1 + 1j]), p1)
+    real_state = CoeffState(1.0, np.array([1 - 1j, 0.5, 1 + 1j]), P)
     assert real_state.hermitian_defect() < 1e-15
-    bad = CoeffState(1.0, np.array([1 + 1j, 0.5, 1 + 1j]), p1)
+    bad = CoeffState(1.0, np.array([1 + 1j, 0.5, 1 + 1j]), P)
     assert bad.hermitian_defect() > 1.0
 
 
@@ -116,10 +138,9 @@ def test_project_pi_replicates_derivative():
 
 
 def test_reconstruct_roundtrip_on_span():
-    p4 = BasisParams(1.0, 0.5, 1.0, 4)
     rng = np.random.default_rng(3)
     c = rng.normal(size=9) + 1j * rng.normal(size=9)
-    s = CoeffState(0.7 + 0j, c, p4)
+    s = CoeffState(0.7 + 0j, c, P)
     x = np.linspace(0, 1, 2**12 + 1)
     f = Curve(s.c_star, reconstruct_deriv(s, x), 1.0)
     t = coefficients_fft(f, 4, P)
@@ -146,10 +167,9 @@ def test_compute_C1_bounds_truncation_error():
     C1 = compute_C1(f, P)
     assert C1 > 0.0
     big = coefficients_fft(f, 256, P, n_points=2**14 + 1)
-    pb = BasisParams(1.0, 0.5, 1.0, 256)
-    ns = pb.n_range()
+    ns = P.n_range(256)
     for k in (4, 16, 64):
-        resid = CoeffState(0.0, np.where(np.abs(ns) > k, big.c, 0.0), pb)
+        resid = CoeffState(0.0, np.where(np.abs(ns) > k, big.c, 0.0), P)
         assert norm_alpha_span(resid) ** 2 <= C1 / k
 
 
@@ -245,10 +265,9 @@ def test_power_iteration_matches_projector_norm_for_random_parameters(alpha, lam
 
 
 def test_norm_alpha_span_matches_direct_quadrature():
-    p3 = BasisParams(1.0, 0.5, 1.0, 3)
     rng = np.random.default_rng(5)
     c = rng.normal(size=7) + 1j * rng.normal(size=7)
-    s = CoeffState(0.3 + 0j, c, p3)
+    s = CoeffState(0.3 + 0j, c, P)
     # brute force: evaluate the span derivative far out and integrate
     x = np.linspace(0, 25, 2**16 + 1)
     d = reconstruct_deriv(s, x)
@@ -298,7 +317,7 @@ def test_coefficients_fft_memo_key_covers_every_input():
     # one curve folded under every input the result depends on, in shuffled
     # order and twice over, equals a fold of a fresh copy bit for bit
     h = smooth_bump()
-    inputs = [(k, n_points, BasisParams(alpha, lam, horizon, 3))
+    inputs = [(k, n_points, BasisParams(alpha, lam, horizon))
               for k in (2, 5) for n_points in (2**8 + 1, 2**10 + 1)
               for alpha in (0.5, 1.0) for lam in (0.25, 0.5) for horizon in (1.0, 1.5)]
     order = np.random.default_rng(0).permutation(2 * len(inputs)) % len(inputs)
@@ -353,7 +372,7 @@ def test_fold_of_on_grid_samples_matches_coefficients_fft(make, k):
 def test_fft_synthesis_matches_reconstruct_deriv(alpha, lam, T, k, n_points, seed):
     # the grid derivative of a span element from one DFT, including 2k + 1
     # modes on fewer bins, where modes that agree on the grid share a bin
-    p = BasisParams(alpha, lam, T, k)
+    p = BasisParams(alpha, lam, T)
     rng = np.random.default_rng(seed)
     c = rng.normal(size=2 * k + 1) + 1j * rng.normal(size=2 * k + 1)
     x = np.linspace(0.0, T, n_points)

@@ -1,5 +1,6 @@
 """The public surface: every exported name exists and is declared public."""
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -61,7 +62,6 @@ def _defaulted_parameters():
 # Every option a caller can leave out.  A new one is added here in the same
 # change that adds it, so that growth of the API is a visible decision.
 DEFAULTED_PARAMETERS = {
-    "basis.BasisParams(k)", "basis.BasisParams.n_range(k)",
     "basis.eval_e_n_star(local)",
     "cli.main(argv)",
     "dynamics.LevyDriver(increment_law)", "dynamics.LevyDriver(law_param)",
@@ -99,6 +99,25 @@ def test_no_new_defaulted_parameters():
         f"new defaulted parameters {sorted(found - DEFAULTED_PARAMETERS)}: list them here"
     assert not DEFAULTED_PARAMETERS - found, \
         f"gone, drop them from the list: {sorted(DEFAULTED_PARAMETERS - found)}"
+
+
+# The fields of every config object.  Each is an option a caller sets, so a
+# new one is added here in the same change that adds it, as a default is above.
+CONFIG_FIELDS = {
+    "basis.BasisParams": ("alpha", "lam", "horizon"),
+    "dynamics.LevyDriver": ("rank", "loadings", "increment_law", "law_param", "seed"),
+    "dynamics.ModelSpec": ("f0", "params", "beta", "psi_weights"),
+    "markovian.CoefficientField": ("b", "psi", "lipschitz_b", "lipschitz_psi"),
+}
+
+
+def test_config_objects_keep_their_fields():
+    found = {}
+    for name in CONFIG_FIELDS:
+        module, cls = name.split(".")
+        obj = getattr(importlib.import_module(f"fwdapprox.{module}"), cls)
+        found[name] = tuple(f.name for f in dataclasses.fields(obj))
+    assert found == CONFIG_FIELDS
 
 
 def test_cli_import_loads_no_scipy():

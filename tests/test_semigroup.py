@@ -15,10 +15,9 @@ P = BasisParams(alpha=1.0, lam=0.5, horizon=1.0)
 
 
 def random_state(k, seed=0):
-    pk = BasisParams(P.alpha, P.lam, P.horizon, k)
     rng = np.random.default_rng(seed)
     c = rng.normal(size=2 * k + 1) + 1j * rng.normal(size=2 * k + 1)
-    return CoeffState(complex(rng.normal()), c, pk)
+    return CoeffState(complex(rng.normal()), c, P)
 
 
 def test_shift_curve_translates_values():
@@ -50,10 +49,9 @@ def test_shift_curve_domain_exhaustion():
 def test_shift_coeffs_is_exact_on_basis_elements():
     # U_t g_n = e^{lambda_n t} g_n + g_n(t) g_*
     k, t = 5, 0.41
-    pk = BasisParams(P.alpha, P.lam, P.horizon, k)
     c = np.zeros(2 * k + 1, dtype=complex)
     c[k + 3] = 1.0  # g_3
-    s = shift_coeffs(CoeffState(0.0, c, pk), t)
+    s = shift_coeffs(CoeffState(0.0, c, P), t)
     assert complex(s.c_star) == pytest.approx(complex(eval_g_n(P, 3, t)))
     assert s.coeff(3) == pytest.approx(np.exp(lambda_n(P, 3) * t))
     off = [s.coeff(n) for n in range(-k, k + 1) if n != 3]
@@ -84,7 +82,7 @@ def test_shift_coeffs_semigroup_property():
        seed=st.integers(0, 2**32 - 1))
 def test_shift_coeffs_semigroup_for_random_parameters(alpha, lam, T, k, a, b, seed):
     # U_b U_a = U_{a+b}, with shifts of up to two horizons each
-    pk = BasisParams(alpha, lam, T, k)
+    pk = BasisParams(alpha, lam, T)
     rng = np.random.default_rng(seed)
     c = rng.normal(size=2 * k + 1) + 1j * rng.normal(size=2 * k + 1)
     s = CoeffState(complex(rng.normal()), c, pk)
