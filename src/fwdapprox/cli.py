@@ -31,8 +31,9 @@ For basis-check, lambda * horizon must be at least about 3.15e-3, so that
 the dual Gram's tail falls below 1e-9 within 2^12 periods (`_gram_periods`).
 For converge --markovian, f0's grid must split [0, horizon] into an even
 number of intervals, at least 2 max(k_list) + 1 of them.  Exit 3 also marks
-a converge --markovian f0 with no node past the horizon, and a converge f0,
-loading or beta stored on less than [0, t_eval + horizon], which it reads.
+a converge --markovian f0 with no node past the horizon, refused before the
+contract audit and the oracle run, and a converge f0, loading or beta stored
+on less than [0, t_eval + horizon], which it reads.
 """
 from __future__ import annotations
 
@@ -382,9 +383,8 @@ def cmd_simulate(cfg: dict, base_dir: Path, out: Path) -> int:
     # t <= T1 (a prefix)
     t_cells = list(map(repr, times.tolist()))
     x_cells = list(map(repr, x.tolist()))
-    weights = {f"{wi},{T1!r},{T2!r}": np.stack([_window_weights(params, k, t, T1, T2)
-                                                  for t in times[times <= T1].tolist()])
-                 for wi, (T1, T2) in enumerate(windows)}
+    weights = {f"{wi},{T1!r},{T2!r}": _window_weights(params, k, times[times <= T1], T1, T2)
+               for wi, (T1, T2) in enumerate(windows)}
     scen, fwd, slices = [], [], []
     for pid in range(n_paths):
         path = simulate_fk_state(model, driver, times, k, path_id=pid)
@@ -430,6 +430,7 @@ def cmd_converge(cfg: dict, base_dir: Path, out: Path, markovian: bool) -> int:
             _euler_intervals(model.f0, max(ks), params)
         except (ValueError, KeyError) as e:
             raise ConfigError(f"bad --markovian setup: {e}") from e
+        model.f0._require_node_past(params.horizon, "f0", "T")
         audit = contract_audit(field, params, n_pairs=50, seed=seed)
         if audit["structure_leak"] > 0.0 or any(audit[r] > 1.0 for r in (
                 "lipschitz_b_ratio", "lipschitz_psi_ratio", "growth_ratio")):

@@ -26,7 +26,6 @@ uses for its final state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -36,7 +35,7 @@ from .errors import BadWindow, DomainTooShort, UnstableStep
 from .projection import (CoeffState, _compute_C1_rows, _fold_grid, _fold_input, _fold_rows,
                          _period_norm, coefficients_fft, compute_C2)
 from .semigroup import _node_shift, _shift, _shift_factors, shift_curve
-from .space import Curve, _reaches, _rows_on
+from .space import Curve, _require, _rows_on
 
 __all__ = [
     "LevyDriver",
@@ -262,15 +261,18 @@ def _curve_recursion(f0: Curve, times: np.ndarray, dt: float, noise: np.ndarray,
     first nodes, the field is set up on f0's grid once and each step builds
     one `Curve`, the state it yields; otherwise it runs through the spline
     of the pre-shift curve onto a new grid, and the field is set up again on
-    each.  The outputs lie on the set-up grid and are cut to the state's
-    nodes; terms scaled by zero are skipped; an output that covers less of
-    the range cuts the state to its last node; the step sums its terms, each
-    scaled into one buffer made per set-up, into an array of its own, which
-    the next state's samples view.  Only the current state is held, so a
-    caller that keeps what it needs of each state as it appears runs in
-    memory independent of L.
+    each; slicing refuses an f0 with no node past times[-1] before its first
+    step (`Curve._require_node_past`).  The outputs lie on the set-up grid
+    and are cut to the state's nodes; terms scaled by zero are skipped; an
+    output that covers less of the range cuts the state to its last node;
+    the step sums its terms, each scaled into one buffer made per set-up,
+    into an array of its own, which the next state's samples view.  Only the
+    current state is held, so a caller that keeps what it needs of each
+    state as it appears runs in memory independent of L.
     """
     f, m = f0, f0._node_index(dt)
+    if m is not None:
+        f0._require_node_past(times[-1], "f0", "the last time")
     outputs, term = field(f0.x_max, f0.deriv_samples.shape[0]), np.empty_like(f0.deriv_samples)
     yield f0
     for j, (t, row) in enumerate(zip(times[:-1], noise.tolist())):
@@ -278,9 +280,7 @@ def _curve_recursion(f0: Curve, times: np.ndarray, dt: float, noise: np.ndarray,
         if j and m is None:
             outputs, term = field(*grid), np.empty(n, np.complex128)
         h = f if reads is None else reads[j]
-        if not h._covers(x_max):
-            raise DomainTooShort(f"state {j} read by the field covers [0, {h.x_max}], "
-                                 f"not [0, {x_max}]")
+        h._require(x_max, lambda: f"state {j} read by the field")
         parts = outputs(t, h.value_at_zero, lambda cut: h._deriv_on(*grid)[:cut])
         v, inc = 0.0, np.zeros(n, np.complex128)
         for part, scales in zip(parts, ((dt,), row)):
@@ -514,9 +514,7 @@ def _euler_path(spec: ModelSpec, times: np.ndarray, dt: float, noise: np.ndarray
             if part is None:
                 continue
             if part is not folded[i]:
-                if not _reaches(part.x_max, p.horizon):
-                    raise DomainTooShort(f"field output at t={t:g} covers "
-                                         f"[0, {part.x_max}], not [0, T]")
+                _require(part.x_max, p.horizon, lambda: f"field output at t={t:g}", "T")
                 folded[i] = part
                 formed[i] = [(value, _fold_input(d, grid))
                              for value, d in zip(part.values.tolist(), part.samples)]
@@ -563,7 +561,7 @@ def delivery_forward(state: CoeffState, t: float, T1: float, T2: float) -> compl
 
     the exact window average of g_n shifted to calendar time t, where
     phi1(z) = (e^z - 1) / z.  This form has no cancellation as the window
-    narrows.  `simulate` stacks the G_n per window (`_window_weights`).
+    narrows.  `simulate` takes a window's G_n at all its times (`_window_weights`).
     """
     p = state.params
     if not (t <= T1 < T2 <= p.horizon + 1e-12):
@@ -571,15 +569,13 @@ def delivery_forward(state: CoeffState, t: float, T1: float, T2: float) -> compl
     return complex(state.c_star + np.sum(_window_weights(p, state.k, t, T1, T2) * state.c))
 
 
-@lru_cache(maxsize=512)
-def _window_weights(params: BasisParams, k: int, t: float, T1: float, T2: float) -> np.ndarray:
-    """The read-only weights G_n, n = -k..k, of `delivery_forward` at level k;
-    the memo holds at most 512 of them."""
+def _window_weights(params: BasisParams, k: int, t, T1: float, T2: float) -> np.ndarray:
+    """The weights G_n, n = -k..k, of `delivery_forward` at level k: one row
+    for a scalar ``t``, a row per time for an array of them."""
     lams = lambda_n(params, params.n_range(k))
-    G = (np.exp(lams * (T1 - t)) * _phi1(lams * (T2 - T1)) - 1.0) \
+    t = np.asarray(t, dtype=float)[..., None]
+    return (np.exp(lams * (T1 - t)) * _phi1(lams * (T2 - T1)) - 1.0) \
         / (lams * np.sqrt(params.horizon))
-    G.flags.writeable = False
-    return G
 
 
 # -- Monte-Carlo convergence experiment --------------------------------------
@@ -682,9 +678,7 @@ def _require_inputs(spec: ModelSpec, driver: LevyDriver, times: np.ndarray, drif
             raise ValueError(f"convergence_experiment needs real curves; {name} "
                              "has an imaginary part")
         reach = float(times[-1] - t) + spec.params.horizon     # the lag's last read
-        if not c._covers(reach):
-            raise DomainTooShort(f"{name} covers [0, {c.x_max}], short of [0, t_eval "
-                                 f"{'- t ' if t else ''}+ T] = [0, {reach}]")
+        c._require(reach, name, f"t_eval {'- t ' if t else ''}+ T")
 
 
 def convergence_experiment(spec: ModelSpec, driver: LevyDriver, t_eval: float,

@@ -30,7 +30,6 @@ from .basis import (BasisParams, eval_g_n, eval_g_n_deriv, frame_lower_constant,
                     frame_upper_constant, projector_norm_bound)
 from .dynamics import (LevyDriver, ModelSpec, SimPath, StateVariables, _curve_recursion,
                        _euler_intervals, _euler_path, _mc_rows, _time_grid)
-from .errors import DomainTooShort
 from .projection import CoeffState, coefficients_fft, reconstruct_deriv
 from .space import Curve, _mask_start, _Rows, _rows_on, norm_alpha
 from .testcurves import flat_curve
@@ -99,8 +98,7 @@ def make_field(name: str, driver: LevyDriver, params: BasisParams,
     named = {f"loading {i}": c for i, c in enumerate(loads)}
     named.update((key, kw[key]) for key in ("theta", "b_curve") if kw.get(key) is not None)
     for what, c in named.items():
-        if not c._covers(params.horizon):
-            raise DomainTooShort(f"{what} covers [0, {c.x_max}], not [0, T]")
+        c._require(params.horizon, what, "T")
     # the zero drift: two nodes over the loadings' range, so no norm of it is finer
     zero = flat_curve(0.0, x_max=loads[0].x_max, n_points=2)
     if name == "constant":
@@ -400,9 +398,7 @@ def markovian_convergence_experiment(cf: CoefficientField, spec: ModelSpec,
     """
     p, km, f0 = spec.params, max(k_list), spec.f0
     n_T = _euler_intervals(f0, int(km), p)
-    if f0.deriv_samples.shape[0] <= n_T + 1:
-        raise DomainTooShort(f"f0 covers [0, {f0.x_max}] and needs a node past T = "
-                             f"{p.horizon}: the oracle's last state keeps one grid step")
+    f0._require_node_past(p.horizon, "f0", "T")
     if all(hasattr(fn, "on_grid") for fn in (cf.b, cf.psi)):
         n = n_T + 1 + _ORACLE_MARGIN
         if n < f0.deriv_samples.shape[0]:

@@ -37,7 +37,7 @@ from .basis import (
     frame_upper_constant,
     lambda_n,
 )
-from .errors import DomainTooShort, NonFinite, NotSmoothEnough
+from .errors import NonFinite, NotSmoothEnough
 from .space import Curve, _simpson_rule, _simpson_weights
 
 __all__ = [
@@ -127,8 +127,7 @@ def project_pi(h: Curve, params: BasisParams) -> Curve:
     which has jumps at multiples of T; downstream quadrature of projected
     curves should be period-aware when high accuracy is needed.
     """
-    if not h._covers(params.horizon):
-        raise DomainTooShort("curve must cover [0, T] to be localised")
+    h._require(params.horizon, "a localised curve", "T")
     y = h.grid
     u = cut(y, params.horizon)
     d = np.exp(-params.decay * (y - u)) * h.deriv(u)
@@ -232,8 +231,7 @@ def coefficients_fft(h: Curve, k: int, params: BasisParams,
     state = h._spline_cache.get(key)
     if state is None:
         T = params.horizon
-        if not h._covers(T):
-            raise DomainTooShort("coefficient extraction needs the curve on [0, T]")
+        h._require(T, "a projected curve", "T")
         if 2 * k + 1 <= n_points - 1 < 8 * k:     # `_fold_rows` refuses more modes
             n_points = 2 ** (8 * k - 1).bit_length() + 1
         grid = _fold_grid(n_points, params)
@@ -291,8 +289,7 @@ def compute_C1(f: Curve, params: BasisParams) -> float:
     `_compute_C1_rows`.
     """
     T = params.horizon
-    if not f._covers(T):
-        raise DomainTooShort("curve must cover [0, T]")
+    f._require(T, "the curve of C1", "T")
     return _compute_C1_rows(f._deriv_on(T, _c1_points(f.deriv_samples.shape[0]))[None],
                             params)[0]
 

@@ -20,7 +20,7 @@ __all__ = ["shift_curve", "shift_coeffs", "adjoint_on_dual"]
 def shift_curve(f: Curve, t: float, x_max_out: float | None = None) -> Curve:
     """(shift_t f)(x) = f(t + x) on [0, x_max_out], at f's step.
 
-    f must cover [0, t + x_max_out] (`Curve._covers`) and leave at least one
+    f must cover [0, t + x_max_out] (`Curve._require`) and leave at least one
     step of it, else DomainTooShort.  When t is a node of f's grid
     (`Curve._node_index`), the samples are sliced and the value at zero adds
     the trapezoid sum of the skipped ones (`_node_shift`), so the nodes stay
@@ -32,9 +32,7 @@ def shift_curve(f: Curve, t: float, x_max_out: float | None = None) -> Curve:
         raise ValueError("shift time must be nonnegative")
     if x_max_out is None:
         x_max_out = f.x_max - t
-    if not f._covers(t + x_max_out):
-        raise DomainTooShort(
-            f"shift by {t} needs the curve on [0, {t + x_max_out}], has [0, {f.x_max}]")
+    f._require(t + x_max_out, "a curve to shift", "t + x")
     m = f._node_index(t)
     if m is not None:
         return _node_shift(f.value_at_zero, f.deriv_samples, f.x_max, m, x_max_out)

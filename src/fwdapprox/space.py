@@ -43,7 +43,7 @@ GRAM_PTS_PER_PERIOD = 2048
 GRAM_TAIL_TOL = 1e-9
 # the most periods the dual Gram integrates over (lambda * horizon >= ~3.15e-3)
 GRAM_MAX_PERIODS = 2**12
-# how far past x_max a read, a resample or a covered range [0, x] may reach
+# how far past x_max a read or a covered range [0, x] may reach; a node past x lies further
 _RANGE_TOL = 1e-9
 
 
@@ -250,14 +250,20 @@ class Curve:
             sp = self._spline_cache["anti"] = self._spline().antiderivative()
         return sp
 
-    def _covers(self, x: float) -> bool:
-        """Whether the curve is stored on [0, x] (`_reaches`)."""
-        return _reaches(self.x_max, x)
+    def _require(self, x: float, what, why: str = "") -> None:
+        """DomainTooShort unless the curve is stored on [0, x] (`space._require`)."""
+        _require(self.x_max, x, what, why)
+
+    def _require_node_past(self, x: float, what: str, why: str) -> None:
+        """DomainTooShort unless a node, the last one x_max, lies more than 1e-9 past x."""
+        if not self.x_max > x + _RANGE_TOL:
+            raise DomainTooShort(f"{what} covers [0, {self.x_max}] and needs a node past "
+                                 f"{why} = {x}")
 
     def _node_index(self, t: float) -> int | None:
         """The i with t = i * grid_step, counting in steps (within 1e-9 of
         one), or None when t is not a node.  The range is not checked here:
-        that is `_covers`' test."""
+        that is `_require`'s test."""
         m = t / self.grid_step
         i = round(m)
         return int(i) if abs(m - i) < 1e-9 else None
@@ -294,8 +300,7 @@ class Curve:
     def resample(self, grid_step: float, x_max: float | None = None) -> "Curve":
         """f' on the grid of [0, x_max] nearest ``grid_step`` (`_deriv_on`), as a new curve."""
         x_max = self.x_max if x_max is None else x_max
-        if not self._covers(x_max):
-            raise DomainTooShort("cannot resample beyond the stored range")
+        self._require(x_max, "a resampled curve")
         return Curve(self.value_at_zero,
                      self._deriv_on(x_max, _node_count(x_max, grid_step)), x_max)
 
@@ -325,10 +330,13 @@ class Curve:
     __rmul__ = __mul__
 
 
-def _reaches(x_max: float, x: float) -> bool:
-    """Whether a range [0, x_max] covers [0, x]: x_max reaches x within 1e-9,
-    the margin every spline read (`Curve._in_domain`) allows."""
-    return x <= x_max + _RANGE_TOL
+def _require(x_max: float, x: float, what, why: str = "") -> None:
+    """DomainTooShort, "<what> covers [0, x_max], short of [0, <why>] = [0, x]", unless
+    x_max reaches x within 1e-9, the margin every read (`Curve._in_domain`) allows.
+    ``what`` may be a callable that names it, so a step loop builds no text."""
+    if not x <= x_max + _RANGE_TOL:
+        raise DomainTooShort(f"{what() if callable(what) else what} covers [0, {x_max}], "
+                             f"short of [0, {f'{why}] = [0, ' if why else ''}{x}]")
 
 
 def _mask_start(x_max: float, n: int, x_cut: float) -> int:

@@ -962,7 +962,8 @@ def test_converge_markovian_f0_that_ends_at_the_horizon_exits_3(tmp_path, capsys
                                                                 monkeypatch):
     # configs/markovian.json with f0 on [0, T] alone: the oracle's last state
     # keeps f0's range past T, at least one grid step, so one line asks for a
-    # node past T before any path is stepped
+    # node past T before the contract audit runs and any path is stepped
+    monkeypatch.setattr(cli, "contract_audit", never)
     monkeypatch.setattr(markovian, "_curve_recursion", never)
     monkeypatch.setattr(markovian, "simulate_markovian_fk", never)
     root = Path(__file__).resolve().parent.parent

@@ -463,6 +463,29 @@ def test_picard_state_short_of_the_recursion_range_raises():
         picard_operator_V(h, field, spec, drv, times, noise)
 
 
+@pytest.mark.parametrize("recursion", ["linear oracle", "markovian oracle", "picard"])
+def test_recursion_refuses_an_f0_with_no_node_past_the_last_time(recursion, monkeypatch):
+    # f0 on [0, 1] and 64 node steps to t = 1: the last state would keep no
+    # grid step, so the recursion names f0 and the range before any step
+    def never(*args, **kwargs):
+        raise AssertionError("a state was stepped")
+
+    monkeypatch.setattr(dynamics, "_node_shift", never)
+    drv = make_driver()
+    spec = ModelSpec(f0=smooth_bump(x_max=1.0, n_points=257), params=P)
+    field = make_field("mean_revert", drv, P, kappa=0.5, theta=flat_curve(1.2))
+    times = np.linspace(0.0, 1.0, 65)
+    noise = drv.increments(drv.path_rng(0), times[1], 64)
+    with pytest.raises(DomainTooShort) as e:
+        if recursion == "linear oracle":
+            dynamics.oracle_mild_solution(spec, drv, times, noise=noise)
+        elif recursion == "markovian oracle":
+            oracle_markovian(field, spec, drv, times, noise=noise)
+        else:
+            picard_operator_V([spec.f0] * 65, field, spec, drv, times, noise)
+    assert str(e.value) == "f0 covers [0, 1.0] and needs a node past the last time = 1.0"
+
+
 def test_off_grid_field_output_is_projected_like_on_grid_one():
     # theta on a twice finer grid makes the drift output land off the
     # initial curve's grid; its projection must use the same quadrature

@@ -183,6 +183,27 @@ def test_os_errors_and_curve_file_opens_have_one_home():
                        and n.func.id == "open")
 
 
+def test_range_refusals_have_one_home():
+    # space.py decides whether a curve is stored far enough and refuses it
+    # (Curve._require, Curve._require_node_past); elsewhere only the t_eval
+    # check and a shift that leaves no grid step build a DomainTooShort
+    src = Path(fwdapprox.__file__).parent
+    assert not [p.name for p in src.glob("*.py")
+                if "_covers" in p.read_text() or "_reaches" in p.read_text()]
+    built = set()
+    for path in sorted(src.glob("*.py")):
+        if path.name == "space.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                built |= {(path.name, fn.name) for n in ast.walk(fn)
+                          if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                          and n.func.id == "DomainTooShort"}
+    assert built == {("dynamics.py", "convergence_experiment"),
+                     ("semigroup.py", "_shifted_nodes")}
+
+
 def test_bound_contracts_no_whole_lag_kernel():
     # the bound's derivative kernel is built and contracted a block of
     # columns at a time; a tensordot in _sampled_bound means a whole
@@ -272,7 +293,7 @@ def _grid_tolerances(tree: ast.AST) -> list[int]:
 def test_only_space_compares_grid_steps():
     # a curve's grid is space.py's decision: whether two steps are one
     # (space._same_step), whether a point is a node (Curve._node_index), whether
-    # a curve covers a range (Curve._covers) and where a mask cuts
+    # a curve covers a range (Curve._require) and where a mask cuts
     # (Curve._masked_from); no other module counts in steps or holds a tolerance
     src = Path(fwdapprox.__file__).parent
     found = []

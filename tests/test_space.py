@@ -7,10 +7,12 @@ import scipy.interpolate
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import simpson
 
-from fwdapprox import space
+from fwdapprox import dynamics, space
 from fwdapprox.basis import BasisParams, eval_e_n_star, eval_g_n_deriv
 from fwdapprox.cli import load_curve
+from fwdapprox.dynamics import LevyDriver, ModelSpec
 from fwdapprox.errors import DomainTooShort
+from fwdapprox.markovian import make_field
 from fwdapprox.projection import coefficients_fft, compute_C1, project_pi
 from fwdapprox.space import (
     Curve,
@@ -257,18 +259,65 @@ def test_align_keeps_an_operand_on_the_common_grid():
 
 @pytest.mark.parametrize("short, covers", [(5e-10, True), (2e-9, False)])
 def test_every_range_check_is_the_one_range_test(short, covers):
-    # f covers [0, T] when x_max reaches T within 1e-9, the margin every
-    # spline read allows; each check that needs [0, T] asks this one test
+    # h covers [0, 1] when x_max reaches 1 within 1e-9, the margin every
+    # spline read allows; each check that needs [0, 1] asks the one refusal,
+    # which names the curve and the range it covers
     h = Curve.from_deriv_fn(lambda x: np.exp(-x), 0.5, x_max=1.0 - short, n_points=1025)
-    assert h._covers(1.0) is covers
-    for check in (lambda: project_pi(h, P), lambda: coefficients_fft(h, 4, P),
-                  lambda: compute_C1(h, P), lambda: h.resample(h.grid_step, 1.0),
-                  lambda: shift_curve(h, 0.25, 0.75)):
+    f0 = smooth_bump(x_max=1.0, n_points=1025)
+    drv = LevyDriver(rank=1, loadings=[smooth_bump()])
+    half = BasisParams(alpha=1.0, lam=0.5, horizon=0.5)   # t_eval + T = 1
+
+    def field(drift):
+        """Set up on any grid, outputs the drift rows ``drift`` and no noise."""
+        return lambda x_max, n: lambda t, value, samples: [drift, None]
+
+    def euler_output():
+        # drift rows that end where h does, which the fold reads on [0, T]
+        rows = space._Rows(np.zeros(1, complex), np.zeros((1, 1025), complex), h.x_max)
+        dynamics._euler_path(ModelSpec(f0, P), np.array([0.0, 0.01]), 0.01,
+                             np.zeros((1, 1)), 2, field(rows))
+
+    def read_state():
+        # the recursion reads h on f0's range [0, 1]
+        list(dynamics._curve_recursion(f0, np.array([0.0, f0.grid_step]), f0.grid_step,
+                                       np.zeros((1, 1)), field(None), reads=[h]))
+
+    for name, check in [
+            ("a localised curve", lambda: project_pi(h, P)),
+            ("a projected curve", lambda: coefficients_fft(h, 4, P)),
+            ("the curve of C1", lambda: compute_C1(h, P)),
+            ("a resampled curve", lambda: h.resample(h.grid_step, 1.0)),
+            ("a curve to shift", lambda: shift_curve(h, 0.25, 0.75)),
+            ("theta", lambda: make_field("mean_revert", drv, P, kappa=0.5, theta=h)),
+            ("loading 0", lambda: make_field("constant", LevyDriver(1, [h]), P)),
+            ("b_curve", lambda: make_field("constant", drv, P, b_curve=h)),
+            ("f0", lambda: dynamics._require_inputs(ModelSpec(h, half), drv,
+                                                    np.linspace(0.0, 0.5, 3), [])),
+            ("field output at t=0", euler_output),
+            ("state 0 read by the field", read_state)]:
         if covers:
             check()
         else:
-            with pytest.raises(DomainTooShort):
+            with pytest.raises(DomainTooShort) as e:
                 check()
+            assert str(e.value).startswith(f"{name} covers [0, {h.x_max}], short of [0, ")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 5000), x_max=st.floats(1e-3, 50.0), frac=st.floats(0.0, 1.0))
+@example(n=2, x_max=1.0, frac=1.0)
+@example(n=2, x_max=1.0, frac=0.0)
+@example(n=4097, x_max=1e-3, frac=1.0)
+def test_node_rule_refuses_exactly_the_last_node(n, x_max, frac):
+    # a curve holds a node past its node i unless i is the last one
+    f = Curve(0.0, np.zeros(n), x_max)
+    i = min(int(frac * (n - 1)), n - 1)
+    if i < n - 1:
+        f._require_node_past(f.grid[i], "f", "node i")
+    else:
+        with pytest.raises(DomainTooShort) as e:
+            f._require_node_past(f.grid[i], "f", "node i")
+        assert str(e.value) == f"f covers [0, {x_max}] and needs a node past node i = {x_max}"
 
 
 def test_resample_same_step_is_truncation():
